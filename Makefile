@@ -1,10 +1,13 @@
-.PHONY: test verify examples
+.PHONY: test verify bench-test examples
 
 test:
-	python3 -m pytest -q
+	PYTHONPATH=src python3 -m pytest -q
 
 verify:
-	python3 -m pytest tests/test_acceptance.py -v -s
+	PYTHONPATH=src python3 -m pytest tests/test_acceptance.py -v -s
+
+bench-test:
+	python3 -m pytest perfbench
 
 examples:
 	python3 scripts/run_paper_examples.py

@@ -1,15 +1,20 @@
 """Finite-dimensional path bases of bound quiver algebras.
 
-The engine eliminates, length by length, the span of all products
-``u * r * v`` of relation generators by paths, over exact rationals.
-Paths are ordered by (length, arrow sequence); every eliminated row
-rewrites its largest term into strictly smaller ones, so normal forms
-terminate even for inhomogeneous relations such as differences of
-cycles of unequal length.  A path with a zero proper subpath is an
-ideal multiple and is treated as zero directly.
+The relations are completed to a rewriting system, a noncommutative
+Gröbner basis in the sense of Green, under the (length, arrows) order of
+``Path.sort_key``.  Each rule rewrites its tip, a path, into a
+combination of strictly smaller paths, and no tip contains another.
+Overlap ambiguities between tips are resolved in order of degree; a tip
+that contains a newer one is rewritten and inserted again, which settles
+the inclusion ambiguities.  Once none is pending, Bergman's diamond
+lemma gives every path a unique normal form, a combination of tip-free
+paths, over exact rationals.  Normal forms are computed by memoised
+rewriting, so they terminate even for inhomogeneous relations such as
+differences of cycles of unequal length.
 """
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +26,10 @@ from .quiver import BoundQuiver, Path, Quiver, Relation, stationary
 DEFAULT_LENGTH_CAP = 64
 
 Vector = dict[Path, Fraction]
+Word = tuple[int, ...]            # the arrows of a path of positive length
+Poly = dict[Word, Fraction]
+
+ONE = Fraction(1)
 
 
 def _env_cap() -> int:
@@ -33,75 +42,142 @@ def _env_cap() -> int:
     return DEFAULT_LENGTH_CAP
 
 
-class _Reducer:
-    """Echelon state: rows keyed by their largest path, value = the rest.
+def _order(w: Word) -> tuple:
+    return (len(w), w)
 
-    A row ``lead -> tail`` encodes the congruence lead = tail modulo the
-    ideal, with every tail path strictly smaller than ``lead`` in the
-    (length, arrows) order.  An empty tail kills the path.
-    """
+
+def _axpy(out: dict, c: Fraction, vec: dict) -> None:
+    """``out += c * vec``, dropping cancelled terms."""
+    for w, d in vec.items():
+        new = out.get(w, 0) + c * d
+        if new:
+            out[w] = new
+        else:
+            del out[w]
+
+
+class _RewriteSystem:
+    """Rules ``tip -> tail`` with every tail path smaller than its tip."""
 
     def __init__(self, quiver: Quiver):
         self.quiver = quiver
-        self.rows: dict[Path, Vector] = {}
-        self._memo: dict[Path, Vector] = {}
+        self.rules: dict[Word, Poly] = {}
+        self._tip_lengths: list[int] = []
+        self._memo: dict[Word, Poly] = {}
+        self._vectors: dict[Path, Vector] = {}
+        self._pending: list[tuple[int, int, Word, Word, int]] = []
+        self._queued = 0
+        self.counts = {"rules": 0, "ambiguities": 0, "nf_calls": 0, "memo_hits": 0}
 
-    def insert(self, vec: Vector) -> bool:
-        """Reduce ``vec`` against the rows; store the remainder as a new row."""
-        vec = {p: c for p, c in vec.items() if c}
-        while vec:
-            lead = max(vec, key=Path.sort_key)
-            row = self.rows.get(lead)
-            if row is None:
-                coef = vec.pop(lead)
-                self.rows[lead] = {p: -c / coef for p, c in vec.items()}
-                self._memo.clear()
-                return True
-            coef = vec.pop(lead)
-            for p, c in row.items():
-                new = vec.get(p, Fraction(0)) + coef * c
-                if new:
-                    vec[p] = new
-                else:
-                    vec.pop(p, None)
-        return False
-
-    def reduce_path(self, p: Path) -> Vector:
-        cached = self._memo.get(p)
-        if cached is not None:
-            return cached
-        if self._has_dead_proper_subpath(p):
-            result: Vector = {}
+    # -- normal forms --------------------------------------------------------
+    def normal_form(self, w: Word) -> Poly:
+        """Rewrite the path with arrows ``w`` until no tip occurs in it."""
+        self.counts["nf_calls"] += 1
+        out = self._memo.get(w)
+        if out is not None:
+            self.counts["memo_hits"] += 1
+            return out
+        prefix = w[:-1]
+        head = self.normal_form(prefix) if prefix else {prefix: ONE}
+        if prefix in head:       # the prefix is tip-free
+            out = self._rewrite_suffix(w)
         else:
-            row = self.rows.get(p)
-            result = {p: Fraction(1)} if row is None else self.reduce_vector(row)
-        self._memo[p] = result
-        return result
-
-    def reduce_vector(self, vec: Vector) -> Vector:
-        out: Vector = {}
-        for p, c in vec.items():
-            for bp, bc in self.reduce_path(p).items():
-                new = out.get(bp, Fraction(0)) + c * bc
-                if new:
-                    out[bp] = new
-                else:
-                    del out[bp]
+            # every term of the prefix's normal form is tip-free
+            out = {}
+            for u, c in head.items():
+                _axpy(out, c, self.normal_form(u + w[-1:]))
+        self._memo[w] = out
         return out
 
-    def is_zero(self, p: Path) -> bool:
-        return not self.reduce_path(p)
+    def _rewrite_suffix(self, w: Word) -> Poly:
+        """Normal form of ``w`` whose proper prefix is tip-free."""
+        for n in self._tip_lengths:
+            if n > len(w):
+                break
+            tail = self.rules.get(w[-n:])
+            if tail is not None:
+                out: Poly = {}
+                for s, d in tail.items():
+                    _axpy(out, d, self.normal_form(w[:-n] + s))
+                return out
+        return {w: ONE}
 
-    def _has_dead_proper_subpath(self, p: Path) -> bool:
-        n = len(p)
-        q = self.quiver
-        for length in range(2, n):
-            for start in range(0, n - length + 1):
-                window = p.arrows[start:start + length]
-                sub = Path(q.arrow(window[0]).source, window)
-                if not self.reduce_path(sub):
-                    return True
-        return False
+    def reduce(self, vec: Poly) -> Poly:
+        out: Poly = {}
+        for w, c in vec.items():
+            _axpy(out, c, self.normal_form(w))
+        return out
+
+    def reduce_path(self, p: Path) -> Vector:
+        """Normal form of a path, keyed by paths."""
+        out = self._vectors.get(p)
+        if out is None:
+            if p.arrows:
+                src = self.quiver.arrow
+                out = {Path(src(w[0]).source, w): c
+                       for w, c in self.normal_form(p.arrows).items()}
+            else:
+                out = {p: ONE}
+            self._vectors[p] = out
+        return out
+
+    # -- completion ----------------------------------------------------------
+    def complete(self, relations: Iterable[Relation], cap: int) -> None:
+        """Turn the relations into a confluent system.
+
+        Raises ``InfiniteDimensional`` when an ambiguity longer than twice
+        the cap is still pending.
+        """
+        for r in relations:
+            vec: Poly = {}
+            for c, p in r.terms:
+                _axpy(vec, c, {p.arrows: ONE})
+            self._insert(vec)
+        while self._pending:
+            degree, _, left, right, k = heapq.heappop(self._pending)
+            if left not in self.rules or right not in self.rules:
+                continue
+            if degree > 2 * cap:
+                raise InfiniteDimensional(cap)
+            self.counts["ambiguities"] += 1
+            # left * v == u * right for the overlap of k arrows
+            v, u = right[k:], left[:-k]
+            vec = self.reduce({s + v: c for s, c in self.rules[left].items()})
+            _axpy(vec, -ONE, self.reduce({u + s: c for s, c in self.rules[right].items()}))
+            self._insert(vec)
+        self.counts["rules"] = len(self.rules)
+
+    def _insert(self, vec: Poly) -> None:
+        """Add the ideal element ``vec`` as a rule unless it rewrites to zero."""
+        todo = [vec]
+        while todo:
+            vec = self.reduce(todo.pop())
+            if not vec:
+                continue
+            tip = max(vec, key=_order)
+            c = vec.pop(tip)
+            stale = [t for t in self.rules if _contains(t, tip)]
+            for t in stale:
+                todo.append({t: ONE, **{s: -d for s, d in self.rules.pop(t).items()}})
+            self.rules[tip] = {s: -d / c for s, d in vec.items()}
+            self._tip_lengths = sorted({len(t) for t in self.rules})
+            self._memo.clear()
+            for t in self.rules:
+                self._queue_overlaps(t, tip)
+                if t != tip:
+                    self._queue_overlaps(tip, t)
+
+    def _queue_overlaps(self, left: Word, right: Word) -> None:
+        for k in range(1, min(len(left), len(right))):
+            if left[-k:] == right[:k]:
+                self._queued += 1
+                heapq.heappush(self._pending, (len(left) + len(right) - k,
+                                               self._queued, left, right, k))
+
+
+def _contains(word: Word, sub: Word) -> bool:
+    n = len(sub)
+    return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
 
 
 @dataclass(frozen=True)
@@ -110,27 +186,28 @@ class PathBasis:
     algebra: BoundQuiver
     basis_paths: tuple[Path, ...]
     nilpotency_bound: int
-    _reducer: _Reducer
+    _engine: _RewriteSystem
 
     @property
     def dimension(self) -> int:
         return len(self.basis_paths)
 
+    @property
+    def stats(self) -> dict[str, int]:
+        """Engine counters: rules of the completed system, ambiguities
+        resolved, normal-form calls and their memo hits so far."""
+        return dict(self._engine.counts)
+
     def reduce(self, p: Path) -> Vector:
         """Normal form of a path as a combination of basis paths."""
         if len(p) >= self.nilpotency_bound:
             return {}
-        return self._reducer.reduce_path(p)
+        return self._engine.reduce_path(p)
 
     def reduce_element(self, vec: Vector) -> Vector:
         out: Vector = {}
         for p, c in vec.items():
-            for bp, bc in self.reduce(p).items():
-                new = out.get(bp, Fraction(0)) + c * bc
-                if new:
-                    out[bp] = new
-                else:
-                    del out[bp]
+            _axpy(out, c, self.reduce(p))
         return out
 
     def is_zero(self, p: Path) -> bool:
@@ -174,90 +251,39 @@ def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBa
     """Compute the normal-form path basis of an admissible bound quiver.
 
     Raises ``NotAdmissible`` for non-admissible presentations and
-    ``InfiniteDimensional`` when nonzero paths survive at the cap.
+    ``InfiniteDimensional`` when a nonzero path survives at the cap, or
+    when the completion meets an ambiguity longer than twice the cap.
     """
     if not bq.admissible:
         raise NotAdmissible("normalise the presentation before computing a basis")
     cap = length_cap if length_cap is not None else _env_cap()
     q = bq.quiver
-    red = _Reducer(q)
-    for r in bq.relations:
-        red.insert({p: c for c, p in r.terms})
+    engine = _RewriteSystem(q)
+    engine.complete(bq.relations, cap)
 
-    max_gen = max((r.max_term_length() for r in bq.relations), default=2)
-    per_length: dict[int, list[Path]] = {0: [stationary(v.id) for v in q.vertices]}
-
-    def grow(length: int) -> list[Path]:
-        # extensions of currently-alive shorter paths; zero-prefixed paths
-        # are ideal multiples and are never needed
-        for k in range(1, length + 1):
-            if k in per_length:
-                continue
-            out = []
-            for p in per_length[k - 1]:
-                if red.is_zero(p):
-                    continue
-                for a in q.arrows_from(p.target(q)):
-                    out.append(Path(p.base if p.arrows else a.source,
-                                    p.arrows + (a.id,)))
-            per_length[k] = out
-        return per_length[length]
-
-    first_death: Optional[int] = None
-    reached = 0
-    for length in range(1, cap + 1):
-        reached = length
-        for r in bq.relations:
-            lead = r.max_term_length()
-            if lead > length:
-                continue
-            src = r.paths()[0].source(q)
-            tgt = r.paths()[0].target(q)
-            for ulen in range(0, length - lead + 1):
-                vlen = length - lead - ulen
-                if ulen == 0 and vlen == 0:
-                    continue
-                us = [u for u in grow(ulen)
-                      if u.target(q) == src and not red.is_zero(u)]
-                if not us:
-                    continue
-                vs = [v for v in grow(vlen)
-                      if v.source(q) == tgt and not red.is_zero(v)]
-                for u in us:
-                    for v in vs:
-                        vec: Vector = {}
-                        for c, p in r.terms:
-                            base = (u.base if u.arrows else
-                                    p.base if p.arrows else v.base)
-                            joined = Path(base, u.arrows + p.arrows + v.arrows)
-                            vec[joined] = vec.get(joined, Fraction(0)) + c
-                        red.insert(vec)
-        if all(red.is_zero(p) for p in grow(length)):
-            if first_death is None:
-                first_death = length
-            if length >= first_death + max_gen:
-                break
-        else:
-            first_death = None
-
-    # settle the nilpotency bound against the finished state
-    bound: Optional[int] = None
-    for length in range(1, reached + 1):
-        if all(red.is_zero(p) for p in grow(length)):
-            if bound is None:
-                bound = length
-        else:
-            bound = None
-    if bound is None:
-        raise InfiniteDimensional(cap)
-
-    basis: list[Path] = []
-    for length in range(0, bound):
-        for p in grow(length):
-            if red.reduce_path(p) == {p: Fraction(1)}:
-                basis.append(p)
+    # extend nonzero paths one arrow at a time; tip-free ones are the basis
+    frontier = [stationary(v.id) for v in q.vertices]
+    basis = list(frontier)
+    length = 1
+    while True:
+        alive = []
+        for p in frontier:
+            for a in q.arrows_from(p.target(q)):
+                w = p.arrows + (a.id,)
+                nf = engine.normal_form(w)
+                if nf:
+                    ext = Path(p.base if p.arrows else a.source, w)
+                    alive.append(ext)
+                    if w in nf:
+                        basis.append(ext)
+        if not alive:
+            break
+        if length >= cap:
+            raise InfiniteDimensional(cap, alive[0], alive[0].label(q))
+        frontier = alive
+        length += 1
     basis.sort(key=Path.sort_key)
-    return PathBasis(bq, tuple(basis), bound, red)
+    return PathBasis(bq, tuple(basis), length, engine)
 
 
 def maximal_paths(bq: BoundQuiver, basis: PathBasis) -> tuple[Path, ...]:

@@ -14,11 +14,17 @@ class NotAdmissible(SkewBrauerError):
 
 
 class InfiniteDimensional(SkewBrauerError):
-    """Raised when nonzero paths still survive at the length cap."""
+    """Raised when nonzero paths still survive at the length cap.
 
-    def __init__(self, cap: int):
-        super().__init__(f"nonzero paths survive at length cap {cap}")
+    ``witness`` is a surviving path of length ``cap`` when one is known,
+    and ``label`` its name in the quiver.
+    """
+
+    def __init__(self, cap: int, witness=None, label: str = ""):
+        detail = f", e.g. {label}" if label else ""
+        super().__init__(f"nonzero paths survive at length cap {cap}{detail}")
         self.cap = cap
+        self.witness = witness
 
 
 class LoopAtDistinguished(SkewBrauerError):

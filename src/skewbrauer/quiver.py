@@ -94,11 +94,24 @@ class Quiver:
             self.__dict__["_am"] = m
         return m
 
+    def _adjacency(self) -> tuple[dict[int, tuple[Arrow, ...]], dict[int, tuple[Arrow, ...]]]:
+        m = self.__dict__.get("_adj")
+        if m is None:
+            out: dict[int, list[Arrow]] = {}
+            into: dict[int, list[Arrow]] = {}
+            for a in self.arrows:
+                out.setdefault(a.source, []).append(a)
+                into.setdefault(a.target, []).append(a)
+            m = ({v: tuple(arrs) for v, arrs in out.items()},
+                 {v: tuple(arrs) for v, arrs in into.items()})
+            self.__dict__["_adj"] = m
+        return m
+
     def arrows_from(self, vid: int) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.source == vid)
+        return self._adjacency()[0].get(vid, ())
 
     def arrows_into(self, vid: int) -> tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.target == vid)
+        return self._adjacency()[1].get(vid, ())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Lists all paths up to a cap, forms every product u * r * v of the
 relation generators by paths, and row-reduces the whole system at once
 by dense Gaussian elimination over exact rationals.  Deliberately
-one-shot and unoptimised; used to cross-check the incremental engine.
+one-shot and unoptimised; used to cross-check the rewriting engine.
 """
 from __future__ import annotations
 

@@ -180,6 +180,8 @@ class TestCli:
         code = main(["cartan", fixture_path("toy.bq"), "--det"])
         # cap 3 is below the nilpotency bound, so the computation fails
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "length cap 3, e.g. " in err
         monkeypatch.delenv("SKEWBRAUER_LENGTH_CAP")
 
     def test_console_script_entry(self):

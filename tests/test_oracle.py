@@ -1,13 +1,16 @@
-"""Oracle equivalence: the incremental engine against one-shot exhaustive reduction."""
+"""Oracle equivalence: the rewriting engine against one-shot exhaustive reduction."""
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import skew_brauer_algebra
-from skewbrauer.quiver import BoundQuiver
+from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 
 from helpers import load
-from oracle import oracle_reduce
+from oracle import all_paths, oracle_reduce
 
 
 def _admissible(name: str) -> BoundQuiver:
@@ -75,3 +78,52 @@ def test_trivial_extension_against_oracle():
     dim, bound, paths, _ = oracle_reduce(t.algebra, cap=basis.nilpotency_bound + 2)
     assert (dim, bound) == (basis.dimension, basis.nilpotency_bound) == (46, 5)
     assert set(paths) == set(basis.basis_paths)
+
+
+# every path of this length is a generator, so the quotient is finite
+TRUNCATE = 4
+
+
+@st.composite
+def inhomogeneous_algebras(draw):
+    """Small bound quivers, loops allowed, with monomial relations and
+    two-term relations whose terms differ in length."""
+    nv = draw(st.integers(1, 3))
+    specs = [(f"a{i}", str(draw(st.integers(0, nv - 1))),
+              str(draw(st.integers(0, nv - 1))))
+             for i in range(draw(st.integers(1, 3)))]
+    q = Quiver.build([str(v) for v in range(nv)], specs)
+    paths = [p for p in all_paths(q, TRUNCATE, set()) if len(p) >= 2]
+    short = [p for p in paths if len(p) < TRUNCATE]
+    relations = [Relation.monomial(p) for p in paths if len(p) == TRUNCATE]
+    assume(len(relations) <= 32)  # keeps the one-shot oracle cheap
+    if not short:
+        return BoundQuiver(q, tuple(relations))
+    for p in draw(st.lists(st.sampled_from(short), max_size=2)):
+        relations.append(Relation.monomial(p))
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from(short))
+        partners = [r for r in paths if len(r) != len(p)
+                    and (r.source(q), r.target(q)) == (p.source(q), p.target(q))]
+        if partners:
+            c = Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+            relations.append(Relation(((Fraction(1), p),
+                                       (c, draw(st.sampled_from(partners))))))
+    return BoundQuiver(q, tuple(relations))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(inhomogeneous_algebras())
+def test_inhomogeneous_relations_match_oracle(bq):
+    basis = enumerate_basis(bq)
+    max_gen = max((r.max_term_length() for r in bq.relations), default=2)
+    # past TRUNCATE + max_gen every product is a sum of dead paths,
+    # so the truncated oracle is exact
+    dim, bound, paths, oracle_form = oracle_reduce(bq, cap=TRUNCATE + max_gen)
+    assert (basis.dimension, basis.nilpotency_bound) == (dim, bound)
+    assert basis.basis_paths == tuple(paths)
+    monomials = {r.paths()[0].arrows for r in bq.relations if r.is_monomial}
+    survivors = set(all_paths(bq.quiver, bound, monomials))
+    for p in all_paths(bq.quiver, bound, set()):
+        want = oracle_form(p) if p in survivors else {}
+        assert basis.reduce(p) == want, p.label(bq.quiver)

@@ -4,15 +4,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
 from skewbrauer.errors import InfiniteDimensional, NonComposable, NotAdmissible
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                compose_paths, is_gentle, is_locally_gentle,
-                               stationary)
+                               path_from_arrows, stationary)
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
+from skewbrauer.trivext import trivial_extension
 
-from helpers import BQ_FIXTURES, P, load, mono
+from helpers import BQ_FIXTURES, P, diff, load, mono
 
 
 def a2():
@@ -62,8 +64,36 @@ class TestEnumerateBasis:
 
     def test_free_loop_is_infinite(self):
         bq = load("loop.bq")
-        with pytest.raises(InfiniteDimensional):
+        with pytest.raises(InfiniteDimensional) as info:
             enumerate_basis(bq, length_cap=16)
+        witness = info.value.witness
+        q = bq.quiver
+        assert len(witness) == 16
+        assert path_from_arrows(q, witness.arrows) == witness
+        assert witness.label(q) in str(info.value)
+
+    def test_endless_completion_is_infinite(self):
+        # the braid relation y*x*y = x*y*x has no finite rewriting system
+        # under the (length, arrows) order: the completion guard stops it
+        q = Quiver.build(["v"], [("x", "v", "v"), ("y", "v", "v")])
+        bq = BoundQuiver(q, (diff(q, ("y", "x", "y"), ("x", "y", "x")),))
+        with pytest.raises(InfiniteDimensional) as info:
+            enumerate_basis(bq, length_cap=8)
+        assert info.value.witness is None
+
+    @pytest.mark.parametrize("name, rules", [("toy.bq", 20), ("fig1.sbg", 20),
+                                             ("torus.sbg", 21)])
+    def test_completed_rule_count(self, name, rules):
+        # the reduced rewriting system is unique for the (length, arrows)
+        # order; toy.bq is taken through T(A) of its admissible presentation
+        if name.endswith(".bq"):
+            adm = admissible_presentation(make_presentation(load(name)))
+            bq = trivial_extension(adm).algebra
+        else:
+            bq = skew_brauer_algebra(load(name)).algebra
+        stats = enumerate_basis(bq).stats
+        assert stats["rules"] == rules
+        assert 0 < stats["memo_hits"] < stats["nf_calls"]
 
     def test_non_admissible_rejected(self):
         with pytest.raises(NotAdmissible):
