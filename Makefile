@@ -4,7 +4,7 @@ test:
 	PYTHONPATH=src python3 -m pytest -q
 
 verify:
-	PYTHONPATH=src python3 -m pytest tests/test_acceptance.py -v -s
+	sh scripts/verify.sh
 
 bench-test:
 	python3 -m pytest perfbench

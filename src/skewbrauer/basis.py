@@ -230,21 +230,24 @@ class PathBasis:
         q = self.algebra.quiver
         return tuple(p for p in self.basis_paths if p.target(q) == target)
 
-    def alive_paths(self) -> Iterable[Path]:
-        """All paths with nonzero normal form, shortest first."""
-        q = self.algebra.quiver
-        frontier = [stationary(v.id) for v in q.vertices]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                yield p
+    def alive_paths(self) -> tuple[Path, ...]:
+        """All paths with nonzero normal form, shortest first.
+
+        The walk runs once per basis; later calls return the same tuple.
+        """
+        out = self.__dict__.get("_alive")
+        if out is None:
+            q = self.algebra.quiver
+            found = [stationary(v.id) for v in q.vertices]
+            for p in found:            # a queue: extensions are appended behind
                 if len(p) + 1 >= self.nilpotency_bound:
                     continue
                 for a in q.arrows_from(p.target(q)):
                     ext = Path(p.base if p.arrows else a.source, p.arrows + (a.id,))
                     if not self.is_zero(ext):
-                        nxt.append(ext)
-            frontier = nxt
+                        found.append(ext)
+            out = self.__dict__["_alive"] = tuple(found)
+        return out
 
 
 def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBasis:

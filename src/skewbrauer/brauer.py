@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Union
 
-from .basis import PathBasis, enumerate_basis, maximal_paths
+from .basis import PathBasis, Vector, _axpy, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
                      stationary)
@@ -127,10 +127,6 @@ def validate_graph(g: SkewBrauerGraph) -> Verdict:
     return Verdict(True)
 
 
-def plain_graph(g: BrauerGraph) -> SkewBrauerGraph:
-    return SkewBrauerGraph(g, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # Brauer quiver
 # ---------------------------------------------------------------------------
@@ -219,7 +215,6 @@ def _cycle_decorations(q: Quiver, special: frozenset[int], sgq: SgQuiver,
             signs[i] = s
         signs[-1] = signs[0]
         arrows = []
-        ok = True
         for i, aid in enumerate(rot.arrows):
             a = q.arrow(aid)
             key = (a.label, signs[i], signs[i + 1])
@@ -372,59 +367,66 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     Accepts any carrier with ``algebra`` and ``cycles`` (cycle objects
     expose ``rotations`` and ``multiplicity``), so trivial extensions can
     be checked directly against the same form.
+
+    phi vanishes off closed paths, and the normal form of ab runs from the
+    source of a to the target of b, so phi(ab) and phi(ba) can be nonzero
+    only when b runs from the target of a back to its source.  The basis
+    paths are grouped into blocks B(s, t) by source and target, and ab is
+    reduced once for each a in B(s, t) and b in B(t, s).  Up to a
+    permutation of rows and columns the Gram matrix is block diagonal with
+    blocks B(s, t) x B(t, s), so its rank is the sum of the block ranks.
     """
     if basis is None:
         basis = enumerate_basis(alg.algebra)
     q = alg.algebra.quiver
-    phi: dict[Path, Fraction] = {}
+    support: set[Path] = set()
     for c in alg.cycles:
         for rot in c.rotations(q):
-            nf = basis.reduce(_power(rot, c.multiplicity))
-            for bp, coeff in nf.items():
-                phi[bp] = Fraction(1)
-
-    def phi_of(vec: dict[Path, Fraction]) -> Fraction:
-        return sum((c * phi.get(p, Fraction(0)) for p, c in vec.items()),
-                   Fraction(0))
+            support.update(basis.reduce(_power(rot, c.multiplicity)))
 
     paths = basis.basis_paths
+    blocks: dict[tuple[int, int], list[Path]] = {}
+    for p in paths:
+        blocks.setdefault((p.source(q), p.target(q)), []).append(p)
+    rows: dict[Path, Vector] = {}      # a -> {b: phi(ab)}, nonzero entries only
+    for (s, t), block in blocks.items():
+        for a in block:
+            row = rows[a] = {}
+            for b in blocks.get((t, s), ()):
+                nf = basis.reduce(Path(a.base, a.arrows + b.arrows))
+                value = sum((c for p, c in nf.items() if p in support), Fraction(0))
+                if value:
+                    row[b] = value
     for a in paths:
-        for b in paths:
-            ab = (basis.reduce(Path(a.base, a.arrows + b.arrows))
-                  if a.target(q) == b.source(q) else {})
-            ba = (basis.reduce(Path(b.base, b.arrows + a.arrows))
-                  if b.target(q) == a.source(q) else {})
-            if phi_of(ab) != phi_of(ba):
+        for b in blocks.get((a.target(q), a.source(q)), ()):
+            if rows[a].get(b, 0) != rows[b].get(a, 0):
                 return Verdict(False, "symmetry",
                                f"phi(ab) != phi(ba) for a={a.label(q)}, b={b.label(q)}")
-    # nondegeneracy: rank of the Gram matrix equals the dimension
-    n = len(paths)
-    gram: list[list[Fraction]] = []
-    for a in paths:
-        row = []
-        for b in paths:
-            if a.target(q) == b.source(q):
-                row.append(phi_of(basis.reduce(Path(a.base, a.arrows + b.arrows))))
-            else:
-                row.append(Fraction(0))
-        gram.append(row)
     rank = 0
-    cols = list(range(n))
-    for col in cols:
-        piv = next((i for i in range(rank, n) if gram[i][col]), None)
-        if piv is None:
-            continue
-        gram[rank], gram[piv] = gram[piv], gram[rank]
-        pv = gram[rank][col]
-        for i in range(rank + 1, n):
-            f = gram[i][col] / pv
-            if f:
-                gram[i] = [x - f * y for x, y in zip(gram[i], gram[rank])]
-        rank += 1
+    for block in blocks.values():
+        echelon: dict[Path, Vector] = {}
+        rank += sum(_echelon_insert(echelon, rows[a]) for a in block)
+    n = len(paths)
     if rank != n:
         return Verdict(False, "nondegenerate",
                        f"pairing has rank {rank} < dimension {n}")
     return Verdict(True)
+
+
+def _echelon_insert(echelon: dict[Path, Vector], vec: Vector) -> bool:
+    """Reduce ``vec`` by the rows of ``echelon``, each keyed by its leading
+    path under ``Path.sort_key`` and scaled to lead 1; keep a nonzero
+    remainder as a new row and report whether there was one."""
+    vec = dict(vec)
+    while vec:
+        lead = max(vec, key=Path.sort_key)
+        coef = vec.pop(lead)
+        row = echelon.get(lead)
+        if row is None:
+            echelon[lead] = {k: v / coef for k, v in vec.items()}
+            return True
+        _axpy(vec, -coef, row)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +641,7 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
         vid = q.vertex_by_label(vertex).id if isinstance(vertex, str) else q.vertex(vertex).id
     except (KeyError, StopIteration):
         raise UnknownVertex(str(vertex))
-    by_source: dict[int, dict[int, list[dict[Path, Fraction]]]] = {}
+    by_source: dict[int, dict[int, list[Vector]]] = {}
     for p in basis.alive_paths():
         if p.target(q) != vid:
             continue
@@ -648,27 +650,9 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
     max_len = max((l for lens in by_source.values() for l in lens), default=0)
     layer_counts: dict[int, dict[int, int]] = {}
     for src, by_len in by_source.items():
-        echelon: dict[Path, dict[Path, Fraction]] = {}
-
-        def insert(vec: dict[Path, Fraction]) -> bool:
-            vec = dict(vec)
-            while vec:
-                lead = max(vec, key=Path.sort_key)
-                if lead not in echelon:
-                    coef = vec.pop(lead)
-                    echelon[lead] = {k: v / coef for k, v in vec.items()}
-                    return True
-                coef = vec.pop(lead)
-                for k, v in echelon[lead].items():
-                    nv = vec.get(k, Fraction(0)) - coef * v
-                    if nv:
-                        vec[k] = nv
-                    else:
-                        vec.pop(k, None)
-            return False
-
+        echelon: dict[Path, Vector] = {}
         for length in range(max_len, -1, -1):
-            new = sum(1 for vec in by_len.get(length, ()) if insert(vec))
+            new = sum(1 for vec in by_len.get(length, ()) if _echelon_insert(echelon, vec))
             if new:
                 layer_counts.setdefault(length, {})[src] = new
     layers = []

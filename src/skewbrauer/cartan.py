@@ -1,4 +1,9 @@
-"""Cartan and q-Cartan matrices with exact fraction-free determinants."""
+"""Cartan and q-Cartan matrices with exact fraction-free determinants.
+
+The q-graded determinant is computed once; the ordinary determinant is
+its value at q = 1, since evaluation at 1 is a ring map that sends the
+q-Cartan matrix to the ordinary one.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -119,7 +124,11 @@ ONE = IntPoly.const(1)
 
 
 def det_fraction_free(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Bareiss one-step determinant; pivot = lowest row index with a nonzero entry."""
+    """Bareiss one-step determinant; pivot = lowest row index with a nonzero entry.
+
+    An update of a zero entry whose pivot-row or pivot-column entry is
+    zero leaves it zero, so it is skipped.
+    """
     n = len(matrix)
     if n == 0:
         return ONE
@@ -135,16 +144,13 @@ def det_fraction_free(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
+                if not m[i][j] and not (m[i][k] and m[k][j]):
+                    continue
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
             m[i][k] = IntPoly()
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return (-result) if sign < 0 else result
-
-
-def det_int(matrix: Sequence[Sequence[int]]) -> int:
-    poly = det_fraction_free([[IntPoly.const(x) for x in row] for row in matrix])
-    return poly.eval_at(0) if poly else 0
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,5 @@ def cartan(bq: BoundQuiver, basis: PathBasis) -> CartanData:
         q_rows.append(tuple(q_row))
         o_rows.append(tuple(o_row))
     det_q = det_fraction_free(q_rows)
-    det_o = det_int(o_rows)
     return CartanData(tuple(v.label for v in order), tuple(o_rows), tuple(q_rows),
-                      det_o, det_q)
+                      det_q.eval_at(1), det_q)

@@ -14,15 +14,21 @@ class NotAdmissible(SkewBrauerError):
 
 
 class InfiniteDimensional(SkewBrauerError):
-    """Raised when nonzero paths still survive at the length cap.
+    """Raised when nonzero paths still survive at the length cap, or when
+    the rewriting completion runs past twice the cap.
 
     ``witness`` is a surviving path of length ``cap`` when one is known,
-    and ``label`` its name in the quiver.
+    and ``label`` its name in the quiver; without one, the message says
+    that the completion stopped and no surviving path was found.
     """
 
     def __init__(self, cap: int, witness=None, label: str = ""):
-        detail = f", e.g. {label}" if label else ""
-        super().__init__(f"nonzero paths survive at length cap {cap}{detail}")
+        if witness is None:
+            message = (f"rewriting completion passed degree {2 * cap} "
+                       f"(twice the length cap {cap}); no surviving path was found")
+        else:
+            message = f"nonzero paths survive at length cap {cap}, e.g. {label}"
+        super().__init__(message)
         self.cap = cap
         self.witness = witness
 

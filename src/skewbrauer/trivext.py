@@ -141,7 +141,7 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
 
     # elementary cycles: one per pair (new arrow, alive path in the class)
     cycles: list[ElementaryCycle] = []
-    alive = list(basis.alive_paths())
+    alive = basis.alive_paths()
     for aid, p in new_arrows.items():
         for w in alive:
             if w.source(q) != p.source(q) or w.target(q) != p.target(q):

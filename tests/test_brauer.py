@@ -193,7 +193,9 @@ class TestSymmetricForm:
         import dataclasses
         weakened = dataclasses.replace(
             alg, algebra=alg.algebra.relabelled(relations=kept))
-        assert not symmetric_form_check(weakened)
+        verdict = symmetric_form_check(weakened)
+        assert (bool(verdict), verdict.condition, verdict.detail) == (
+            False, "nondegenerate", "pairing has rank 18 < dimension 19")
 
 
 class TestGraphFromSkewGentle:

@@ -1,7 +1,8 @@
 """Core quiver machinery: composition, bases, verdicts, Cartan data, isomorphism."""
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from itertools import permutations
+from hypothesis import example, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.brauer import skew_brauer_algebra
@@ -15,6 +16,37 @@ from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
 from helpers import BQ_FIXTURES, P, diff, load, mono
+
+
+def leibniz_det(m, one):
+    """Sum over permutations of signed products; ``one`` fixes the ring."""
+    n = len(m)
+    total = one - one
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -one if inversions % 2 else one
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
+
+
+@st.composite
+def sparse_poly_matrices(draw):
+    """Square IntPoly matrices of size up to 5, most entries zero.
+
+    Some have a zero top-left entry, which forces a row swap at the first
+    pivot, and some repeat their first row, which makes them singular.
+    """
+    n = draw(st.integers(1, 5))
+    poly = st.lists(st.integers(-3, 3), max_size=3).map(IntPoly)
+    entry = st.one_of(st.just(IntPoly()), st.just(IntPoly()), st.just(IntPoly()), poly)
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        m[0][0] = IntPoly()
+    if n > 1 and draw(st.booleans()):
+        m[-1] = list(m[0])
+    return m
 
 
 def a2():
@@ -80,6 +112,17 @@ class TestEnumerateBasis:
         with pytest.raises(InfiniteDimensional) as info:
             enumerate_basis(bq, length_cap=8)
         assert info.value.witness is None
+        assert str(info.value) == ("rewriting completion passed degree 16 (twice "
+                                   "the length cap 8); no surviving path was found")
+
+    def test_alive_paths_cached_shortest_first(self):
+        alg = skew_brauer_algebra(load("torus.sbg"))
+        basis = enumerate_basis(alg.algebra)
+        alive = basis.alive_paths()
+        assert basis.alive_paths() is alive
+        assert [len(p) for p in alive] == sorted(len(p) for p in alive)
+        assert set(basis.basis_paths) <= set(alive)
+        assert not any(basis.is_zero(p) for p in alive)
 
     @pytest.mark.parametrize("name, rules", [("toy.bq", 20), ("fig1.sbg", 20),
                                              ("torus.sbg", 21)])
@@ -196,6 +239,15 @@ class TestCartan:
             assert [x.eval_at(1) for x in row_q] == list(row_o)
         assert data.det_q.eval_at(1) == data.det_ordinary
 
+    @pytest.mark.parametrize("name", ["sec73_B.bq", "torus.sbg", "gamma1_m2.sbg"])
+    def test_det_ordinary_against_leibniz(self, name):
+        if name.endswith(".sbg"):
+            bq = skew_brauer_algebra(load(name)).algebra
+        else:
+            bq = admissible_presentation(make_presentation(load(name)))
+        data = cartan(bq, enumerate_basis(bq))
+        assert data.det_ordinary == leibniz_det(data.ordinary, 1)
+
     def test_det_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         pres = make_presentation(load("toy.bq"))
@@ -235,6 +287,16 @@ class TestIntPoly:
                  - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
                  + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
         assert det == brute
+
+
+    @given(sparse_poly_matrices())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example([[IntPoly(), IntPoly((0, 1))], [IntPoly((2,)), IntPoly()]])
+    @example([[IntPoly((1, 1)), IntPoly(), IntPoly((3,))],
+              [IntPoly(), IntPoly(), IntPoly((0, -1))],
+              [IntPoly((1, 1)), IntPoly(), IntPoly((3,))]])
+    def test_bareiss_matches_leibniz_on_sparse_matrices(self, m):
+        assert det_fraction_free(m) == leibniz_det(m, IntPoly.const(1))
 
 
 class TestIsomorphism:
