@@ -1,17 +1,16 @@
 """Brauer and skew-Brauer graphs, their algebras, and representation type."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .basis import PathBasis, Vector, _axpy, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
-                     stationary)
-from .skewgentle import (SIGNS, SgQuiver, SkewGentlePresentation,
-                         auxiliary_gentle, sg_quiver)
+from .quiver import (BoundQuiver, Path, Quiver, Verdict, canonical_rotation,
+                     cycle_rotations)
+from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
+                         cycle_decorations, sg_bound_quiver, sg_quiver)
 
 HalfEdge = tuple[int, int]          # (edge id, occurrence 1 or 2)
 
@@ -180,14 +179,6 @@ class SgSpecialCycle:
     def occurrences(self, arrow_id: int) -> int:
         return self.path.arrows.count(arrow_id)
 
-    def rotations(self, q: Quiver) -> tuple[Path, ...]:
-        arrows = self.path.arrows
-        out = []
-        for i in range(len(arrows)):
-            rot = arrows[i:] + arrows[:i]
-            out.append(Path(q.arrow(rot[0]).source, rot))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class SkewBrauerAlgebra:
@@ -203,32 +194,13 @@ class SkewBrauerAlgebra:
         return self.algebra.quiver
 
 
-def _cycle_decorations(q: Quiver, special: frozenset[int], sgq: SgQuiver,
-                       rot: Path) -> list[Path]:
-    """Sign decorations of a cyclic rotation; the two end visits share a sign."""
-    visits = [q.arrow(a).source for a in rot.arrows] + [rot.target(q)]
-    free = [i for i, v in enumerate(visits[:-1]) if v in special]
-    out = []
-    for combo in product(SIGNS, repeat=len(free)):
-        signs = [""] * len(visits)
-        for i, s in zip(free, combo):
-            signs[i] = s
-        signs[-1] = signs[0]
-        arrows = []
-        for i, aid in enumerate(rot.arrows):
-            a = q.arrow(aid)
-            key = (a.label, signs[i], signs[i + 1])
-            arrows.append(sgq.arrow_lookup[key])
-        out.append(Path(sgq.quiver.arrow(arrows[0]).source, tuple(arrows)))
-    return out
-
-
-def _power(path: Path, m: int) -> Path:
-    return Path(path.base, path.arrows * m)
-
-
 def skew_brauer_algebra(g: SkewBrauerGraph) -> SkewBrauerAlgebra:
-    """Relation types 0, I, IIa, IIb, III on the duplicated Brauer quiver."""
+    """The sg-construction on the Brauer quiver.
+
+    The tuple holds the length-two paths that lie in no special cycle as
+    monomials, the edges at distinguished vertices as special vertices,
+    and each special cycle with the multiplicity of its graph vertex.
+    """
     check = validate_graph(g)
     if not check:
         raise UnsupportedClass(f"invalid skew-Brauer graph: {check.detail}")
@@ -236,124 +208,20 @@ def skew_brauer_algebra(g: SkewBrauerGraph) -> SkewBrauerAlgebra:
     q, special_cycles = brauer_quivers_with_cycles(gr)
     sp_edges = frozenset(q.vertex_by_label(gr.edge(e).label).id
                          for e in g.distinguished_edges())
+    cycles = tuple(Path(q.arrow(c.arrows[0]).source, c.arrows) for c in special_cycles)
+    windows = {(rot.arrows * 2)[:2] for c in cycles for rot in cycle_rotations(q, c.arrows)}
+    monomials = tuple(Path(a.source, (a.id, b.id)) for a in q.arrows
+                      for b in q.arrows_from(a.target) if (a.id, b.id) not in windows)
+    tup = SgTuple(q, monomials, sp_edges, cycles,
+                  tuple(c.multiplicity for c in special_cycles))
     sgq = sg_quiver(q, sp_edges)
-    sq = sgq.quiver
-
-    sg_cycles: list[SgSpecialCycle] = []
-    for c in special_cycles:
-        base = Path(q.arrow(c.arrows[0]).source, c.arrows)
-        for dec in _cycle_decorations(q, sp_edges, sgq, base):
-            canon = _canonical_rotation(sq, dec.arrows)
-            sg_cycles.append(SgSpecialCycle(canon, c.graph_vertex, c.multiplicity))
-    sg_cycles.sort(key=lambda c: c.path.sort_key())
-
-    rels: list[Relation] = []
-
-    # Type 0: sign commutation through distinguished quiver vertices
-    for a in q.arrows:
-        if a.target not in sp_edges:
-            continue
-        for b in q.arrows_from(a.target):
-            s_signs = SIGNS if a.source in sp_edges else ("",)
-            t_signs = SIGNS if b.target in sp_edges else ("",)
-            for ss in s_signs:
-                for ts in t_signs:
-                    plus = (sgq.arrow_lookup[(a.label, ss, "+")],
-                            sgq.arrow_lookup[(b.label, "+", ts)])
-                    minus = (sgq.arrow_lookup[(a.label, ss, "-")],
-                             sgq.arrow_lookup[(b.label, "-", ts)])
-                    rels.append(Relation.difference(
-                        Path(sq.arrow(plus[0]).source, plus),
-                        Path(sq.arrow(minus[0]).source, minus)))
-
-    # Type I: chains of power differences at shared starting vertices
-    by_start: dict[int, list[tuple[Path, int]]] = {}
-    for c in sg_cycles:
-        for rot in c.rotations(sq):
-            by_start.setdefault(rot.source(sq), []).append((rot, c.multiplicity))
-    for vid in sorted(by_start):
-        insts = sorted(by_start[vid], key=lambda t: t[0].sort_key())
-        for (r1, m1), (r2, m2) in zip(insts, insts[1:]):
-            rels.append(Relation.difference(_power(r1, m1), _power(r2, m2)))
-
-    # Type IIa: full power followed by the first arrow, per rotation
-    for c in sg_cycles:
-        for rot in c.rotations(sq):
-            power = _power(rot, c.multiplicity)
-            rels.append(Relation.monomial(
-                Path(power.base, power.arrows + (rot.arrows[0],))))
-
-    # Type IIb: sign-mismatched decorations at distinguished starts
-    for c in special_cycles:
-        base = Path(q.arrow(c.arrows[0]).source, c.arrows)
-        for shift in range(len(c.arrows)):
-            rot_arrows = c.arrows[shift:] + c.arrows[:shift]
-            start = q.arrow(rot_arrows[0]).source
-            if start not in sp_edges:
-                continue
-            visits = [q.arrow(a).source for a in rot_arrows]
-            visits.append(start)
-            free = [i for i, v in enumerate(visits) if v in sp_edges]
-            interior = [i for i in free if i not in (0, len(visits) - 1)]
-            for s0 in SIGNS:
-                s_last = "-" if s0 == "+" else "+"
-                for combo in product(SIGNS, repeat=len(interior)):
-                    signs = [""] * len(visits)
-                    signs[0] = s0
-                    signs[-1] = s_last
-                    for i, s in zip(interior, combo):
-                        signs[i] = s
-                    arrows = tuple(
-                        sgq.arrow_lookup[(q.arrow(aid).label, signs[i], signs[i + 1])]
-                        for i, aid in enumerate(rot_arrows))
-                    mism = Path(sq.arrow(arrows[0]).source, arrows)
-                    if c.multiplicity > 1:
-                        closed_signs = list(signs)
-                        closed_signs[-1] = s0
-                        closed = tuple(
-                            sgq.arrow_lookup[(q.arrow(aid).label,
-                                              closed_signs[i], closed_signs[i + 1])]
-                            for i, aid in enumerate(rot_arrows))
-                        prefix = closed * (c.multiplicity - 1)
-                        mism = Path(sq.arrow(prefix[0]).source, prefix + arrows)
-                    rels.append(Relation.monomial(mism))
-
-    # Type III: length-two paths that fit no sg-special cycle cyclically
-    windows = set()
-    for c in sg_cycles:
-        word = c.path.arrows
-        double = word + word
-        for start in range(len(word)):
-            windows.add(double[start:start + 2])
-    for a in sq.arrows:
-        for b in sq.arrows_from(a.target):
-            if (a.id, b.id) not in windows:
-                rels.append(Relation.monomial(Path(a.source, (a.id, b.id))))
-
-    rels_dedup: list[Relation] = []
-    seen = set()
-    for r in rels:
-        c = r.canonical()
-        key = tuple((str(co), p) for co, p in c.terms)
-        if key not in seen:
-            seen.add(key)
-            rels_dedup.append(r)
-    algebra = BoundQuiver(sq, tuple(rels_dedup), frozenset(), True,
-                          vertex_origins=sgq.vertex_origins,
-                          arrow_origins=sgq.arrow_origins)
-    return SkewBrauerAlgebra(algebra, g, tuple(sg_cycles), q, special_cycles)
-
-
-def _canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
-    arrows = tuple(arrows)
-    best = None
-    for i in range(len(arrows)):
-        rot = arrows[i:] + arrows[:i]
-        key = tuple(q.arrow(a).label for a in rot)
-        if best is None or key < best[0]:
-            best = (key, rot)
-    rot = best[1]
-    return Path(q.arrow(rot[0]).source, rot)
+    sg_cycles = sorted((SgSpecialCycle(canonical_rotation(sgq.quiver, dec.arrows),
+                                       c.graph_vertex, c.multiplicity)
+                        for c, base in zip(special_cycles, cycles)
+                        for dec in cycle_decorations(sgq, q, sp_edges, base)),
+                       key=lambda c: c.path.sort_key())
+    return SkewBrauerAlgebra(sg_bound_quiver(tup, sgq), g, tuple(sg_cycles), q,
+                             special_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +233,7 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     nondegeneracy of the induced pairing.
 
     Accepts any carrier with ``algebra`` and ``cycles`` (cycle objects
-    expose ``rotations`` and ``multiplicity``), so trivial extensions can
+    expose ``path`` and ``multiplicity``), so trivial extensions can
     be checked directly against the same form.
 
     phi vanishes off closed paths, and the normal form of ab runs from the
@@ -381,8 +249,8 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     q = alg.algebra.quiver
     support: set[Path] = set()
     for c in alg.cycles:
-        for rot in c.rotations(q):
-            support.update(basis.reduce(_power(rot, c.multiplicity)))
+        for rot in cycle_rotations(q, c.path.arrows):
+            support.update(basis.reduce(Path(rot.base, rot.arrows * c.multiplicity)))
 
     paths = basis.basis_paths
     blocks: dict[tuple[int, int], list[Path]] = {}

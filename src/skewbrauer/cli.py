@@ -9,25 +9,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import formats
 from .basis import enumerate_basis
 from .brauer import (SkewBrauerGraph, classify_rep_type, is_skew_brauer_tree,
-                     projective_layers, skew_brauer_algebra,
-                     symmetric_form_check, validate_graph)
+                     projective_layers, skew_brauer_algebra, validate_graph)
 from .cartan import cartan
 from .dissection import (OrbifoldDissection, contraction_addition,
-                         geometric_reflection, q_cartan_det_formula,
-                         quiver_from_dissection, skew_gentle_from_dissection,
+                         q_cartan_det_formula, skew_gentle_from_dissection,
                          trivext_tuple_from_dissection, validate_dissection)
 from .errors import ParseError, SkewBrauerError
 from .iso import are_isomorphic
 from .quiver import BoundQuiver, is_gentle, is_locally_gentle
-from .skewgentle import (admissible_presentation, auxiliary_gentle,
-                         is_skew_gentle, make_presentation)
-from .trivext import (CutSet, enumerate_admissible_cuts, enumerate_good_cuts,
+from .skewgentle import (admissible_presentation, is_skew_gentle,
+                         make_presentation, sg_bound_quiver)
+from .trivext import (enumerate_admissible_cuts, enumerate_good_cuts,
                       quotient_by_cut, reflect, trivial_extension)
 
 
@@ -186,11 +183,7 @@ def _classify_one(path: str) -> tuple[str, str]:
 
 
 def cmd_classify(args) -> int:
-    if args.jobs > 1 and len(args.inputs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_classify_one, args.inputs))
-    else:
-        results = [_classify_one(p) for p in args.inputs]
+    results = [_classify_one(p) for p in args.inputs]
     payload = {path: text for path, text in results}
     if len(results) == 1:
         _emit(args, payload, results[0][1])
@@ -254,9 +247,7 @@ def cmd_dissect(args) -> int:
     if not isinstance(d, OrbifoldDissection):
         raise ParseError("dissect expects a .dis file", args.input, 0)
     if args.tuple:
-        tup = trivext_tuple_from_dissection(d)
-        from .skewgentle import sg_bound_quiver
-        algebra = sg_bound_quiver(tup.as_sg_tuple())
+        algebra = sg_bound_quiver(trivext_tuple_from_dissection(d).as_sg_tuple())
         text = formats.serialize_bq(algebra)
     else:
         pres = skew_gentle_from_dissection(d)
@@ -349,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("classify", help="representation type of .sbg graphs")
     s.add_argument("inputs", nargs="+")
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(fn=cmd_classify)
 
     s = sub.add_parser("cartan", help="Cartan matrix and determinants")

@@ -9,14 +9,14 @@ arrow s -> t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .cartan import IntPoly, ONE
 from .errors import (InvalidPosition, NotReflectable, TrivialPolygon,
                      UnsupportedClass)
-from .quiver import BoundQuiver, Path, Quiver, Relation, Verdict
+from .quiver import (BoundQuiver, Path, Quiver, Relation, Verdict,
+                     canonical_rotation, dedupe_relations)
 from .skewgentle import SgTuple, SkewGentlePresentation, make_presentation
-from .trivext import canonical_rotation
 
 BOUNDARY = "BOUNDARY"
 
@@ -83,7 +83,6 @@ def validate_dissection(d: OrbifoldDissection) -> Verdict:
             return Verdict(False, "occurrences",
                            f"{a.kind} arc {a.label} occurs {counts[a.id]} times, "
                            f"expected {want}")
-    seen_arcs = set()
     for p in d.punctures:
         for aid in p.arcs:
             if aid not in ids:
@@ -165,14 +164,8 @@ def quiver_from_dissection(d: OrbifoldDissection) -> DissectionQuiver:
         rels.append(Relation.monomial(Path(f.source, (loop, loop))))
         # pendant loops compose with at most the flanking angles; transits
         # through other occurrences cannot exist (pendant arcs occur once)
-    seen = set()
-    dedup = []
-    for r in rels:
-        key = tuple(p.arrows for p in r.paths())
-        if key not in seen:
-            seen.add(key)
-            dedup.append(r)
-    return DissectionQuiver(q, tuple(dedup), special, angle_for, pendant_loop)
+    return DissectionQuiver(q, tuple(dedupe_relations(rels)), special, angle_for,
+                            pendant_loop)
 
 
 def skew_gentle_from_dissection(d: OrbifoldDissection) -> SkewGentlePresentation:
@@ -221,7 +214,7 @@ class DissectionTuple:
     new_arrows: dict[int, int]      # arrow id -> polygon index
 
     def as_sg_tuple(self) -> SgTuple:
-        mono = tuple(r.paths()[0] for r in self.relations if r.is_monomial)
+        mono = tuple(r.paths()[0] for r in self.relations)
         return SgTuple(self.quiver, mono, self.special, self.cycles)
 
 
@@ -240,7 +233,6 @@ def trivext_tuple_from_dissection(d: OrbifoldDissection) -> DissectionTuple:
 
     def polygon_path(i: int) -> list[int]:
         """Arrow ids of the maximal path of polygon i (pendant loops inserted)."""
-        run = d.run(i)
         out: list[int] = []
         angs = sorted((a for aid, a in dq.angle_of_arrow.items() if a.polygon == i),
                       key=lambda a: a.index)
@@ -276,14 +268,11 @@ def trivext_tuple_from_dissection(d: OrbifoldDissection) -> DissectionTuple:
             for r in dq.relations]
     cycles: list[Path] = []
     new_arrows: dict[int, int] = {}
-    cycle_of_poly: dict[int, Path] = {}
     for i, arrows in new_polys:
         beta = full.arrow_by_label(f"B{i}")
         new_arrows[beta.id] = i
         word = tuple(lift_arrow(a) for a in arrows) + (beta.id,)
-        cyc = canonical_rotation(full, word)
-        cycles.append(cyc)
-        cycle_of_poly[i] = cyc
+        cycles.append(canonical_rotation(full, word))
 
     # new quadratics around the beta arrows
     for i, arrows in new_polys:
@@ -297,39 +286,10 @@ def trivext_tuple_from_dissection(d: OrbifoldDissection) -> DissectionTuple:
             if ar.id != last:
                 rels.append(Relation.monomial(Path(ar.source, (ar.id, beta.id))))
 
-    # full cycles followed by their first arrow
-    for cyc in cycles:
-        for k in range(len(cyc.arrows)):
-            rot = cyc.arrows[k:] + cyc.arrows[:k]
-            rels.append(Relation.monomial(
-                Path(full.arrow(rot[0]).source, rot + (rot[0],))))
-
-    # differences of distinguished cycles at shared non-special vertices
     special = frozenset(full.vertex_by_label(q.vertex(v).label).id
                         for v in dq.special)
-    insts: list[Path] = []
-    for cyc in cycles:
-        for k in range(len(cyc.arrows)):
-            rot = cyc.arrows[k:] + cyc.arrows[:k]
-            insts.append(Path(full.arrow(rot[0]).source, rot))
-    for i in range(len(insts)):
-        for j in range(i + 1, len(insts)):
-            p1, p2 = insts[i], insts[j]
-            if p1.arrows == p2.arrows:
-                continue
-            if p1.source(full) != p2.source(full) or p1.source(full) in special:
-                continue
-            rels.append(Relation.difference(p1, p2))
-
-    seen = set()
-    dedup = []
-    for r in rels:
-        c = r.canonical()
-        key = tuple((str(co), p) for co, p in c.terms)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(r)
-    return DissectionTuple(full, tuple(dedup), special, tuple(cycles), new_arrows)
+    return DissectionTuple(full, tuple(dedupe_relations(rels)), special, tuple(cycles),
+                           new_arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +300,9 @@ def contraction_addition(d: OrbifoldDissection, polygon: int,
                          angle: Optional[int] = None,
                          pendant: Optional[Union[int, str]] = None) -> OrbifoldDissection:
     """Relocate the polygon's boundary side to an angle gap or a pendant point."""
+    check = validate_dissection(d)
+    if not check:
+        raise UnsupportedClass(check.detail)
     if not 0 <= polygon < len(d.polygons):
         raise InvalidPosition(f"no polygon {polygon}")
     if d.is_trivial(polygon):

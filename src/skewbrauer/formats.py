@@ -6,9 +6,6 @@ sorted entries, so parse/serialise round-trips are stable.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional
-
 from .brauer import BrauerEdge, BrauerGraph, BrauerVertex, SkewBrauerGraph
 from .dissection import Arc, BOUNDARY, OrbifoldDissection, Puncture
 from .errors import ParseError
@@ -156,6 +153,9 @@ def parse_sbg(text: str, filename: str = "<input>") -> SkewBrauerGraph:
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "vertex":
+            if len(parts) < 2:
+                raise ParseError("vertex <label> [mult=<m>] [distinguished]",
+                                 filename, lineno)
             label = parts[1]
             mult = 1
             dist = False

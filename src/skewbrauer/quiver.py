@@ -156,6 +156,19 @@ def stationary(vid: int) -> Path:
     return Path(vid, ())
 
 
+def cycle_rotations(q: Quiver, arrows: Sequence[int]) -> tuple[Path, ...]:
+    """Every rotation of a closed path, the given one first."""
+    arrows = tuple(arrows)
+    return tuple(Path(q.arrow(arrows[i]).source, arrows[i:] + arrows[:i])
+                 for i in range(len(arrows)))
+
+
+def canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
+    """Rotation with lexicographically least arrow-label sequence."""
+    return min(cycle_rotations(q, arrows),
+               key=lambda p: tuple(q.arrow(a).label for a in p.arrows))
+
+
 def compose_paths(q: Quiver, p: Path, r: Path) -> Path:
     """Concatenate ``p`` then ``r``; stationary paths act as identities."""
     if p.target(q) != r.source(q):
@@ -210,6 +223,18 @@ class Relation:
         terms = sorted(self.terms, key=lambda t: t[1].sort_key(), reverse=True)
         lead = terms[0][0]
         return Relation(tuple((c / lead, p) for c, p in terms))
+
+
+def dedupe_relations(relations: Iterable[Relation]) -> list[Relation]:
+    """The first of the relations equal up to a scalar and term order."""
+    seen = set()
+    out = []
+    for r in relations:
+        key = r.canonical().terms
+        if key not in seen:
+            seen.add(key)
+            out.append(r)
+    return out
 
 
 @dataclass(frozen=True)

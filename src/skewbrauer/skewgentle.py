@@ -8,14 +8,13 @@ decorations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .basis import enumerate_basis, maximal_paths
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
-                     Verdict, is_locally_gentle, path_from_arrows, stationary)
+from .quiver import (BoundQuiver, Path, Quiver, Relation, cycle_rotations,
+                     dedupe_relations, is_locally_gentle, stationary)
 
 SIGNS = ("+", "-")
 
@@ -239,13 +238,19 @@ def _sign_options(q: Quiver, special: frozenset[int], p: Path,
 
 @dataclass(frozen=True)
 class SgTuple:
-    """Input of the sg-ideal construction: (Q, monomials, Sp, distinguished cycles)."""
+    """Input of the sg-ideal construction: (Q, monomials, Sp, distinguished
+    cycles), each cycle with a multiplicity; no multiplicities means all 1."""
     quiver: Quiver
     monomials: tuple[Path, ...]
     special: frozenset[int]
     cycles: tuple[Path, ...]      # one rotation representative per cycle
+    multiplicities: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not self.multiplicities:
+            object.__setattr__(self, "multiplicities", (1,) * len(self.cycles))
+        if len(self.multiplicities) != len(self.cycles):
+            raise ValueError("one multiplicity per distinguished cycle")
         q = self.quiver
         for a in q.arrows:
             if a.is_loop and a.source in self.special:
@@ -262,32 +267,33 @@ class SgTuple:
                     "two distinguished cycles through one distinguished vertex")
 
 
-def _rotations_at(q: Quiver, cycle: Path, vid: int) -> list[Path]:
-    """Rotations of a cycle starting at a given vertex, one per visit."""
+def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
+                      rot: Path, m: int = 1, flip_last: bool = False) -> list[Path]:
+    """Signed copies of ``rot^m`` whose signs repeat with each period.
+
+    The signs at the visits of one period are chosen freely; the path
+    closes with its first sign, or with the other one if ``flip_last``.
+    """
+    visits = _visit_vertices(q, rot)[:-1]
+    power = Path(rot.base, rot.arrows * m)
     out = []
-    n = len(cycle)
-    visits = _visit_vertices(q, cycle)[:-1]
-    for i, v in enumerate(visits):
-        if v == vid:
-            arrows = cycle.arrows[i:] + cycle.arrows[:i]
-            out.append(Path(q.arrow(arrows[0]).source, arrows))
+    for period in product(*(SIGNS if v in special else ("",) for v in visits)):
+        last = period[0]
+        if flip_last:
+            last = "-" if last == "+" else "+"
+        out.append(_decorate(sgq, q, power, period * m + (last,)))
     return out
 
 
 def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]:
-    """Relation families a-d, fully ranged over sign decorations."""
+    """Relation families a-d and the cycle kills, ranged over sign decorations.
+
+    Cycle powers carry consistent signs only: every period is signed alike.
+    """
     q = t.quiver
     if sgq is None:
         sgq = sg_quiver(q, t.special)
     rels: list[Relation] = []
-    seen: set = set()
-
-    def emit(r: Relation):
-        key = tuple(sorted(((c, p) for c, p in r.canonical().terms),
-                           key=lambda cp: cp[1].sort_key()))
-        if key not in seen:
-            seen.add(key)
-            rels.append(r)
 
     # Type a: commutation through each distinguished transit
     for a in q.arrows:
@@ -298,50 +304,44 @@ def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]
             for signs in _sign_options(q, t.special, base, {1: "+"}):
                 plus = _decorate(sgq, q, base, signs)
                 minus = _decorate(sgq, q, base, (signs[0], "-", signs[2]))
-                emit(Relation.difference(plus, minus))
+                rels.append(Relation.difference(plus, minus))
 
-    # Type b: differences of decorated distinguished cycles at shared
-    # non-distinguished starting vertices (distinct rotation instances)
-    rot_map: dict[int, list[Path]] = {}
-    for v in q.vertices:
-        if v.id in t.special:
-            continue
-        rots = []
-        for c in t.cycles:
-            rots.extend(_rotations_at(q, c, v.id))
-        rot_map[v.id] = rots
-    for v, rots in rot_map.items():
-        for i in range(len(rots)):
-            for j in range(i + 1, len(rots)):
-                for s1 in _sign_options(q, t.special, rots[i], {}):
-                    d1 = _decorate(sgq, q, rots[i], s1)
-                    for s2 in _sign_options(q, t.special, rots[j], {}):
-                        d2 = _decorate(sgq, q, rots[j], s2)
-                        emit(Relation.difference(d1, d2))
+    rotations = [(rot, m) for c, m in zip(t.cycles, t.multiplicities)
+                 for rot in cycle_rotations(q, c.arrows)]
+
+    # Type b: chains of decorated cycle powers at each non-distinguished start
+    by_start: dict[int, set[Path]] = {}
+    for rot, m in rotations:
+        if rot.base not in t.special:
+            by_start.setdefault(rot.base, set()).update(
+                cycle_decorations(sgq, q, t.special, rot, m))
+    for v in sorted(by_start):
+        insts = sorted(by_start[v], key=Path.sort_key)
+        rels.extend(Relation.difference(p, r) for p, r in zip(insts, insts[1:]))
 
     # Type c: sign-ranged monomial relations
-    for m in t.monomials:
-        for signs in _sign_options(q, t.special, m, {}):
-            emit(Relation.monomial(_decorate(sgq, q, m, signs)))
+    for mono in t.monomials:
+        for signs in _sign_options(q, t.special, mono, {}):
+            rels.append(Relation.monomial(_decorate(sgq, q, mono, signs)))
 
-    # Type d: sign-mismatched decorated cycles at distinguished starts
-    for x in t.special:
-        for c in t.cycles:
-            for rot in _rotations_at(q, c, x):
-                for s_first in SIGNS:
-                    for s_last in SIGNS:
-                        if s_first == s_last:
-                            continue
-                        n = len(rot)
-                        for signs in _sign_options(q, t.special, rot,
-                                                   {0: s_first, n: s_last}):
-                            emit(Relation.monomial(_decorate(sgq, q, rot, signs)))
-    return tuple(rels)
+    # Type d: c^(m-1) followed by a sign-mismatched rotation, at
+    # distinguished starts
+    for rot, m in rotations:
+        if rot.base in t.special:
+            rels.extend(Relation.monomial(p) for p in
+                        cycle_decorations(sgq, q, t.special, rot, m, flip_last=True))
+
+    # c^m followed by its first arrow
+    for rot, m in rotations:
+        rels.extend(Relation.monomial(Path(p.base, p.arrows + p.arrows[:1]))
+                    for p in cycle_decorations(sgq, q, t.special, rot, m))
+    return tuple(dedupe_relations(rels))
 
 
-def sg_bound_quiver(t: SgTuple) -> BoundQuiver:
+def sg_bound_quiver(t: SgTuple, sgq: Optional[SgQuiver] = None) -> BoundQuiver:
     """The sg-bound quiver algebra of a tuple, as an admissible presentation."""
-    sgq = sg_quiver(t.quiver, t.special)
+    if sgq is None:
+        sgq = sg_quiver(t.quiver, t.special)
     rels = sg_ideal(t, sgq)
     return BoundQuiver(sgq.quiver, rels, frozenset(), True,
                        vertex_origins=sgq.vertex_origins,

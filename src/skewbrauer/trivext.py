@@ -8,7 +8,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
                      UnknownArrow, UnsupportedClass)
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
+from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
+                     canonical_rotation, cycle_rotations, dedupe_relations,
                      is_locally_gentle, stationary)
 from .skewgentle import (SkewGentlePresentation, admissible_presentation,
                          auxiliary_gentle, make_presentation)
@@ -48,29 +49,8 @@ class ElementaryCycle:
     def __len__(self) -> int:
         return len(self.path)
 
-    def rotations(self, q: Quiver) -> tuple[Path, ...]:
-        arrows = self.path.arrows
-        out = []
-        for i in range(len(arrows)):
-            rot = arrows[i:] + arrows[:i]
-            out.append(Path(q.arrow(rot[0]).source, rot))
-        return tuple(out)
-
     def occurrences(self, arrow_id: int) -> int:
         return self.path.arrows.count(arrow_id)
-
-
-def canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
-    """Rotation with lexicographically least arrow-label sequence."""
-    arrows = tuple(arrows)
-    best = None
-    for i in range(len(arrows)):
-        rot = arrows[i:] + arrows[:i]
-        key = tuple(q.arrow(a).label for a in rot)
-        if best is None or key < best[0]:
-            best = (key, rot)
-    rot = best[1]
-    return Path(q.arrow(rot[0]).source, rot)
 
 
 @dataclass(frozen=True)
@@ -155,7 +135,7 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     relations: list[Relation] = list(a.relations)
     relations.extend(_non_elementary_kills(tq, cycles))
     relations.extend(_segment_differences(tq, cycles))
-    relations = _dedupe(relations)
+    relations = dedupe_relations(relations)
 
     algebra = BoundQuiver(tq, tuple(relations), a.special_vertices, True,
                           vertex_origins=a.vertex_origins,
@@ -199,7 +179,7 @@ def _segment_differences(tq: Quiver, cycles: Sequence[ElementaryCycle]) -> list[
     """omega(C') rho - omega(C) rho' for same-supplement segments of cycles."""
     insts = []
     for c in cycles:
-        for rot in c.rotations(tq):
+        for rot in cycle_rotations(tq, c.path.arrows):
             insts.append((rot, c.weight))
     out = []
     for i in range(len(insts)):
@@ -224,18 +204,6 @@ def _segment_differences(tq: Quiver, cycles: Sequence[ElementaryCycle]) -> list[
     return out
 
 
-def _dedupe(relations: Iterable[Relation]) -> list[Relation]:
-    seen = set()
-    out = []
-    for r in relations:
-        c = r.canonical()
-        key = tuple((str(co), p) for co, p in c.terms)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
-
-
 def elementary_cycles(t: TrivialExtension) -> tuple[ElementaryCycle, ...]:
     """All elementary cycles, canonical rotations, one per (new arrow, class path)."""
     return t.cycles
@@ -254,21 +222,13 @@ class CutSet:
         return tuple(sorted(q.arrow(a).label for a in self.arrows))
 
 
-CycleCarrier = Union[TrivialExtension, "object"]
-
-
-def _carrier_parts(t) -> tuple[BoundQuiver, tuple[ElementaryCycle, ...]]:
-    return t.algebra, tuple(t.cycles)
-
-
 def is_admissible_cut(t, arrow_ids: Iterable[int]) -> bool:
     """Exactly one arrow of the set in each elementary cycle, counted with multiplicity."""
-    algebra, cycles = _carrier_parts(t)
     ids = set(arrow_ids)
-    known = {a.id for a in algebra.quiver.arrows}
+    known = {a.id for a in t.algebra.quiver.arrows}
     if not ids <= known:
         raise UnknownArrow(str(sorted(ids - known)))
-    for c in cycles:
+    for c in t.cycles:
         if sum(c.occurrences(a) for a in ids) != 1:
             return False
     return True
@@ -276,9 +236,8 @@ def is_admissible_cut(t, arrow_ids: Iterable[int]) -> bool:
 
 def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet]:
     """Backtracking enumeration of admissible cuts, deduplicated and sorted."""
-    algebra, cycles = _carrier_parts(t)
-    q = algebra.quiver
-    order = sorted(cycles, key=lambda c: c.path.sort_key())
+    q = t.algebra.quiver
+    order = sorted(t.cycles, key=lambda c: c.path.sort_key())
     results: set[frozenset[int]] = set()
     out: list[frozenset[int]] = []
 
@@ -381,7 +340,7 @@ def enumerate_good_cuts(t: TrivialExtension,
 
 def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Relation, ...]:
     """Syntactic cleanup: kill terms with dead subpaths, drop implied monomials."""
-    rels = _dedupe(relations)
+    rels = dedupe_relations(relations)
     changed = True
     while changed:
         changed = False
@@ -410,13 +369,13 @@ def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Rela
                                if len(keep) == 1 else Relation(tuple(keep)))
             else:
                 out.append(r)
-        rels = _dedupe(out)
+        rels = dedupe_relations(out)
     return tuple(rels)
 
 
 def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     """Delete the cut arrows and push the relations to the quotient presentation."""
-    algebra, _ = _carrier_parts(t)
+    algebra = t.algebra
     q = algebra.quiver
     ids = set(cut.arrows if isinstance(cut, CutSet) else cut)
     known = {a.id for a in q.arrows}
@@ -691,7 +650,7 @@ def repetitive_window(a: BoundQuiver, n_min: int, n_max: int) -> RepetitiveWindo
                                     and path1 != path2):
                                 rels.append(Relation.difference(path1, path2))
 
-    rels = _dedupe(rels)
+    rels = dedupe_relations(rels)
     flag = all(len(pp) >= 2 for r in rels for pp in r.paths())
     algebra = BoundQuiver(wq, tuple(rels), frozenset(), flag)
     return RepetitiveWindow(algebra, connectors)

@@ -7,6 +7,7 @@ from skewbrauer.brauer import (SkewBrauerGraph, brauer_quiver, classify_rep_type
                                graph_from_skew_gentle, is_skew_brauer_tree,
                                projective_layers, skew_brauer_algebra,
                                symmetric_form_check, validate_graph)
+from skewbrauer import formats
 from skewbrauer.cartan import cartan
 from skewbrauer.errors import UnknownVertex, UnsupportedClass
 from skewbrauer.iso import are_isomorphic
@@ -15,6 +16,7 @@ from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
 from helpers import SBG_FIXTURES, SKEW_GENTLE_FIXTURES, load
+from oracle import oracle_reduce
 
 
 class TestValidate:
@@ -171,6 +173,26 @@ class TestSymmetricForm:
     def test_fixtures_symmetric(self, name):
         alg = skew_brauer_algebra(load(name))
         assert symmetric_form_check(alg)
+
+    def test_fat_valency_two_next_to_distinguished_leaf(self):
+        # the sign-mismatched path around the fat vertex v dies only after
+        # the first power of its cycle, so the algebra stays symmetric
+        g = formats.parse_sbg("vertex x distinguished\nvertex v mult=2\nvertex w\n"
+                              "edge 1 x v\nedge 2 v w\n"
+                              "order x: 1\norder v: 1, 2\norder w: 2\n")
+        alg = skew_brauer_algebra(g)
+        basis = enumerate_basis(alg.algebra)
+        assert symmetric_form_check(alg, basis)
+        data = cartan(alg.algebra, basis)
+        assert data.ordinary == tuple(tuple(row) for row in zip(*data.ordinary))
+        projectives = sum(projective_layers(alg, v.id, basis).dimension
+                          for v in alg.quiver.vertices)
+        assert basis.dimension == sum(map(sum, data.ordinary)) == projectives
+        max_gen = max(r.max_term_length() for r in alg.algebra.relations)
+        dim, bound, paths, _ = oracle_reduce(
+            alg.algebra, cap=basis.nilpotency_bound + max_gen)
+        assert (dim, bound) == (basis.dimension, basis.nilpotency_bound)
+        assert set(paths) == set(basis.basis_paths)
 
     def test_fails_without_type_one_relation(self):
         alg = skew_brauer_algebra(load("excut.sbg"))

@@ -62,7 +62,7 @@ class TestCli:
     def test_classify_parallel(self, capsys):
         files = [fixture_path(n) for n in
                  ("fig1.sbg", "sbtree_line4.sbg", "btree_m3.sbg")]
-        code = main(["classify", "--jobs", "3", *files])
+        code = main(["classify", *files])
         out = capsys.readouterr().out.strip().splitlines()
         assert code == 0 and len(out) == 3
         assert any("Finite" in line for line in out)
@@ -174,6 +174,21 @@ class TestCli:
     def test_domain_error_exit_1(self, capsys):
         code = main(["quotient", fixture_path("a2.bq"), "--cut", "nope"])
         assert code == 1
+
+    def test_bare_vertex_line_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bare.sbg"
+        bad.write_text("vertex #1 distinguished\n")
+        code = main(["check", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:1: vertex <label> [mult=<m>] [distinguished]\n")
+
+    def test_move_without_boundary_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "noboundary.dis"
+        bad.write_text("arc 1\narc 2\npolygon: 1, 2, 1, 2\n")
+        code = main(["move", str(bad), "--polygon", "0", "--angle", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: polygon 0 has 0 boundary sides\n"
 
     def test_env_cap_respected(self, monkeypatch, capsys):
         monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", "3")

@@ -13,8 +13,8 @@ from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
 from skewbrauer.errors import (InvalidPosition, NotReflectable, TrivialPolygon)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import Path
-from skewbrauer.skewgentle import (admissible_presentation, make_presentation,
-                                   sg_bound_quiver)
+from skewbrauer.skewgentle import (admissible_presentation, cycle_decorations,
+                                   make_presentation, sg_bound_quiver, sg_quiver)
 from skewbrauer.trivext import (enumerate_good_cuts, good_closure,
                                 quotient_by_cut, reflect, trivial_extension)
 
@@ -109,23 +109,32 @@ class TestTupleExtraction:
                 if q.arrow(rot[0]).source == vid:
                     yield rot
 
-        # printed items a) and b): the cycle rotations at the shared arcs 3
-        # and 5 are identified; the tuple emits exactly these differences
-        binomials = set()
-        for r in tup.relations:
-            if not r.is_monomial:
-                binomials.add(frozenset(p.arrows for p in r.paths()))
+        # printed items a)-d): the cycle rotations at the shared arcs 3 and
+        # 5, and the long cycle's two visits of arcs 1 and 2, are identified
+        # in the algebra; every signed copy is nonzero, and all share one
+        # normal form
+        t = tup.as_sg_tuple()
+        sgq = sg_quiver(q, t.special)
+        basis = enumerate_basis(sg_bound_quiver(t, sgq))
+
+        def normal_forms(*rots):
+            out = set()
+            for rot in rots:
+                for signed in cycle_decorations(sgq, q, t.special,
+                                                Path(q.arrow(rot[0]).source, rot)):
+                    nf = basis.reduce(signed)
+                    assert nf, signed.label(sgq.quiver)
+                    out.add(tuple(sorted(nf.items(), key=lambda kv: kv[0].sort_key())))
+            return out
+
         for label in ("3", "5"):
             vid = q.vertex_by_label(label).id
-            llong = next(rot_at(long_cycle, vid))
-            lshort = next(rot_at(short_cycle, vid))
-            assert frozenset({llong, lshort}) in binomials
-        # printed items c) and d): the long cycle is identified with itself
-        # across the two visits of arcs 1 and 2
+            assert len(normal_forms(next(rot_at(long_cycle, vid)),
+                                    next(rot_at(short_cycle, vid)))) == 1
         for label in ("1", "2"):
             vid = q.vertex_by_label(label).id
             r1, r2 = rot_at(long_cycle, vid)
-            assert frozenset({r1, r2}) in binomials
+            assert len(normal_forms(r1, r2)) == 1
 
     def test_tuple_algebra_is_trivial_extension(self):
         for name in ["torus.dis", "annulus.dis", "sec73_X.dis", "exfacil.dis",
