@@ -30,10 +30,10 @@ from .skewgentle import (SgTuple, SkewGentlePresentation,
                          sp_maximal_paths)
 from .trivext import (CutSet, ElementaryCycle, RepetitiveWindow,
                       TrivialExtension, collapse_presentation,
-                      elementary_cycles, enumerate_admissible_cuts,
-                      enumerate_good_cuts, is_admissible_cut, is_sign_closed,
-                      quotient_by_cut, reflect, repetitive_window,
-                      socle_basis, trivial_extension)
+                      enumerate_admissible_cuts, enumerate_good_cuts,
+                      is_admissible_cut, is_sign_closed, quotient_by_cut,
+                      reflect, repetitive_window, socle_basis,
+                      trivial_extension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

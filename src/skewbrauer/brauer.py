@@ -173,8 +173,6 @@ class SgSpecialCycle:
     """A sign decoration of a special cycle, in the duplicated quiver."""
     path: Path                      # canonical rotation
     graph_vertex: int
-    multiplicity: int
-    weight: Fraction = Fraction(1)
 
     def occurrences(self, arrow_id: int) -> int:
         return self.path.arrows.count(arrow_id)
@@ -186,7 +184,7 @@ class SkewBrauerAlgebra:
     algebra: BoundQuiver
     graph: SkewBrauerGraph
     cycles: tuple[SgSpecialCycle, ...]
-    base_quiver: Quiver
+    sg_tuple: SgTuple
     special_cycles: tuple[SpecialCycle, ...]
 
     @property
@@ -216,11 +214,11 @@ def skew_brauer_algebra(g: SkewBrauerGraph) -> SkewBrauerAlgebra:
                   tuple(c.multiplicity for c in special_cycles))
     sgq = sg_quiver(q, sp_edges)
     sg_cycles = sorted((SgSpecialCycle(canonical_rotation(sgq.quiver, dec.arrows),
-                                       c.graph_vertex, c.multiplicity)
+                                       c.graph_vertex)
                         for c, base in zip(special_cycles, cycles)
                         for dec in cycle_decorations(sgq, q, sp_edges, base)),
                        key=lambda c: c.path.sort_key())
-    return SkewBrauerAlgebra(sg_bound_quiver(tup, sgq), g, tuple(sg_cycles), q,
+    return SkewBrauerAlgebra(sg_bound_quiver(tup, sgq), g, tuple(sg_cycles), tup,
                              special_cycles)
 
 
@@ -232,9 +230,9 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     """phi = 1 on powers of sg-special cycles; check phi(ab) = phi(ba) and
     nondegeneracy of the induced pairing.
 
-    Accepts any carrier with ``algebra`` and ``cycles`` (cycle objects
-    expose ``path`` and ``multiplicity``), so trivial extensions can
-    be checked directly against the same form.
+    Accepts any carrier with ``algebra`` and the ``sg_tuple`` it was built
+    from, so trivial extensions are checked against the same form: phi is
+    1 on the signed powers c^m of the tuple's cycles, m its multiplicity.
 
     phi vanishes off closed paths, and the normal form of ab runs from the
     source of a to the target of b, so phi(ab) and phi(ba) can be nonzero
@@ -247,10 +245,13 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     if basis is None:
         basis = enumerate_basis(alg.algebra)
     q = alg.algebra.quiver
+    tup = alg.sg_tuple
+    sgq = sg_quiver(tup.quiver, tup.special)
     support: set[Path] = set()
-    for c in alg.cycles:
-        for rot in cycle_rotations(q, c.path.arrows):
-            support.update(basis.reduce(Path(rot.base, rot.arrows * c.multiplicity)))
+    for c, m in zip(tup.cycles, tup.multiplicities):
+        for rot in cycle_rotations(tup.quiver, c.arrows):
+            for power in cycle_decorations(sgq, tup.quiver, tup.special, rot, m):
+                support.update(basis.reduce(power))
 
     paths = basis.basis_paths
     blocks: dict[tuple[int, int], list[Path]] = {}
@@ -447,10 +448,10 @@ def classify_rep_type(g: SkewBrauerGraph) -> Classification:
                     "tree algebra in disguise")
             alg = skew_brauer_algebra(g)
             loop = next(c for c in alg.special_cycles if len(c.arrows) == 1)
-            gamma = alg.base_quiver.arrow(loop.arrows[0]).label
+            gamma = alg.sg_tuple.quiver.arrow(loop.arrows[0]).label
             cyc = next(c for c in alg.special_cycles if len(c.arrows) == 2)
-            alpha = alg.base_quiver.arrow(cyc.arrows[0]).label
-            beta = alg.base_quiver.arrow(cyc.arrows[1]).label
+            alpha = alg.sg_tuple.quiver.arrow(cyc.arrows[0]).label
+            beta = alg.sg_tuple.quiver.arrow(cyc.arrows[1]).label
             witness = f"{gamma}^-1 ({alpha}+)(+{beta})"
             return Classification(
                 "Infinite", "band-module",

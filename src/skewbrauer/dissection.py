@@ -15,8 +15,9 @@ from .cartan import IntPoly, ONE
 from .errors import (InvalidPosition, NotReflectable, TrivialPolygon,
                      UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, Verdict,
-                     canonical_rotation, dedupe_relations)
-from .skewgentle import SgTuple, SkewGentlePresentation, make_presentation
+                     dedupe_relations)
+from .skewgentle import (SgTuple, SkewGentlePresentation, close_paths,
+                         make_presentation)
 
 BOUNDARY = "BOUNDARY"
 
@@ -208,88 +209,37 @@ def skew_gentle_from_dissection(d: OrbifoldDissection) -> SkewGentlePresentation
 class DissectionTuple:
     """The duplication-ready tuple of the dissection's trivial extension."""
     quiver: Quiver
-    relations: tuple[Relation, ...]
+    monomials: tuple[Path, ...]
     special: frozenset[int]
     cycles: tuple[Path, ...]
     new_arrows: dict[int, int]      # arrow id -> polygon index
 
     def as_sg_tuple(self) -> SgTuple:
-        mono = tuple(r.paths()[0] for r in self.relations)
-        return SgTuple(self.quiver, mono, self.special, self.cycles)
+        return SgTuple(self.quiver, self.monomials, self.special, self.cycles)
 
 
 def trivext_tuple_from_dissection(d: OrbifoldDissection) -> DissectionTuple:
-    """Close each non-trivial polygon's maximal path with a new arrow."""
+    """Close the maximal path of each polygon with angles by a new arrow."""
     dq = quiver_from_dissection(d)
-    q = dq.quiver
-    specs = [(a.label, q.vertex(a.source).label, q.vertex(a.target).label)
-             for a in q.arrows]
-    poly_paths: dict[int, list[int]] = {}
-    for aid, ang in dq.angle_of_arrow.items():
-        poly_paths.setdefault(ang.polygon, [])
-    for i in range(len(d.polygons)):
-        if d.is_trivial(i):
-            poly_paths.pop(i, None)
 
-    def polygon_path(i: int) -> list[int]:
-        """Arrow ids of the maximal path of polygon i (pendant loops inserted)."""
+    def polygon_path(i: int) -> Path:
+        """The maximal path of polygon i, pendant loops inserted."""
         out: list[int] = []
-        angs = sorted((a for aid, a in dq.angle_of_arrow.items() if a.polygon == i),
-                      key=lambda a: a.index)
-        for ang in angs:
-            aid = next(k for k, v in dq.angle_of_arrow.items() if v == ang)
-            mid = ang.source
-            if not out and d.arc(mid).kind == "pendant":
-                out.append(dq.pendant_loop[mid])
+        for aid, ang in sorted(((k, a) for k, a in dq.angle_of_arrow.items()
+                                if a.polygon == i), key=lambda item: item[1].index):
+            if not out and d.arc(ang.source).kind == "pendant":
+                out.append(dq.pendant_loop[ang.source])
             out.append(aid)
             if d.arc(ang.target).kind == "pendant":
                 out.append(dq.pendant_loop[ang.target])
-        return out
+        return Path(dq.quiver.arrow(out[0]).source, tuple(out))
 
-    new_specs = []
-    new_polys = []
-    for i in sorted(poly_paths):
-        arrows = polygon_path(i)
-        if not arrows:
-            continue
-        src = q.arrow(arrows[0]).source
-        tgt = q.arrow(arrows[-1]).target
-        new_specs.append((f"B{i}", q.vertex(tgt).label, q.vertex(src).label))
-        new_polys.append((i, arrows))
-    full = Quiver.build([v.label for v in q.vertices], specs + new_specs)
-
-    def lift_arrow(aid: int) -> int:
-        return full.arrow_by_label(q.arrow(aid).label).id
-
-    rels = [Relation(tuple((c, Path(full.arrow_by_label(q.arrow(p.arrows[0]).label).source
-                                    if p.arrows else p.base,
-                                    tuple(lift_arrow(a) for a in p.arrows)))
-                     for c, p in r.terms))
-            for r in dq.relations]
-    cycles: list[Path] = []
-    new_arrows: dict[int, int] = {}
-    for i, arrows in new_polys:
-        beta = full.arrow_by_label(f"B{i}")
-        new_arrows[beta.id] = i
-        word = tuple(lift_arrow(a) for a in arrows) + (beta.id,)
-        cycles.append(canonical_rotation(full, word))
-
-    # new quadratics around the beta arrows
-    for i, arrows in new_polys:
-        beta = full.arrow_by_label(f"B{i}")
-        first = lift_arrow(arrows[0])
-        last = lift_arrow(arrows[-1])
-        for br in full.arrows_from(beta.target):
-            if br.id != first:
-                rels.append(Relation.monomial(Path(beta.source, (beta.id, br.id))))
-        for ar in full.arrows_into(beta.source):
-            if ar.id != last:
-                rels.append(Relation.monomial(Path(ar.source, (ar.id, beta.id))))
-
-    special = frozenset(full.vertex_by_label(q.vertex(v).label).id
-                        for v in dq.special)
-    return DissectionTuple(full, tuple(dedupe_relations(rels)), special, tuple(cycles),
-                           new_arrows)
+    polygons = [i for i in range(len(d.polygons)) if len(d.run(i)) > 1]
+    tup, new_ids = close_paths(
+        dq.quiver, tuple(r.paths()[0] for r in dq.relations), dq.special,
+        [polygon_path(i) for i in polygons], [f"B{i}" for i in polygons])
+    return DissectionTuple(tup.quiver, tup.monomials, tup.special, tup.cycles,
+                           dict(zip(new_ids, polygons)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +261,11 @@ def contraction_addition(d: OrbifoldDissection, polygon: int,
         raise InvalidPosition("give exactly one of angle or pendant")
     run = list(d.run(polygon))
     if pendant is not None:
-        arc = (d.arc_by_label(pendant) if isinstance(pendant, str)
-               else d.arc(pendant))
-        if arc.kind != "pendant" or arc.id not in run:
+        arc = next((a for a in d.arcs
+                    if pendant == (a.label if isinstance(pendant, str) else a.id)), None)
+        if arc is None or arc.kind != "pendant" or arc.id not in run:
             raise InvalidPosition(
-                f"arc {arc.label} is not a pendant side of polygon {polygon}")
+                f"arc {pendant} is not a pendant side of polygon {polygon}")
         pos = run.index(arc.id)
         new_sides = tuple(run[:pos + 1]) + (BOUNDARY,) + tuple(run[pos:])
         arcs = tuple(Arc(a.id, a.label, "regular") if a.id == arc.id else a

@@ -13,8 +13,9 @@ from typing import Iterable, Optional, Sequence
 
 from .basis import enumerate_basis, maximal_paths
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
-from .quiver import (BoundQuiver, Path, Quiver, Relation, cycle_rotations,
-                     dedupe_relations, is_locally_gentle, stationary)
+from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
+                     canonical_rotation, cycle_rotations, dedupe_relations,
+                     is_locally_gentle, stationary)
 
 SIGNS = ("+", "-")
 
@@ -267,6 +268,39 @@ class SgTuple:
                     "two distinguished cycles through one distinguished vertex")
 
 
+def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],
+                paths: Sequence[Path], labels: Sequence[str]) -> tuple[SgTuple, tuple[int, ...]]:
+    """The tuple of a trivial extension: each path closed by a new arrow.
+
+    The new arrow ``labels[i]`` (primed while the label is taken) runs
+    from the target of ``paths[i]`` back to its source.  It composes only
+    with the last and the first arrow of its path: every other length-two
+    path through it joins the monomials.  Returns the tuple and the new
+    arrow ids, in the order of ``paths``.
+    """
+    taken = {a.label for a in q.arrows}
+    arrows = list(q.arrows)
+    first_id = max((a.id for a in q.arrows), default=-1) + 1
+    for aid, (p, label) in enumerate(zip(paths, labels), start=first_id):
+        while label in taken:
+            label += "'"
+        taken.add(label)
+        arrows.append(Arrow(aid, label, p.target(q), p.source(q)))
+    tq = Quiver(q.vertices, tuple(arrows))
+    new_ids = tuple(range(first_id, first_id + len(paths)))
+    mono = list(monomials)
+    cycles = []
+    for p, beta in zip(paths, new_ids):
+        b = tq.arrow(beta)
+        cycles.append(canonical_rotation(tq, p.arrows + (beta,)))
+        mono.extend(Path(b.source, (beta, c.id)) for c in tq.arrows_from(b.target)
+                    if (c.id,) != p.arrows[:1])
+        mono.extend(Path(c.source, (c.id, beta)) for c in tq.arrows_into(b.source)
+                    if (c.id,) != p.arrows[-1:])
+    return (SgTuple(tq, tuple(dict.fromkeys(mono)), special, tuple(cycles)),
+            new_ids)
+
+
 def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
                       rot: Path, m: int = 1, flip_last: bool = False) -> list[Path]:
     """Signed copies of ``rot^m`` whose signs repeat with each period.
@@ -309,12 +343,13 @@ def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]
     rotations = [(rot, m) for c, m in zip(t.cycles, t.multiplicities)
                  for rot in cycle_rotations(q, c.arrows)]
 
-    # Type b: chains of decorated cycle powers at each non-distinguished start
+    # Type b: chains of cycle powers at each non-distinguished start, one
+    # signed copy per rotation (type a identifies the others)
     by_start: dict[int, set[Path]] = {}
     for rot, m in rotations:
         if rot.base not in t.special:
-            by_start.setdefault(rot.base, set()).update(
-                cycle_decorations(sgq, q, t.special, rot, m))
+            by_start.setdefault(rot.base, set()).add(
+                min(cycle_decorations(sgq, q, t.special, rot, m), key=Path.sort_key))
     for v in sorted(by_start):
         insts = sorted(by_start[v], key=Path.sort_key)
         rels.extend(Relation.difference(p, r) for p, r in zip(insts, insts[1:]))

@@ -7,27 +7,22 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
-                     UnknownArrow, UnsupportedClass)
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
-                     canonical_rotation, cycle_rotations, dedupe_relations,
-                     is_locally_gentle, stationary)
-from .skewgentle import (SkewGentlePresentation, admissible_presentation,
-                         auxiliary_gentle, make_presentation)
+                     UnknownArrow, UnknownVertex, UnsupportedClass)
+from .quiver import (BoundQuiver, Path, Quiver, Relation, canonical_rotation,
+                     dedupe_relations, is_locally_gentle, stationary)
+from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
+                         auxiliary_gentle, close_paths, cycle_decorations,
+                         induced_path, make_presentation, sg_bound_quiver,
+                         sg_quiver)
 
 
 # ---------------------------------------------------------------------------
 # socle and elementary cycles
 # ---------------------------------------------------------------------------
 
-def _is_supported_class(a: BoundQuiver) -> bool:
-    if a.admissible and a.vertex_origins is not None:
-        return True
-    return bool(a.admissible and is_locally_gentle(a))
-
-
 def socle_basis(a: BoundQuiver, basis: PathBasis) -> tuple[Path, ...]:
     """Maximal paths, which form a socle bimodule basis for the supported classes."""
-    if not _is_supported_class(a):
+    if not (a.admissible and (a.vertex_origins is not None or is_locally_gentle(a))):
         raise UnsupportedClass(
             "socle basis via maximal paths needs a gentle or admissible "
             "skew-gentle presentation")
@@ -36,15 +31,13 @@ def socle_basis(a: BoundQuiver, basis: PathBasis) -> tuple[Path, ...]:
 
 @dataclass(frozen=True)
 class ElementaryCycle:
-    """A cycle (maximal-path representative followed by its new arrow).
+    """A signed copy of a closed maximal path, followed by its new arrow.
 
     ``path`` is the canonical rotation: lexicographically least sequence
     of arrow labels.  ``new_arrow`` is the id of the unique added arrow.
     """
     path: Path
     new_arrow: int
-    weight: Fraction = Fraction(1)
-    multiplicity: int = 1       # elementary cycles never repeat
 
     def __len__(self) -> int:
         return len(self.path)
@@ -55,158 +48,58 @@ class ElementaryCycle:
 
 @dataclass(frozen=True)
 class TrivialExtension:
-    """Trivial extension data: the new algebra, the new arrows, the cycles."""
+    """Trivial extension data: the algebra, its tuple, the new arrows, the cycles."""
     algebra: BoundQuiver
     source: BoundQuiver
     new_arrows: dict[int, Path]          # new arrow id -> socle basis path (in source)
     cycles: tuple[ElementaryCycle, ...]
+    sg_tuple: SgTuple                    # the gentle base closed by new arrows
 
     @property
     def quiver(self) -> Quiver:
         return self.algebra.quiver
 
 
-def _sign_of_vertex(a: BoundQuiver, vid: int) -> str:
-    if a.vertex_origins is None:
-        return ""
-    return a.vertex_origins.get(vid, ("", ""))[1]
-
-
-def _shadow_label(a: BoundQuiver, p: Path) -> str:
-    """Sign-erased label of a path, used to group variants of one class."""
-    q = a.quiver
-    if not p.arrows:
-        base = (a.vertex_origins or {}).get(p.base, (q.vertex(p.base).label, ""))[0]
-        return f"e_{base}"
-    parts = []
-    for aid in p.arrows:
-        if a.arrow_origins is not None and aid in a.arrow_origins:
-            parts.append(a.arrow_origins[aid][0])
-        else:
-            parts.append(q.arrow(aid).label)
-    return "*".join(parts)
-
-
 def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> TrivialExtension:
-    """Build T(A): one new arrow per socle basis path, plus the relation ideal.
+    """Build T(A) as the sg-bound quiver of its tuple.
 
-    The ideal is generated by the input relations, the minimal paths not
-    contained in any elementary cycle, and the same-supplement segment
-    differences of elementary cycles.
+    The base is a gentle algebra: ``a`` itself when it carries no sign
+    bookkeeping, else the auxiliary gentle algebra of its collapsed
+    presentation.  Each maximal path of the base is closed by a new arrow
+    ``B<i>`` (numbered in ``Path.sort_key`` order); the tuple holds the
+    base monomials, the quadratic monomials around the new arrows, the
+    special vertices and the closed cycles, each with multiplicity one.
+    ``new_arrows`` maps each signed copy of ``B<i>`` to the induced path
+    of its maximal path in ``a``: the signs of the copy at the ends, "+"
+    inside.  ``cycles`` are the signed copies of the closed cycles.
     """
     if basis is None:
         basis = enumerate_basis(a)
-    q = a.quiver
-    socle = socle_basis(a, basis)
+    if a.vertex_origins is None:
+        base, special = a, frozenset()
+    else:
+        pres = collapse_presentation(a, basis)
+        base, special = auxiliary_gentle(pres), pres.special
+        basis = enumerate_basis(base)
+    paths = sorted(socle_basis(base, basis), key=Path.sort_key)
+    tup, betas = close_paths(base.quiver, tuple(r.paths()[0] for r in base.relations),
+                             special, paths, [f"B{i}" for i in range(1, len(paths) + 1)])
+    sgq = sg_quiver(tup.quiver, special)
+    algebra = sg_bound_quiver(tup, sgq)
 
-    taken = {ar.label for ar in q.arrows}
     new_arrows: dict[int, Path] = {}
-    arrows = list(q.arrows)
-    new_origins = {}
-    next_id = max((ar.id for ar in q.arrows), default=-1) + 1
-    for i, p in enumerate(sorted(socle, key=Path.sort_key), start=1):
-        label = f"B{i}"
-        while label in taken:
-            label += "'"
-        taken.add(label)
-        aid = next_id
-        next_id += 1
-        arrows.append(Arrow(aid, label, p.target(q), p.source(q)))
-        new_arrows[aid] = p
-        if a.vertex_origins is not None:
-            new_origins[aid] = (f"b[{_shadow_label(a, p)}]",
-                                _sign_of_vertex(a, p.target(q)),
-                                _sign_of_vertex(a, p.source(q)))
-    tq = Quiver(q.vertices, tuple(arrows))
-
-    # elementary cycles: one per pair (new arrow, alive path in the class)
-    cycles: list[ElementaryCycle] = []
-    alive = basis.alive_paths()
-    for aid, p in new_arrows.items():
-        for w in alive:
-            if w.source(q) != p.source(q) or w.target(q) != p.target(q):
-                continue
-            weight = basis.reduce(w).get(p, Fraction(0))
-            if weight:
-                cyc = canonical_rotation(tq, w.arrows + (aid,))
-                cycles.append(ElementaryCycle(cyc, aid, weight))
+    cycles = []
+    for p, beta in zip(paths, betas):
+        closed = Path(p.source(base.quiver), p.arrows + (beta,))
+        for dec in cycle_decorations(sgq, tup.quiver, special, closed):
+            copy = dec.arrows[-1]
+            cycles.append(ElementaryCycle(canonical_rotation(sgq.quiver, dec.arrows), copy))
+            if copy not in new_arrows:
+                _, eps2, eps = sgq.arrow_origins[copy]
+                new_arrows[copy] = (p if a.vertex_origins is None
+                                    else induced_path(a, base, p, eps, eps2))
     cycles.sort(key=lambda c: c.path.sort_key())
-
-    relations: list[Relation] = list(a.relations)
-    relations.extend(_non_elementary_kills(tq, cycles))
-    relations.extend(_segment_differences(tq, cycles))
-    relations = dedupe_relations(relations)
-
-    algebra = BoundQuiver(tq, tuple(relations), a.special_vertices, True,
-                          vertex_origins=a.vertex_origins,
-                          arrow_origins=(dict(a.arrow_origins or {}) | new_origins
-                                         if a.vertex_origins is not None else None))
-    return TrivialExtension(algebra, a, new_arrows, tuple(cycles))
-
-
-def _windows(cycles: Sequence[ElementaryCycle]) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    for c in cycles:
-        word = c.path.arrows
-        double = word + word
-        for length in range(1, len(word) + 1):
-            for start in range(len(word)):
-                out.add(double[start:start + length])
-    return out
-
-
-def _non_elementary_kills(tq: Quiver, cycles: Sequence[ElementaryCycle]) -> list[Relation]:
-    """Minimal paths not contained in any elementary cycle."""
-    covered = _windows(cycles)
-    for ar in tq.arrows:
-        if (ar.id,) not in covered:
-            raise UnsupportedClass(
-                f"arrow {ar.label} lies on no elementary cycle")
-    out = []
-    for w in sorted(covered, key=lambda t: (len(t), t)):
-        last_target = tq.arrow(w[-1]).target
-        for ar in tq.arrows_from(last_target):
-            ext = w + (ar.id,)
-            if ext in covered:
-                continue
-            if ext[1:] in covered:
-                out.append(Relation.monomial(
-                    Path(tq.arrow(ext[0]).source, ext)))
-    return out
-
-
-def _segment_differences(tq: Quiver, cycles: Sequence[ElementaryCycle]) -> list[Relation]:
-    """omega(C') rho - omega(C) rho' for same-supplement segments of cycles."""
-    insts = []
-    for c in cycles:
-        for rot in cycle_rotations(tq, c.path.arrows):
-            insts.append((rot, c.weight))
-    out = []
-    for i in range(len(insts)):
-        r1, w1 = insts[i]
-        for j in range(i + 1, len(insts)):
-            r2, w2 = insts[j]
-            if r1.source(tq) != r2.source(tq):
-                continue
-            for k in range(0, min(len(r1), len(r2))):
-                # shared supplement q = the last k arrows
-                if k and r1.arrows[-k:] != r2.arrows[-k:]:
-                    break
-                rho1 = r1.arrows[:len(r1) - k]
-                rho2 = r2.arrows[:len(r2) - k]
-                if not rho1 or not rho2 or rho1 == rho2:
-                    continue
-                p1 = Path(tq.arrow(rho1[0]).source, rho1)
-                p2 = Path(tq.arrow(rho2[0]).source, rho2)
-                if p1.target(tq) != p2.target(tq):
-                    continue
-                out.append(Relation(((w2, p1), (-w1, p2))))
-    return out
-
-
-def elementary_cycles(t: TrivialExtension) -> tuple[ElementaryCycle, ...]:
-    """All elementary cycles, canonical rotations, one per (new arrow, class path)."""
-    return t.cycles
+    return TrivialExtension(algebra, a, new_arrows, tuple(cycles), tup)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +129,24 @@ def is_admissible_cut(t, arrow_ids: Iterable[int]) -> bool:
 
 def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet]:
     """Backtracking enumeration of admissible cuts, deduplicated and sorted."""
-    q = t.algebra.quiver
-    order = sorted(t.cycles, key=lambda c: c.path.sort_key())
-    results: set[frozenset[int]] = set()
-    out: list[frozenset[int]] = []
+    for arrows in _cuts(t.algebra.quiver, [c.path for c in t.cycles], limit):
+        yield CutSet(arrows, "admissible")
 
-    def count(chosen: frozenset[int], c: ElementaryCycle) -> int:
-        return sum(c.occurrences(a) for a in chosen)
+
+def _cuts(q: Quiver, cycles: Sequence[Path],
+          limit: Optional[int] = None) -> list[frozenset[int]]:
+    """Arrow sets meeting each cycle exactly once, counted with multiplicity."""
+    order = sorted(cycles, key=Path.sort_key)
+    out: dict[frozenset[int], None] = {}
+
+    def count(chosen: frozenset[int], c: Path) -> int:
+        return sum(c.arrows.count(a) for a in chosen)
 
     def rec(i: int, chosen: frozenset[int]):
         if limit is not None and len(out) >= limit:
             return
         if i == len(order):
-            if chosen not in results:
-                results.add(chosen)
-                out.append(chosen)
+            out.setdefault(chosen)
             return
         c = order[i]
         have = count(chosen, c)
@@ -259,7 +155,7 @@ def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet
         if have == 1:
             rec(i + 1, chosen)
             return
-        cands = sorted({a for a in c.path.arrows if c.occurrences(a) == 1},
+        cands = sorted({a for a in c.arrows if c.arrows.count(a) == 1},
                        key=lambda a: q.arrow(a).label)
         for a in cands:
             nxt = chosen | {a}
@@ -267,8 +163,7 @@ def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet
                 rec(i + 1, nxt)
 
     rec(0, frozenset())
-    for arrows in out:
-        yield CutSet(arrows, "admissible")
+    return list(out)
 
 
 def is_sign_closed(algebra: BoundQuiver, arrow_ids: Iterable[int]) -> bool:
@@ -287,54 +182,25 @@ def is_sign_closed(algebra: BoundQuiver, arrow_ids: Iterable[int]) -> bool:
     return True
 
 
-def _recover_presentation(source: BoundQuiver) -> SkewGentlePresentation:
-    if source.vertex_origins is None:
-        raise NotSkewGentleSource("the source carries no sign structure")
-    return collapse_presentation(source)
-
-
-def good_closure(t: TrivialExtension, aux_te: TrivialExtension,
-                 d_prime: CutSet) -> CutSet:
-    """Sign closure of an auxiliary-level cut inside the full trivial extension."""
-    aq = aux_te.algebra.quiver
-    bases = set()
-    for aid in d_prime.arrows:
-        if aid in aux_te.new_arrows:
-            p = aux_te.new_arrows[aid]
-            bases.add(f"b[{p.label(aux_te.source.quiver)}]")
-        else:
-            bases.add(aq.arrow(aid).label)
-    closure = set()
-    origins = t.algebra.arrow_origins or {}
-    for a in t.algebra.quiver.arrows:
-        base = origins.get(a.id, (a.label, "", ""))[0]
-        if base in bases:
-            closure.add(a.id)
-    return CutSet(frozenset(closure), "good")
+def _signed_copies(t: TrivialExtension, labels: set[str]) -> CutSet:
+    """Every arrow of T whose base arrow is labelled in ``labels``."""
+    origins = t.algebra.arrow_origins
+    return CutSet(frozenset(a for a, (base, _, _) in origins.items() if base in labels),
+                  "good")
 
 
 def enumerate_good_cuts(t: TrivialExtension,
                         limit: Optional[int] = None) -> Iterator[CutSet]:
-    """Sign closures of the admissible cuts of the auxiliary trivial extension."""
-    if t.source.vertex_origins is None:
-        if t.source.special_vertices:
-            raise NotSkewGentleSource("the source carries no sign structure")
-        for cut in enumerate_admissible_cuts(t, limit=limit):
-            yield CutSet(cut.arrows, "good")
-        return
-    pres = _recover_presentation(t.source)
-    aux = auxiliary_gentle(pres)
-    aux_te = trivial_extension(aux)
-    count = 0
-    for d_prime in enumerate_admissible_cuts(aux_te):
-        if limit is not None and count >= limit:
-            return
-        closure = good_closure(t, aux_te, d_prime)
+    """The signed copies of the admissible cuts of the base cycles."""
+    if t.source.vertex_origins is None and t.source.special_vertices:
+        raise NotSkewGentleSource("the source carries no sign structure")
+    tq = t.sg_tuple.quiver
+    for base_cut in _cuts(tq, t.sg_tuple.cycles, limit):
+        closure = _signed_copies(t, {tq.arrow(a).label for a in base_cut})
         if not is_admissible_cut(t, closure.arrows):
             raise NotSkewGentleSource(
-                "sign closure of an auxiliary cut is not an admissible cut; "
+                "the signed copies of a base cut are not an admissible cut; "
                 "the sign bookkeeping is inconsistent")
-        count += 1
         yield closure
 
 
@@ -402,8 +268,11 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
 # collapse of a duplicated presentation back to the non-admissible form
 # ---------------------------------------------------------------------------
 
-def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
-    """Reconstruct the non-admissible presentation from sign bookkeeping."""
+def collapse_presentation(adm: BoundQuiver,
+                          basis: Optional[PathBasis] = None) -> SkewGentlePresentation:
+    """Reconstruct the non-admissible presentation from sign bookkeeping.
+
+    ``basis`` is the path basis of ``adm``, computed when not given."""
     if adm.vertex_origins is None:
         raise NotSkewGentle("no duplication bookkeeping on this presentation")
     q = adm.quiver
@@ -446,7 +315,8 @@ def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
     loops = {collapsed.vertex_by_label(b).id: collapsed.arrow_by_label(l).id
              for (l, b, _) in loop_specs}
 
-    basis = enumerate_basis(adm)
+    if basis is None:
+        basis = enumerate_basis(adm)
     relations: list[Relation] = []
     for (lab, b, _) in loop_specs:
         f = collapsed.arrow_by_label(lab)
@@ -665,35 +535,31 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
     """Reflection at a source (minus) or sink (plus) of the auxiliary quiver.
 
     Realised as the quotient of the trivial extension by the good cut whose
-    auxiliary cut holds the arrows leaving (entering) the vertex; cycles not
+    base cut holds the arrows leaving (entering) the vertex; cycles not
     meeting the vertex are cut at their new arrow.
     """
     if direction not in ("minus", "plus"):
         raise ValueError("direction must be 'minus' or 'plus'")
-    aux = auxiliary_gentle(p)
-    q = aux.quiver
-    vid = q.vertex_by_label(vertex).id if isinstance(vertex, str) else vertex
+    q = auxiliary_gentle(p).quiver
+    try:
+        v = q.vertex_by_label(vertex) if isinstance(vertex, str) else q.vertex(vertex)
+    except KeyError:
+        raise UnknownVertex(f"no vertex {vertex}") from None
     if direction == "minus":
-        if q.arrows_into(vid):
-            raise NotSourceOrSink(
-                f"{q.vertex(vid).label} is not a source of the auxiliary quiver")
-        boundary = {a.id for a in q.arrows_from(vid)}
+        if q.arrows_into(v.id):
+            raise NotSourceOrSink(f"{v.label} is not a source of the auxiliary quiver")
+        boundary = {a.label for a in q.arrows_from(v.id)}
     else:
-        if q.arrows_from(vid):
-            raise NotSourceOrSink(
-                f"{q.vertex(vid).label} is not a sink of the auxiliary quiver")
-        boundary = {a.id for a in q.arrows_into(vid)}
+        if q.arrows_from(v.id):
+            raise NotSourceOrSink(f"{v.label} is not a sink of the auxiliary quiver")
+        boundary = {a.label for a in q.arrows_into(v.id)}
 
-    adm = admissible_presentation(p)
-    t = trivial_extension(adm)
-    aux_te = trivial_extension(aux)
-    chosen = set()
-    for c in aux_te.cycles:
-        hits = [a for a in set(c.path.arrows) if a in boundary]
+    t = trivial_extension(admissible_presentation(p))
+    origins = t.algebra.arrow_origins
+    chosen: set[str] = set()
+    for c in t.cycles:
+        hits = {origins[a][0] for a in c.path.arrows} & boundary
         if len(hits) > 1:
             raise NotSourceOrSink("several boundary arrows on one cycle")
-        chosen.add(hits[0] if hits else c.new_arrow)
-    d_prime = CutSet(frozenset(chosen), "admissible")
-    d = good_closure(t, aux_te, d_prime)
-    quotient = quotient_by_cut(t, d)
-    return collapse_presentation(quotient)
+        chosen |= hits or {origins[c.new_arrow][0]}
+    return collapse_presentation(quotient_by_cut(t, _signed_copies(t, chosen)))

@@ -1,9 +1,14 @@
 """File formats and the command-line interface."""
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewbrauer import formats
 from skewbrauer.cli import main
@@ -190,6 +195,19 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == "error: polygon 0 has 0 boundary sides\n"
 
+    def test_reflect_unknown_vertex_exit_1(self, capsys):
+        code = main(["reflect", fixture_path("toy.bq"), "--vertex", "nope",
+                     "--direction", "minus"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no vertex nope\n"
+
+    def test_move_unknown_pendant_exit_1(self, capsys):
+        code = main(["move", fixture_path("annulus.dis"), "--polygon", "0",
+                     "--pendant", "nope"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: arc nope is not a pendant side of polygon 0\n")
+
     def test_env_cap_respected(self, monkeypatch, capsys):
         monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", "3")
         code = main(["cartan", fixture_path("toy.bq"), "--det"])
@@ -206,3 +224,92 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("Finite")
+
+
+# ---------------------------------------------------------------------------
+# no input ends in a traceback
+# ---------------------------------------------------------------------------
+
+UNKNOWN_LABELS = ["nope", "", "B1", "B1+", "-B2", "1+", "f1"]
+VERB_INPUTS = {
+    **dict.fromkeys(["trivext", "cuts", "quotient", "reflect", "cartan", "iso"],
+                    BQ_FIXTURES),
+    **dict.fromkeys(["build", "classify", "projectives"], SBG_FIXTURES),
+    **dict.fromkeys(["dissect", "move"], DIS_FIXTURES),
+    "check": BQ_FIXTURES + SBG_FIXTURES + DIS_FIXTURES,
+}
+
+
+def _mutate(text: str, edits) -> str:
+    """Apply (kind, i, j) edits to the lines and tokens of a fixture text."""
+    lines = text.splitlines()
+    for kind, i, j in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split()
+            pool = text.split()
+            if tokens:
+                tokens[j % len(tokens)] = (pool[j % len(pool)] if kind == "swap"
+                                           else UNKNOWN_LABELS[j % len(UNKNOWN_LABELS)])
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def cli_calls(draw):
+    verb = draw(st.sampled_from(sorted(VERB_INPUTS)))
+    name = draw(st.sampled_from(VERB_INPUTS[verb]))
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        text = fh.read()
+    edits = []
+    if draw(st.booleans()):
+        edits = draw(st.lists(st.tuples(
+            st.sampled_from(["drop", "repeat", "swap", "unknown"]),
+            st.integers(0, 40), st.integers(0, 40)), max_size=2))
+    labels = st.sampled_from(sorted(set(text.split())) + UNKNOWN_LABELS)
+    vertices = [line.split()[1] for line in text.splitlines()
+                if line.startswith("vertex ")]
+    if verb == "cuts":
+        args = draw(st.sampled_from([[], ["--good"], ["--good", "--limit", "2"]]))
+    elif verb == "quotient":
+        args = ["--cut=" + ",".join(draw(st.lists(labels, max_size=3)))]
+    elif verb == "reflect":
+        args = ["--vertex=" + draw(st.sampled_from(vertices) | labels),
+                "--direction", draw(st.sampled_from(["minus", "plus"]))]
+    elif verb == "projectives":
+        args = draw(st.sampled_from([[], ["--vertex=" + draw(labels)]]))
+    elif verb == "cartan":
+        args = draw(st.sampled_from([[], ["--q", "--det"], ["--det", "--matrix"]]))
+    elif verb == "dissect":
+        args = draw(st.sampled_from([[], ["--tuple"]]))
+    elif verb == "iso":
+        args = [fixture_path(draw(st.sampled_from(BQ_FIXTURES)))]
+    elif verb == "move":
+        args = ["--polygon", str(draw(st.integers(-1, 3)))]
+        args += (["--pendant=" + draw(labels)] if draw(st.booleans())
+                 else ["--angle", str(draw(st.integers(-1, 4)))])
+    else:
+        args = []
+    return verb, name, _mutate(text, edits), args
+
+
+@given(cli_calls())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cli_never_raises(call):
+    verb, name, text, args = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, path] + args)
+    assert code in (0, 1, 2)
+    # iso and check answer "no" with exit code 1 on stdout; errors are one line
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

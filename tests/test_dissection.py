@@ -15,8 +15,8 @@ from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import Path
 from skewbrauer.skewgentle import (admissible_presentation, cycle_decorations,
                                    make_presentation, sg_bound_quiver, sg_quiver)
-from skewbrauer.trivext import (enumerate_good_cuts, good_closure,
-                                quotient_by_cut, reflect, trivial_extension)
+from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
+                                trivial_extension)
 
 from helpers import DIS_FIXTURES, P, load
 
@@ -203,24 +203,31 @@ class TestMoves:
         adm = admissible_presentation(pres)
         t = trivial_extension(adm)
         dq = quiver_from_dissection(d)
-        from skewbrauer.skewgentle import auxiliary_gentle
-        aux = auxiliary_gentle(pres)
-        aux_te = trivial_extension(aux)
-        from skewbrauer.trivext import enumerate_admissible_cuts
-        for d_prime in enumerate_admissible_cuts(aux_te):
+        angle = {dq.quiver.arrow(k).label: a for k, a in dq.angle_of_arrow.items()}
+        origins = t.algebra.arrow_origins
+        # a new arrow closes the maximal path of the polygon that holds the
+        # path's first angle
+        closes = {aid: angle[adm.arrow_origins[p.arrows[0]][0]].polygon
+                  for aid, p in t.new_arrows.items()}
+        count = 0
+        for cut in enumerate_good_cuts(t):
             moved = d
-            for aid in sorted(d_prime.arrows):
-                if aid in aux_te.new_arrows:
-                    continue                       # boundary stays put
-                label = aux_te.algebra.quiver.arrow(aid).label
-                ang = next(a for k, a in dq.angle_of_arrow.items()
-                           if dq.quiver.arrow(k).label == label)
-                moved = contraction_addition(moved, ang.polygon, angle=ang.index)
+            seen = set()
+            for base in sorted({origins[a][0] for a in cut.arrows}):
+                if base in angle:
+                    ang = angle[base]
+                    seen.add(ang.polygon)
+                    moved = contraction_addition(moved, ang.polygon, angle=ang.index)
+                else:                              # boundary stays put
+                    seen.update(closes[a] for a in cut.arrows
+                                if origins[a][0] == base)
+            # one cut arrow per polygon with angles
+            assert sorted(seen) == [0, 1]
             moved_pres = skew_gentle_from_dissection(moved)
-            cut = good_closure(t, aux_te, d_prime)
-            quotient = quotient_by_cut(t, cut)
-            assert are_isomorphic(
-                admissible_presentation(moved_pres), quotient)
+            assert are_isomorphic(admissible_presentation(moved_pres),
+                                  quotient_by_cut(t, cut))
+            count += 1
+        assert count == 12
 
 
 class TestGeometricReflection:

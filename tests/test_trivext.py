@@ -10,7 +10,7 @@ from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    auxiliary_gentle, make_presentation,
                                    sg_bound_quiver)
 from skewbrauer.trivext import (CutSet, collapse_presentation,
-                                elementary_cycles, enumerate_admissible_cuts,
+                                enumerate_admissible_cuts,
                                 enumerate_good_cuts, is_admissible_cut,
                                 is_sign_closed, quotient_by_cut, reflect,
                                 repetitive_window, socle_basis,
@@ -75,7 +75,6 @@ class TestTrivialExtension:
         assert len(t.algebra.quiver.vertices) == 7
         assert len(t.algebra.quiver.arrows) == 12
         assert len(t.cycles) == 5
-        assert all(c.weight == 1 for c in t.cycles)
 
     def test_printed_relations_lie_in_the_ideal(self):
         t = trivial_extension(toy_adm())
@@ -239,6 +238,24 @@ class TestGoodCuts:
         for d in good:
             assert is_admissible_cut(t, d.arrows)
             assert is_sign_closed(t.algebra, d.arrows)
+
+    @pytest.mark.parametrize("name", ["toy.bq", "sec73_A.bq"])
+    def test_good_cuts_are_the_sign_closed_admissible_cuts(self, name):
+        # brute force over every arrow set: one arrow on each elementary
+        # cycle, counted with multiplicity, and a union of sign groups
+        t = trivial_extension(
+            admissible_presentation(make_presentation(load(name))))
+        arrows = [a.id for a in t.algebra.quiver.arrows]
+        brute = set()
+        for mask in range(1 << len(arrows)):
+            chosen = frozenset(a for i, a in enumerate(arrows) if mask >> i & 1)
+            if (all(sum(c.path.arrows.count(a) for a in chosen) == 1
+                    for c in t.cycles)
+                    and is_sign_closed(t.algebra, chosen)):
+                brute.add(chosen)
+        good = [d.arrows for d in enumerate_good_cuts(t)]
+        assert len(good) == len(set(good))
+        assert set(good) == brute
 
     def test_gentle_source_good_equals_admissible(self):
         t = trivial_extension(toy_aux())
