@@ -1,7 +1,7 @@
 .PHONY: test verify bench-test examples
 
 test:
-	PYTHONPATH=src python3 -m pytest -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 verify:
 	sh scripts/verify.sh

@@ -47,11 +47,12 @@ class OrbifoldDissection:
     polygons: tuple[tuple[Union[int, str], ...], ...]   # arc ids or BOUNDARY
     punctures: tuple[Puncture, ...] = ()
 
-    def arc(self, aid: int) -> Arc:
-        return next(a for a in self.arcs if a.id == aid)
-
-    def arc_by_label(self, label: str) -> Arc:
-        return next(a for a in self.arcs if a.label == label)
+    def arc(self, key: Union[int, str]) -> Arc:
+        """The arc with this id (an int) or label (a str)."""
+        for a in self.arcs:
+            if key == (a.label if isinstance(key, str) else a.id):
+                return a
+        raise InvalidPosition(f"no arc {key}")
 
     def run(self, polygon: int) -> tuple[int, ...]:
         """Sides of a polygon read cyclically starting after BOUNDARY."""
@@ -152,7 +153,7 @@ def quiver_from_dissection(d: OrbifoldDissection) -> DissectionQuiver:
             tgt_arrow = q.arrow(j)
             if src_arrow.target != tgt_arrow.source:
                 continue
-            mid_arc = d.arc_by_label(q.vertex(src_arrow.target).label)
+            mid_arc = d.arc(q.vertex(src_arrow.target).label)
             same_occurrence = (first.polygon == second.polygon
                                and second.index == first.index + 1)
             if not same_occurrence:
@@ -261,9 +262,8 @@ def contraction_addition(d: OrbifoldDissection, polygon: int,
         raise InvalidPosition("give exactly one of angle or pendant")
     run = list(d.run(polygon))
     if pendant is not None:
-        arc = next((a for a in d.arcs
-                    if pendant == (a.label if isinstance(pendant, str) else a.id)), None)
-        if arc is None or arc.kind != "pendant" or arc.id not in run:
+        arc = d.arc(pendant)
+        if arc.kind != "pendant" or arc.id not in run:
             raise InvalidPosition(
                 f"arc {pendant} is not a pendant side of polygon {polygon}")
         pos = run.index(arc.id)
@@ -294,7 +294,7 @@ def geometric_reflection(d: OrbifoldDissection, arc: Union[int, str],
     """
     if direction not in ("minus", "plus"):
         raise ValueError("direction must be 'minus' or 'plus'")
-    arc_obj = d.arc_by_label(arc) if isinstance(arc, str) else d.arc(arc)
+    arc_obj = d.arc(arc)
     dq = quiver_from_dissection(d)
     q = dq.quiver
     vid = q.vertex_by_label(arc_obj.label).id

@@ -8,7 +8,6 @@ vanish up to a diagonal rescaling of arrows).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 

@@ -1,15 +1,21 @@
-"""Trivial extensions, elementary cycles, cuts, repetitive windows, reflections."""
+"""Trivial extensions, elementary cycles, cuts, repetitive windows, reflections.
+
+A repetitive window is the full subcategory, on k consecutive levels, of
+the ℤ-cover of T(A).  It needs a gentle or admissible skew-gentle A and
+has dimension (2k-1)·dim A.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
                      UnknownArrow, UnknownVertex, UnsupportedClass)
-from .quiver import (BoundQuiver, Path, Quiver, Relation, canonical_rotation,
-                     dedupe_relations, is_locally_gentle, stationary)
+from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
+                     canonical_rotation, dedupe_relations, is_locally_gentle)
 from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
                          auxiliary_gentle, close_paths, cycle_decorations,
                          induced_path, make_presentation, sg_bound_quiver,
@@ -359,171 +365,60 @@ def collapse_presentation(adm: BoundQuiver,
 
 @dataclass(frozen=True)
 class RepetitiveWindow:
-    """A finite slice of the repetitive algebra with its connecting arrows."""
+    """Levels of the repetitive algebra of A, as a bound quiver.
+
+    ``connectors`` maps the id of each arrow from level n to level n+1 to
+    ``(path, n)``: ``path`` is the maximal path of A that the lifted new
+    arrow of T(A) closes, as in ``TrivialExtension.new_arrows``.
+    """
     algebra: BoundQuiver
-    connectors: dict[int, tuple[Path, int]]   # arrow id -> (maximal path, level)
-
-
-def _window_relations(a: BoundQuiver, mpaths: Sequence[Path],
-                      n_min: int, n_max: int):
-    q = a.quiver
-    levels = range(n_min, n_max + 1)
-    vlabels = [f"{v.label}[{n}]" for n in levels for v in
-               sorted(q.vertices, key=lambda v: v.label)]
-    arrow_specs: list[tuple[str, str, str]] = []
-    for n in levels:
-        for ar in sorted(q.arrows, key=lambda x: x.label):
-            arrow_specs.append((f"{ar.label}[{n}]",
-                                f"{q.vertex(ar.source).label}[{n}]",
-                                f"{q.vertex(ar.target).label}[{n}]"))
-    conn_specs = []
-    for n in levels:
-        if n + 1 > n_max:
-            continue
-        for k, p in enumerate(mpaths, start=1):
-            conn_specs.append(((f"c{k}[{n}]",
-                                f"{q.vertex(p.target(q)).label}[{n}]",
-                                f"{q.vertex(p.source(q)).label}[{n + 1}]"),
-                               (p, n)))
-    wq = Quiver.build(vlabels, arrow_specs + [c[0] for c in conn_specs])
-    connectors = {}
-    for (lab, _, _), (p, n) in conn_specs:
-        connectors[wq.arrow_by_label(lab).id] = (p, n)
-    return wq, connectors
-
-
-def _lift(wq: Quiver, q: Quiver, p: Path, n: int) -> Path:
-    if not p.arrows:
-        return stationary(wq.vertex_by_label(f"{q.vertex(p.base).label}[{n}]").id)
-    arrows = tuple(wq.arrow_by_label(f"{q.arrow(a).label}[{n}]").id for a in p.arrows)
-    return Path(wq.arrow(arrows[0]).source, arrows)
+    connectors: dict[int, tuple[Path, int]]
 
 
 def repetitive_window(a: BoundQuiver, n_min: int, n_max: int) -> RepetitiveWindow:
-    """Levels ``n_min .. n_max`` of the repetitive algebra of ``a``.
+    """Levels ``n_min .. n_max`` of the repetitive algebra Â of ``a``.
 
-    Connecting arrows with either endpoint outside the window are dropped,
-    and so is every relation with a term leaving the window.
+    Â is the ℤ-cover of T(A) = Â/ν: every vertex and base arrow of T(A) has
+    a copy ``x[n]`` on each level n, and every new arrow of T(A) goes from
+    level n to level n+1.  The ideal of T(A) is homogeneous in the new
+    arrows and levels only rise along a path, so its relations lifted to
+    every start level that keeps them inside the window give the full
+    subcategory of Â on these levels.  ``a`` must be gentle or admissible
+    skew-gentle; k levels have dimension (2k-1)·dim A.
     """
     if n_min > n_max:
         raise ValueError("empty window")
-    q = a.quiver
-    if a.admissible:
-        basis = enumerate_basis(a)
-        mpaths = sorted(maximal_paths(a, basis), key=Path.sort_key)
-    else:
-        pres = make_presentation(a)
-        from .skewgentle import sp_maximal_paths
-        mpaths = sorted(sp_maximal_paths(pres), key=Path.sort_key)
-    wq, connectors = _window_relations(a, mpaths, n_min, n_max)
-    rels: list[Relation] = []
+    t = trivial_extension(a)
+    tq = t.quiver
+    levels = range(n_min, n_max + 1)
+    vid = {(v.id, n): i for i, (n, v) in enumerate(product(levels, tq.vertices))}
+    arrows: list[Arrow] = []
+    aid: dict[tuple[int, int], int] = {}
+    for n, b in product(levels, tq.arrows):
+        m = n + (b.id in t.new_arrows)
+        if m <= n_max:
+            aid[b.id, n] = len(arrows)
+            arrows.append(Arrow(len(arrows), f"{b.label}[{n}]",
+                                vid[b.source, n], vid[b.target, m]))
+    wq = Quiver(tuple(Vertex(i, f"{tq.vertex(v).label}[{n}]") for (v, n), i in vid.items()),
+                tuple(arrows))
 
-    # copies of the base relations at each level
-    for n in range(n_min, n_max + 1):
-        for r in a.relations:
-            rels.append(Relation(tuple((c, _lift(wq, q, p, n)) for c, p in r.terms)))
+    def lift(p: Path, n: int) -> Optional[Path]:
+        start, ids = n, []
+        for b in p.arrows:
+            if (b, n) not in aid:
+                return None
+            ids.append(aid[b, n])
+            n += b in t.new_arrows
+        return Path(vid[p.base, start], tuple(ids))
 
-    conn_at: dict[tuple[int, int], int] = {}
-    for aid, (p, n) in connectors.items():
-        conn_at[(mpaths.index(p), n)] = aid
-
-    def prefix(p: Path, k: int) -> tuple[int, ...]:
-        return p.arrows[:k]
-
-    def suffix(p: Path, k: int) -> tuple[int, ...]:
-        return p.arrows[len(p) - k:]
-
-    for (k, n), cid in conn_at.items():
-        p = mpaths[k]
-        conn = wq.arrow(cid)
-        # kills on the left: arrows into t(p)[n] other than the last arrow of p
-        for ar in wq.arrows_into(conn.source):
-            last = suffix(p, 1)
-            if last and ar.label == f"{q.arrow(last[0]).label}[{n}]":
-                continue
-            rels.append(Relation.monomial(Path(ar.source, (ar.id, cid))))
-        # kills on the right: arrows out of s(p)[n+1] other than the first of p
-        for br in wq.arrows_from(conn.target):
-            first = prefix(p, 1)
-            if first and br.label == f"{q.arrow(first[0]).label}[{n + 1}]":
-                continue
-            rels.append(Relation.monomial(Path(conn.source, (cid, br.id))))
-        # overruns: (suffix a of p)[n] conn (prefix b)[n+1] with a + b = len(p) + 1
-        for length_a in range(1, len(p) + 1):
-            length_b = len(p) + 1 - length_a
-            if length_b < 1 or length_b > len(p):
-                continue
-            u = suffix(p, length_a)
-            v = prefix(p, length_b)
-            arr = (tuple(wq.arrow_by_label(f"{q.arrow(x).label}[{n}]").id for x in u)
-                   + (cid,)
-                   + tuple(wq.arrow_by_label(f"{q.arrow(x).label}[{n + 1}]").id for x in v))
-            rels.append(Relation.monomial(Path(wq.arrow(arr[0]).source, arr)))
-        # two connectors separated by a shared alive middle segment
-        for (j, n2), cid2 in conn_at.items():
-            if n2 != n + 1:
-                continue
-            pj = mpaths[j]
-            for m in range(0, min(len(p), len(pj)) + 1):
-                w = prefix(p, m)
-                if w != suffix(pj, m):
-                    continue
-                if m == 0 and p.source(q) != pj.target(q):
-                    continue
-                mid = tuple(wq.arrow_by_label(f"{q.arrow(x).label}[{n + 1}]").id
-                            for x in w)
-                arr = (cid,) + mid + (cid2,)
-                rels.append(Relation.monomial(Path(wq.arrow(arr[0]).source, arr)))
-
-    # shared-middle commutations between full paths
-    for (k, n), cid in conn_at.items():
-        p = mpaths[k]
-        for (j, n2), cid2 in conn_at.items():
-            if n2 != n or (j, cid2) < (k, cid):
-                continue
-            pj = mpaths[j]
-            for s1 in range(0, len(p) + 1):
-                for e1 in range(s1, len(p) + 1):
-                    mid1 = p.arrows[s1:e1]
-                    for s2 in range(0, len(pj) + 1):
-                        for e2 in range(s2, len(pj) + 1):
-                            if pj.arrows[s2:e2] != mid1:
-                                continue
-                            if k == j and (s1, e1) == (s2, e2):
-                                continue
-                            # matching middles must share endpoints in the quiver
-                            left1 = p.arrows[:s1]
-                            right1 = p.arrows[e1:]
-                            left2 = pj.arrows[:s2]
-                            right2 = pj.arrows[e2:]
-                            if not mid1:
-                                v1 = (q.arrow(p.arrows[s1]).source if s1 < len(p)
-                                      else p.target(q))
-                                v2 = (q.arrow(pj.arrows[s2]).source if s2 < len(pj)
-                                      else pj.target(q))
-                                if v1 != v2:
-                                    continue
-                            t1 = (suffix(p, len(p) - e1), cid, prefix(p, s1))
-                            t2 = (suffix(pj, len(pj) - e2), cid2, prefix(pj, s2))
-                            if t1 == t2:
-                                continue
-                            def assemble(tr, lev):
-                                u, c, v = tr
-                                arr = (tuple(wq.arrow_by_label(f"{q.arrow(x).label}[{lev}]").id for x in u)
-                                       + (c,)
-                                       + tuple(wq.arrow_by_label(f"{q.arrow(x).label}[{lev + 1}]").id for x in v))
-                                return Path(wq.arrow(arr[0]).source, arr)
-                            path1 = assemble(t1, n)
-                            path2 = assemble(t2, n)
-                            if (path1.source(wq) == path2.source(wq)
-                                    and path1.target(wq) == path2.target(wq)
-                                    and path1 != path2):
-                                rels.append(Relation.difference(path1, path2))
-
-    rels = dedupe_relations(rels)
-    flag = all(len(pp) >= 2 for r in rels for pp in r.paths())
-    algebra = BoundQuiver(wq, tuple(rels), frozenset(), flag)
-    return RepetitiveWindow(algebra, connectors)
+    rels = []
+    for r, n in product(t.algebra.relations, levels):
+        terms = tuple((c, lift(p, n)) for c, p in r.terms)
+        if all(p is not None for _, p in terms):
+            rels.append(Relation(terms))
+    connectors = {i: (t.new_arrows[b], n) for (b, n), i in aid.items() if b in t.new_arrows}
+    return RepetitiveWindow(BoundQuiver(wq, tuple(dedupe_relations(rels))), connectors)
 
 
 # ---------------------------------------------------------------------------

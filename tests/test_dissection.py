@@ -190,7 +190,7 @@ class TestMoves:
         d = load("pend.dis")
         moved = contraction_addition(d, 1, pendant="p")
         assert validate_dissection(moved)
-        assert moved.arc_by_label("p").kind == "regular"
+        assert moved.arc("p").kind == "regular"
         # the pendant arc now occurs twice and the loop is gone
         dq = quiver_from_dissection(moved)
         assert all(not a.is_loop for a in dq.quiver.arrows)
@@ -258,6 +258,11 @@ class TestGeometricReflection:
         d = load("annulus.dis")
         with pytest.raises(NotReflectable):
             geometric_reflection(d, "3", "minus")
+
+    @pytest.mark.parametrize("arc", ["nope", 99])
+    def test_unknown_arc(self, arc):
+        with pytest.raises(InvalidPosition, match=f"no arc {arc}"):
+            geometric_reflection(load("annulus.dis"), arc, "minus")
 
     @pytest.mark.parametrize("name,arc,direction", [
         ("annulus.dis", "1", "minus"),

@@ -3,7 +3,8 @@ import pytest
 from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
-from skewbrauer.errors import (NotSourceOrSink, UnknownArrow, UnsupportedClass)
+from skewbrauer.errors import (NotAdmissible, NotSourceOrSink, UnknownArrow,
+                               UnsupportedClass)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
@@ -16,7 +17,7 @@ from skewbrauer.trivext import (CutSet, collapse_presentation,
                                 repetitive_window, socle_basis,
                                 trivial_extension)
 
-from helpers import P, SKEW_GENTLE_FIXTURES, load, mono
+from helpers import BQ_FIXTURES, P, SKEW_GENTLE_FIXTURES, load, mono
 
 
 def toy_pres():
@@ -286,21 +287,31 @@ class TestGoodCuts:
             assert pres.bound.special_vertices
 
 
+def repetitive_adm():
+    return admissible_presentation(make_presentation(load("repetitive.bq")))
+
+
+def level(q: Quiver, vid: int) -> int:
+    return int(q.vertex(vid).label.rsplit("[", 1)[1][:-1])
+
+
 class TestRepetitiveWindow:
     def test_nonadmissible_window_shape(self):
-        w = repetitive_window(load("repetitive.bq"), -1, 1)
+        with pytest.raises(NotAdmissible):
+            repetitive_window(load("repetitive.bq"), -1, 1)
+        adm = repetitive_adm()
+        w = repetitive_window(adm, -1, 1)
         q = w.algebra.quiver
-        assert len(q.vertices) == 9
-        # 4 arrows per level plus 2 connectors per inner level
-        assert len(q.arrows) == 12 + 4
+        assert len(q.vertices) == 15
+        # 4 arrows per level plus 4 connectors per inner level
+        assert len(q.arrows) == 12 + 8
         for cid, (p, n) in w.connectors.items():
             conn = q.arrow(cid)
             src = q.vertex(conn.source).label
             tgt = q.vertex(conn.target).label
             assert src.endswith(f"[{n}]") and tgt.endswith(f"[{n + 1}]")
-        labels = {(p.label(load("repetitive.bq").quiver), n)
-                  for p, n in w.connectors.values()}
-        assert labels == {("f1*a", -1), ("f1*a", 0), ("b*f2", -1), ("b*f2", 0)}
+        labels = {(p.label(adm.quiver), n) for p, n in w.connectors.values()}
+        assert labels == {(lab, n) for lab in ("+a", "-a", "b+", "b-") for n in (-1, 0)}
 
     def test_admissible_window_shape(self):
         adm = admissible_presentation(make_presentation(load("repetitive.bq")))
@@ -313,18 +324,43 @@ class TestRepetitiveWindow:
         assert len({p.label(adm.quiver) for p, _ in w.connectors.values()}) == 4
 
     def test_connectorless_window(self):
-        w = repetitive_window(load("repetitive.bq"), 0, 0)
+        w = repetitive_window(repetitive_adm(), 0, 0)
         assert w.connectors == {}
-        assert len(w.algebra.quiver.vertices) == 3
+        assert len(w.algebra.quiver.vertices) == 5
         assert len(w.algebra.quiver.arrows) == 4
 
     def test_window_relations_restrict(self):
         # every relation term stays inside the window
-        w = repetitive_window(load("repetitive.bq"), 0, 1)
+        w = repetitive_window(repetitive_adm(), 0, 1)
         q = w.algebra.quiver
         for r in w.algebra.relations:
             for p in r.paths():
                 assert all(q.arrow(a) is not None for a in p.arrows)
+
+    @pytest.mark.parametrize("window", [(0, 0), (0, 1), (-1, 1)])
+    @pytest.mark.parametrize("name", BQ_FIXTURES)
+    def test_window_is_full_subcategory(self, name, window):
+        # the repetitive algebra is A on each level and D(A) from each
+        # level to the next, so every such block has dimension dim A
+        adm = admissible_presentation(make_presentation(load(name)))
+        dim_a = enumerate_basis(adm).dimension
+        n_min, n_max = window
+        w = repetitive_window(adm, n_min, n_max)
+        q = w.algebra.quiver
+        basis = enumerate_basis(w.algebra)
+        blocks = {}
+        for p in basis.basis_paths:
+            key = (level(q, p.source(q)), level(q, p.target(q)))
+            blocks[key] = blocks.get(key, 0) + 1
+        expected = {(n, m): dim_a for n in range(n_min, n_max + 1)
+                    for m in (n, n + 1) if m <= n_max}
+        assert blocks == expected
+        assert basis.dimension == (2 * (n_max - n_min + 1) - 1) * dim_a
+        t = trivial_extension(adm)
+        for cid, (p, n) in w.connectors.items():
+            label, lev = q.arrow(cid).label.rsplit("[", 1)
+            assert lev == f"{n}]"
+            assert p == t.new_arrows[t.quiver.arrow_by_label(label).id]
 
 
 class TestReflect:
