@@ -29,6 +29,7 @@ def load(name):
 
 
 def main() -> int:
+    mismatches = 0
     for name in ["annulus.dis", "torus.dis", "sec73_X.dis", "sec73_tauX.dis",
                  "pend.dis"]:
         d = load(name)
@@ -37,6 +38,7 @@ def main() -> int:
         data = cartan(adm, enumerate_basis(adm))
         formula = q_cartan_det_formula(d)
         tick = "ok" if str(formula) == str(data.det_q) else "MISMATCH"
+        mismatches += tick == "MISMATCH"
         print(f"{name}: det_q by formula = {formula}; by basis = {data.det_q} [{tick}]")
     print()
 
@@ -56,7 +58,7 @@ def main() -> int:
     print()
     print("reflected dissection:")
     print(formats.serialize_dis(refl_d))
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
-"""Cartan and q-Cartan matrices with exact fraction-free determinants.
+"""Cartan and q-Cartan matrices with exact determinants.
 
-The q-graded determinant is computed once; the ordinary determinant is
-its value at q = 1, since evaluation at 1 is a ring map that sends the
-q-Cartan matrix to the ordinary one.
+The q-graded determinant det_q is computed by Kronecker substitution:
+one integer Bareiss pass on the matrix evaluated at q = 2*beta + 1,
+decoded in balanced digits, where beta = prod_i sum_j |C_ij|_1 bounds
+every coefficient.  The ordinary determinant is det_q(1), since
+evaluation at 1 is a ring map that sends the q-Cartan matrix to the
+ordinary one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 from .basis import PathBasis
@@ -44,12 +48,11 @@ class IntPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] + other[i] for i in range(n)])
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPoly([a + b for a, b in pairs])
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[i] - other[i] for i in range(n)])
+        return self + -other
 
     def __neg__(self) -> "IntPoly":
         return IntPoly([-c for c in self.coeffs])
@@ -62,34 +65,6 @@ class IntPoly:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact polynomial division; raises when the remainder is nonzero."""
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        out = [0] * max(dd - dv + 1, 0)
-        lead = other.coeffs[-1]
-        for k in range(dd - dv, -1, -1):
-            head = rem[k + dv]
-            if head % lead != 0:
-                raise ArithmeticError("division is not exact")
-            f = head // lead
-            out[k] = f
-            if f:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= f * b
-        if any(rem):
-            raise ArithmeticError("division is not exact")
         return IntPoly(out)
 
     def eval_at(self, x: int) -> int:
@@ -124,17 +99,22 @@ ONE = IntPoly.const(1)
 
 
 def det_fraction_free(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Bareiss one-step determinant; pivot = lowest row index with a nonzero entry.
+    """Determinant by Kronecker substitution and one integer Bareiss pass.
 
-    An update of a zero entry whose pivot-row or pivot-column entry is
-    zero leaves it zero, so it is skipped.
+    Every coefficient of det is at most beta = prod_i sum_j |C_ij|_1 in
+    absolute value (the permanent of the 1-norms is at most the product of
+    their row sums), so det is read off det(C(B)), B = 2 beta + 1, as
+    balanced base-B digits in [-beta, beta].  The pivot is the lowest row
+    index with a nonzero entry, and every ``//`` is exact (Sylvester).
     """
-    n = len(matrix)
-    if n == 0:
-        return ONE
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = ONE
+    beta, degree = 1, 0
+    for row in matrix:
+        beta *= sum(abs(c) for p in row for c in p.coeffs)
+        degree += max(len(p.coeffs) for p in row) - 1
+    base = 2 * beta + 1
+    m = [[p.eval_at(base) for p in row] for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
     for k in range(n - 1):
         pivot_row = next((i for i in range(k, n) if m[i][k]), None)
         if pivot_row is None:
@@ -142,15 +122,21 @@ def det_fraction_free(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                if not m[i][j] and not (m[i][k] and m[k][j]):
-                    continue
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = IntPoly()
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return (-result) if sign < 0 else result
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    value = sign * m[-1][-1] if n else 1
+    coeffs = []
+    for _ in range(degree + 1):
+        digit = (value + beta) % base - beta
+        coeffs.append(digit)
+        value = (value - digit) // base
+    if value:
+        raise ArithmeticError("determinant coefficient exceeds the Kronecker bound")
+    return IntPoly(coeffs)
 
 
 @dataclass(frozen=True)

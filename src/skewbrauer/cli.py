@@ -291,7 +291,9 @@ def cmd_iso(args) -> int:
         _emit(args, payload, text)
         return 0
     if result.status == "budget_exhausted":
-        _emit(args, payload, "undecided (search budget exhausted)")
+        payload["nodes"] = result.nodes
+        _emit(args, payload,
+              f"undecided (search budget exhausted after {result.nodes} nodes)")
         return 1
     _emit(args, payload, "not isomorphic")
     return 1

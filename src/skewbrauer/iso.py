@@ -20,6 +20,7 @@ class IsoResult:
     status: str                      # "isomorphic" | "not_isomorphic" | "budget_exhausted"
     vertex_map: Optional[dict[str, str]] = None
     arrow_map: Optional[dict[str, str]] = None
+    nodes: int = 0                   # search nodes visited
 
     def __bool__(self) -> bool:
         return self.status == "isomorphic"
@@ -200,5 +201,6 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         return IsoResult(
             "isomorphic",
             {qa.vertex(v).label: qb.vertex(w).label for v, w in vmap.items()},
-            {qa.arrow(x).label: qb.arrow(y).label for x, y in amap.items()})
-    return IsoResult("budget_exhausted" if exhausted else "not_isomorphic")
+            {qa.arrow(x).label: qb.arrow(y).label for x, y in amap.items()},
+            nodes=nodes)
+    return IsoResult("budget_exhausted" if exhausted else "not_isomorphic", nodes=nodes)

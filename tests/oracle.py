@@ -140,3 +140,29 @@ def oracle_reduce(bq: BoundQuiver, cap: int):
     basis = [p for p in order
              if len(p) < bound and reduce_path(p) == {p: Fraction(1)}]
     return len(basis), bound, basis, reduce_path
+
+
+def laplace_det(m, one):
+    """Determinant by Laplace expansion along the rows, division-free.
+
+    The minor on the first k rows and a set S of k columns (a bitmask)
+    expands along its last row: sum over j in S of (-1)^(#columns of S
+    after j) * m[k-1][j] * minor(S minus j).  Memoised by column set, so
+    it costs about 2^n * n ring products; zero entries and minors are
+    skipped.  ``one`` fixes the ring.
+    """
+    n = len(m)
+    minors = {0: one}
+    for row in m:
+        grown = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                if cols >> j & 1 or not entry:
+                    continue
+                term = entry * minor
+                if bin(cols >> j).count("1") % 2:
+                    term = -term
+                key = cols | 1 << j
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {cols: minor for cols, minor in grown.items() if minor}
+    return minors.get((1 << n) - 1, one - one)

@@ -96,6 +96,18 @@ class TestCli:
         assert code == 1
         assert out == "not isomorphic"
 
+    def test_iso_budget_exhaustion_reports_nodes(self, monkeypatch, capsys):
+        from skewbrauer import cli, iso
+        monkeypatch.setattr(cli, "are_isomorphic",
+                            lambda a, b: iso.are_isomorphic(a, b, budget=1))
+        toy = fixture_path("toy.bq")
+        assert main(["iso", toy, toy]) == 1
+        assert capsys.readouterr().out.strip() == \
+            "undecided (search budget exhausted after 2 nodes)"
+        assert main(["--json", "iso", toy, toy]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["status"], payload["nodes"]) == ("budget_exhausted", 2)
+
     def test_check_bq(self, capsys):
         code = main(["check", fixture_path("toy.bq")])
         out = capsys.readouterr().out

@@ -1,9 +1,11 @@
 """Orbifold dissections: extraction, moves, reflections, the determinant formula."""
+import importlib.util
+import os
 import pytest
 from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis
-from skewbrauer.cartan import cartan
+from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
                                    contraction_addition, geometric_reflection,
                                    q_cartan_det_formula, quiver_from_dissection,
@@ -299,3 +301,16 @@ class TestDetFormula:
         adm = admissible_presentation(pres)
         data = cartan(adm, enumerate_basis(adm))
         assert str(data.det_q) == str(q_cartan_det_formula(d)), name
+
+
+def test_dissection_tour_exit_code(monkeypatch, capsys):
+    # the tour's exit code is what `make examples` checks
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        "run_dissection_tour.py")
+    spec = importlib.util.spec_from_file_location("run_dissection_tour", path)
+    tour = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tour)
+    assert tour.main() == 0
+    monkeypatch.setattr(tour, "q_cartan_det_formula", lambda d: IntPoly((7,)))
+    assert tour.main() == 1
+    assert "[MISMATCH]" in capsys.readouterr().out

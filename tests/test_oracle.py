@@ -6,11 +6,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import skew_brauer_algebra
+from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
+from skewbrauer.trivext import trivial_extension
 
-from helpers import load
-from oracle import all_paths, oracle_reduce
+from helpers import BQ_FIXTURES, SBG_FIXTURES, load
+from oracle import all_paths, laplace_det, oracle_reduce
 
 
 def _admissible(name: str) -> BoundQuiver:
@@ -127,3 +129,14 @@ def test_inhomogeneous_relations_match_oracle(bq):
     for p in all_paths(bq.quiver, bound, set()):
         want = oracle_form(p) if p in survivors else {}
         assert basis.reduce(p) == want, p.label(bq.quiver)
+
+
+@pytest.mark.parametrize("name", SBG_FIXTURES + [f"T({n})" for n in BQ_FIXTURES])
+def test_det_q_matches_laplace_expansion(name):
+    # sizes up to 11: out of reach of Leibniz, cheap for memoised minors
+    if name.endswith(".sbg"):
+        bq = skew_brauer_algebra(load(name)).algebra
+    else:
+        bq = trivial_extension(_admissible(name[2:-1])).algebra
+    data = cartan(bq, enumerate_basis(bq))
+    assert data.det_q == laplace_det(data.q_graded, IntPoly.const(1))
