@@ -1,4 +1,4 @@
-.PHONY: test verify bench-test examples
+.PHONY: test verify bench-test bench examples
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -8,6 +8,11 @@ verify:
 
 bench-test:
 	python3 -m pytest perfbench
+
+bench:
+	for w in catalog roundtrip families; do \
+		python3 perfbench/run.py --workload $$w --seed 1 || exit 1; \
+	done
 
 examples:
 	python3 scripts/run_paper_examples.py

@@ -6,11 +6,19 @@ Gröbner basis in the sense of Green, under the (length, arrows) order of
 combination of strictly smaller paths, and no tip contains another.
 Overlap ambiguities between tips are resolved in order of degree; a tip
 that contains a newer one is rewritten and inserted again, which settles
-the inclusion ambiguities.  Once none is pending, Bergman's diamond
-lemma gives every path a unique normal form, a combination of tip-free
-paths, over exact rationals.  Normal forms are computed by memoised
-rewriting, so they terminate even for inhomogeneous relations such as
-differences of cycles of unequal length.
+the inclusion ambiguities.  Only tips that can overlap are paired: the
+last arrow of the left one must occur in the right one, before its last
+arrow.  Once no ambiguity is pending, Bergman's diamond lemma gives every
+path a unique normal form, a combination of tip-free paths.  Normal
+forms are computed by memoised rewriting, so they terminate even for
+inhomogeneous relations such as differences of cycles of unequal length.
+
+Arithmetic is exact: coefficients stay ``int`` while every tip
+coefficient is ±1, as in every relation the builders write, and become
+``Fraction`` otherwise.  Normal forms leave the engine as ``Fraction``.
+
+The completed system is built once per algebra and cap: it is kept on
+the ``BoundQuiver``, and each call returns a new ``PathBasis`` around it.
 """
 from __future__ import annotations
 
@@ -27,7 +35,7 @@ DEFAULT_LENGTH_CAP = 64
 
 Vector = dict[Path, Fraction]
 Word = tuple[int, ...]            # the arrows of a path of positive length
-Poly = dict[Word, Fraction]
+Poly = dict[Word, int | Fraction]
 
 ONE = Fraction(1)
 
@@ -67,6 +75,7 @@ class _RewriteSystem:
         self._vectors: dict[Path, Vector] = {}
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
+        self.alive: Optional[tuple[Path, ...]] = None   # see PathBasis.alive_paths
         self.counts = {"rules": 0, "ambiguities": 0, "nf_calls": 0, "memo_hits": 0}
 
     # -- normal forms --------------------------------------------------------
@@ -78,7 +87,7 @@ class _RewriteSystem:
             self.counts["memo_hits"] += 1
             return out
         prefix = w[:-1]
-        head = self.normal_form(prefix) if prefix else {prefix: ONE}
+        head = self.normal_form(prefix) if prefix else {prefix: 1}
         if prefix in head:       # the prefix is tip-free
             out = self._rewrite_suffix(w)
         else:
@@ -100,7 +109,7 @@ class _RewriteSystem:
                 for s, d in tail.items():
                     _axpy(out, d, self.normal_form(w[:-n] + s))
                 return out
-        return {w: ONE}
+        return {w: 1}
 
     def reduce(self, vec: Poly) -> Poly:
         out: Poly = {}
@@ -109,12 +118,12 @@ class _RewriteSystem:
         return out
 
     def reduce_path(self, p: Path) -> Vector:
-        """Normal form of a path, keyed by paths."""
+        """Normal form of a path, keyed by paths, with ``Fraction`` coefficients."""
         out = self._vectors.get(p)
         if out is None:
             if p.arrows:
                 src = self.quiver.arrow
-                out = {Path(src(w[0]).source, w): c
+                out = {Path(src(w[0]).source, w): Fraction(c)
                        for w, c in self.normal_form(p.arrows).items()}
             else:
                 out = {p: ONE}
@@ -131,7 +140,7 @@ class _RewriteSystem:
         for r in relations:
             vec: Poly = {}
             for c, p in r.terms:
-                _axpy(vec, c, {p.arrows: ONE})
+                _axpy(vec, c.numerator if c.denominator == 1 else c, {p.arrows: 1})
             self._insert(vec)
         while self._pending:
             degree, _, left, right, k = heapq.heappop(self._pending)
@@ -143,7 +152,7 @@ class _RewriteSystem:
             # left * v == u * right for the overlap of k arrows
             v, u = right[k:], left[:-k]
             vec = self.reduce({s + v: c for s, c in self.rules[left].items()})
-            _axpy(vec, -ONE, self.reduce({u + s: c for s, c in self.rules[right].items()}))
+            _axpy(vec, -1, self.reduce({u + s: c for s, c in self.rules[right].items()}))
             self._insert(vec)
         self.counts["rules"] = len(self.rules)
 
@@ -156,15 +165,21 @@ class _RewriteSystem:
                 continue
             tip = max(vec, key=_order)
             c = vec.pop(tip)
-            stale = [t for t in self.rules if _contains(t, tip)]
+            n = len(tip)
+            stale = [t for t in self.rules if len(t) > n and _contains(t, tip)]
             for t in stale:
-                todo.append({t: ONE, **{s: -d for s, d in self.rules.pop(t).items()}})
-            self.rules[tip] = {s: -d / c for s, d in vec.items()}
+                todo.append({t: 1, **{s: -d for s, d in self.rules.pop(t).items()}})
+            scale = -c if c == 1 or c == -1 else -1 / Fraction(c)
+            self.rules[tip] = {s: d * scale for s, d in vec.items()}
             self._tip_lengths = sorted({len(t) for t in self.rules})
             self._memo.clear()
+            # t overlaps tip on the left only if t[-1] is in tip[:-1], and
+            # on the right only if t[0] is in tip[1:]
+            heads, tails = set(tip[:-1]), set(tip[1:])
             for t in self.rules:
-                self._queue_overlaps(t, tip)
-                if t != tip:
+                if t[-1] in heads:
+                    self._queue_overlaps(t, tip)
+                if t[0] in tails and t != tip:
                     self._queue_overlaps(tip, t)
 
     def _queue_overlaps(self, left: Word, right: Word) -> None:
@@ -233,9 +248,11 @@ class PathBasis:
     def alive_paths(self) -> tuple[Path, ...]:
         """All paths with nonzero normal form, shortest first.
 
-        The walk runs once per basis; later calls return the same tuple.
+        The walk runs once per completed system; later calls, also through
+        another ``PathBasis`` of the same algebra and cap, return the same
+        tuple.
         """
-        out = self.__dict__.get("_alive")
+        out = self._engine.alive
         if out is None:
             q = self.algebra.quiver
             found = [stationary(v.id) for v in q.vertices]
@@ -246,20 +263,36 @@ class PathBasis:
                     ext = Path(p.base if p.arrows else a.source, p.arrows + (a.id,))
                     if not self.is_zero(ext):
                         found.append(ext)
-            out = self.__dict__["_alive"] = tuple(found)
+            out = self._engine.alive = tuple(found)
         return out
 
 
 def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBasis:
     """Compute the normal-form path basis of an admissible bound quiver.
 
-    Raises ``NotAdmissible`` for non-admissible presentations and
-    ``InfiniteDimensional`` when a nonzero path survives at the cap, or
-    when the completion meets an ambiguity longer than twice the cap.
+    The cap is ``length_cap``, else ``SKEWBRAUER_LENGTH_CAP``, else 64,
+    raised to the longest relation term.  Raises ``NotAdmissible`` for
+    non-admissible presentations and ``InfiniteDimensional`` when a
+    nonzero path survives at the cap, or when the completion meets an
+    ambiguity longer than twice the cap.
+
+    The basis is built once per algebra and cap and kept on ``bq``; a
+    repeated call returns a new ``PathBasis`` around the same data.
     """
     if not bq.admissible:
         raise NotAdmissible("normalise the presentation before computing a basis")
     cap = length_cap if length_cap is not None else _env_cap()
+    # the stash holds no PathBasis, which points back to bq: a cycle
+    # would keep every algebra alive until the garbage collector runs
+    built = bq.__dict__.setdefault("_bases", {})
+    data = built.get(cap)
+    if data is None:
+        data = built[cap] = _build(bq, cap)
+    return PathBasis(bq, *data)
+
+
+def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSystem]:
+    cap = max(cap, max((r.max_term_length() for r in bq.relations), default=0))
     q = bq.quiver
     engine = _RewriteSystem(q)
     engine.complete(bq.relations, cap)
@@ -286,7 +319,7 @@ def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBa
         frontier = alive
         length += 1
     basis.sort(key=Path.sort_key)
-    return PathBasis(bq, tuple(basis), length, engine)
+    return tuple(basis), length, engine
 
 
 def maximal_paths(bq: BoundQuiver, basis: PathBasis) -> tuple[Path, ...]:

@@ -6,9 +6,11 @@ sorted entries, so parse/serialise round-trips are stable.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .brauer import BrauerEdge, BrauerGraph, BrauerVertex, SkewBrauerGraph
 from .dissection import Arc, BOUNDARY, OrbifoldDissection, Puncture
-from .errors import ParseError
+from .errors import ParseError, SkewBrauerError
 from .quiver import BoundQuiver, Path, Quiver, Relation
 
 
@@ -88,12 +90,14 @@ def parse_bq(text: str, filename: str = "<input>") -> BoundQuiver:
 
     relations: list[Relation] = []
     for lineno, spec in rel_specs:
-        if " - " in spec:
-            left, right = spec.split(" - ", 1)
-            relations.append(Relation.difference(parse_path(left, lineno),
-                                                 parse_path(right, lineno)))
-        else:
+        sep = " - " if " - " in spec else " + " if " + " in spec else None
+        if sep is None:
             relations.append(Relation.monomial(parse_path(spec, lineno)))
+            continue
+        left, right = spec.split(sep, 1)
+        sign = Fraction(1 if sep == " + " else -1)
+        relations.append(Relation(((Fraction(1), parse_path(left, lineno)),
+                                   (sign, parse_path(right, lineno)))))
     for lab in special_loops:
         f = quiver.arrow_by_label(lab)
         if not f.is_loop:
@@ -109,6 +113,8 @@ def parse_bq(text: str, filename: str = "<input>") -> BoundQuiver:
 
 
 def serialize_bq(bq: BoundQuiver) -> str:
+    """Canonical .bq text.  A binomial is written ``p - q`` or ``p + q``;
+    one with any other ratio of coefficients raises ``SkewBrauerError``."""
     q = bq.quiver
     # loops with an implicit f*f - f relation are written with the flag
     loop_rel: dict[int, Relation] = {}
@@ -118,7 +124,8 @@ def serialize_bq(bq: BoundQuiver) -> str:
             if lens == [1, 2]:
                 short = next(p for p in r.paths() if len(p) == 1)
                 long = next(p for p in r.paths() if len(p) == 2)
-                if long.arrows == short.arrows * 2 and q.arrow(short.arrows[0]).is_loop:
+                if (long.arrows == short.arrows * 2 and q.arrow(short.arrows[0]).is_loop
+                        and r.canonical().terms[1][0] == -1):
                     loop_rel[short.arrows[0]] = r
     out = []
     for v in sorted(q.vertices, key=lambda v: v.label):
@@ -135,9 +142,12 @@ def serialize_bq(bq: BoundQuiver) -> str:
         if r.is_monomial:
             rel_lines.append(f"rel {r.paths()[0].label(q)}")
         else:
-            c = r.canonical()
-            (c1, p1), (c2, p2) = c.terms
-            rel_lines.append(f"rel {p1.label(q)} - {p2.label(q)}")
+            (_, p1), (c2, p2) = r.canonical().terms
+            if c2 not in (1, -1):
+                raise SkewBrauerError(f"the .bq format cannot write the relation "
+                                      f"{r.label(q)}: coefficients must be 1 and ±1")
+            sign = "+" if c2 == 1 else "-"
+            rel_lines.append(f"rel {p1.label(q)} {sign} {p2.label(q)}")
     out.extend(sorted(rel_lines))
     return "\n".join(out) + "\n"
 

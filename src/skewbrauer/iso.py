@@ -7,6 +7,7 @@ vanish up to a diagonal rescaling of arrows).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
@@ -80,9 +81,9 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         return IsoResult("not_isomorphic")
     if len(a.special_vertices) != len(b.special_vertices):
         return IsoResult("not_isomorphic")
-    profs_a = sorted(_vertex_profile(a, v.id) for v in qa.vertices)
-    profs_b = sorted(_vertex_profile(b, v.id) for v in qb.vertices)
-    if profs_a != profs_b:
+    prof_a = {v.id: _vertex_profile(a, v.id) for v in qa.vertices}
+    prof_b = {w.id: _vertex_profile(b, w.id) for w in qb.vertices}
+    if sorted(prof_a.values()) != sorted(prof_b.values()):
         return IsoResult("not_isomorphic")
 
     basis_a = enumerate_basis(a, length_cap=length_cap)
@@ -91,13 +92,11 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         return IsoResult("not_isomorphic")
 
     # order vertices by rarity of profile, then label, for fast pruning
-    freq: dict[tuple, int] = {}
-    for v in qa.vertices:
-        freq[_vertex_profile(a, v.id)] = freq.get(_vertex_profile(a, v.id), 0) + 1
-    a_order = sorted(qa.vertices, key=lambda v: (freq[_vertex_profile(a, v.id)], v.label))
+    freq = Counter(prof_a.values())
+    a_order = sorted(qa.vertices, key=lambda v: (freq[prof_a[v.id]], v.label))
+    b_by_label = sorted(qb.vertices, key=lambda w: w.label)
     candidates = {
-        v.id: [w.id for w in sorted(qb.vertices, key=lambda w: w.label)
-               if _vertex_profile(a, v.id) == _vertex_profile(b, w.id)]
+        v.id: [w.id for w in b_by_label if prof_a[v.id] == prof_b[w.id]]
         for v in qa.vertices
     }
     # prefer the same label first so identity maps are found immediately

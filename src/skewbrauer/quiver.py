@@ -215,7 +215,7 @@ class Relation:
             if not parts:
                 parts.append(s if c == 1 else f"{c}*{s}")
             else:
-                parts.append(f"- {s}" if c == -1 else f"+ {c}*{s}")
+                parts.append(f"- {s}" if c == -1 else f"+ {s}" if c == 1 else f"+ {c}*{s}")
         return " ".join(parts)
 
     def canonical(self) -> "Relation":

@@ -6,15 +6,29 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrauer import formats
 from skewbrauer.cli import main
-from skewbrauer.errors import ParseError
+from skewbrauer.errors import ParseError, SkewBrauerError
+from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 
-from helpers import BQ_FIXTURES, DIS_FIXTURES, SBG_FIXTURES, fixture_path, load
+from helpers import BQ_FIXTURES, DIS_FIXTURES, SBG_FIXTURES, P, diff, fixture_path, load
+
+
+def sign_pair() -> tuple[BoundQuiver, BoundQuiver]:
+    """Four commuting squares A, and B with g*e + h*f in place of g*e - h*f."""
+    q = Quiver.build(["1", "2", "3", "4", "5", "6"],
+                     [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4"),
+                      ("e", "2", "5"), ("f", "3", "5"), ("g", "6", "2"), ("h", "6", "3")])
+    rels = (diff(q, ("a", "b"), ("c", "d")), diff(q, ("a", "e"), ("c", "f")),
+            diff(q, ("g", "b"), ("h", "d")))
+    total = Relation(((Fraction(1), P(q, "g", "e")), (Fraction(1), P(q, "h", "f"))))
+    return (BoundQuiver(q, rels + (diff(q, ("g", "e"), ("h", "f")),)),
+            BoundQuiver(q, rels + (total,)))
 
 
 class TestRoundTrips:
@@ -38,6 +52,24 @@ class TestRoundTrips:
         text = formats.serialize_dis(d)
         again = formats.serialize_dis(formats.parse_dis(text))
         assert text == again
+
+    def test_bq_binomial_sign(self):
+        a, b = sign_pair()
+        assert b.relations[-1].label(b.quiver) == "g*e + h*f"
+        text_a, text_b = formats.serialize_bq(a), formats.serialize_bq(b)
+        assert "rel h*f - g*e" in text_a and "rel h*f + g*e" in text_b
+        for bq, text in ((a, text_a), (b, text_b)):
+            again = formats.parse_bq(text)
+            assert formats.serialize_bq(again) == text
+            assert ({r.canonical() for r in again.relations}
+                    == {r.canonical() for r in bq.relations})
+
+    def test_bq_refuses_other_scalars(self):
+        a, _ = sign_pair()
+        q = a.quiver
+        double = Relation(((Fraction(1), P(q, "g", "e")), (Fraction(2), P(q, "h", "f"))))
+        with pytest.raises(SkewBrauerError, match="g\\*e \\+ 2\\*h\\*f"):
+            formats.serialize_bq(a.relabelled(relations=a.relations[:-1] + (double,)))
 
     def test_parse_error_cites_line(self):
         with pytest.raises(ParseError) as err:

@@ -1,10 +1,14 @@
 """Core quiver machinery: composition, bases, verdicts, Cartan data, isomorphism."""
+import gc
+import weakref
+
 import pytest
 from fractions import Fraction
 from itertools import permutations
 from hypothesis import example, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
 from skewbrauer.errors import InfiniteDimensional, NonComposable, NotAdmissible
@@ -115,6 +119,58 @@ class TestEnumerateBasis:
         assert str(info.value) == ("rewriting completion passed degree 16 (twice "
                                    "the length cap 8); no surviving path was found")
 
+    @pytest.mark.parametrize("mult", [1, 3, 5, 31, 32, 40])
+    def test_cap_covers_the_longest_relation(self, mult):
+        # u - v - w: the relations at v have terms of length 2 * mult + 1,
+        # past the default cap from mult 32 on; the dimension is
+        # 2|E| + sum over vertices of val * (mult * val - 1)
+        text = (f"vertex u\nvertex v mult={mult}\nvertex w\nedge e u v\n"
+                "edge f v w\norder u: e\norder v: e, f\norder w: f\n")
+        alg = skew_brauer_algebra(formats.parse_sbg(text, "line.sbg"))
+        basis = enumerate_basis(alg.algebra)
+        assert basis.dimension == 2 * 2 + 2 * (2 * mult - 1)
+        assert basis.nilpotency_bound == 2 * mult + 1
+
+    def test_basis_built_once_per_cap(self, monkeypatch):
+        bq = admissible_presentation(make_presentation(load("toy.bq")))
+        first, again = enumerate_basis(bq), enumerate_basis(bq)
+        assert first == again and first._engine is again._engine
+        assert enumerate_basis(bq, length_cap=16)._engine is not first._engine
+        # toy's nilpotency bound is above 3: a cached default-cap basis
+        # must not answer for a smaller cap, set either way
+        with pytest.raises(InfiniteDimensional):
+            enumerate_basis(bq, length_cap=3)
+        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", "3")
+        with pytest.raises(InfiniteDimensional):
+            enumerate_basis(bq)
+
+    def test_basis_cache_makes_no_cycle(self):
+        # the stash on the algebra must not point back to it, or the
+        # algebra would outlive its last reference until a collection
+        q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        bq = BoundQuiver(q, (mono(q, "a", "b"),))
+        ref = weakref.ref(bq)
+        gc.disable()
+        try:
+            basis = enumerate_basis(bq)
+            basis.alive_paths()
+            enumerate_basis(bq, length_cap=8)
+            del bq, basis
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_non_unit_tip_coefficient(self):
+        # a*b - 2*c*d rewrites its tip c*d to a*b / 2, exactly
+        q = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"),
+                                                ("c", "1", "3"), ("d", "3", "4")])
+        rel = Relation(((Fraction(1), P(q, "a", "b")), (Fraction(-2), P(q, "c", "d"))))
+        basis = enumerate_basis(BoundQuiver(q, (rel,)))
+        assert basis.dimension == 9
+        nf = basis.reduce(P(q, "c", "d"))
+        assert nf == {P(q, "a", "b"): Fraction(1, 2)}
+        assert type(nf[P(q, "a", "b")]) is Fraction
+
     def test_alive_paths_cached_shortest_first(self):
         alg = skew_brauer_algebra(load("torus.sbg"))
         basis = enumerate_basis(alg.algebra)
@@ -147,6 +203,7 @@ class TestEnumerateBasis:
         basis = enumerate_basis(admissible_presentation(pres))
         for p in basis.basis_paths:
             assert basis.reduce(p) == {p: Fraction(1)}
+            assert all(type(c) is Fraction for c in basis.reduce(p).values())
 
     def test_dimension_by_blocks(self):
         basis = enumerate_basis(toy_aux())
