@@ -3,7 +3,9 @@
 
 Builds the skew-gentle algebra, its admissible presentation, the trivial
 extension, the skew-Brauer graph, and cross-checks the main structural
-identities, printing each object along the way.
+identities, printing each object along the way.  Exits 1 when an
+isomorphism test does not find "isomorphic" or the symmetrising form
+fails, so that ``make examples`` gates the good-cut round trip.
 """
 import os
 import sys
@@ -24,6 +26,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def main() -> int:
+    failures = 0
     pres = make_presentation(formats.load(os.path.join(FIXTURES, "toy.bq")))
     print("== non-admissible presentation ==")
     print(formats.serialize_bq(pres.bound))
@@ -49,9 +52,11 @@ def main() -> int:
     print("== skew-Brauer graph of the algebra ==")
     print(formats.serialize_sbg(graph))
     alg = skew_brauer_algebra(graph)
-    print("T(A^sg) ~ B_Gamma:",
-          are_isomorphic(alg.algebra, t.algebra).status)
-    print("symmetric form:", "pass" if symmetric_form_check(alg) else "fail")
+    status = are_isomorphic(alg.algebra, t.algebra).status
+    form = symmetric_form_check(alg)
+    failures += (status != "isomorphic") + (not form)
+    print("T(A^sg) ~ B_Gamma:", status)
+    print("symmetric form:", "pass" if form else "fail")
     data = cartan(t.algebra, enumerate_basis(t.algebra))
     print(f"det C_q(T) = {data.det_q}; det C(T) = {data.det_ordinary}")
     print()
@@ -61,6 +66,7 @@ def main() -> int:
         quotient = quotient_by_cut(t, cut)
         t2 = trivial_extension(quotient)
         ok = are_isomorphic(t2.algebra, t.algebra).status
+        failures += ok != "isomorphic"
         print(f"cut {{{', '.join(cut.labels(t.algebra.quiver))}}}: "
               f"T(quotient) ~ T is {ok}")
     print()
@@ -71,7 +77,7 @@ def main() -> int:
         pl = projective_layers(alg, v, b2)
         body = " | ".join(", ".join(layer) for layer in pl.layers)
         print(f"P[{v}]: dim {pl.dimension}: [{body}]")
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

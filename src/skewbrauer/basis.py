@@ -15,7 +15,14 @@ inhomogeneous relations such as differences of cycles of unequal length.
 
 Arithmetic is exact: coefficients stay ``int`` while every tip
 coefficient is ±1, as in every relation the builders write, and become
-``Fraction`` otherwise.  Normal forms leave the engine as ``Fraction``.
+``Fraction`` otherwise.
+
+Normal forms are read at two levels.  ``PathBasis.normal_form`` takes a
+word, the tuple of arrow ids of a path, and returns
+``{word: int | Fraction}`` straight from the engine; the relation checks
+of ``iso``, ``relation_holds``, ``is_zero`` and the symmetrising form
+read it there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
+``{Path: Fraction}``, memoised per path.
 
 The completed system is built once per algebra and cap: it is kept on
 the ``BoundQuiver``, and each call returns a new ``PathBasis`` around it.
@@ -29,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InfiniteDimensional, NotAdmissible
-from .quiver import BoundQuiver, Path, Quiver, Relation, stationary
+from .quiver import BoundQuiver, Path, Relation, stationary
 
 DEFAULT_LENGTH_CAP = 64
 
@@ -67,12 +74,11 @@ def _axpy(out: dict, c: Fraction, vec: dict) -> None:
 class _RewriteSystem:
     """Rules ``tip -> tail`` with every tail path smaller than its tip."""
 
-    def __init__(self, quiver: Quiver):
-        self.quiver = quiver
+    def __init__(self):
         self.rules: dict[Word, Poly] = {}
         self._tip_lengths: list[int] = []
         self._memo: dict[Word, Poly] = {}
-        self._vectors: dict[Path, Vector] = {}
+        self.vectors: dict[Path, Vector] = {}   # see PathBasis.reduce
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
         self.alive: Optional[tuple[Path, ...]] = None   # see PathBasis.alive_paths
@@ -115,19 +121,6 @@ class _RewriteSystem:
         out: Poly = {}
         for w, c in vec.items():
             _axpy(out, c, self.normal_form(w))
-        return out
-
-    def reduce_path(self, p: Path) -> Vector:
-        """Normal form of a path, keyed by paths, with ``Fraction`` coefficients."""
-        out = self._vectors.get(p)
-        if out is None:
-            if p.arrows:
-                src = self.quiver.arrow
-                out = {Path(src(w[0]).source, w): Fraction(c)
-                       for w, c in self.normal_form(p.arrows).items()}
-            else:
-                out = {p: ONE}
-            self._vectors[p] = out
         return out
 
     # -- completion ----------------------------------------------------------
@@ -213,11 +206,32 @@ class PathBasis:
         resolved, normal-form calls and their memo hits so far."""
         return dict(self._engine.counts)
 
-    def reduce(self, p: Path) -> Vector:
-        """Normal form of a path as a combination of basis paths."""
-        if len(p) >= self.nilpotency_bound:
+    def normal_form(self, word: Word) -> Poly:
+        """Normal form of the path with arrows ``word``, keyed by words.
+
+        Coefficients are ``int`` or ``Fraction``; the empty word stands
+        for the stationary paths, and is its own normal form.  Returns
+        ``{}`` at or past the nilpotency bound.  The dict is the engine's
+        memo: read it, do not change it.
+        """
+        if len(word) >= self.nilpotency_bound:
             return {}
-        return self._engine.reduce_path(p)
+        return self._engine.normal_form(word)
+
+    def reduce(self, p: Path) -> Vector:
+        """Normal form of a path as a combination of basis paths, with
+        ``Fraction`` coefficients."""
+        vectors = self._engine.vectors
+        out = vectors.get(p)
+        if out is None:
+            if p.arrows:
+                src = self.algebra.quiver.arrow(p.arrows[0]).source
+                out = {Path(src, w): Fraction(c)
+                       for w, c in self.normal_form(p.arrows).items()}
+            else:
+                out = {p: ONE}
+            vectors[p] = out
+        return out
 
     def reduce_element(self, vec: Vector) -> Vector:
         out: Vector = {}
@@ -226,11 +240,15 @@ class PathBasis:
         return out
 
     def is_zero(self, p: Path) -> bool:
-        return not self.reduce(p)
+        return not self.normal_form(p.arrows)
 
     def relation_holds(self, rel: Relation) -> bool:
         """Whether the relation element lies in the ideal."""
-        return not self.reduce_element({p: c for c, p in rel.terms})
+        # the terms share their source, so a stationary term is the word ()
+        out: Poly = {}
+        for c, p in rel.terms:
+            _axpy(out, c, self.normal_form(p.arrows))
+        return not out
 
     def block(self, source: int, target: int) -> tuple[Path, ...]:
         q = self.algebra.quiver
@@ -294,7 +312,7 @@ def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBa
 def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSystem]:
     cap = max(cap, max((r.max_term_length() for r in bq.relations), default=0))
     q = bq.quiver
-    engine = _RewriteSystem(q)
+    engine = _RewriteSystem()
     engine.complete(bq.relations, cap)
 
     # extend nonzero paths one arrow at a time; tip-free ones are the basis

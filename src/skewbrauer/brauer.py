@@ -247,23 +247,23 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     q = alg.algebra.quiver
     tup = alg.sg_tuple
     sgq = sg_quiver(tup.quiver, tup.special)
-    support: set[Path] = set()
+    support: set[tuple[int, ...]] = set()     # words of the normal forms of the c^m
     for c, m in zip(tup.cycles, tup.multiplicities):
         for rot in cycle_rotations(tup.quiver, c.arrows):
             for power in cycle_decorations(sgq, tup.quiver, tup.special, rot, m):
-                support.update(basis.reduce(power))
+                support.update(basis.normal_form(power.arrows))
 
     paths = basis.basis_paths
     blocks: dict[tuple[int, int], list[Path]] = {}
     for p in paths:
         blocks.setdefault((p.source(q), p.target(q)), []).append(p)
-    rows: dict[Path, Vector] = {}      # a -> {b: phi(ab)}, nonzero entries only
+    rows: dict[Path, dict] = {}        # a -> {b: phi(ab)}, nonzero entries only
     for (s, t), block in blocks.items():
         for a in block:
             row = rows[a] = {}
             for b in blocks.get((t, s), ()):
-                nf = basis.reduce(Path(a.base, a.arrows + b.arrows))
-                value = sum((c for p, c in nf.items() if p in support), Fraction(0))
+                nf = basis.normal_form(a.arrows + b.arrows)
+                value = sum(c for w, c in nf.items() if w in support)
                 if value:
                     row[b] = value
     for a in paths:
@@ -292,7 +292,8 @@ def _echelon_insert(echelon: dict[Path, Vector], vec: Vector) -> bool:
         coef = vec.pop(lead)
         row = echelon.get(lead)
         if row is None:
-            echelon[lead] = {k: v / coef for k, v in vec.items()}
+            inv = 1 / Fraction(coef)
+            echelon[lead] = {k: v * inv for k, v in vec.items()}
             return True
         _axpy(vec, -coef, row)
     return False

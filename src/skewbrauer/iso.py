@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
-from .basis import PathBasis, enumerate_basis
-from .quiver import BoundQuiver, Path, Relation
+from .basis import PathBasis, _axpy, enumerate_basis
+from .quiver import Arrow, BoundQuiver, Quiver
 
 
 @dataclass(frozen=True)
@@ -39,30 +40,42 @@ def _vertex_profile(bq: BoundQuiver, vid: int) -> tuple:
             vid in bq.special_vertices)
 
 
-def _map_relation(rel: Relation, arrow_map: dict[int, int],
-                  vmap: dict[int, int]) -> Relation:
-    terms = []
-    for c, p in rel.terms:
-        arrows = tuple(arrow_map[a] for a in p.arrows)
-        terms.append((c, Path(vmap[p.base], arrows)))
-    return Relation(tuple(terms))
+def _arrow_groups(q: Quiver) -> dict[tuple[int, int], list[Arrow]]:
+    groups: dict[tuple[int, int], list[Arrow]] = {}
+    for ar in q.arrows:
+        groups.setdefault((ar.source, ar.target), []).append(ar)
+    return groups
 
 
-def _relations_carry(src: BoundQuiver, dst_basis: PathBasis,
-                     arrow_map: dict[int, int], vmap: dict[int, int]) -> bool:
-    for rel in src.relations:
-        image = _map_relation(rel, arrow_map, vmap)
-        if dst_basis.relation_holds(image):
+Terms = tuple[tuple[int | Fraction, tuple[int, ...]], ...]
+
+
+def _relation_words(bq: BoundQuiver) -> list[Terms]:
+    """Each relation as (coefficient, word) terms; whole coefficients as ``int``."""
+    return [tuple((c.numerator if c.denominator == 1 else c, p.arrows)
+                  for c, p in rel.terms)
+            for rel in bq.relations]
+
+
+def _relations_carry(relations: list[Terms], dst_basis: PathBasis,
+                     arrow_map: dict[int, int]) -> bool:
+    nf, image_of = dst_basis.normal_form, arrow_map.__getitem__
+    for terms in relations:
+        images = [(c, nf(tuple(map(image_of, w)))) for c, w in terms]
+        if len(images) == 1:
+            if images[0][1]:          # a monomial must vanish
+                return False
             continue
-        if rel.is_monomial:
-            return False
+        out: dict = {}
+        for c, image in images:
+            _axpy(out, c, image)
+        if not out:
+            continue
         # allow a scalar between the two terms (diagonal arrow rescaling)
-        (c1, p1), (c2, p2) = image.terms
-        n1 = dst_basis.reduce(p1)
-        n2 = dst_basis.reduce(p2)
-        if not n1 or not n2 or set(n1) != set(n2):
+        (_, n1), (_, n2) = images
+        if not n1 or not n2 or n1.keys() != n2.keys():
             return False
-        ratios = {n1[k] / n2[k] for k in n1}
+        ratios = {Fraction(n1[k]) / n2[k] for k in n1}
         if len(ratios) != 1:
             return False
     return True
@@ -106,17 +119,16 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
             rest = [w for w in candidates[v.id] if w not in same]
             candidates[v.id] = same + rest
 
+    # the arrows of each (source, target) pair, in arrow order
+    groups_a, groups_b = _arrow_groups(qa), _arrow_groups(qb)
+    rels_a, rels_b = _relation_words(a), _relation_words(b)
     nodes = 0
     exhausted = False
 
     def arrow_groups(vmap: dict[int, int]) -> Optional[list[tuple[list, list]]]:
-        groups: dict[tuple[int, int], list] = {}
-        for ar in qa.arrows:
-            groups.setdefault((ar.source, ar.target), []).append(ar)
         out = []
-        for (s, t), ars in groups.items():
-            bs = [x for x in qb.arrows
-                  if x.source == vmap[s] and x.target == vmap[t]]
+        for (s, t), ars in groups_a.items():
+            bs = groups_b.get((vmap[s], vmap[t]), [])
             if len(bs) != len(ars):
                 return None
             out.append((ars, bs))
@@ -134,10 +146,9 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         def rec(i: int, acc: dict[int, int]) -> Optional[dict[int, int]]:
             nonlocal nodes, exhausted
             if i == len(multi):
-                if _relations_carry(a, basis_b, acc, vmap):
-                    inv_v = {w: v for v, w in vmap.items()}
+                if _relations_carry(rels_a, basis_b, acc):
                     inv_a = {w: v for v, w in acc.items()}
-                    if _relations_carry(b, basis_a, inv_a, inv_v):
+                    if _relations_carry(rels_b, basis_a, inv_a):
                         return acc
                 return None
             ars, bs = multi[i]
@@ -176,8 +187,8 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
             ok = True
             for u, wu in vmap.items():
                 for (s, t, ws, wt) in ((v.id, u, w, wu), (u, v.id, wu, w)):
-                    na = sum(1 for x in qa.arrows if x.source == s and x.target == t)
-                    nb = sum(1 for x in qb.arrows if x.source == ws and x.target == wt)
+                    na = len(groups_a.get((s, t), ()))
+                    nb = len(groups_b.get((ws, wt), ()))
                     if na != nb:
                         ok = False
                         break

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import NonComposable
 
 Coeff = Fraction
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,9 @@ def cycle_rotations(q: Quiver, arrows: Sequence[int]) -> tuple[Path, ...]:
 
 def canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
     """Rotation with lexicographically least arrow-label sequence."""
+    arrow = q._amap()
     return min(cycle_rotations(q, arrows),
-               key=lambda p: tuple(q.arrow(a).label for a in p.arrows))
+               key=lambda p: tuple(arrow[a].label for a in p.arrows))
 
 
 def compose_paths(q: Quiver, p: Path, r: Path) -> Path:
@@ -192,11 +194,11 @@ class Relation:
 
     @staticmethod
     def monomial(p: Path) -> "Relation":
-        return Relation(((Fraction(1), p),))
+        return Relation(((ONE, p),))
 
     @staticmethod
     def difference(p: Path, r: Path) -> "Relation":
-        return Relation(((Fraction(1), p), (Fraction(-1), r)))
+        return Relation(((ONE, p), (-ONE, r)))
 
     @property
     def is_monomial(self) -> bool:
@@ -220,9 +222,19 @@ class Relation:
 
     def canonical(self) -> "Relation":
         """Sorted terms with the leading coefficient normalised to 1."""
-        terms = sorted(self.terms, key=lambda t: t[1].sort_key(), reverse=True)
-        lead = terms[0][0]
-        return Relation(tuple((c / lead, p) for c, p in terms))
+        return Relation(_canonical_terms(self.terms))
+
+
+def _canonical_terms(terms: tuple[tuple[Coeff, Path], ...]) -> tuple[tuple[Coeff, Path], ...]:
+    """The terms sorted by path, largest first, and scaled to lead 1."""
+    if len(terms) == 2 and terms[1][1].sort_key() > terms[0][1].sort_key():
+        terms = terms[::-1]
+    lead = terms[0][0]
+    if lead == 1:
+        return terms
+    if lead == -1:
+        return tuple((-c, p) for c, p in terms)
+    return tuple((c / lead, p) for c, p in terms)
 
 
 def dedupe_relations(relations: Iterable[Relation]) -> list[Relation]:
@@ -230,7 +242,7 @@ def dedupe_relations(relations: Iterable[Relation]) -> list[Relation]:
     seen = set()
     out = []
     for r in relations:
-        key = r.canonical().terms
+        key = _canonical_terms(r.terms)
         if key not in seen:
             seen.add(key)
             out.append(r)
@@ -253,10 +265,11 @@ class BoundQuiver:
     arrow_origins: Optional[Mapping[int, tuple[str, str, str]]] = None
 
     def __post_init__(self):
+        arrow = self.quiver._amap()
         for r in self.relations:
-            srcs = {p.source(self.quiver) for p in r.paths()}
-            tgts = {p.target(self.quiver) for p in r.paths()}
-            if len(srcs) != 1 or len(tgts) != 1:
+            ends = {(arrow[p.arrows[0]].source, arrow[p.arrows[-1]].target)
+                    if p.arrows else (p.base, p.base) for _, p in r.terms}
+            if len(ends) != 1:
                 raise ValueError(f"relation terms disagree on endpoints: {r.label(self.quiver)}")
         vids = {v.id for v in self.quiver.vertices}
         if not set(self.special_vertices) <= vids:

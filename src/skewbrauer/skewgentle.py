@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .basis import enumerate_basis, maximal_paths
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
@@ -18,6 +18,7 @@ from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
                      is_locally_gentle, stationary)
 
 SIGNS = ("+", "-")
+_OTHER = {"+": "-", "-": "+"}
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,16 @@ def auxiliary_gentle(p: SkewGentlePresentation) -> BoundQuiver:
 
 @dataclass(frozen=True)
 class SgQuiver:
-    """Quiver after duplication, with origin bookkeeping both ways."""
+    """Quiver after duplication, with origin bookkeeping both ways.
+
+    The origins name the base vertex or arrow by its label; the lookups
+    key a signed copy by the base id and its signs.
+    """
     quiver: Quiver
     vertex_origins: dict[int, tuple[str, str]]
     arrow_origins: dict[int, tuple[str, str, str]]
-    vertex_lookup: dict[tuple[str, str], int]
-    arrow_lookup: dict[tuple[str, str, str], int]
+    vertex_lookup: dict[tuple[int, str], int]
+    arrow_lookup: dict[tuple[int, str, str], int]
 
 
 def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
@@ -173,27 +178,27 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
             raise LoopAtDistinguished(q.arrow(a.id).label)
     vlabels: list[str] = []
     vorig: dict[int, tuple[str, str]] = {}
-    vlook: dict[tuple[str, str], int] = {}
+    vlook: dict[tuple[int, str], int] = {}
     for v in sorted(q.vertices, key=lambda v: v.label):
         if v.id in special:
             for s in SIGNS:
-                vlook[(v.label, s)] = len(vlabels)
+                vlook[(v.id, s)] = len(vlabels)
                 vorig[len(vlabels)] = (v.label, s)
                 vlabels.append(f"{v.label}{s}")
         else:
-            vlook[(v.label, "")] = len(vlabels)
+            vlook[(v.id, "")] = len(vlabels)
             vorig[len(vlabels)] = (v.label, "")
             vlabels.append(v.label)
     aspecs: list[tuple[str, str, str]] = []
     aorig: dict[int, tuple[str, str, str]] = {}
-    alook: dict[tuple[str, str, str], int] = {}
+    alook: dict[tuple[int, str, str], int] = {}
     for a in sorted(q.arrows, key=lambda a: a.label):
         s_signs = SIGNS if a.source in special else ("",)
         t_signs = SIGNS if a.target in special else ("",)
         for ss in s_signs:
             for ts in t_signs:
                 label = f"{ss}{a.label}{ts}"
-                alook[(a.label, ss, ts)] = len(aspecs)
+                alook[(a.id, ss, ts)] = len(aspecs)
                 aorig[len(aspecs)] = (a.label, ss, ts)
                 aspecs.append((label,
                                f"{q.vertex(a.source).label}{ss}",
@@ -210,17 +215,11 @@ def _visit_vertices(q: Quiver, p: Path) -> list[int]:
     return out
 
 
-def _decorate(sgq: SgQuiver, q: Quiver, p: Path, signs: Sequence[str]) -> Path:
+def _decorate(sgq: SgQuiver, p: Path, signs: Sequence[str]) -> Path:
     """The signed copy of a base path under a full sign assignment."""
-    if not p.arrows:
-        vid = sgq.vertex_lookup[(q.vertex(p.base).label, signs[0])]
-        return Path(vid, ())
-    arrows = []
-    for i, aid in enumerate(p.arrows):
-        a = q.arrow(aid)
-        arrows.append(sgq.arrow_lookup[(a.label, signs[i], signs[i + 1])])
-    src = sgq.quiver.arrow(arrows[0]).source
-    return Path(src, tuple(arrows))
+    look = sgq.arrow_lookup
+    return Path(sgq.vertex_lookup[p.base, signs[0]],
+                tuple(look[aid, signs[i], signs[i + 1]] for i, aid in enumerate(p.arrows)))
 
 
 def _sign_options(q: Quiver, special: frozenset[int], p: Path,
@@ -301,22 +300,23 @@ def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],
             new_ids)
 
 
-def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
-                      rot: Path, m: int = 1, flip_last: bool = False) -> list[Path]:
-    """Signed copies of ``rot^m`` whose signs repeat with each period.
+def _signed_powers(sgq: SgQuiver, q: Quiver, special: frozenset[int], rot: Path,
+                   m: int) -> Iterator[tuple[tuple[str, ...], Path]]:
+    """(period, signed copy of ``rot^m``) for each signing of one period.
 
-    The signs at the visits of one period are chosen freely; the path
-    closes with its first sign, or with the other one if ``flip_last``.
+    The signs at the visits of one period are chosen freely and repeat
+    with each period; the path closes with its first sign.
     """
     visits = _visit_vertices(q, rot)[:-1]
     power = Path(rot.base, rot.arrows * m)
-    out = []
     for period in product(*(SIGNS if v in special else ("",) for v in visits)):
-        last = period[0]
-        if flip_last:
-            last = "-" if last == "+" else "+"
-        out.append(_decorate(sgq, q, power, period * m + (last,)))
-    return out
+        yield period, _decorate(sgq, power, period * m + period[:1])
+
+
+def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
+                      rot: Path, m: int = 1) -> list[Path]:
+    """Signed copies of ``rot^m`` whose signs repeat with each period."""
+    return [p for _, p in _signed_powers(sgq, q, special, rot, m)]
 
 
 def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]:
@@ -336,20 +336,30 @@ def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]
         for b in q.arrows_from(a.target):
             base = Path(a.source, (a.id, b.id))
             for signs in _sign_options(q, t.special, base, {1: "+"}):
-                plus = _decorate(sgq, q, base, signs)
-                minus = _decorate(sgq, q, base, (signs[0], "-", signs[2]))
+                plus = _decorate(sgq, base, signs)
+                minus = _decorate(sgq, base, (signs[0], "-", signs[2]))
                 rels.append(Relation.difference(plus, minus))
 
-    rotations = [(rot, m) for c, m in zip(t.cycles, t.multiplicities)
-                 for rot in cycle_rotations(q, c.arrows)]
+    # the signed copies of c^m for each rotation, decorated once; at a
+    # distinguished start also each copy closed with the other sign
+    powers: list[tuple[Path, list[Path], list[Path]]] = []
+    for c, m in zip(t.cycles, t.multiplicities):
+        for rot in cycle_rotations(q, c.arrows):
+            copies, flipped = [], []
+            for period, p in _signed_powers(sgq, q, t.special, rot, m):
+                copies.append(p)
+                if rot.base in t.special:
+                    last = sgq.arrow_lookup[rot.arrows[-1], period[-1],
+                                            _OTHER[period[0]]]
+                    flipped.append(Path(p.base, p.arrows[:-1] + (last,)))
+            powers.append((rot, copies, flipped))
 
     # Type b: chains of cycle powers at each non-distinguished start, one
     # signed copy per rotation (type a identifies the others)
     by_start: dict[int, set[Path]] = {}
-    for rot, m in rotations:
+    for rot, copies, _ in powers:
         if rot.base not in t.special:
-            by_start.setdefault(rot.base, set()).add(
-                min(cycle_decorations(sgq, q, t.special, rot, m), key=Path.sort_key))
+            by_start.setdefault(rot.base, set()).add(min(copies, key=Path.sort_key))
     for v in sorted(by_start):
         insts = sorted(by_start[v], key=Path.sort_key)
         rels.extend(Relation.difference(p, r) for p, r in zip(insts, insts[1:]))
@@ -357,19 +367,17 @@ def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]
     # Type c: sign-ranged monomial relations
     for mono in t.monomials:
         for signs in _sign_options(q, t.special, mono, {}):
-            rels.append(Relation.monomial(_decorate(sgq, q, mono, signs)))
+            rels.append(Relation.monomial(_decorate(sgq, mono, signs)))
 
     # Type d: c^(m-1) followed by a sign-mismatched rotation, at
     # distinguished starts
-    for rot, m in rotations:
-        if rot.base in t.special:
-            rels.extend(Relation.monomial(p) for p in
-                        cycle_decorations(sgq, q, t.special, rot, m, flip_last=True))
+    for _, _, flipped in powers:
+        rels.extend(Relation.monomial(p) for p in flipped)
 
     # c^m followed by its first arrow
-    for rot, m in rotations:
+    for _, copies, _ in powers:
         rels.extend(Relation.monomial(Path(p.base, p.arrows + p.arrows[:1]))
-                    for p in cycle_decorations(sgq, q, t.special, rot, m))
+                    for p in copies)
     return tuple(dedupe_relations(rels))
 
 

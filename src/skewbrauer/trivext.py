@@ -328,11 +328,12 @@ def collapse_presentation(adm: BoundQuiver,
         f = collapsed.arrow_by_label(lab)
         relations.append(Relation.difference(
             Path(f.source, (f.id, f.id)), Path(f.source, (f.id,))))
+    loop_ids = set(loops.values())
     for a in collapsed.arrows:
-        if a.id in loops.values():
+        if a.id in loop_ids:
             continue
-        for b in collapsed.arrows:
-            if b.id in loops.values() or a.target != b.source:
+        for b in collapsed.arrows_from(a.target):
+            if b.id in loop_ids:
                 continue
             mid_base = collapsed.vertex(a.target).label
             if mid_base in special_bases:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from skewbrauer.quiver import BoundQuiver, Path, Quiver
+from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Verdict, compose_paths,
+                               cycle_rotations)
+from skewbrauer.skewgentle import cycle_decorations, sg_quiver
 
 
 def all_paths(q: Quiver, cap: int, monomials: set[tuple[int, ...]]) -> list[Path]:
@@ -166,3 +168,54 @@ def laplace_det(m, one):
                 grown[key] = grown[key] + term if key in grown else term
         minors = {cols: minor for cols, minor in grown.items() if minor}
     return minors.get((1 << n) - 1, one - one)
+
+
+def dense_symmetric_form_check(alg, basis) -> Verdict:
+    """The symmetrising form checked on the full Gram matrix.
+
+    phi is the sum of the coefficients, in ``PathBasis.reduce``, of the
+    paths in the normal forms of the signed powers c^m of the tuple's
+    cycles.  The Gram matrix phi(ab) runs over all pairs of basis paths,
+    a product of paths that do not compose being zero; its rank comes
+    from one dense elimination over ``Fraction``.  Verdicts, conditions
+    and details are those of ``brauer.symmetric_form_check``.
+    """
+    q = alg.algebra.quiver
+    tup = alg.sg_tuple
+    sgq = sg_quiver(tup.quiver, tup.special)
+    support: set[Path] = set()
+    for c, m in zip(tup.cycles, tup.multiplicities):
+        for rot in cycle_rotations(tup.quiver, c.arrows):
+            for power in cycle_decorations(sgq, tup.quiver, tup.special, rot, m):
+                support.update(basis.reduce(power))
+
+    def phi(a: Path, b: Path) -> Fraction:
+        if a.target(q) != b.source(q):
+            return Fraction(0)
+        nf = basis.reduce(compose_paths(q, a, b))
+        return sum((c for p, c in nf.items() if p in support), Fraction(0))
+
+    paths = basis.basis_paths
+    n = len(paths)
+    gram = [[phi(a, b) for b in paths] for a in paths]
+    for i, a in enumerate(paths):
+        for j, b in enumerate(paths):
+            if gram[i][j] != gram[j][i]:
+                return Verdict(False, "symmetry",
+                               f"phi(ab) != phi(ba) for a={a.label(q)}, b={b.label(q)}")
+    rank = 0
+    rows = [list(row) for row in gram]
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, n):
+            factor = rows[r][col] / top[col]
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+        rank += 1
+    if rank != n:
+        return Verdict(False, "nondegenerate", f"pairing has rank {rank} < dimension {n}")
+    return Verdict(True)

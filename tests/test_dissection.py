@@ -13,8 +13,8 @@ from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
                                    trivext_tuple_from_dissection,
                                    validate_dissection)
 from skewbrauer.errors import (InvalidPosition, NotReflectable, TrivialPolygon)
-from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import Path
+from skewbrauer.iso import IsoResult, are_isomorphic
+from skewbrauer.quiver import Path, Verdict
 from skewbrauer.skewgentle import (admissible_presentation, cycle_decorations,
                                    make_presentation, sg_bound_quiver, sg_quiver)
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
@@ -303,14 +303,33 @@ class TestDetFormula:
         assert str(data.det_q) == str(q_cartan_det_formula(d)), name
 
 
+def _load_script(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_dissection_tour_exit_code(monkeypatch, capsys):
     # the tour's exit code is what `make examples` checks
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
-                        "run_dissection_tour.py")
-    spec = importlib.util.spec_from_file_location("run_dissection_tour", path)
-    tour = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tour)
+    tour = _load_script("run_dissection_tour")
     assert tour.main() == 0
     monkeypatch.setattr(tour, "q_cartan_det_formula", lambda d: IntPoly((7,)))
     assert tour.main() == 1
     assert "[MISMATCH]" in capsys.readouterr().out
+
+
+def test_paper_examples_exit_code(monkeypatch, capsys):
+    # `make examples` fails when the round trip or the symmetrising form does
+    examples = _load_script("run_paper_examples")
+    assert examples.main() == 0
+    monkeypatch.setattr(examples, "are_isomorphic",
+                        lambda a, b: IsoResult("not_isomorphic"))
+    assert examples.main() == 1
+    assert "T(quotient) ~ T is not_isomorphic" in capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(examples, "symmetric_form_check",
+                        lambda alg: Verdict(False, "symmetry"))
+    assert examples.main() == 1
+    assert "symmetric form: fail" in capsys.readouterr().out

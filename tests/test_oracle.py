@@ -1,18 +1,23 @@
 """Oracle equivalence: the rewriting engine against one-shot exhaustive reduction."""
+import dataclasses
+import importlib.util
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis
-from skewbrauer.brauer import skew_brauer_algebra
+from skewbrauer import formats
+from skewbrauer.brauer import skew_brauer_algebra, symmetric_form_check
 from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
 from helpers import BQ_FIXTURES, SBG_FIXTURES, load
-from oracle import all_paths, laplace_det, oracle_reduce
+from oracle import (all_paths, dense_symmetric_form_check, laplace_det,
+                    oracle_reduce)
 
 
 def _admissible(name: str) -> BoundQuiver:
@@ -140,3 +145,50 @@ def test_det_q_matches_laplace_expansion(name):
         bq = trivial_extension(_admissible(name[2:-1])).algebra
     data = cartan(bq, enumerate_basis(bq))
     assert data.det_q == laplace_det(data.q_graded, IntPoly.const(1))
+
+
+def _family_graphs(seed: int):
+    """The generated skew-Brauer graphs of the benchmark, as (name, text)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "families.py")
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return families.family(seed)
+
+
+def _symform_cases():
+    for name in SBG_FIXTURES:
+        yield name, skew_brauer_algebra(load(name))
+    for name, text in _family_graphs(1):
+        yield f"family:{name}", skew_brauer_algebra(formats.parse_sbg(text, name))
+    for name in SBG_FIXTURES:
+        # phi supported on all cycles but one is no longer symmetric
+        alg = skew_brauer_algebra(load(name))
+        tup = alg.sg_tuple
+        for i in range(len(tup.cycles)):
+            fewer = dataclasses.replace(
+                tup, cycles=tup.cycles[:i] + tup.cycles[i + 1:],
+                multiplicities=tup.multiplicities[:i] + tup.multiplicities[i + 1:])
+            yield f"{name}-cycle{i}", dataclasses.replace(alg, sg_tuple=fewer)
+    alg = skew_brauer_algebra(load("excut.sbg"))
+    for i, victim in enumerate(alg.algebra.relations):
+        if victim.is_monomial:
+            continue
+        kept = tuple(r for r in alg.algebra.relations if r is not victim)
+        yield f"excut.sbg-{i}", dataclasses.replace(
+            alg, algebra=alg.algebra.relabelled(relations=kept))
+
+
+def test_symmetric_form_matches_dense_gram_matrix():
+    # fixtures that pass, the family graphs with the known failures, phi
+    # without one of its cycles, and relation deletions that leave the
+    # pairing one short of full rank
+    conditions = set()
+    for label, alg in _symform_cases():
+        basis = enumerate_basis(alg.algebra)
+        got = symmetric_form_check(alg, basis)
+        want = dense_symmetric_form_check(alg, basis)
+        assert (got.ok, got.condition, got.detail) == (
+            want.ok, want.condition, want.detail), label
+        conditions.add(want.condition)
+    assert conditions == {"", "symmetry", "nondegenerate"}

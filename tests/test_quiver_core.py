@@ -14,8 +14,8 @@ from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
 from skewbrauer.errors import InfiniteDimensional, NonComposable, NotAdmissible
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
-                               compose_paths, is_gentle, is_locally_gentle,
-                               path_from_arrows, stationary)
+                               compose_paths, dedupe_relations, is_gentle,
+                               is_locally_gentle, path_from_arrows, stationary)
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
@@ -57,6 +57,12 @@ def a2():
     return BoundQuiver(Quiver.build(["1", "2"], [("a", "1", "2")]))
 
 
+def square():
+    """Two paths a*b and c*d from vertex 1 to vertex 4."""
+    return Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"),
+                                              ("c", "1", "3"), ("d", "3", "4")])
+
+
 def toy_aux():
     q = Quiver.build(["1", "2", "3", "4", "5"],
                      [("a", "1", "2"), ("b", "2", "3"), ("g", "3", "4"),
@@ -84,6 +90,28 @@ class TestCompose:
         q = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("g", "3", "4")])
         with pytest.raises(NonComposable):
             compose_paths(q, P(q, "a"), P(q, "g"))
+
+
+def test_dedupe_relations_up_to_scalar():
+    # 2ab - 2cd, -cd + ab and 3cd - 3ab are a - b up to a scalar and the
+    # term order; ab - 2cd and ab + cd are not; 2ab is ab
+    q = square()
+    ab, cd = P(q, "a", "b"), P(q, "c", "d")
+
+    def rel(*terms):
+        return Relation(tuple((Fraction(c), p) for c, p in terms))
+
+    first = rel((2, ab), (-2, cd))
+    other_scalar = rel((1, ab), (-2, cd))
+    other_sign = rel((1, ab), (1, cd))
+    square_mono = rel((2, ab))
+    rels = [first, rel((1, ab), (-1, cd)), other_scalar, rel((-1, cd), (1, ab)),
+            other_sign, rel((3, cd), (-3, ab)), square_mono, rel((1, ab)),
+            rel((-2, cd), (-2, ab))]
+    assert dedupe_relations(rels) == [first, other_scalar, other_sign, square_mono]
+    assert first.canonical() == rel((1, cd), (-1, ab))
+    assert other_scalar.canonical() == rel((1, cd), (Fraction(-1, 2), ab))
+    assert rel((-2, cd), (-2, ab)).canonical() == other_sign.canonical()
 
 
 class TestEnumerateBasis:
@@ -162,14 +190,33 @@ class TestEnumerateBasis:
 
     def test_non_unit_tip_coefficient(self):
         # a*b - 2*c*d rewrites its tip c*d to a*b / 2, exactly
-        q = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "4"),
-                                                ("c", "1", "3"), ("d", "3", "4")])
+        q = square()
         rel = Relation(((Fraction(1), P(q, "a", "b")), (Fraction(-2), P(q, "c", "d"))))
         basis = enumerate_basis(BoundQuiver(q, (rel,)))
         assert basis.dimension == 9
         nf = basis.reduce(P(q, "c", "d"))
         assert nf == {P(q, "a", "b"): Fraction(1, 2)}
         assert type(nf[P(q, "a", "b")]) is Fraction
+
+    def test_normal_form_on_words(self):
+        q = square()
+        ab, cd = P(q, "a", "b").arrows, P(q, "c", "d").arrows
+        basis = enumerate_basis(BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),)))
+        nf = basis.normal_form(cd)
+        assert nf == {ab: 1} and type(nf[ab]) is int
+        assert basis.normal_form(ab) == {ab: 1}
+        assert basis.normal_form(()) == {(): 1}
+        line = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"),
+                                                   ("c", "3", "4")])
+        cut = enumerate_basis(BoundQuiver(line, (mono(line, "a", "b", "c"),)))
+        assert cut.nilpotency_bound == 3
+        assert cut.normal_form(P(line, "a", "b", "c").arrows) == {}
+        half = Relation(((Fraction(1), P(q, "a", "b")), (Fraction(-2), P(q, "c", "d"))))
+        nf = enumerate_basis(BoundQuiver(q, (half,))).normal_form(cd)
+        assert nf == {ab: Fraction(1, 2)} and type(nf[ab]) is Fraction
+        assert basis.reduce(P(q, "c", "d")) == {P(q, "a", "b"): Fraction(1)}
+        assert basis.relation_holds(diff(q, ("c", "d"), ("a", "b")))
+        assert not basis.relation_holds(Relation.monomial(P(q, "a", "b")))
 
     def test_alive_paths_cached_shortest_first(self):
         alg = skew_brauer_algebra(load("torus.sbg"))
@@ -381,6 +428,42 @@ class TestIsomorphism:
         other = admissible_presentation(make_presentation(load(name)))
         assert are_isomorphic(adm, other)
         assert are_isomorphic(other, adm)
+
+    def test_non_unit_binomial_scalar_is_isomorphic(self):
+        # a*b - c*d against a*b - c*d/3: rescaling c by 3 carries one onto
+        # the other, so only the scalar branch of the relation check can
+        # accept the identity map
+        q = square()
+        plain = BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),))
+        third = BoundQuiver(q, (Relation(((Fraction(1), P(q, "a", "b")),
+                                          (Fraction(-1, 3), P(q, "c", "d")))),))
+        for x, y in ((plain, third), (third, plain)):
+            result = are_isomorphic(x, y)
+            assert result.status == "isomorphic"
+            assert result.is_identity
+
+    def test_binomial_supports_differ_is_not_isomorphic(self):
+        # 1 => 2 => 3 with a1*b - a2*c against a1*b - a2*b: same dimension
+        # and vertex profiles, but every image of the first relation has two
+        # terms with different normal-form supports in the second algebra
+        q = Quiver.build(["1", "2", "3"], [("a1", "1", "2"), ("a2", "1", "2"),
+                                           ("b", "2", "3"), ("c", "2", "3")])
+        x = BoundQuiver(q, (diff(q, ("a1", "b"), ("a2", "c")),))
+        y = BoundQuiver(q, (diff(q, ("a1", "b"), ("a2", "b")),))
+        assert enumerate_basis(x).dimension == enumerate_basis(y).dimension == 10
+        assert are_isomorphic(x, y).status == "not_isomorphic"
+        assert are_isomorphic(y, x).status == "not_isomorphic"
+
+    def test_monomial_that_survives_is_not_isomorphic(self):
+        # 1 => 2 => 3 with a1*b, a2*c against a1*b, a1*c: same dimension and
+        # profiles, but in the second algebra one arrow kills both arrows
+        # after it, and no arrow map sends both monomials to zero
+        q = Quiver.build(["1", "2", "3"], [("a1", "1", "2"), ("a2", "1", "2"),
+                                           ("b", "2", "3"), ("c", "2", "3")])
+        x = BoundQuiver(q, (mono(q, "a1", "b"), mono(q, "a2", "c")))
+        y = BoundQuiver(q, (mono(q, "a1", "b"), mono(q, "a1", "c")))
+        assert enumerate_basis(x).dimension == enumerate_basis(y).dimension == 9
+        assert are_isomorphic(x, y).status == "not_isomorphic"
 
     def test_budget_exhaustion_is_reported(self):
         adm = admissible_presentation(make_presentation(load("toy.bq")))
