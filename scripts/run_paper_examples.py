@@ -4,8 +4,11 @@
 Builds the skew-gentle algebra, its admissible presentation, the trivial
 extension, the skew-Brauer graph, and cross-checks the main structural
 identities, printing each object along the way.  Exits 1 when an
-isomorphism test does not find "isomorphic" or the symmetrising form
-fails, so that ``make examples`` gates the good-cut round trip.
+isomorphism test does not find "isomorphic", the symmetrising form
+fails, some projective P[v] of the graph algebra does not have top and
+socle v, or the projectives' dimensions do not sum to that of the
+algebra, so that ``make examples`` gates the good-cut round trip and the
+projective layers.
 """
 import os
 import sys
@@ -73,10 +76,20 @@ def main() -> int:
 
     print("== projectives over the graph algebra ==")
     b2 = enumerate_basis(alg.algebra)
+    total = 0
     for v in sorted(x.label for x in alg.quiver.vertices):
         pl = projective_layers(alg, v, b2)
+        total += pl.dimension
         body = " | ".join(", ".join(layer) for layer in pl.layers)
         print(f"P[{v}]: dim {pl.dimension}: [{body}]")
+        # the algebra is symmetric, so P[v] has simple top and socle S(v)
+        if pl.top != v or pl.socle != v:
+            failures += 1
+            print(f"  [MISMATCH] top {pl.top} and socle {pl.socle}, expected {v}")
+    if total != b2.dimension:
+        failures += 1
+        print(f"[MISMATCH] the projectives have dimension {total}, "
+              f"the algebra {b2.dimension}")
     return 1 if failures else 0
 
 

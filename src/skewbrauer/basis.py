@@ -20,12 +20,18 @@ coefficient is ±1, as in every relation the builders write, and become
 Normal forms are read at two levels.  ``PathBasis.normal_form`` takes a
 word, the tuple of arrow ids of a path, and returns
 ``{word: int | Fraction}`` straight from the engine; the relation checks
-of ``iso``, ``relation_holds``, ``is_zero`` and the symmetrising form
-read it there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
+of ``iso``, ``relation_holds``, ``is_zero``, the symmetrising form and
+the projective layers read it there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
 ``{Path: Fraction}``, memoised per path.
 
 The completed system is built once per algebra and cap: it is kept on
 the ``BoundQuiver``, and each call returns a new ``PathBasis`` around it.
+The walk that finds the basis extends every nonzero path, shortest
+first, and records them all as ``alive_paths``.  ``PathBasis.blocks``
+and ``PathBasis.alive_blocks`` group the basis and the alive paths by
+(source, target) once per completed system, on first use; ``block``,
+``paths_from``, ``paths_into``, the symmetrising form, the projective
+layers and the Cartan matrix read them.
 """
 from __future__ import annotations
 
@@ -36,13 +42,14 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InfiniteDimensional, NotAdmissible
-from .quiver import BoundQuiver, Path, Relation, stationary
+from .quiver import BoundQuiver, Path, Quiver, Relation, stationary
 
 DEFAULT_LENGTH_CAP = 64
 
 Vector = dict[Path, Fraction]
 Word = tuple[int, ...]            # the arrows of a path of positive length
 Poly = dict[Word, int | Fraction]
+Blocks = dict[tuple[int, int], tuple[Path, ...]]   # (source, target) -> paths
 
 ONE = Fraction(1)
 
@@ -63,6 +70,8 @@ def _order(w: Word) -> tuple:
 
 def _axpy(out: dict, c: Fraction, vec: dict) -> None:
     """``out += c * vec``, dropping cancelled terms."""
+    if not c:
+        return
     for w, d in vec.items():
         new = out.get(w, 0) + c * d
         if new:
@@ -81,7 +90,9 @@ class _RewriteSystem:
         self.vectors: dict[Path, Vector] = {}   # see PathBasis.reduce
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
-        self.alive: Optional[tuple[Path, ...]] = None   # see PathBasis.alive_paths
+        self.alive: tuple[Path, ...] = ()       # see PathBasis.alive_paths
+        self.blocks: Optional[Blocks] = None        # see PathBasis.blocks
+        self.alive_blocks: Optional[Blocks] = None  # see PathBasis.alive_blocks
         self.counts = {"rules": 0, "ambiguities": 0, "nf_calls": 0, "memo_hits": 0}
 
     # -- normal forms --------------------------------------------------------
@@ -250,39 +261,60 @@ class PathBasis:
             _axpy(out, c, self.normal_form(p.arrows))
         return not out
 
+    def blocks(self) -> Blocks:
+        """The basis paths grouped by (source, target), each group in
+        ``basis_paths`` order.
+
+        Built once per completed system, like ``alive_paths``: read it, do
+        not change it.
+        """
+        out = self._engine.blocks
+        if out is None:
+            out = self._engine.blocks = _group(self.algebra.quiver, self.basis_paths)
+        return out
+
+    def alive_blocks(self) -> Blocks:
+        """The paths of ``alive_paths`` grouped by (source, target), each
+        group shortest first.  Built once per completed system."""
+        out = self._engine.alive_blocks
+        if out is None:
+            out = self._engine.alive_blocks = _group(self.algebra.quiver,
+                                                     self._engine.alive)
+        return out
+
     def block(self, source: int, target: int) -> tuple[Path, ...]:
-        q = self.algebra.quiver
-        return tuple(p for p in self.basis_paths
-                     if p.source(q) == source and p.target(q) == target)
+        return self.blocks().get((source, target), ())
 
     def paths_from(self, source: int) -> tuple[Path, ...]:
-        q = self.algebra.quiver
-        return tuple(p for p in self.basis_paths if p.source(q) == source)
+        return _merge(ps for (s, _), ps in self.blocks().items() if s == source)
 
     def paths_into(self, target: int) -> tuple[Path, ...]:
-        q = self.algebra.quiver
-        return tuple(p for p in self.basis_paths if p.target(q) == target)
+        return _merge(ps for (_, t), ps in self.blocks().items() if t == target)
 
     def alive_paths(self) -> tuple[Path, ...]:
         """All paths with nonzero normal form, shortest first.
 
-        The walk runs once per completed system; later calls, also through
-        another ``PathBasis`` of the same algebra and cap, return the same
-        tuple.
+        They are the paths the basis walk of ``enumerate_basis`` extends,
+        recorded in its order; every ``PathBasis`` of the same algebra and
+        cap returns the same tuple.
         """
-        out = self._engine.alive
-        if out is None:
-            q = self.algebra.quiver
-            found = [stationary(v.id) for v in q.vertices]
-            for p in found:            # a queue: extensions are appended behind
-                if len(p) + 1 >= self.nilpotency_bound:
-                    continue
-                for a in q.arrows_from(p.target(q)):
-                    ext = Path(p.base if p.arrows else a.source, p.arrows + (a.id,))
-                    if not self.is_zero(ext):
-                        found.append(ext)
-            out = self._engine.alive = tuple(found)
-        return out
+        return self._engine.alive
+
+
+def _group(q: Quiver, paths: Iterable[Path]) -> Blocks:
+    """Group paths by (source, target), keeping their order."""
+    target = {a.id: a.target for a in q.arrows}
+    out: dict[tuple[int, int], list[Path]] = {}
+    for p in paths:
+        key = (p.base, target[p.arrows[-1]] if p.arrows else p.base)
+        out.setdefault(key, []).append(p)
+    return {key: tuple(group) for key, group in out.items()}
+
+
+def _merge(blocks: Iterable[tuple[Path, ...]]) -> tuple[Path, ...]:
+    """The paths of the blocks in ``basis_paths`` order, which is
+    ``Path.sort_key`` order."""
+    return tuple(sorted((p for ps in blocks for p in ps), key=Path.sort_key))
 
 
 def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBasis:
@@ -315,8 +347,10 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
     engine = _RewriteSystem()
     engine.complete(bq.relations, cap)
 
-    # extend nonzero paths one arrow at a time; tip-free ones are the basis
+    # extend nonzero paths one arrow at a time; every nonzero path is
+    # recorded, shortest first, and the tip-free ones are the basis
     frontier = [stationary(v.id) for v in q.vertices]
+    found = list(frontier)
     basis = list(frontier)
     length = 1
     while True:
@@ -334,8 +368,10 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
             break
         if length >= cap:
             raise InfiniteDimensional(cap, alive[0], alive[0].label(q))
+        found += alive
         frontier = alive
         length += 1
+    engine.alive = tuple(found)
     basis.sort(key=Path.sort_key)
     return tuple(basis), length, engine
 

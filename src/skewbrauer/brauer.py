@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .basis import PathBasis, Vector, _axpy, enumerate_basis, maximal_paths
+from .basis import PathBasis, _axpy, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
 from .quiver import (BoundQuiver, Path, Quiver, Verdict, canonical_rotation,
                      cycle_rotations)
@@ -237,8 +237,9 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     phi vanishes off closed paths, and the normal form of ab runs from the
     source of a to the target of b, so phi(ab) and phi(ba) can be nonzero
     only when b runs from the target of a back to its source.  The basis
-    paths are grouped into blocks B(s, t) by source and target, and ab is
-    reduced once for each a in B(s, t) and b in B(t, s).  Up to a
+    paths are grouped into blocks B(s, t) by source and target
+    (``PathBasis.blocks``), and ab is reduced once for each a in B(s, t)
+    and b in B(t, s).  Up to a
     permutation of rows and columns the Gram matrix is block diagonal with
     blocks B(s, t) x B(t, s), so its rank is the sum of the block ranks.
     """
@@ -253,50 +254,70 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
             for power in cycle_decorations(sgq, tup.quiver, tup.special, rot, m):
                 support.update(basis.normal_form(power.arrows))
 
-    paths = basis.basis_paths
-    blocks: dict[tuple[int, int], list[Path]] = {}
-    for p in paths:
-        blocks.setdefault((p.source(q), p.target(q)), []).append(p)
-    rows: dict[Path, dict] = {}        # a -> {b: phi(ab)}, nonzero entries only
+    blocks = basis.blocks()
+    gram: dict[tuple[int, int], list[list]] = {}   # (s, t) -> [[phi(ab) for b] for a]
     for (s, t), block in blocks.items():
+        others = blocks.get((t, s), ())
+        rows = gram[s, t] = []
         for a in block:
-            row = rows[a] = {}
-            for b in blocks.get((t, s), ()):
-                nf = basis.normal_form(a.arrows + b.arrows)
-                value = sum(c for w, c in nf.items() if w in support)
-                if value:
-                    row[b] = value
-    for a in paths:
-        for b in blocks.get((a.target(q), a.source(q)), ()):
-            if rows[a].get(b, 0) != rows[b].get(a, 0):
-                return Verdict(False, "symmetry",
-                               f"phi(ab) != phi(ba) for a={a.label(q)}, b={b.label(q)}")
+            row = []
+            for b in others:
+                value = 0
+                for w, c in basis.normal_form(a.arrows + b.arrows).items():
+                    if w in support:
+                        value += c
+                row.append(value)
+            rows.append(row)
+    asymmetric = []     # (a, its first b in block order with phi(ab) != phi(ba))
+    for (s, t), block in blocks.items():
+        others, back = blocks.get((t, s), ()), gram.get((t, s), ())
+        for i, (a, row) in enumerate(zip(block, gram[s, t])):
+            j = next((j for j, value in enumerate(row) if value != back[j][i]), None)
+            if j is not None:
+                asymmetric.append((a, others[j]))
+    if asymmetric:
+        # the first a in basis_paths order, which is Path.sort_key order
+        a, b = min(asymmetric, key=lambda pair: pair[0].sort_key())
+        return Verdict(False, "symmetry",
+                       f"phi(ab) != phi(ba) for a={a.label(q)}, b={b.label(q)}")
     rank = 0
-    for block in blocks.values():
-        echelon: dict[Path, Vector] = {}
-        rank += sum(_echelon_insert(echelon, rows[a]) for a in block)
-    n = len(paths)
+    for rows in gram.values():
+        echelon: dict = {}
+        rank += sum(_echelon_insert(echelon, {j: v for j, v in enumerate(row) if v})
+                    for row in rows)
+    n = len(basis.basis_paths)
     if rank != n:
         return Verdict(False, "nondegenerate",
                        f"pairing has rank {rank} < dimension {n}")
     return Verdict(True)
 
 
-def _echelon_insert(echelon: dict[Path, Vector], vec: Vector) -> bool:
-    """Reduce ``vec`` by the rows of ``echelon``, each keyed by its leading
-    path under ``Path.sort_key`` and scaled to lead 1; keep a nonzero
-    remainder as a new row and report whether there was one."""
+def _echelon_insert(echelon: dict, vec: dict) -> bool:
+    """Add ``vec`` to the span of the rows of ``echelon``; report whether
+    the span grew.
+
+    Keys are any hashable: words, paths or column indices.  Each row is
+    keyed by its pivot, with coefficient 1 there, and holds the rest of
+    the row; no row holds another row's pivot.  So ``vec`` is reduced in
+    one pass over its keys, and a nonzero remainder becomes a new row on
+    its first key, which is then cleared from the older rows.  Rows stay
+    ``int`` while every pivot coefficient is ±1, and become ``Fraction``
+    otherwise.
+    """
     vec = dict(vec)
-    while vec:
-        lead = max(vec, key=Path.sort_key)
-        coef = vec.pop(lead)
-        row = echelon.get(lead)
-        if row is None:
-            inv = 1 / Fraction(coef)
-            echelon[lead] = {k: v * inv for k, v in vec.items()}
-            return True
-        _axpy(vec, -coef, row)
-    return False
+    for lead in [k for k in vec if k in echelon]:
+        _axpy(vec, -vec.pop(lead), echelon[lead])
+    if not vec:
+        return False
+    lead = next(iter(vec))
+    coef = vec.pop(lead)
+    scale = coef if coef == 1 or coef == -1 else 1 / Fraction(coef)
+    new = {k: v * scale for k, v in vec.items()}
+    for row in echelon.values():
+        c = row.pop(lead, 0)
+        _axpy(row, -c, new)
+    echelon[lead] = new
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +523,8 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
 
     Layer k lists the composition factors of rad^k / rad^{k+1}, computed
     from normal forms of the paths ending at the vertex, labelled by their
-    sources.
+    sources.  The paths are read one block (source, vertex) at a time from
+    ``PathBasis.alive_blocks``, and their normal forms on words.
     """
     if basis is None:
         basis = enumerate_basis(alg.algebra)
@@ -511,22 +533,19 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
         vid = q.vertex_by_label(vertex).id if isinstance(vertex, str) else q.vertex(vertex).id
     except (KeyError, StopIteration):
         raise UnknownVertex(str(vertex))
-    by_source: dict[int, dict[int, list[Vector]]] = {}
-    for p in basis.alive_paths():
-        if p.target(q) != vid:
-            continue
-        src = p.source(q)
-        by_source.setdefault(src, {}).setdefault(len(p), []).append(basis.reduce(p))
-    max_len = max((l for lens in by_source.values() for l in lens), default=0)
+    blocks = basis.alive_blocks()
     layer_counts: dict[int, dict[int, int]] = {}
-    for src, by_len in by_source.items():
-        echelon: dict[Path, Vector] = {}
-        for length in range(max_len, -1, -1):
-            new = sum(1 for vec in by_len.get(length, ()) if _echelon_insert(echelon, vec))
-            if new:
-                layer_counts.setdefault(length, {})[src] = new
+    for src in q.vertices:
+        # longest first: a path adds to layer k when its normal form is
+        # independent of those of the longer paths; within one source
+        # block the words are unique keys
+        echelon: dict = {}
+        for p in reversed(blocks.get((src.id, vid), ())):
+            if _echelon_insert(echelon, basis.normal_form(p.arrows)):
+                counts = layer_counts.setdefault(len(p), {})
+                counts[src.id] = counts.get(src.id, 0) + 1
     layers = []
-    for k in range(0, max_len + 1):
+    for k in range(0, max(layer_counts, default=0) + 1):
         row: list[str] = []
         for src, cnt in sorted(layer_counts.get(k, {}).items(),
                                key=lambda t: q.vertex(t[0]).label):

@@ -155,22 +155,19 @@ def cartan(bq: BoundQuiver, basis: PathBasis) -> CartanData:
     order = sorted(q.vertices, key=lambda v: v.label)
     index = {v.id: i for i, v in enumerate(order)}
     n = len(order)
-    counts = [[dict() for _ in range(n)] for _ in range(n)]
-    for p in basis.basis_paths:
-        i, j = index[p.source(q)], index[p.target(q)]
-        counts[i][j][len(p)] = counts[i][j].get(len(p), 0) + 1
-    q_rows = []
-    o_rows = []
-    for i in range(n):
-        q_row = []
-        o_row = []
-        for j in range(n):
-            by_len = counts[i][j]
-            deg = max(by_len, default=-1)
-            q_row.append(IntPoly([by_len.get(k, 0) for k in range(deg + 1)]))
-            o_row.append(sum(by_len.values()))
-        q_rows.append(tuple(q_row))
-        o_rows.append(tuple(o_row))
+    zero = IntPoly()
+    q_rows = [[zero] * n for _ in range(n)]
+    o_rows = [[0] * n for _ in range(n)]
+    for (s, t), block in basis.blocks().items():
+        # a block is in basis_paths order, so its last path is the longest
+        coeffs = [0] * (len(block[-1]) + 1)
+        for p in block:
+            coeffs[len(p)] += 1
+        i, j = index[s], index[t]
+        q_rows[i][j] = IntPoly(coeffs)
+        o_rows[i][j] = len(block)
+    q_rows = [tuple(row) for row in q_rows]
+    o_rows = [tuple(row) for row in o_rows]
     det_q = det_fraction_free(q_rows)
     return CartanData(tuple(v.label for v in order), tuple(o_rows), tuple(q_rows),
                       det_q.eval_at(1), det_q)

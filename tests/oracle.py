@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from skewbrauer.brauer import ProjectiveLayers
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Verdict, compose_paths,
                                cycle_rotations)
 from skewbrauer.skewgentle import cycle_decorations, sg_quiver
@@ -203,19 +204,86 @@ def dense_symmetric_form_check(alg, basis) -> Verdict:
             if gram[i][j] != gram[j][i]:
                 return Verdict(False, "symmetry",
                                f"phi(ab) != phi(ba) for a={a.label(q)}, b={b.label(q)}")
+    rank = dense_rank(gram)
+    if rank != n:
+        return Verdict(False, "nondegenerate", f"pairing has rank {rank} < dimension {n}")
+    return Verdict(True)
+
+
+def dense_rank(matrix) -> int:
+    """Rank of a list of equally long rows, by dense Gaussian elimination."""
+    rows = [list(row) for row in matrix]
+    n = len(rows[0]) if rows else 0
     rank = 0
-    rows = [list(row) for row in gram]
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
-        for r in range(rank + 1, n):
+        for r in range(rank + 1, len(rows)):
             factor = rows[r][col] / top[col]
             if factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
         rank += 1
-    if rank != n:
-        return Verdict(False, "nondegenerate", f"pairing has rank {rank} < dimension {n}")
-    return Verdict(True)
+    return rank
+
+
+def _exact_oracle(bq: BoundQuiver):
+    """(nilpotency bound, reduce_path, the paths below the bound).
+
+    The cap grows until the oracle's own bound b satisfies b + the
+    longest relation term <= cap; then every element of the ideal with
+    terms up to the cap is a combination of the truncated products, and
+    the oracle is exact.  Loops forever on an infinite-dimensional algebra.
+    Kept on ``bq``, as ``enumerate_basis`` keeps its basis, so that the
+    projectives of one algebra share it.
+    """
+    data = bq.__dict__.get("_dense_oracle")
+    if data is not None:
+        return data
+    max_gen = max((r.max_term_length() for r in bq.relations), default=2)
+    cap = 2 * max_gen
+    while True:
+        try:
+            _, bound, _, reduce_path = oracle_reduce(bq, cap)
+        except ValueError:          # still alive at the cap
+            cap *= 2
+            continue
+        if bound + max_gen <= cap:
+            break
+        cap = bound + max_gen
+    monomials = {r.paths()[0].arrows for r in bq.relations
+                 if r.is_monomial and len(r.paths()[0]) >= 2}
+    data = bound, reduce_path, all_paths(bq.quiver, bound - 1, monomials)
+    bq.__dict__["_dense_oracle"] = data
+    return data
+
+
+def dense_projective_layers(alg, vertex) -> ProjectiveLayers:
+    """The radical layers of the projective at a vertex, from the oracle.
+
+    For each source s, every path s -> vertex is reduced by the exhaustive
+    oracle; rank_k is the rank of the span of those of length >= k, found
+    by one dense elimination for each k, and s occurs rank_k - rank_{k+1}
+    times in layer k.  Labels, their order and the socle follow
+    ``brauer.projective_layers``.
+    """
+    q = alg.algebra.quiver
+    vid = q.vertex_by_label(vertex).id if isinstance(vertex, str) else vertex
+    bound, reduce_path, paths = _exact_oracle(alg.algebra)
+    layers: list[list[str]] = [[] for _ in range(bound)]
+    for s in sorted(q.vertices, key=lambda v: v.label):
+        vectors = [(len(p), reduce_path(p)) for p in paths
+                   if p.source(q) == s.id and p.target(q) == vid]
+        cols = sorted({c for _, vec in vectors for c in vec}, key=Path.sort_key)
+        ranks = [dense_rank([[vec.get(c, Fraction(0)) for c in cols]
+                             for length, vec in vectors if length >= k])
+                 for k in range(bound + 1)]
+        for k in range(bound):
+            layers[k].extend([s.label] * (ranks[k] - ranks[k + 1]))
+    while layers and not layers[-1]:
+        layers.pop()
+    label = q.vertex(vid).label
+    socle = layers[-1][0] if layers else label
+    return ProjectiveLayers(label, tuple(tuple(layer) for layer in layers), socle)

@@ -1,10 +1,12 @@
 """Orbifold dissections: extraction, moves, reflections, the determinant formula."""
+import dataclasses
 import importlib.util
 import os
 import pytest
 from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis
+from skewbrauer.brauer import ProjectiveLayers
 from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
                                    contraction_addition, geometric_reflection,
@@ -333,3 +335,17 @@ def test_paper_examples_exit_code(monkeypatch, capsys):
                         lambda alg: Verdict(False, "symmetry"))
     assert examples.main() == 1
     assert "symmetric form: fail" in capsys.readouterr().out
+    monkeypatch.undo()
+    # and when the projective layers break either identity the tour checks
+    layers = examples.projective_layers
+    monkeypatch.setattr(examples, "projective_layers",
+                        lambda alg, v, basis: ProjectiveLayers(v, ((v,),), v))
+    assert examples.main() == 1
+    assert "the projectives have dimension 7, the algebra 46" in capsys.readouterr().out
+    monkeypatch.setattr(examples, "projective_layers",
+                        lambda alg, v, basis: dataclasses.replace(
+                            layers(alg, v, basis), socle="4"))
+    assert examples.main() == 1
+    out = capsys.readouterr().out
+    assert "[MISMATCH] top 3 and socle 4, expected 3" in out
+    assert "the projectives have dimension" not in out

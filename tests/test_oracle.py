@@ -8,16 +8,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis
-from skewbrauer import formats
-from skewbrauer.brauer import skew_brauer_algebra, symmetric_form_check
+from skewbrauer import brauer, formats
+from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,
+                               symmetric_form_check)
 from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
 from helpers import BQ_FIXTURES, SBG_FIXTURES, load
-from oracle import (all_paths, dense_symmetric_form_check, laplace_det,
-                    oracle_reduce)
+from oracle import (all_paths, dense_projective_layers, dense_rank,
+                    dense_symmetric_form_check, laplace_det, oracle_reduce)
 
 
 def _admissible(name: str) -> BoundQuiver:
@@ -192,3 +193,74 @@ def test_symmetric_form_matches_dense_gram_matrix():
             want.ok, want.condition, want.detail), label
         conditions.add(want.condition)
     assert conditions == {"", "symmetry", "nondegenerate"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.dictionaries(st.sampled_from([(), (0,), (1,), (0, 1), (1, 0), (2, 0, 1)]),
+                                st.sampled_from([-3, -1, 1, 2]), max_size=4),
+                max_size=8))
+def test_echelon_rank_matches_dense_elimination(vectors):
+    # the rows the echelon adds, one for each vector that grows the span
+    echelon: dict = {}
+    rank = sum(brauer._echelon_insert(echelon, vec) for vec in vectors)
+    words = sorted({w for vec in vectors for w in vec})
+    assert rank == len(echelon) == dense_rank(
+        [[Fraction(vec.get(w, 0)) for w in words] for vec in vectors])
+
+
+def _excut_rescaled():
+    """excut.sbg's algebra with its last binomial p - q written as p - 3q,
+    so that normal forms carry the coefficient 1/3."""
+    alg = skew_brauer_algebra(load("excut.sbg"))
+    rels = list(alg.algebra.relations)
+    i = max(i for i, r in enumerate(rels) if not r.is_monomial)
+    (c, p), (d, r) = rels[i].terms
+    rels[i] = Relation(((c, p), (3 * d, r)))
+    return dataclasses.replace(alg, algebra=alg.algebra.relabelled(relations=tuple(rels)))
+
+
+def _projective_cases():
+    for name in SBG_FIXTURES:
+        alg = skew_brauer_algebra(load(name))
+        if len(alg.quiver.arrows) <= 12:
+            yield name, alg
+    for name, text in _family_graphs(1):
+        yield f"family:{name}", skew_brauer_algebra(formats.parse_sbg(text, name))
+    alg = skew_brauer_algebra(load("excut.sbg"))
+    for i, victim in enumerate(alg.algebra.relations):
+        kept = tuple(r for r in alg.algebra.relations if r is not victim)
+        yield f"excut.sbg-{i}", dataclasses.replace(
+            alg, algebra=alg.algebra.relabelled(relations=kept))
+    yield "excut.sbg-rescaled", _excut_rescaled()
+
+
+def test_projective_layers_match_dense_ranks():
+    # the echelon on words against dense elimination on the oracle's
+    # normal forms, at every vertex
+    for label, alg in _projective_cases():
+        basis = enumerate_basis(alg.algebra)
+        for v in alg.quiver.vertices:
+            got = projective_layers(alg, v.id, basis)
+            want = dense_projective_layers(alg, v.id)
+            assert (got.top, got.layers, got.socle) == (
+                want.top, want.layers, want.socle), (label, v.label)
+
+
+def test_rescaled_binomial_takes_the_echelon_off_int_rows(monkeypatch):
+    # the last case above adds an echelon row whose pivot coefficient is
+    # 1/3, so the projective layers there cover the Fraction scaling
+    leads = []
+
+    def spy(echelon, vec):
+        grew = insert(echelon, vec)
+        if grew and len(vec) == 1:
+            leads.extend(vec.values())
+        return grew
+
+    insert = brauer._echelon_insert
+    monkeypatch.setattr(brauer, "_echelon_insert", spy)
+    alg = _excut_rescaled()
+    basis = enumerate_basis(alg.algebra)
+    for v in alg.quiver.vertices:
+        projective_layers(alg, v.id, basis)
+    assert Fraction(1, 3) in leads

@@ -218,6 +218,26 @@ class TestEnumerateBasis:
         assert basis.relation_holds(diff(q, ("c", "d"), ("a", "b")))
         assert not basis.relation_holds(Relation.monomial(P(q, "a", "b")))
 
+    def test_zero_coefficient_terms_are_dropped(self):
+        # a term 0 * p adds nothing to the ideal: 1*a*b + 0*c*d is the
+        # monomial a*b, and 0*a*b is no relation at all
+        q = square()
+        ab, cd = P(q, "a", "b"), P(q, "c", "d")
+        with_zero = Relation(((Fraction(1), ab), (Fraction(0), cd)))
+        only_zero = Relation(((Fraction(0), ab),))
+        got = enumerate_basis(BoundQuiver(q, (with_zero,)))
+        want = enumerate_basis(BoundQuiver(q, (mono(q, "a", "b"),)))
+        assert (got.basis_paths, got.nilpotency_bound) == (
+            want.basis_paths, want.nilpotency_bound)
+        free = enumerate_basis(BoundQuiver(q, (only_zero,)))
+        assert (free.basis_paths, free.nilpotency_bound) == (
+            enumerate_basis(BoundQuiver(q)).basis_paths, 3)
+        assert free.dimension == 10
+        assert got.relation_holds(with_zero) and got.relation_holds(only_zero)
+        assert free.relation_holds(only_zero)
+        assert not free.relation_holds(with_zero)
+        assert free.reduce_element({ab: Fraction(0), cd: Fraction(1)}) == {cd: 1}
+
     def test_alive_paths_cached_shortest_first(self):
         alg = skew_brauer_algebra(load("torus.sbg"))
         basis = enumerate_basis(alg.algebra)
@@ -258,6 +278,68 @@ class TestEnumerateBasis:
         by_source = sum(len(basis.paths_from(v.id)) for v in q.vertices)
         by_target = sum(len(basis.paths_into(v.id)) for v in q.vertices)
         assert by_source == basis.dimension == by_target
+
+
+INDEXED = ["toy.bq", "T(toy.bq)", "torus.sbg", "excut.sbg", "gamma1_m2.sbg",
+           "bloop.sbg", "toy_aux", "kronecker.bq"]
+
+
+def _indexed_algebra(name: str) -> BoundQuiver:
+    if name == "toy_aux":
+        return toy_aux()
+    if name == "kronecker.bq":
+        return load(name)
+    if name.endswith(".sbg"):
+        return skew_brauer_algebra(load(name)).algebra
+    adm = admissible_presentation(make_presentation(load("toy.bq")))
+    return adm if name == "toy.bq" else trivial_extension(adm).algebra
+
+
+class TestBlockIndex:
+    @pytest.mark.parametrize("name", INDEXED)
+    def test_blocks_partition_the_basis_in_order(self, name):
+        bq = _indexed_algebra(name)
+        basis = enumerate_basis(bq)
+        q = bq.quiver
+        paths = basis.basis_paths
+        blocks = basis.blocks()
+        # every basis path lies in exactly one block
+        grouped = [p for block in blocks.values() for p in block]
+        assert sorted(grouped, key=Path.sort_key) == list(paths)
+        for (s, t), block in blocks.items():
+            assert block
+            assert all((p.source(q), p.target(q)) == (s, t) for p in block)
+        ids = [v.id for v in q.vertices]
+        for s in ids:
+            want = tuple(p for p in paths if p.source(q) == s)
+            assert basis.paths_from(s) == want
+            want = tuple(p for p in paths if p.target(q) == s)
+            assert basis.paths_into(s) == want
+            for t in ids:
+                want = tuple(p for p in paths if (p.source(q), p.target(q)) == (s, t))
+                assert basis.block(s, t) == want
+        assert basis.blocks() is blocks
+
+    @pytest.mark.parametrize("name", INDEXED)
+    def test_alive_paths_are_the_basis_walk(self, name):
+        bq = _indexed_algebra(name)
+        basis = enumerate_basis(bq)
+        q = bq.quiver
+        # breadth first from the stationary paths, one arrow at a time
+        want = [stationary(v.id) for v in q.vertices]
+        for p in want:
+            for a in q.arrows_from(p.target(q)):
+                ext = Path(p.base if p.arrows else a.source, p.arrows + (a.id,))
+                if not basis.is_zero(ext):
+                    want.append(ext)
+        alive = basis.alive_paths()
+        assert alive == tuple(want)
+        assert enumerate_basis(bq).alive_paths() is alive
+        grouped = basis.alive_blocks()
+        assert sum(len(block) for block in grouped.values()) == len(alive)
+        for (s, t), block in grouped.items():
+            assert block == tuple(p for p in alive
+                                  if (p.source(q), p.target(q)) == (s, t))
 
 
 class TestMaximalPaths:
