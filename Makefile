@@ -1,4 +1,4 @@
-.PHONY: test verify bench-test bench examples
+.PHONY: test verify bench-test bench examples gate
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -17,3 +17,6 @@ bench:
 examples:
 	python3 scripts/run_paper_examples.py
 	python3 scripts/run_dissection_tour.py
+
+gate:
+	python3 scripts/exact_gate.py

@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Exact gate: one SHA-256 digest per group of algebras, and one overall.
+
+Usage: ``python3 scripts/exact_gate.py [ROOT]``.  ROOT is a checkout of
+this repository (default: the one holding this script); its ``src``,
+``fixtures`` and ``perfbench/families.py`` are read.  Run it on two
+checkouts: a change that keeps every answer gives identical digests.
+
+The groups:
+
+- ``sbg``: every ``.sbg`` fixture's skew-Brauer algebra;
+- ``families``: the family graphs of ``perfbench/families.py``, seeds 1-3;
+- ``trivext``: every ``.bq`` fixture A, T(A), and each good-cut quotient
+  of T(A) with its T(quotient);
+- ``dis``: the sg-bound quiver of every ``.dis`` fixture's tuple.
+
+Each algebra contributes its quiver, its relation tuple in order,
+``basis_paths``, the nilpotency bound, the normal form of every alive
+path, the projective layers at every vertex and ``CartanData``; each
+carrier with an ``sg_tuple`` adds the symmetrising-form verdict and its
+cycles, and a trivial extension its ``new_arrows``.  An error is recorded
+by its class and message.
+"""
+import hashlib
+import importlib.util
+import os
+import sys
+import types
+
+ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
+                       else os.path.join(os.path.dirname(__file__), os.pardir))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from skewbrauer import formats  # noqa: E402
+from skewbrauer.basis import enumerate_basis  # noqa: E402
+from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,  # noqa: E402
+                               symmetric_form_check)
+from skewbrauer.cartan import cartan  # noqa: E402
+from skewbrauer.dissection import trivext_tuple_from_dissection  # noqa: E402
+from skewbrauer.errors import SkewBrauerError  # noqa: E402
+from skewbrauer.skewgentle import (admissible_presentation,  # noqa: E402
+                                   make_presentation, sg_bound_quiver)
+from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,  # noqa: E402
+                                trivial_extension)
+
+FIXTURES = os.path.join(ROOT, "fixtures")
+SEEDS = (1, 2, 3)
+
+
+def _fixtures(ext):
+    return sorted(f for f in os.listdir(FIXTURES) if f.endswith(ext))
+
+
+def _lines(carrier):
+    """The record of one carrier: anything with ``algebra``."""
+    bq = carrier.algebra
+    q = bq.quiver
+    out = [[v.label for v in q.vertices],
+           [(a.label, a.source, a.target) for a in q.arrows],
+           [r.label(q) for r in bq.relations]]
+    basis = enumerate_basis(bq)
+    out += [[p.label(q) for p in basis.basis_paths], basis.nilpotency_bound]
+    out.append([(p.label(q), sorted((w, str(c)) for w, c in
+                                    basis.normal_form(p.arrows).items()))
+                for p in basis.alive_paths() if p.arrows])
+    out.append([projective_layers(carrier, v.id, basis) for v in q.vertices])
+    data = cartan(bq, basis)
+    out.append((data.vertex_labels, data.ordinary,
+                [[e.coeffs for e in row] for row in data.q_graded],
+                data.det_ordinary, data.det_q.coeffs))
+    if getattr(carrier, "sg_tuple", None) is not None:
+        verdict = symmetric_form_check(carrier, basis)
+        out.append((verdict.ok, verdict.condition, verdict.detail))
+    cycles = getattr(carrier, "cycles", ())
+    out.append([(c.path.label(q), getattr(c, "new_arrow", None),
+                 getattr(c, "graph_vertex", None)) for c in cycles])
+    new_arrows = getattr(carrier, "new_arrows", {})
+    src = getattr(carrier, "source", None)
+    out.append([(q.arrow(a).label, p.label(src.quiver)) for a, p in new_arrows.items()])
+    return out
+
+
+def _admissible(bq):
+    return bq if bq.admissible else admissible_presentation(make_presentation(bq))
+
+
+def _sbg():
+    for name in _fixtures(".sbg"):
+        yield name, lambda name=name: skew_brauer_algebra(
+            formats.load(os.path.join(FIXTURES, name)))
+
+
+def _family_graphs():
+    path = os.path.join(ROOT, "perfbench", "families.py")
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    for seed in SEEDS:
+        for name, text in families.family(seed):
+            yield f"seed{seed}:{name}", lambda name=name, text=text: skew_brauer_algebra(
+                formats.parse_sbg(text, name))
+
+
+def _trivext():
+    for name in _fixtures(".bq"):
+        a = _admissible(formats.load(os.path.join(FIXTURES, name)))
+        yield name, lambda a=a: types.SimpleNamespace(algebra=a)
+        yield name + ":T", lambda a=a: trivial_extension(a)
+        try:
+            t = trivial_extension(a)
+            cuts = list(enumerate_good_cuts(t))
+        except SkewBrauerError:
+            continue
+        for i, cut in enumerate(cuts):
+            quotient = quotient_by_cut(t, cut)
+            yield f"{name}:cut{i}", lambda b=quotient: types.SimpleNamespace(algebra=b)
+            yield f"{name}:cut{i}:T", lambda b=quotient: trivial_extension(b)
+
+
+def _dis():
+    for name in _fixtures(".dis"):
+        def build(name=name):
+            tup = trivext_tuple_from_dissection(
+                formats.load(os.path.join(FIXTURES, name))).as_sg_tuple()
+            return types.SimpleNamespace(algebra=sg_bound_quiver(tup), sg_tuple=tup)
+        yield name, build
+
+
+GROUPS = {"sbg": _sbg, "families": _family_graphs, "trivext": _trivext, "dis": _dis}
+
+
+def main() -> int:
+    overall = hashlib.sha256()
+    total = 0
+    for group, items in GROUPS.items():
+        digest = hashlib.sha256()
+        count = 0
+        for name, build in items():
+            try:
+                lines = _lines(build())
+            except SkewBrauerError as exc:
+                lines = [type(exc).__name__, str(exc)]
+            digest.update(repr((name, lines)).encode())
+            count += 1
+        overall.update(digest.hexdigest().encode())
+        total += count
+        print(f"{group:<9} {count:>4} algebras  {digest.hexdigest()}")
+    print(f"{'all':<9} {total:>4} algebras  {overall.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

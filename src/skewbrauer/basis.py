@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InfiniteDimensional, NotAdmissible
+from .errors import InfiniteDimensional, InvalidSetting, NotAdmissible
 from .quiver import BoundQuiver, Path, Quiver, Relation, stationary
 
 DEFAULT_LENGTH_CAP = 64
@@ -56,12 +56,16 @@ ONE = Fraction(1)
 
 def _env_cap() -> int:
     raw = os.environ.get("SKEWBRAUER_LENGTH_CAP")
-    if raw:
-        try:
-            return max(2, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_LENGTH_CAP
+    if not raw:
+        return DEFAULT_LENGTH_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 2:
+        raise InvalidSetting(
+            f"SKEWBRAUER_LENGTH_CAP must be an integer >= 2, not {raw!r}")
+    return cap
 
 
 def _order(w: Word) -> tuple:
@@ -242,12 +246,6 @@ class PathBasis:
             else:
                 out = {p: ONE}
             vectors[p] = out
-        return out
-
-    def reduce_element(self, vec: Vector) -> Vector:
-        out: Vector = {}
-        for p, c in vec.items():
-            _axpy(out, c, self.reduce(p))
         return out
 
     def is_zero(self, p: Path) -> bool:

@@ -10,7 +10,7 @@ from .errors import UnknownVertex, UnsupportedClass
 from .quiver import (BoundQuiver, Path, Quiver, Verdict, canonical_rotation,
                      cycle_rotations)
 from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
-                         cycle_decorations, sg_bound_quiver, sg_quiver)
+                         sg_bound_quiver)
 
 HalfEdge = tuple[int, int]          # (edge id, occurrence 1 or 2)
 
@@ -47,9 +47,6 @@ class BrauerGraph:
 
     def edge(self, eid: int) -> BrauerEdge:
         return next(e for e in self.edges if e.id == eid)
-
-    def edge_by_label(self, label: str) -> BrauerEdge:
-        return next(e for e in self.edges if e.label == label)
 
     def valency(self, vid: int) -> int:
         return len(self.order.get(vid, ()))
@@ -212,13 +209,15 @@ def skew_brauer_algebra(g: SkewBrauerGraph) -> SkewBrauerAlgebra:
                       for b in q.arrows_from(a.target) if (a.id, b.id) not in windows)
     tup = SgTuple(q, monomials, sp_edges, cycles,
                   tuple(c.multiplicity for c in special_cycles))
-    sgq = sg_quiver(q, sp_edges)
-    sg_cycles = sorted((SgSpecialCycle(canonical_rotation(sgq.quiver, dec.arrows),
+    # the signs of a copy of c^m repeat with each period, so its first
+    # len(c) arrows are a signed copy of c
+    sq = tup.sgq.quiver
+    copies = {rot: cs for rot, cs, _ in tup.powers}
+    sg_cycles = sorted((SgSpecialCycle(canonical_rotation(sq, p.arrows[:len(base)]),
                                        c.graph_vertex)
-                        for c, base in zip(special_cycles, cycles)
-                        for dec in cycle_decorations(sgq, q, sp_edges, base)),
+                        for c, base in zip(special_cycles, cycles) for p in copies[base]),
                        key=lambda c: c.path.sort_key())
-    return SkewBrauerAlgebra(sg_bound_quiver(tup, sgq), g, tuple(sg_cycles), tup,
+    return SkewBrauerAlgebra(sg_bound_quiver(tup), g, tuple(sg_cycles), tup,
                              special_cycles)
 
 
@@ -246,13 +245,10 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     if basis is None:
         basis = enumerate_basis(alg.algebra)
     q = alg.algebra.quiver
-    tup = alg.sg_tuple
-    sgq = sg_quiver(tup.quiver, tup.special)
     support: set[tuple[int, ...]] = set()     # words of the normal forms of the c^m
-    for c, m in zip(tup.cycles, tup.multiplicities):
-        for rot in cycle_rotations(tup.quiver, c.arrows):
-            for power in cycle_decorations(sgq, tup.quiver, tup.special, rot, m):
-                support.update(basis.normal_form(power.arrows))
+    for _, copies, _ in alg.sg_tuple.powers:
+        for power in copies:
+            support.update(basis.normal_form(power.arrows))
 
     blocks = basis.blocks()
     gram: dict[tuple[int, int], list[list]] = {}   # (s, t) -> [[phi(ab) for b] for a]

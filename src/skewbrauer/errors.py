@@ -77,6 +77,11 @@ class NotReflectable(SkewBrauerError):
     """Raised when a geometric reflection is requested at an unsuitable arc."""
 
 
+class InvalidSetting(SkewBrauerError):
+    """Raised when an environment setting such as ``SKEWBRAUER_LENGTH_CAP``
+    holds a value the toolkit cannot use."""
+
+
 class ParseError(SkewBrauerError):
     """Raised on malformed input files; carries file and line information."""
 

@@ -4,18 +4,24 @@ A skew-gentle algebra is handled in two presentations: the non-admissible
 one (special loops f with f^2 = f) and the admissible one obtained by
 duplicating the special vertices and ranging relations over all sign
 decorations.
+
+An ``SgTuple`` builds its duplicated quiver (``SgTuple.sgq``) and the
+signed powers c^m of its cycles (``SgTuple.powers``) once, on first use.
+The ideal, the skew-Brauer and trivial-extension carriers and the
+symmetrising form all read them from the tuple.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from itertools import chain, product
+from typing import Iterable, Sequence
 
 from .basis import enumerate_basis, maximal_paths
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
-                     canonical_rotation, cycle_rotations, dedupe_relations,
-                     is_locally_gentle, stationary)
+                     canonical_rotation, cycle_rotations, is_locally_gentle,
+                     stationary)
 
 SIGNS = ("+", "-")
 _OTHER = {"+": "-", "-": "+"}
@@ -266,6 +272,34 @@ class SgTuple:
                 raise ValueError(
                     "two distinguished cycles through one distinguished vertex")
 
+    @cached_property
+    def sgq(self) -> SgQuiver:
+        """The duplicated quiver of ``(quiver, special)``."""
+        return sg_quiver(self.quiver, self.special)
+
+    @cached_property
+    def powers(self) -> tuple[tuple[Path, tuple[Path, ...], tuple[Path, ...]], ...]:
+        """For each rotation of each cycle: the rotation, the signed copies
+        of rot^m, and at a distinguished start each copy closed with the
+        other sign.  Every period of a copy is signed alike."""
+        sgq, q, special = self.sgq, self.quiver, self.special
+        out = []
+        for c, m in zip(self.cycles, self.multiplicities):
+            for rot in cycle_rotations(q, c.arrows):
+                visits = _visit_vertices(q, rot)[:-1]
+                power = Path(rot.base, rot.arrows * m)
+                copies, flipped = [], []
+                # the signs of one period repeat; the path closes with its first
+                for period in product(*(SIGNS if v in special else ("",) for v in visits)):
+                    p = _decorate(sgq, power, period * m + period[:1])
+                    copies.append(p)
+                    if rot.base in special:
+                        last = sgq.arrow_lookup[rot.arrows[-1], period[-1],
+                                                _OTHER[period[0]]]
+                        flipped.append(Path(p.base, p.arrows[:-1] + (last,)))
+                out.append((rot, tuple(copies), tuple(flipped)))
+        return tuple(out)
+
 
 def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],
                 paths: Sequence[Path], labels: Sequence[str]) -> tuple[SgTuple, tuple[int, ...]]:
@@ -300,33 +334,12 @@ def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],
             new_ids)
 
 
-def _signed_powers(sgq: SgQuiver, q: Quiver, special: frozenset[int], rot: Path,
-                   m: int) -> Iterator[tuple[tuple[str, ...], Path]]:
-    """(period, signed copy of ``rot^m``) for each signing of one period.
-
-    The signs at the visits of one period are chosen freely and repeat
-    with each period; the path closes with its first sign.
-    """
-    visits = _visit_vertices(q, rot)[:-1]
-    power = Path(rot.base, rot.arrows * m)
-    for period in product(*(SIGNS if v in special else ("",) for v in visits)):
-        yield period, _decorate(sgq, power, period * m + period[:1])
-
-
-def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
-                      rot: Path, m: int = 1) -> list[Path]:
-    """Signed copies of ``rot^m`` whose signs repeat with each period."""
-    return [p for _, p in _signed_powers(sgq, q, special, rot, m)]
-
-
-def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]:
+def sg_ideal(t: SgTuple) -> tuple[Relation, ...]:
     """Relation families a-d and the cycle kills, ranged over sign decorations.
 
     Cycle powers carry consistent signs only: every period is signed alike.
     """
-    q = t.quiver
-    if sgq is None:
-        sgq = sg_quiver(q, t.special)
+    q, sgq, powers = t.quiver, t.sgq, t.powers
     rels: list[Relation] = []
 
     # Type a: commutation through each distinguished transit
@@ -340,20 +353,6 @@ def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]
                 minus = _decorate(sgq, base, (signs[0], "-", signs[2]))
                 rels.append(Relation.difference(plus, minus))
 
-    # the signed copies of c^m for each rotation, decorated once; at a
-    # distinguished start also each copy closed with the other sign
-    powers: list[tuple[Path, list[Path], list[Path]]] = []
-    for c, m in zip(t.cycles, t.multiplicities):
-        for rot in cycle_rotations(q, c.arrows):
-            copies, flipped = [], []
-            for period, p in _signed_powers(sgq, q, t.special, rot, m):
-                copies.append(p)
-                if rot.base in t.special:
-                    last = sgq.arrow_lookup[rot.arrows[-1], period[-1],
-                                            _OTHER[period[0]]]
-                    flipped.append(Path(p.base, p.arrows[:-1] + (last,)))
-            powers.append((rot, copies, flipped))
-
     # Type b: chains of cycle powers at each non-distinguished start, one
     # signed copy per rotation (type a identifies the others)
     by_start: dict[int, set[Path]] = {}
@@ -364,29 +363,25 @@ def sg_ideal(t: SgTuple, sgq: Optional[SgQuiver] = None) -> tuple[Relation, ...]
         insts = sorted(by_start[v], key=Path.sort_key)
         rels.extend(Relation.difference(p, r) for p, r in zip(insts, insts[1:]))
 
-    # Type c: sign-ranged monomial relations
-    for mono in t.monomials:
-        for signs in _sign_options(q, t.special, mono, {}):
-            rels.append(Relation.monomial(_decorate(sgq, mono, signs)))
-
-    # Type d: c^(m-1) followed by a sign-mismatched rotation, at
-    # distinguished starts
-    for _, _, flipped in powers:
-        rels.extend(Relation.monomial(p) for p in flipped)
-
-    # c^m followed by its first arrow
-    for _, copies, _ in powers:
-        rels.extend(Relation.monomial(Path(p.base, p.arrows + p.arrows[:1]))
-                    for p in copies)
-    return tuple(dedupe_relations(rels))
+    # Type c: sign-ranged monomial relations; type d: c^(m-1) followed by a
+    # sign-mismatched rotation, at distinguished starts; then c^m followed
+    # by its first arrow.  No binomial above repeats: type a is fixed by
+    # its transit and end signs, and type b chains distinct paths.  A
+    # monomial can: a closed loop B of multiplicity one has the kill B*B,
+    # which close_paths also writes as a type c monomial.  Keep the first.
+    monomials = dict.fromkeys(chain(
+        (_decorate(sgq, mono, signs) for mono in t.monomials
+         for signs in _sign_options(q, t.special, mono, {})),
+        (p for _, _, flipped in powers for p in flipped),
+        (Path(p.base, p.arrows + p.arrows[:1]) for _, copies, _ in powers for p in copies)))
+    rels.extend(Relation.monomial(p) for p in monomials)
+    return tuple(rels)
 
 
-def sg_bound_quiver(t: SgTuple, sgq: Optional[SgQuiver] = None) -> BoundQuiver:
+def sg_bound_quiver(t: SgTuple) -> BoundQuiver:
     """The sg-bound quiver algebra of a tuple, as an admissible presentation."""
-    if sgq is None:
-        sgq = sg_quiver(t.quiver, t.special)
-    rels = sg_ideal(t, sgq)
-    return BoundQuiver(sgq.quiver, rels, frozenset(), True,
+    sgq = t.sgq
+    return BoundQuiver(sgq.quiver, sg_ideal(t), frozenset(), True,
                        vertex_origins=sgq.vertex_origins,
                        arrow_origins=sgq.arrow_origins)
 

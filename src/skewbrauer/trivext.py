@@ -17,9 +17,8 @@ from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
                      canonical_rotation, dedupe_relations, is_locally_gentle)
 from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
-                         auxiliary_gentle, close_paths, cycle_decorations,
-                         induced_path, make_presentation, sg_bound_quiver,
-                         sg_quiver)
+                         auxiliary_gentle, close_paths, induced_path,
+                         make_presentation, sg_bound_quiver)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +89,17 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     paths = sorted(socle_basis(base, basis), key=Path.sort_key)
     tup, betas = close_paths(base.quiver, tuple(r.paths()[0] for r in base.relations),
                              special, paths, [f"B{i}" for i in range(1, len(paths) + 1)])
-    sgq = sg_quiver(tup.quiver, special)
-    algebra = sg_bound_quiver(tup, sgq)
+    algebra = sg_bound_quiver(tup)
+    sgq = tup.sgq
+    # each new arrow lies on one cycle, of multiplicity one: the signed
+    # powers of the rotation that ends with it are the signed copies of
+    # its closed path
+    closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
 
     new_arrows: dict[int, Path] = {}
     cycles = []
     for p, beta in zip(paths, betas):
-        closed = Path(p.source(base.quiver), p.arrows + (beta,))
-        for dec in cycle_decorations(sgq, tup.quiver, special, closed):
+        for dec in closing[beta]:
             copy = dec.arrows[-1]
             cycles.append(ElementaryCycle(canonical_rotation(sgq.quiver, dec.arrows), copy))
             if copy not in new_arrows:

@@ -1,6 +1,7 @@
 """Shared fixture loading for the test suite."""
 from __future__ import annotations
 
+import importlib.util
 import os
 from functools import lru_cache
 
@@ -17,6 +18,15 @@ def fixture_path(name: str) -> str:
 @lru_cache(maxsize=None)
 def load(name: str):
     return formats.load(fixture_path(name))
+
+
+def family_graphs(seed: int) -> list[tuple[str, str]]:
+    """The generated skew-Brauer graphs of the benchmark, as (name, text)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "families.py")
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return families.family(seed)
 
 
 def P(q: Quiver, *labels: str) -> Path:

@@ -8,11 +8,12 @@ one-shot and unoptimised; used to cross-check the rewriting engine.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from skewbrauer.brauer import ProjectiveLayers
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Verdict, compose_paths,
                                cycle_rotations)
-from skewbrauer.skewgentle import cycle_decorations, sg_quiver
+from skewbrauer.skewgentle import SgQuiver, sg_quiver
 
 
 def all_paths(q: Quiver, cap: int, monomials: set[tuple[int, ...]]) -> list[Path]:
@@ -169,6 +170,23 @@ def laplace_det(m, one):
                 grown[key] = grown[key] + term if key in grown else term
         minors = {cols: minor for cols, minor in grown.items() if minor}
     return minors.get((1 << n) - 1, one - one)
+
+
+def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
+                      rot: Path, m: int = 1) -> list[Path]:
+    """Signed copies of ``rot^m`` whose signs repeat with each period.
+
+    Built arrow by arrow from the lookups of the duplicated quiver,
+    independently of ``SgTuple.powers``, which the tests check against it.
+    """
+    visits = [q.arrow(a).source for a in rot.arrows]
+    out = []
+    for period in product(*(("+", "-") if v in special else ("",) for v in visits)):
+        signs = period * m + period[:1]
+        out.append(Path(sgq.vertex_lookup[rot.base, period[0]],
+                        tuple(sgq.arrow_lookup[a, signs[i], signs[i + 1]]
+                              for i, a in enumerate(rot.arrows * m))))
+    return out
 
 
 def dense_symmetric_form_check(alg, basis) -> Verdict:

@@ -13,7 +13,7 @@ from skewbrauer.brauer import (classify_rep_type, graph_from_skew_gentle,
 from skewbrauer.cartan import cartan
 from skewbrauer.dissection import q_cartan_det_formula, skew_gentle_from_dissection
 from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import BoundQuiver, Path
+from skewbrauer.quiver import BoundQuiver, Path, Relation
 from skewbrauer.skewgentle import (admissible_presentation, auxiliary_gentle,
                                    make_presentation)
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
@@ -47,11 +47,8 @@ def test_criterion_1_toy_pipeline_exactness():
     b1p, b1m, b2 = bp["+a+*+b*g"], bp["-a+*+b*g"], bp["d*l"]
 
     def holds(*terms):
-        vec = {}
-        for coeff, labels in terms:
-            path = P(q, *labels)
-            vec[path] = vec.get(path, Fraction(0)) + coeff
-        return not basis.reduce_element(vec)
+        return basis.relation_holds(
+            Relation(tuple((Fraction(c), P(q, *labels)) for c, labels in terms)))
 
     printed = [
         [(1, ("+a+", "+b")), (-1, ("+a-", "-b"))],

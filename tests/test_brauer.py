@@ -1,22 +1,21 @@
 """Skew-Brauer graphs, their algebras, symmetry, projectives, classification."""
 import pytest
-from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import (SkewBrauerGraph, brauer_quiver, classify_rep_type,
                                graph_from_skew_gentle, is_skew_brauer_tree,
                                projective_layers, skew_brauer_algebra,
                                symmetric_form_check, validate_graph)
-from skewbrauer import formats
+from skewbrauer import brauer as brauer_module, formats, skewgentle, trivext
 from skewbrauer.cartan import cartan
 from skewbrauer.errors import UnknownVertex, UnsupportedClass
 from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import BoundQuiver, Path
-from skewbrauer.skewgentle import admissible_presentation, make_presentation
+from skewbrauer.quiver import BoundQuiver, Path, Relation, canonical_rotation
+from skewbrauer.skewgentle import admissible_presentation, make_presentation, sg_quiver
 from skewbrauer.trivext import trivial_extension
 
 from helpers import SBG_FIXTURES, SKEW_GENTLE_FIXTURES, load
-from oracle import oracle_reduce
+from oracle import cycle_decorations, oracle_reduce
 
 
 class TestValidate:
@@ -92,6 +91,20 @@ class TestSkewBrauerAlgebra:
         labels = {alg.graph.graph.vertex(k).label: v for k, v in per_vertex.items()}
         assert labels == {"v2": 4, "v3": 1}
 
+    @pytest.mark.parametrize("name", ["gamma1_m2.sbg", "bstar_m2.sbg", "btree_m3.sbg"])
+    def test_cycles_are_the_signed_copies_of_each_cycle(self, name):
+        # the carrier reads its cycles off the signed powers c^m; with m > 1
+        # they must still be the signed copies of c itself
+        alg = skew_brauer_algebra(load(name))
+        tup = alg.sg_tuple
+        assert max(tup.multiplicities) > 1
+        sgq = sg_quiver(tup.quiver, tup.special)
+        want = sorted(((canonical_rotation(sgq.quiver, dec.arrows), c.graph_vertex)
+                       for c, base in zip(alg.special_cycles, tup.cycles)
+                       for dec in cycle_decorations(sgq, tup.quiver, tup.special, base)),
+                      key=lambda pair: pair[0].sort_key())
+        assert [(c.path, c.graph_vertex) for c in alg.cycles] == want
+
     def test_fig1_is_trivial_extension_of_toy(self):
         alg = skew_brauer_algebra(load("fig1.sbg"))
         pres = make_presentation(load("toy.bq"))
@@ -142,16 +155,16 @@ class TestSkewBrauerAlgebra:
             return basis.is_zero(Path(arrows[0].source, tuple(x.id for x in arrows)))
 
         # commutation (alpha+)(+beta) - (alpha-)(-beta)
-        vec = {Path(alpha["1+"].source, (alpha["1+"].id, beta["1+"].id)): Fraction(1),
-               Path(alpha["1-"].source, (alpha["1-"].id, beta["1-"].id)): Fraction(-1)}
-        assert not basis.reduce_element(vec)
+        assert basis.relation_holds(Relation.difference(
+            Path(alpha["1+"].source, (alpha["1+"].id, beta["1+"].id)),
+            Path(alpha["1-"].source, (alpha["1-"].id, beta["1-"].id))))
         # gamma^{m+1}
         assert z([gamma] * (m + 1))
         # gamma^m - (alpha eps)(eps beta)
         for eps in ("1+", "1-"):
-            vec = {Path(gamma.source, (gamma.id,) * m): Fraction(1),
-                   Path(alpha[eps].source, (alpha[eps].id, beta[eps].id)): Fraction(-1)}
-            assert not basis.reduce_element(vec)
+            assert basis.relation_holds(Relation.difference(
+                Path(gamma.source, (gamma.id,) * m),
+                Path(alpha[eps].source, (alpha[eps].id, beta[eps].id))))
         # (eps beta) gamma, (eps beta)(alpha mismatched), gamma (alpha eps)
         assert z([beta["1+"], gamma]) and z([beta["1-"], gamma])
         assert z([beta["1+"], alpha["1-"]]) and z([beta["1-"], alpha["1+"]])
@@ -173,6 +186,25 @@ class TestSymmetricForm:
     def test_fixtures_symmetric(self, name):
         alg = skew_brauer_algebra(load(name))
         assert symmetric_form_check(alg)
+
+    def test_sg_quiver_built_once_per_tuple(self, monkeypatch):
+        # the ideal, the carrier and the symmetrising form share the
+        # tuple's duplicated quiver
+        calls = []
+        real = sg_quiver
+
+        def counted(q, special):
+            calls.append(q)
+            return real(q, special)
+
+        adm = admissible_presentation(make_presentation(load("toy.bq")))
+        for module in (skewgentle, brauer_module, trivext):
+            if hasattr(module, "sg_quiver"):
+                monkeypatch.setattr(module, "sg_quiver", counted)
+        assert symmetric_form_check(skew_brauer_algebra(load("fig1.sbg")))
+        assert len(calls) == 1
+        assert symmetric_form_check(trivial_extension(adm))
+        assert len(calls) == 2
 
     def test_fat_valency_two_next_to_distinguished_leaf(self):
         # the sign-mismatched path around the fat vertex v dies only after

@@ -260,6 +260,16 @@ class TestCli:
         assert err.count("\n") == 1 and "length cap 3, e.g. " in err
         monkeypatch.delenv("SKEWBRAUER_LENGTH_CAP")
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "1"])
+    def test_bad_env_cap_exit_2(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", raw)
+        code = main(["cartan", fixture_path("toy.bq"), "--det"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: SKEWBRAUER_LENGTH_CAP must be an integer >= 2, not '{raw}'\n")
+
     def test_console_script_entry(self):
         proc = subprocess.run(
             [sys.executable, "-m", "skewbrauer.cli", "classify",

@@ -17,12 +17,13 @@ from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
 from skewbrauer.errors import (InvalidPosition, NotReflectable, TrivialPolygon)
 from skewbrauer.iso import IsoResult, are_isomorphic
 from skewbrauer.quiver import Path, Verdict
-from skewbrauer.skewgentle import (admissible_presentation, cycle_decorations,
-                                   make_presentation, sg_bound_quiver, sg_quiver)
+from skewbrauer.skewgentle import (admissible_presentation, make_presentation,
+                                   sg_bound_quiver)
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
                                 trivial_extension)
 
 from helpers import DIS_FIXTURES, P, load
+from oracle import cycle_decorations
 
 
 class TestValidate:
@@ -118,8 +119,8 @@ class TestTupleExtraction:
         # in the algebra; every signed copy is nonzero, and all share one
         # normal form
         t = tup.as_sg_tuple()
-        sgq = sg_quiver(q, t.special)
-        basis = enumerate_basis(sg_bound_quiver(t, sgq))
+        sgq = t.sgq
+        basis = enumerate_basis(sg_bound_quiver(t))
 
         def normal_forms(*rots):
             out = set()

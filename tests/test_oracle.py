@@ -1,7 +1,5 @@
 """Oracle equivalence: the rewriting engine against one-shot exhaustive reduction."""
 import dataclasses
-import importlib.util
-import os
 from fractions import Fraction
 
 import pytest
@@ -16,7 +14,7 @@ from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
-from helpers import BQ_FIXTURES, SBG_FIXTURES, load
+from helpers import BQ_FIXTURES, SBG_FIXTURES, family_graphs, load
 from oracle import (all_paths, dense_projective_layers, dense_rank,
                     dense_symmetric_form_check, laplace_det, oracle_reduce)
 
@@ -148,19 +146,10 @@ def test_det_q_matches_laplace_expansion(name):
     assert data.det_q == laplace_det(data.q_graded, IntPoly.const(1))
 
 
-def _family_graphs(seed: int):
-    """The generated skew-Brauer graphs of the benchmark, as (name, text)."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "families.py")
-    spec = importlib.util.spec_from_file_location("families", path)
-    families = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(families)
-    return families.family(seed)
-
-
 def _symform_cases():
     for name in SBG_FIXTURES:
         yield name, skew_brauer_algebra(load(name))
-    for name, text in _family_graphs(1):
+    for name, text in family_graphs(1):
         yield f"family:{name}", skew_brauer_algebra(formats.parse_sbg(text, name))
     for name in SBG_FIXTURES:
         # phi supported on all cycles but one is no longer symmetric
@@ -224,7 +213,7 @@ def _projective_cases():
         alg = skew_brauer_algebra(load(name))
         if len(alg.quiver.arrows) <= 12:
             yield name, alg
-    for name, text in _family_graphs(1):
+    for name, text in family_graphs(1):
         yield f"family:{name}", skew_brauer_algebra(formats.parse_sbg(text, name))
     alg = skew_brauer_algebra(load("excut.sbg"))
     for i, victim in enumerate(alg.algebra.relations):

@@ -11,7 +11,8 @@ from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
-from skewbrauer.errors import InfiniteDimensional, NonComposable, NotAdmissible
+from skewbrauer.errors import (InfiniteDimensional, InvalidSetting, NonComposable,
+                               NotAdmissible)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                compose_paths, dedupe_relations, is_gentle,
@@ -172,6 +173,15 @@ class TestEnumerateBasis:
         with pytest.raises(InfiniteDimensional):
             enumerate_basis(bq)
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "1"])
+    def test_env_cap_must_be_an_integer_of_at_least_2(self, monkeypatch, raw):
+        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", raw)
+        q = Quiver.build(["1", "2"], [("a", "1", "2")])
+        with pytest.raises(InvalidSetting) as info:
+            enumerate_basis(BoundQuiver(q))
+        assert str(info.value) == (
+            f"SKEWBRAUER_LENGTH_CAP must be an integer >= 2, not '{raw}'")
+
     def test_basis_cache_makes_no_cycle(self):
         # the stash on the algebra must not point back to it, or the
         # algebra would outlive its last reference until a collection
@@ -236,7 +246,9 @@ class TestEnumerateBasis:
         assert got.relation_holds(with_zero) and got.relation_holds(only_zero)
         assert free.relation_holds(only_zero)
         assert not free.relation_holds(with_zero)
-        assert free.reduce_element({ab: Fraction(0), cd: Fraction(1)}) == {cd: 1}
+        # a zero coefficient ahead of a nonzero term adds nothing
+        assert not free.relation_holds(Relation(((Fraction(0), ab), (Fraction(1), cd))))
+        assert free.normal_form(cd.arrows) == {cd.arrows: 1}
 
     def test_alive_paths_cached_shortest_first(self):
         alg = skew_brauer_algebra(load("torus.sbg"))

@@ -3,16 +3,21 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from skewbrauer import formats
 from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer.brauer import skew_brauer_algebra
+from skewbrauer.dissection import trivext_tuple_from_dissection
 from skewbrauer.errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
-from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation
+from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, dedupe_relations
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    auxiliary_gentle, induced_path,
                                    is_skew_gentle, make_presentation,
                                    sg_bound_quiver, sg_ideal, sg_quiver,
                                    sp_maximal_paths)
+from skewbrauer.trivext import trivial_extension
 
-from helpers import P, SKEW_GENTLE_FIXTURES, load, mono
+from helpers import (BQ_FIXTURES, DIS_FIXTURES, P, SBG_FIXTURES,
+                     SKEW_GENTLE_FIXTURES, family_graphs, load, mono)
 
 
 def toy():
@@ -125,6 +130,33 @@ class TestSgIdeal:
         t = SgTuple(q, (P(q, "a", "b"),), frozenset(), ())
         rels = sg_ideal(t)
         assert len(rels) == 1 and rels[0].is_monomial
+
+    def test_no_relation_repeats(self):
+        # sg_ideal writes no relation twice, up to a scalar: the tuples of
+        # every graph fixture, the benchmark's family graphs, T(A) of the
+        # .bq fixtures and the dissections
+        tuples = [(n, skew_brauer_algebra(load(n)).sg_tuple) for n in SBG_FIXTURES]
+        tuples += [(n, skew_brauer_algebra(formats.parse_sbg(text, n)).sg_tuple)
+                   for seed in (1, 2, 3) for n, text in family_graphs(seed)]
+        for n in BQ_FIXTURES + ["a2rev.bq", "excut.bq"]:
+            a = load(n)
+            if not a.admissible:
+                a = admissible_presentation(make_presentation(a))
+            tuples.append((f"T({n})", trivial_extension(a).sg_tuple))
+        tuples += [(n, trivext_tuple_from_dissection(load(n)).as_sg_tuple())
+                   for n in DIS_FIXTURES]
+        assert len(tuples) == 102
+        for name, t in tuples:
+            rels = sg_ideal(t)
+            assert dedupe_relations(rels) == list(rels), name
+
+    def test_closed_loop_kill_is_its_monomial(self):
+        # each new loop B of T(semisimple2) closes a stationary path: its
+        # kill B*B is also a monomial of the tuple, and is written once
+        t = trivial_extension(load("semisimple2.bq"))
+        q = t.algebra.quiver
+        assert set(t.sg_tuple.monomials) == {P(q, "B1", "B1"), P(q, "B2", "B2")}
+        assert [r.label(q) for r in sg_ideal(t.sg_tuple)] == ["B1*B1", "B2*B2"]
 
     def test_tuple_invariant_rejects_special_transit(self):
         q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])

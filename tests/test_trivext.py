@@ -86,11 +86,8 @@ class TestTrivialExtension:
         b1p, b1m, b2 = bp["+a+*+b*g"], bp["-a+*+b*g"], bp["d*l"]
 
         def holds(*terms):
-            vec = {}
-            for coeff, labels in terms:
-                p = P(q, *labels)
-                vec[p] = vec.get(p, Fraction(0)) + coeff
-            return not basis.reduce_element(vec)
+            return basis.relation_holds(
+                Relation(tuple((Fraction(c), P(q, *labels)) for c, labels in terms)))
 
         # Type a
         assert holds((1, ("+a+", "+b")), (-1, ("+a-", "-b")))
