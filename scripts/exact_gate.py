@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Exact gate: one SHA-256 digest per group of algebras, and one overall.
+"""Exact gate: one SHA-256 digest per algebra, per group, and overall.
 
 Usage: ``python3 scripts/exact_gate.py [ROOT]``.  ROOT is a checkout of
 this repository (default: the one holding this script); its ``src``,
 ``fixtures`` and ``perfbench/families.py`` are read.  Run it on two
-checkouts: a change that keeps every answer gives identical digests.
+checkouts: a change that keeps every answer gives identical output, and
+``diff`` of the two outputs names each algebra whose record changed.
 
 The groups:
 
@@ -140,8 +141,10 @@ def main() -> int:
                 lines = _lines(build())
             except SkewBrauerError as exc:
                 lines = [type(exc).__name__, str(exc)]
-            digest.update(repr((name, lines)).encode())
+            record = repr((name, lines)).encode()
+            digest.update(record)
             count += 1
+            print(f"{group:<9} {name}  {hashlib.sha256(record).hexdigest()[:16]}")
         overall.update(digest.hexdigest().encode())
         total += count
         print(f"{group:<9} {count:>4} algebras  {digest.hexdigest()}")

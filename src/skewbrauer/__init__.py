@@ -16,9 +16,9 @@ from .dissection import (Arc, OrbifoldDissection, Puncture,
                          q_cartan_det_formula, quiver_from_dissection,
                          skew_gentle_from_dissection,
                          trivext_tuple_from_dissection, validate_dissection)
-from .errors import (InfiniteDimensional, InvalidSetting, NonComposable,
-                     NotAdmissible, NotSkewGentle, ParseError,
-                     SkewBrauerError, UnsupportedClass)
+from .errors import (InfiniteDimensional, NonComposable, NotAdmissible,
+                     NotSkewGentle, ParseError, SkewBrauerError, Undecided,
+                     UnsupportedClass)
 from .iso import IsoResult, are_isomorphic
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
                      Vertex, compose_paths, is_gentle, is_locally_gentle,

@@ -21,13 +21,20 @@ Normal forms are read at two levels.  ``PathBasis.normal_form`` takes a
 word, the tuple of arrow ids of a path, and returns
 ``{word: int | Fraction}`` straight from the engine; the relation checks
 of ``iso``, ``relation_holds``, ``is_zero``, the symmetrising form and
-the projective layers read it there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
-``{Path: Fraction}``, memoised per path.
+the projective layers read it there.  ``PathBasis.reduce`` wraps it for
+a ``Path`` and returns ``{Path: Fraction}``.
 
-The completed system is built once per algebra and cap: it is kept on
-the ``BoundQuiver``, and each call returns a new ``PathBasis`` around it.
 The walk that finds the basis extends every nonzero path, shortest
-first, and records them all as ``alive_paths``.  ``PathBasis.blocks``
+first, and records them all as ``alive_paths``; the tip-free ones are
+the basis.  It decides finite dimension exactly (Ufnarovski): with
+k = max(longest tip - 1, 1), tip-freeness is read on windows of k + 1
+arrows, so a tip-free word whose last k arrows occur earlier in it pumps
+the closed path between them, whose powers are then all nonzero.  Else
+the walk ends where all paths of a length are zero, or once the
+dimension shows that no length ever will be (x^2 = x^3 on a loop).  The
+length cap only guards the completion.  The completed system is built
+once per algebra: it is kept on the ``BoundQuiver``, and each call
+returns a new ``PathBasis`` around it.  ``PathBasis.blocks``
 and ``PathBasis.alive_blocks`` group the basis and the alive paths by
 (source, target) once per completed system, on first use; ``block``,
 ``paths_from``, ``paths_into``, the symmetrising form, the projective
@@ -36,36 +43,18 @@ layers and the Cartan matrix read them.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InfiniteDimensional, InvalidSetting, NotAdmissible
-from .quiver import BoundQuiver, Path, Quiver, Relation, stationary
+from .errors import InfiniteDimensional, NotAdmissible, Undecided
+from .quiver import ONE, BoundQuiver, Path, Quiver, Relation, stationary
 
 DEFAULT_LENGTH_CAP = 64
 
-Vector = dict[Path, Fraction]
 Word = tuple[int, ...]            # the arrows of a path of positive length
 Poly = dict[Word, int | Fraction]
 Blocks = dict[tuple[int, int], tuple[Path, ...]]   # (source, target) -> paths
-
-ONE = Fraction(1)
-
-
-def _env_cap() -> int:
-    raw = os.environ.get("SKEWBRAUER_LENGTH_CAP")
-    if not raw:
-        return DEFAULT_LENGTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 2:
-        raise InvalidSetting(
-            f"SKEWBRAUER_LENGTH_CAP must be an integer >= 2, not {raw!r}")
-    return cap
 
 
 def _order(w: Word) -> tuple:
@@ -91,7 +80,6 @@ class _RewriteSystem:
         self.rules: dict[Word, Poly] = {}
         self._tip_lengths: list[int] = []
         self._memo: dict[Word, Poly] = {}
-        self.vectors: dict[Path, Vector] = {}   # see PathBasis.reduce
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
         self.alive: tuple[Path, ...] = ()       # see PathBasis.alive_paths
@@ -142,8 +130,8 @@ class _RewriteSystem:
     def complete(self, relations: Iterable[Relation], cap: int) -> None:
         """Turn the relations into a confluent system.
 
-        Raises ``InfiniteDimensional`` when an ambiguity longer than twice
-        the cap is still pending.
+        Raises ``Undecided`` when an ambiguity longer than twice the cap
+        is still pending.
         """
         for r in relations:
             vec: Poly = {}
@@ -155,7 +143,7 @@ class _RewriteSystem:
             if left not in self.rules or right not in self.rules:
                 continue
             if degree > 2 * cap:
-                raise InfiniteDimensional(cap)
+                raise Undecided(cap)
             self.counts["ambiguities"] += 1
             # left * v == u * right for the overlap of k arrows
             v, u = right[k:], left[:-k]
@@ -233,20 +221,13 @@ class PathBasis:
             return {}
         return self._engine.normal_form(word)
 
-    def reduce(self, p: Path) -> Vector:
+    def reduce(self, p: Path) -> dict[Path, Fraction]:
         """Normal form of a path as a combination of basis paths, with
         ``Fraction`` coefficients."""
-        vectors = self._engine.vectors
-        out = vectors.get(p)
-        if out is None:
-            if p.arrows:
-                src = self.algebra.quiver.arrow(p.arrows[0]).source
-                out = {Path(src, w): Fraction(c)
-                       for w, c in self.normal_form(p.arrows).items()}
-            else:
-                out = {p: ONE}
-            vectors[p] = out
-        return out
+        if not p.arrows:
+            return {p: ONE}
+        src = self.algebra.quiver.arrow(p.arrows[0]).source
+        return {Path(src, w): Fraction(c) for w, c in self.normal_form(p.arrows).items()}
 
     def is_zero(self, p: Path) -> bool:
         return not self.normal_form(p.arrows)
@@ -293,8 +274,8 @@ class PathBasis:
         """All paths with nonzero normal form, shortest first.
 
         They are the paths the basis walk of ``enumerate_basis`` extends,
-        recorded in its order; every ``PathBasis`` of the same algebra and
-        cap returns the same tuple.
+        recorded in its order; every ``PathBasis`` of the same algebra
+        returns the same tuple.
         """
         return self._engine.alive
 
@@ -318,24 +299,22 @@ def _merge(blocks: Iterable[tuple[Path, ...]]) -> tuple[Path, ...]:
 def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBasis:
     """Compute the normal-form path basis of an admissible bound quiver.
 
-    The cap is ``length_cap``, else ``SKEWBRAUER_LENGTH_CAP``, else 64,
-    raised to the longest relation term.  Raises ``NotAdmissible`` for
-    non-admissible presentations and ``InfiniteDimensional`` when a
-    nonzero path survives at the cap, or when the completion meets an
-    ambiguity longer than twice the cap.
+    Raises ``NotAdmissible`` for non-admissible presentations, and
+    ``InfiniteDimensional`` with a cycle whose powers are all nonzero.
+    ``length_cap`` (default 64, raised to the longest relation term) only
+    guards the completion, which raises ``Undecided`` past twice the cap.
 
-    The basis is built once per algebra and cap and kept on ``bq``; a
-    repeated call returns a new ``PathBasis`` around the same data.
+    The basis is built once per algebra and kept on ``bq``, whatever the
+    cap; a repeated call returns a new ``PathBasis`` around the same data.
     """
     if not bq.admissible:
         raise NotAdmissible("normalise the presentation before computing a basis")
-    cap = length_cap if length_cap is not None else _env_cap()
     # the stash holds no PathBasis, which points back to bq: a cycle
     # would keep every algebra alive until the garbage collector runs
-    built = bq.__dict__.setdefault("_bases", {})
-    data = built.get(cap)
+    data = bq.__dict__.get("_basis")
     if data is None:
-        data = built[cap] = _build(bq, cap)
+        cap = DEFAULT_LENGTH_CAP if length_cap is None else length_cap
+        data = bq.__dict__["_basis"] = _build(bq, cap)
     return PathBasis(bq, *data)
 
 
@@ -344,6 +323,7 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
     q = bq.quiver
     engine = _RewriteSystem()
     engine.complete(bq.relations, cap)
+    k = max(max(map(len, engine.rules), default=0) - 1, 1)
 
     # extend nonzero paths one arrow at a time; every nonzero path is
     # recorded, shortest first, and the tip-free ones are the basis
@@ -362,10 +342,21 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
                     alive.append(ext)
                     if w in nf:
                         basis.append(ext)
+                        # a window of k arrows that recurs bounds a cycle with
+                        # tip-free powers; w's prefix repeats none, so only
+                        # its last window is new
+                        i = next((i for i in range(length - k) if w[i:i + k] == w[-k:]), -1)
+                        if i >= 0:
+                            u = Path(q.arrow(w[i]).source, w[i:length - k])
+                            raise InfiniteDimensional(u, u.label(q))
         if not alive:
             break
-        if length >= cap:
-            raise InfiniteDimensional(cap, alive[0], alive[0].label(q))
+        # the powers of the arrow ideal shrink strictly until they vanish,
+        # from dimension - |vertices|; past that, they never vanish
+        if length > len(basis) - len(q.vertices):
+            raise NotAdmissible(
+                "the ideal contains no power of the arrow ideal: paths of every "
+                f"length are nonzero, e.g. {alive[0].label(q)}")
         found += alive
         frontier = alive
         length += 1

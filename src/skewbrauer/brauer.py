@@ -386,8 +386,11 @@ def graph_from_skew_gentle(p: SkewGentlePresentation) -> SkewBrauerGraph:
 def is_skew_brauer_tree(g: SkewBrauerGraph) -> Verdict:
     """Tree, multiplicity one everywhere, exactly one distinguished vertex."""
     check = validate_graph(g)
-    if not check:
-        return check
+    return _tree_verdict(g) if check else check
+
+
+def _tree_verdict(g: SkewBrauerGraph) -> Verdict:
+    """``is_skew_brauer_tree`` on a graph that is already validated."""
     gr = g.graph
     if len(g.distinguished) != 1:
         return Verdict(False, "distinguished-count",
@@ -484,7 +487,7 @@ def classify_rep_type(g: SkewBrauerGraph) -> Classification:
         return Classification("Infinite", "multiple-distinguished",
                               "≥2 distinguished vertices")
     if ndist == 1:
-        tree = is_skew_brauer_tree(g)
+        tree = _tree_verdict(g)
         if tree:
             return Classification("Finite", "skew-brauer-tree",
                                   "skew-Brauer tree")

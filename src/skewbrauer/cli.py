@@ -19,7 +19,7 @@ from .cartan import cartan
 from .dissection import (OrbifoldDissection, contraction_addition,
                          q_cartan_det_formula, skew_gentle_from_dissection,
                          trivext_tuple_from_dissection, validate_dissection)
-from .errors import InvalidSetting, ParseError, SkewBrauerError
+from .errors import ParseError, SkewBrauerError
 from .iso import are_isomorphic
 from .quiver import BoundQuiver, is_gentle, is_locally_gentle
 from .skewgentle import (admissible_presentation, is_skew_gentle,
@@ -383,7 +383,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, InvalidSetting) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SkewBrauerError as exc:

@@ -14,23 +14,27 @@ class NotAdmissible(SkewBrauerError):
 
 
 class InfiniteDimensional(SkewBrauerError):
-    """Raised when nonzero paths still survive at the length cap, or when
-    the rewriting completion runs past twice the cap.
+    """Raised when the algebra is infinite dimensional.
 
-    ``witness`` is a surviving path of length ``cap`` when one is known,
-    and ``label`` its name in the quiver; without one, the message says
-    that the completion stopped and no surviving path was found.
+    ``witness`` is a cycle, a closed ``Path``, whose every power is
+    tip-free and so nonzero; ``label`` is its name in the quiver.
     """
 
-    def __init__(self, cap: int, witness=None, label: str = ""):
-        if witness is None:
-            message = (f"rewriting completion passed degree {2 * cap} "
-                       f"(twice the length cap {cap}); no surviving path was found")
-        else:
-            message = f"nonzero paths survive at length cap {cap}, e.g. {label}"
-        super().__init__(message)
-        self.cap = cap
+    def __init__(self, witness, label: str):
+        super().__init__(
+            f"infinite dimensional: every power of the cycle {label} is nonzero")
         self.witness = witness
+
+
+class Undecided(SkewBrauerError):
+    """Raised when the rewriting completion runs past its guard, twice the
+    length cap, before it closes: finite dimension is then not decided."""
+
+    def __init__(self, cap: int):
+        super().__init__(
+            f"undecided: the rewriting completion passed degree {2 * cap} "
+            f"(twice the length cap {cap}) without closing")
+        self.cap = cap
 
 
 class LoopAtDistinguished(SkewBrauerError):
@@ -75,11 +79,6 @@ class InvalidPosition(SkewBrauerError):
 
 class NotReflectable(SkewBrauerError):
     """Raised when a geometric reflection is requested at an unsuitable arc."""
-
-
-class InvalidSetting(SkewBrauerError):
-    """Raised when an environment setting such as ``SKEWBRAUER_LENGTH_CAP``
-    holds a value the toolkit cannot use."""
 
 
 class ParseError(SkewBrauerError):

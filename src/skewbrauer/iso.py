@@ -81,9 +81,28 @@ def _relations_carry(relations: list[Terms], dst_basis: PathBasis,
     return True
 
 
+@dataclass
+class _Search:
+    """The fixed data of one isomorphism search, and its node count."""
+    budget: int
+    a_order: list
+    candidates: dict[int, list[int]]
+    groups_a: dict[tuple[int, int], list[Arrow]]
+    groups_b: dict[tuple[int, int], list[Arrow]]
+    rels_a: list[Terms]
+    rels_b: list[Terms]
+    basis_a: PathBasis
+    basis_b: PathBasis
+    nodes: int = 0
+
+    def visit(self) -> bool:
+        """Count a node; false once the budget is exhausted."""
+        self.nodes += 1
+        return self.nodes <= self.budget
+
+
 def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
-                   budget: int = 500_000,
-                   length_cap: Optional[int] = None) -> IsoResult:
+                   budget: int = 500_000) -> IsoResult:
     """Search for an isomorphism of bound quivers.
 
     Requires admissible presentations on both sides.  ``budget`` bounds
@@ -99,8 +118,8 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
     if sorted(prof_a.values()) != sorted(prof_b.values()):
         return IsoResult("not_isomorphic")
 
-    basis_a = enumerate_basis(a, length_cap=length_cap)
-    basis_b = enumerate_basis(b, length_cap=length_cap)
+    basis_a = enumerate_basis(a)
+    basis_b = enumerate_basis(b)
     if basis_a.dimension != basis_b.dimension:
         return IsoResult("not_isomorphic")
 
@@ -119,98 +138,83 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
             rest = [w for w in candidates[v.id] if w not in same]
             candidates[v.id] = same + rest
 
-    # the arrows of each (source, target) pair, in arrow order
-    groups_a, groups_b = _arrow_groups(qa), _arrow_groups(qb)
-    rels_a, rels_b = _relation_words(a), _relation_words(b)
-    nodes = 0
-    exhausted = False
-
-    def arrow_groups(vmap: dict[int, int]) -> Optional[list[tuple[list, list]]]:
-        out = []
-        for (s, t), ars in groups_a.items():
-            bs = groups_b.get((vmap[s], vmap[t]), [])
-            if len(bs) != len(ars):
-                return None
-            out.append((ars, bs))
-        return out
-
-    def try_arrows(vmap: dict[int, int]) -> Optional[dict[int, int]]:
-        nonlocal nodes, exhausted
-        groups = arrow_groups(vmap)
-        if groups is None:
-            return None
-        multi = [g for g in groups if len(g[0]) > 1]
-        single = [g for g in groups if len(g[0]) == 1]
-        base = {g[0][0].id: g[1][0].id for g in single}
-
-        def rec(i: int, acc: dict[int, int]) -> Optional[dict[int, int]]:
-            nonlocal nodes, exhausted
-            if i == len(multi):
-                if _relations_carry(rels_a, basis_b, acc):
-                    inv_a = {w: v for v, w in acc.items()}
-                    if _relations_carry(rels_b, basis_a, inv_a):
-                        return acc
-                return None
-            ars, bs = multi[i]
-            for perm in permutations(bs):
-                nodes += 1
-                if nodes > budget:
-                    exhausted = True
-                    return None
-                trial = dict(acc)
-                trial.update({x.id: y.id for x, y in zip(ars, perm)})
-                got = rec(i + 1, trial)
-                if got is not None:
-                    return got
-            return None
-
-        return rec(0, base)
-
-    def backtrack(i: int, vmap: dict[int, int], used: set[int]) -> Optional[tuple]:
-        nonlocal nodes, exhausted
-        if exhausted:
-            return None
-        if i == len(a_order):
-            amap = try_arrows(vmap)
-            if amap is not None:
-                return (dict(vmap), amap)
-            return None
-        v = a_order[i]
-        for w in candidates[v.id]:
-            if w in used:
-                continue
-            nodes += 1
-            if nodes > budget:
-                exhausted = True
-                return None
-            # local consistency: arrow counts between already-mapped pairs
-            ok = True
-            for u, wu in vmap.items():
-                for (s, t, ws, wt) in ((v.id, u, w, wu), (u, v.id, wu, w)):
-                    na = len(groups_a.get((s, t), ()))
-                    nb = len(groups_b.get((ws, wt), ()))
-                    if na != nb:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            vmap[v.id] = w
-            used.add(w)
-            got = backtrack(i + 1, vmap, used)
-            if got is not None:
-                return got
-            del vmap[v.id]
-            used.discard(w)
-        return None
-
-    found = backtrack(0, {}, set())
+    search = _Search(budget, a_order, candidates, _arrow_groups(qa), _arrow_groups(qb),
+                     _relation_words(a), _relation_words(b), basis_a, basis_b)
+    found = _backtrack(search, 0, {}, set())
     if found is not None:
         vmap, amap = found
         return IsoResult(
             "isomorphic",
             {qa.vertex(v).label: qb.vertex(w).label for v, w in vmap.items()},
             {qa.arrow(x).label: qb.arrow(y).label for x, y in amap.items()},
-            nodes=nodes)
-    return IsoResult("budget_exhausted" if exhausted else "not_isomorphic", nodes=nodes)
+            nodes=search.nodes)
+    status = "budget_exhausted" if search.nodes > budget else "not_isomorphic"
+    return IsoResult(status, nodes=search.nodes)
+
+
+# Module-level functions over explicit state: a nested function that calls
+# itself is a reference cycle, which keeps both algebras until a collection.
+
+def _backtrack(s: _Search, i: int, vmap: dict[int, int],
+               used: set[int]) -> Optional[tuple]:
+    """Map the vertices of ``s.a_order`` from ``i`` on, then the arrows."""
+    if s.nodes > s.budget:
+        return None
+    if i == len(s.a_order):
+        amap = _try_arrows(s, vmap)
+        if amap is not None:
+            return (dict(vmap), amap)
+        return None
+    v = s.a_order[i]
+    for w in s.candidates[v.id]:
+        if w in used:
+            continue
+        if not s.visit():
+            return None
+        # local consistency: arrow counts between already-mapped pairs
+        if any(len(s.groups_a.get((x, y), ())) != len(s.groups_b.get((wx, wy), ()))
+               for u, wu in vmap.items()
+               for (x, y, wx, wy) in ((v.id, u, w, wu), (u, v.id, wu, w))):
+            continue
+        vmap[v.id] = w
+        used.add(w)
+        got = _backtrack(s, i + 1, vmap, used)
+        if got is not None:
+            return got
+        del vmap[v.id]
+        used.discard(w)
+    return None
+
+
+def _try_arrows(s: _Search, vmap: dict[int, int]) -> Optional[dict[int, int]]:
+    """An arrow bijection over the vertex map that carries both ideals."""
+    groups = []
+    for (x, y), ars in s.groups_a.items():
+        bs = s.groups_b.get((vmap[x], vmap[y]), [])
+        if len(bs) != len(ars):
+            return None
+        groups.append((ars, bs))
+    multi = [g for g in groups if len(g[0]) > 1]
+    base = {g[0][0].id: g[1][0].id for g in groups if len(g[0]) == 1}
+    return _match_multi(s, multi, 0, base)
+
+
+def _match_multi(s: _Search, multi: list[tuple[list, list]], i: int,
+                 acc: dict[int, int]) -> Optional[dict[int, int]]:
+    """Try each matching of the parallel arrows of ``multi[i:]``."""
+    if i == len(multi):
+        if _relations_carry(s.rels_a, s.basis_b, acc):
+            inv_a = {w: v for v, w in acc.items()}
+            if _relations_carry(s.rels_b, s.basis_a, inv_a):
+                return acc
+        return None
+    ars, bs = multi[i]
+    for perm in permutations(bs):
+        if not s.visit():
+            return None
+        trial = dict(acc)
+        trial.update({x.id: y.id for x, y in zip(ars, perm)})
+        got = _match_multi(s, multi, i + 1, trial)
+        if got is not None:
+            return got
+    return None

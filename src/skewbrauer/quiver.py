@@ -349,7 +349,7 @@ def is_locally_gentle(bq: BoundQuiver) -> Verdict:
     return Verdict(True)
 
 
-def is_gentle(bq: BoundQuiver, length_cap: Optional[int] = None) -> Verdict:
+def is_gentle(bq: BoundQuiver) -> Verdict:
     """Locally gentle plus finite dimension of the quotient (admissibility)."""
     from .basis import enumerate_basis
     from .errors import InfiniteDimensional
@@ -360,7 +360,7 @@ def is_gentle(bq: BoundQuiver, length_cap: Optional[int] = None) -> Verdict:
     if not bq.admissible:
         return Verdict(False, "admissible", "presentation is not admissible")
     try:
-        enumerate_basis(bq, length_cap=length_cap)
+        enumerate_basis(bq)
     except InfiniteDimensional:
         return Verdict(False, "admissible", "quotient is infinite dimensional")
     return Verdict(True)

@@ -146,32 +146,28 @@ def _cuts(q: Quiver, cycles: Sequence[Path],
     """Arrow sets meeting each cycle exactly once, counted with multiplicity."""
     order = sorted(cycles, key=Path.sort_key)
     out: dict[frozenset[int], None] = {}
-
-    def count(chosen: frozenset[int], c: Path) -> int:
-        return sum(c.arrows.count(a) for a in chosen)
-
-    def rec(i: int, chosen: frozenset[int]):
-        if limit is not None and len(out) >= limit:
-            return
+    # depth first, candidates in label order, on an explicit stack: a
+    # nested function that calls itself would be a reference cycle
+    stack = [(0, frozenset())]
+    while stack and (limit is None or len(out) < limit):
+        i, chosen = stack.pop()
         if i == len(order):
             out.setdefault(chosen)
-            return
+            continue
         c = order[i]
-        have = count(chosen, c)
-        if have > 1:
-            return
+        have = _hits(chosen, c)
         if have == 1:
-            rec(i + 1, chosen)
-            return
-        cands = sorted({a for a in c.arrows if c.arrows.count(a) == 1},
-                       key=lambda a: q.arrow(a).label)
-        for a in cands:
-            nxt = chosen | {a}
-            if all(count(nxt, order[j]) <= 1 for j in range(i)):
-                rec(i + 1, nxt)
-
-    rec(0, frozenset())
+            stack.append((i + 1, chosen))
+        elif have == 0:
+            cands = sorted({a for a in c.arrows if c.arrows.count(a) == 1},
+                           key=lambda a: q.arrow(a).label)
+            stack.extend((i + 1, chosen | {a}) for a in reversed(cands)
+                         if all(_hits(chosen | {a}, order[j]) <= 1 for j in range(i)))
     return list(out)
+
+
+def _hits(chosen: frozenset[int], c: Path) -> int:
+    return sum(c.arrows.count(a) for a in chosen)
 
 
 def is_sign_closed(algebra: BoundQuiver, arrow_ids: Iterable[int]) -> bool:

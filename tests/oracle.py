@@ -50,9 +50,12 @@ def oracle_reduce(bq: BoundQuiver, cap: int):
     ncols = len(order)
 
     rows: list[dict[int, Fraction]] = []
-    by_end: dict[tuple[int, int], list[Path]] = {}
+    # the paths from and into each vertex, shortest first like ``paths``
+    starting: dict[int, list[Path]] = {}
+    ending: dict[int, list[Path]] = {}
     for p in paths:
-        by_end.setdefault((p.source(q), p.target(q)), []).append(p)
+        starting.setdefault(p.source(q), []).append(p)
+        ending.setdefault(p.target(q), []).append(p)
 
     def add_row(vec: dict[Path, Fraction]):
         row = {}
@@ -73,14 +76,11 @@ def oracle_reduce(bq: BoundQuiver, cap: int):
         lead = r.paths()[0]
         src, tgt = lead.source(q), lead.target(q)
         max_len = max(len(p) for p in r.paths())
-        for u in paths:
-            if u.target(q) != src:
-                continue
-            for v in paths:
-                if v.source(q) != tgt:
-                    continue
-                if len(u) + max_len + len(v) > cap:
-                    continue
+        for u in ending.get(src, ()):
+            room = cap - len(u) - max_len
+            for v in starting.get(tgt, ()):
+                if len(v) > room:
+                    break
                 vec: dict[Path, Fraction] = {}
                 for c, p in r.terms:
                     base = u.base if u.arrows else (p.base if p.arrows else v.base)

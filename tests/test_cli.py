@@ -251,24 +251,21 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == "error: no arc nope\n"
 
-    def test_env_cap_respected(self, monkeypatch, capsys):
-        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", "3")
-        code = main(["cartan", fixture_path("toy.bq"), "--det"])
-        # cap 3 is below the nilpotency bound, so the computation fails
+    def test_infinite_dimension_exit_1(self, capsys):
+        code = main(["cartan", fixture_path("loop.bq"), "--det"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "length cap 3, e.g. " in err
-        monkeypatch.delenv("SKEWBRAUER_LENGTH_CAP")
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "1"])
-    def test_bad_env_cap_exit_2(self, monkeypatch, capsys, raw):
-        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", raw)
-        code = main(["cartan", fixture_path("toy.bq"), "--det"])
-        assert code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == (
-            f"error: SKEWBRAUER_LENGTH_CAP must be an integer >= 2, not '{raw}'\n")
+        assert out.err == ("error: infinite dimensional: every power of the "
+                           "cycle f is nonzero\n")
+
+    def test_long_linear_quiver_det(self, tmp_path, capsys):
+        # A_70: the longest path has 69 arrows, more than the default cap 64
+        path = tmp_path / "a70.bq"
+        path.write_text("".join(f"vertex {i}\n" for i in range(1, 71))
+                        + "".join(f"arrow a{i}: {i} -> {i + 1}\n" for i in range(1, 70)))
+        assert main(["cartan", str(path), "--det"]) == 0
+        assert capsys.readouterr().out == "det = 1\n"
 
     def test_console_script_entry(self):
         proc = subprocess.run(

@@ -10,6 +10,7 @@ from skewbrauer import brauer, formats
 from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,
                                symmetric_form_check)
 from skewbrauer.cartan import IntPoly, cartan
+from skewbrauer.errors import InfiniteDimensional, Undecided
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
@@ -133,6 +134,54 @@ def test_inhomogeneous_relations_match_oracle(bq):
     for p in all_paths(bq.quiver, bound, set()):
         want = oracle_form(p) if p in survivors else {}
         assert basis.reduce(p) == want, p.label(bq.quiver)
+
+
+@st.composite
+def homogeneous_algebras(draw):
+    """Small bound quivers, loops allowed, with monomial relations and
+    two-term relations whose terms have equal length.  Nothing truncates
+    them, so many are infinite dimensional."""
+    nv = draw(st.integers(1, 3))
+    specs = [(f"a{i}", str(draw(st.integers(0, nv - 1))),
+              str(draw(st.integers(0, nv - 1))))
+             for i in range(draw(st.integers(1, 3)))]
+    q = Quiver.build([str(v) for v in range(nv)], specs)
+    paths = [p for p in all_paths(q, 3, set()) if len(p) >= 2]
+    if not paths:
+        return BoundQuiver(q)
+    relations = [Relation.monomial(p)
+                 for p in draw(st.lists(st.sampled_from(paths), max_size=2))]
+    for _ in range(draw(st.integers(0, 3))):
+        p = draw(st.sampled_from(paths))
+        partners = [r for r in paths if len(r) == len(p) and r != p
+                    and (r.source(q), r.target(q)) == (p.source(q), p.target(q))]
+        if partners:
+            c = Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+            relations.append(Relation(((Fraction(1), p),
+                                       (c, draw(st.sampled_from(partners))))))
+    return BoundQuiver(q, tuple(relations))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(homogeneous_algebras())
+def test_finite_dimension_matches_oracle(bq):
+    # homogeneous relations make the truncated oracle exact in every
+    # degree up to its cap: it finds the basis of a finite algebra, and
+    # paths alive at its cap in an infinite one
+    try:
+        basis = enumerate_basis(bq, length_cap=8)
+    except Undecided:
+        assume(False)
+    except InfiniteDimensional as exc:
+        u = exc.witness
+        assert u.arrows and u.source(bq.quiver) == u.target(bq.quiver)
+        with pytest.raises(ValueError, match="paths still alive at the cap"):
+            oracle_reduce(bq, cap=6)
+        return
+    longest = max((r.max_term_length() for r in bq.relations), default=0)
+    dim, bound, paths, _ = oracle_reduce(bq, cap=basis.nilpotency_bound + longest)
+    assert (basis.dimension, basis.nilpotency_bound) == (dim, bound)
+    assert basis.basis_paths == tuple(paths)
 
 
 @pytest.mark.parametrize("name", SBG_FIXTURES + [f"T({n})" for n in BQ_FIXTURES])

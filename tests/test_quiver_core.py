@@ -7,12 +7,13 @@ from fractions import Fraction
 from itertools import permutations
 from hypothesis import example, given, settings, strategies as st
 
-from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer.basis import (DEFAULT_LENGTH_CAP, _RewriteSystem, enumerate_basis,
+                              maximal_paths)
 from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
-from skewbrauer.errors import (InfiniteDimensional, InvalidSetting, NonComposable,
-                               NotAdmissible)
+from skewbrauer.errors import (InfiniteDimensional, NonComposable, NotAdmissible,
+                               Undecided)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                compose_paths, dedupe_relations, is_gentle,
@@ -130,23 +131,68 @@ class TestEnumerateBasis:
     def test_free_loop_is_infinite(self):
         bq = load("loop.bq")
         with pytest.raises(InfiniteDimensional) as info:
-            enumerate_basis(bq, length_cap=16)
+            enumerate_basis(bq)
         witness = info.value.witness
         q = bq.quiver
-        assert len(witness) == 16
-        assert path_from_arrows(q, witness.arrows) == witness
-        assert witness.label(q) in str(info.value)
+        assert witness == P(q, "f")
+        assert str(info.value) == (
+            "infinite dimensional: every power of the cycle f is nonzero")
 
-    def test_endless_completion_is_infinite(self):
+    @pytest.mark.parametrize("arrows, relations, cycle", [
+        # a free 3-cycle, and two free loops at one vertex
+        ([("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")], [], "a*b*c"),
+        ([("x", "v", "v"), ("y", "v", "v")], [], "x"),
+        # a*b kills every cycle through it, but not c*b
+        ([("a", "1", "2"), ("b", "2", "1"), ("c", "1", "2")], [("a", "b")], "c*b"),
+    ])
+    def test_infinite_witness_is_a_cycle_with_nonzero_powers(self, arrows, relations,
+                                                             cycle):
+        labels = sorted({v for _, s, t in arrows for v in (s, t)})
+        q = Quiver.build(labels, arrows)
+        bq = BoundQuiver(q, tuple(mono(q, *r) for r in relations))
+        with pytest.raises(InfiniteDimensional) as info:
+            enumerate_basis(bq)
+        u = info.value.witness
+        assert u.label(q) == cycle and u.source(q) == u.target(q)
+        assert str(info.value) == (
+            f"infinite dimensional: every power of the cycle {cycle} is nonzero")
+        # the powers of the witness are their own normal forms
+        engine = _RewriteSystem()
+        engine.complete(bq.relations, DEFAULT_LENGTH_CAP)
+        for j in range(1, 6):
+            power = u.arrows * j
+            assert engine.normal_form(power) == {power: 1}
+
+    def test_long_linear_quiver_is_finite(self):
+        # A_70 without relations: 70 + 69 * 70 / 2 paths, the longest of
+        # length 69: the default cap 64 guards only the completion
+        labels = [str(i) for i in range(1, 71)]
+        q = Quiver.build(labels, [(f"a{i}", labels[i], labels[i + 1]) for i in range(69)])
+        basis = enumerate_basis(BoundQuiver(q))
+        assert (basis.dimension, basis.nilpotency_bound) == (2485, 70)
+
+    def test_non_nilpotent_arrow_ideal_is_not_admissible(self):
+        # x^2 = x^3: the quotient has the basis e, x, x^2, but every power
+        # of x is nonzero, so no power of the arrow ideal lies in the ideal
+        q = Quiver.build(["v"], [("x", "v", "v")])
+        bq = BoundQuiver(q, (diff(q, ("x", "x"), ("x", "x", "x")),))
+        with pytest.raises(NotAdmissible) as info:
+            enumerate_basis(bq)
+        assert str(info.value) == (
+            "the ideal contains no power of the arrow ideal: paths of every "
+            "length are nonzero, e.g. x*x*x")
+
+    def test_endless_completion_is_undecided(self):
         # the braid relation y*x*y = x*y*x has no finite rewriting system
         # under the (length, arrows) order: the completion guard stops it
         q = Quiver.build(["v"], [("x", "v", "v"), ("y", "v", "v")])
         bq = BoundQuiver(q, (diff(q, ("y", "x", "y"), ("x", "y", "x")),))
-        with pytest.raises(InfiniteDimensional) as info:
+        with pytest.raises(Undecided) as info:
             enumerate_basis(bq, length_cap=8)
-        assert info.value.witness is None
-        assert str(info.value) == ("rewriting completion passed degree 16 (twice "
-                                   "the length cap 8); no surviving path was found")
+        assert not isinstance(info.value, InfiniteDimensional)
+        assert str(info.value) == ("undecided: the rewriting completion passed degree "
+                                   "16 (twice the length cap 8) without closing")
+        assert "_basis" not in bq.__dict__
 
     @pytest.mark.parametrize("mult", [1, 3, 5, 31, 32, 40])
     def test_cap_covers_the_longest_relation(self, mult):
@@ -160,27 +206,20 @@ class TestEnumerateBasis:
         assert basis.dimension == 2 * 2 + 2 * (2 * mult - 1)
         assert basis.nilpotency_bound == 2 * mult + 1
 
-    def test_basis_built_once_per_cap(self, monkeypatch):
+    def test_basis_built_once_per_algebra(self):
         bq = admissible_presentation(make_presentation(load("toy.bq")))
         first, again = enumerate_basis(bq), enumerate_basis(bq)
         assert first == again and first._engine is again._engine
-        assert enumerate_basis(bq, length_cap=16)._engine is not first._engine
-        # toy's nilpotency bound is above 3: a cached default-cap basis
-        # must not answer for a smaller cap, set either way
-        with pytest.raises(InfiniteDimensional):
-            enumerate_basis(bq, length_cap=3)
-        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", "3")
-        with pytest.raises(InfiniteDimensional):
-            enumerate_basis(bq)
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "1"])
-    def test_env_cap_must_be_an_integer_of_at_least_2(self, monkeypatch, raw):
-        monkeypatch.setenv("SKEWBRAUER_LENGTH_CAP", raw)
-        q = Quiver.build(["1", "2"], [("a", "1", "2")])
-        with pytest.raises(InvalidSetting) as info:
-            enumerate_basis(BoundQuiver(q))
-        assert str(info.value) == (
-            f"SKEWBRAUER_LENGTH_CAP must be an integer >= 2, not '{raw}'")
+        # the completed system does not depend on the cap, which only
+        # guards the completion
+        assert enumerate_basis(bq, length_cap=3)._engine is first._engine
+        # a failed build is not kept: a larger guard builds afresh
+        q = Quiver.build(["v"], [("x", "v", "v"), ("y", "v", "v")])
+        braid = BoundQuiver(q, (diff(q, ("y", "x", "y"), ("x", "y", "x")),))
+        for _ in range(2):
+            with pytest.raises(Undecided):
+                enumerate_basis(braid, length_cap=4)
+            assert "_basis" not in braid.__dict__
 
     def test_basis_cache_makes_no_cycle(self):
         # the stash on the algebra must not point back to it, or the
@@ -389,7 +428,7 @@ class TestGentleVerdicts:
         assert is_locally_gentle(load("kronecker.bq"))
 
     def test_single_loop_fails_admissibility(self):
-        verdict = is_gentle(load("loop.bq"), length_cap=12)
+        verdict = is_gentle(load("loop.bq"))
         assert not verdict
         assert verdict.condition == "admissible"
 
@@ -399,10 +438,10 @@ class TestGentleVerdicts:
         q = Quiver.build(["3", "4", "5"],
                          [("g", "3", "4"), ("d", "4", "5"), ("l", "5", "3")])
         free = BoundQuiver(q, ())
-        verdict = is_gentle(free, length_cap=12)
+        verdict = is_gentle(free)
         assert not verdict and verdict.condition == "admissible"
         cut = BoundQuiver(q, (mono(q, "g", "d"),))
-        assert is_gentle(cut, length_cap=12)
+        assert is_gentle(cut)
 
 
 class TestCartan:

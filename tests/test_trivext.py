@@ -1,4 +1,7 @@
 """Trivial extensions: cycles, cuts, quotients, windows, reflections."""
+import gc
+import weakref
+
 import pytest
 from fractions import Fraction
 
@@ -276,6 +279,23 @@ class TestGoodCuts:
                 quotient = quotient_by_cut(t, d)
                 t2 = trivial_extension(quotient)
                 assert are_isomorphic(t2.algebra, t.algebra)
+
+    def test_round_trip_makes_no_cycle(self):
+        # the good-cut and isomorphism searches must leave no reference
+        # cycle behind, or T(quotient) would outlive its last reference
+        # until a collection
+        t = trivial_extension(toy_adm())
+        quotient = quotient_by_cut(t, next(enumerate_good_cuts(t)))
+        gc.disable()
+        try:
+            t2 = trivial_extension(quotient)
+            refs = [weakref.ref(x) for x in (t2, t2.algebra, t2.sg_tuple.quiver)]
+            assert are_isomorphic(t2.algebra, t.algebra)
+            assert list(enumerate_good_cuts(t2))
+            del t2
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_quotient_collapses_to_skew_gentle(self):
         t = trivial_extension(toy_adm())
