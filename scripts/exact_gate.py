@@ -13,14 +13,21 @@ The groups:
 - ``families``: the family graphs of ``perfbench/families.py``, seeds 1-3;
 - ``trivext``: every ``.bq`` fixture A, T(A), and each good-cut quotient
   of T(A) with its T(quotient);
-- ``dis``: the sg-bound quiver of every ``.dis`` fixture's tuple.
+- ``dis``: the sg-bound quiver of every ``.dis`` fixture's tuple;
+- ``presentations``: the loop presentation (special loops f with f*f = f)
+  of every ``.dis`` fixture, and for every ``.bq`` fixture that has one,
+  ``collapse_presentation`` of its admissible presentation and of each
+  good-cut quotient of its T(A), and ``reflect`` at every auxiliary
+  vertex in both directions.
 
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every alive
 path, the projective layers at every vertex and ``CartanData``; each
 carrier with an ``sg_tuple`` adds the symmetrising-form verdict and its
-cycles, and a trivial extension its ``new_arrows``.  An error is recorded
-by its class and message.
+cycles, and a trivial extension its ``new_arrows``.  A loop presentation
+contributes its canonical ``.bq`` text, its special vertices and the
+relation tuple, in order, of its admissible presentation.  An error is
+recorded by its class and message.
 """
 import hashlib
 import importlib.util
@@ -32,7 +39,8 @@ ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
                        else os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from skewbrauer import formats  # noqa: E402
+from skewbrauer import (auxiliary_gentle, collapse_presentation,  # noqa: E402
+                        formats, reflect, skew_gentle_from_dissection)
 from skewbrauer.basis import enumerate_basis  # noqa: E402
 from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,  # noqa: E402
                                symmetric_form_check)
@@ -81,6 +89,15 @@ def _lines(carrier):
     return out
 
 
+def _presentation_lines(pres):
+    """The record of one loop presentation."""
+    q = pres.quiver
+    adm = admissible_presentation(pres)
+    return [formats.serialize_bq(pres.bound),
+            sorted(q.vertex(v).label for v in pres.special),
+            [r.label(adm.quiver) for r in adm.relations]]
+
+
 def _admissible(bq):
     return bq if bq.admissible else admissible_presentation(make_presentation(bq))
 
@@ -127,18 +144,46 @@ def _dis():
         yield name, build
 
 
-GROUPS = {"sbg": _sbg, "families": _family_graphs, "trivext": _trivext, "dis": _dis}
+def _presentations():
+    for name in _fixtures(".dis"):
+        yield name, lambda name=name: skew_gentle_from_dissection(
+            formats.load(os.path.join(FIXTURES, name)))
+    for name in _fixtures(".bq"):
+        try:
+            pres = make_presentation(formats.load(os.path.join(FIXTURES, name)))
+        except SkewBrauerError:
+            continue
+        a = admissible_presentation(pres)
+        yield name + ":collapse", lambda a=a: collapse_presentation(a)
+        try:
+            t = trivial_extension(a)
+            cuts = list(enumerate_good_cuts(t))
+        except SkewBrauerError:
+            cuts = []
+        for i, cut in enumerate(cuts):
+            yield f"{name}:cut{i}:collapse", lambda t=t, cut=cut: collapse_presentation(
+                quotient_by_cut(t, cut))
+        for v in auxiliary_gentle(pres).quiver.vertices:
+            for direction in ("minus", "plus"):
+                yield (f"{name}:reflect:{v.label}:{direction}",
+                       lambda pres=pres, v=v.label, d=direction: reflect(pres, v, d))
+
+
+# each group: its items (name, build) and the record of what a build returns
+GROUPS = {"sbg": (_sbg, _lines), "families": (_family_graphs, _lines),
+          "trivext": (_trivext, _lines), "dis": (_dis, _lines),
+          "presentations": (_presentations, _presentation_lines)}
 
 
 def main() -> int:
     overall = hashlib.sha256()
     total = 0
-    for group, items in GROUPS.items():
+    for group, (items, lines_of) in GROUPS.items():
         digest = hashlib.sha256()
         count = 0
         for name, build in items():
             try:
-                lines = _lines(build())
+                lines = lines_of(build())
             except SkewBrauerError as exc:
                 lines = [type(exc).__name__, str(exc)]
             record = repr((name, lines)).encode()

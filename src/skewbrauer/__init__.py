@@ -25,14 +25,14 @@ from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
                      path_from_arrows, stationary)
 from .skewgentle import (SgTuple, SkewGentlePresentation,
                          admissible_presentation, auxiliary_gentle,
-                         induced_path, is_skew_gentle, make_presentation,
+                         collapse_presentation, induced_path, is_skew_gentle,
+                         loop_presentation, make_presentation,
                          sg_bound_quiver, sg_ideal, sg_quiver,
                          sp_maximal_paths)
 from .trivext import (CutSet, ElementaryCycle, RepetitiveWindow,
-                      TrivialExtension, collapse_presentation,
-                      enumerate_admissible_cuts, enumerate_good_cuts,
-                      is_admissible_cut, is_sign_closed, quotient_by_cut,
-                      reflect, repetitive_window, socle_basis,
+                      TrivialExtension, enumerate_admissible_cuts,
+                      enumerate_good_cuts, is_admissible_cut, is_sign_closed,
+                      quotient_by_cut, reflect, repetitive_window,
                       trivial_extension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

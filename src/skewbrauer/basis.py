@@ -36,9 +36,9 @@ length cap only guards the completion.  The completed system is built
 once per algebra: it is kept on the ``BoundQuiver``, and each call
 returns a new ``PathBasis`` around it.  ``PathBasis.blocks``
 and ``PathBasis.alive_blocks`` group the basis and the alive paths by
-(source, target) once per completed system, on first use; ``block``,
-``paths_from``, ``paths_into``, the symmetrising form, the projective
-layers and the Cartan matrix read them.
+(source, target) once per completed system, on first use; the
+symmetrising form, the projective layers and the Cartan matrix read
+them.
 """
 from __future__ import annotations
 
@@ -261,15 +261,6 @@ class PathBasis:
                                                      self._engine.alive)
         return out
 
-    def block(self, source: int, target: int) -> tuple[Path, ...]:
-        return self.blocks().get((source, target), ())
-
-    def paths_from(self, source: int) -> tuple[Path, ...]:
-        return _merge(ps for (s, _), ps in self.blocks().items() if s == source)
-
-    def paths_into(self, target: int) -> tuple[Path, ...]:
-        return _merge(ps for (_, t), ps in self.blocks().items() if t == target)
-
     def alive_paths(self) -> tuple[Path, ...]:
         """All paths with nonzero normal form, shortest first.
 
@@ -288,12 +279,6 @@ def _group(q: Quiver, paths: Iterable[Path]) -> Blocks:
         key = (p.base, target[p.arrows[-1]] if p.arrows else p.base)
         out.setdefault(key, []).append(p)
     return {key: tuple(group) for key, group in out.items()}
-
-
-def _merge(blocks: Iterable[tuple[Path, ...]]) -> tuple[Path, ...]:
-    """The paths of the blocks in ``basis_paths`` order, which is
-    ``Path.sort_key`` order."""
-    return tuple(sorted((p for ps in blocks for p in ps), key=Path.sort_key))
 
 
 def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBasis:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from . import formats
 from .basis import enumerate_basis
-from .brauer import (SkewBrauerGraph, classify_rep_type, is_skew_brauer_tree,
+from .brauer import (SkewBrauerGraph, _tree_verdict, classify_rep_type,
                      projective_layers, skew_brauer_algebra, validate_graph)
 from .cartan import cartan
 from .dissection import (OrbifoldDissection, contraction_addition,
@@ -81,7 +81,7 @@ def cmd_check(args) -> int:
         return 0
     if isinstance(obj, SkewBrauerGraph):
         v = validate_graph(obj)
-        tree = is_skew_brauer_tree(obj) if v else v
+        tree = _tree_verdict(obj) if v else v
         payload = {"kind": "skew-brauer-graph", "valid": bool(v),
                    "detail": v.detail, "skew_brauer_tree": bool(tree)}
         text = (f"skew-Brauer graph: {'valid' if v else 'invalid (' + v.detail + ')'}"

@@ -14,10 +14,9 @@ from typing import Optional, Union
 from .cartan import IntPoly, ONE
 from .errors import (InvalidPosition, NotReflectable, TrivialPolygon,
                      UnsupportedClass)
-from .quiver import (BoundQuiver, Path, Quiver, Relation, Verdict,
-                     dedupe_relations)
+from .quiver import BoundQuiver, Path, Quiver, Relation, Verdict
 from .skewgentle import (SgTuple, SkewGentlePresentation, close_paths,
-                         make_presentation)
+                         loop_presentation)
 
 BOUNDARY = "BOUNDARY"
 
@@ -156,54 +155,21 @@ def quiver_from_dissection(d: OrbifoldDissection) -> DissectionQuiver:
             mid_arc = d.arc(q.vertex(src_arrow.target).label)
             same_occurrence = (first.polygon == second.polygon
                                and second.index == first.index + 1)
-            if not same_occurrence:
+            if not same_occurrence or mid_arc.kind == "pendant":
                 rels.append(Relation.monomial(Path(src_arrow.source, (i, j))))
-            elif mid_arc.kind == "pendant":
-                rels.append(Relation.monomial(Path(src_arrow.source, (i, j))))
-            # special-arc transits are dropped here; the sg-ideal restores them
+            # special-arc transits are left to loop_presentation and sg_ideal
     for aid, loop in pendant_loop.items():
         f = q.arrow(loop)
         rels.append(Relation.monomial(Path(f.source, (loop, loop))))
         # pendant loops compose with at most the flanking angles; transits
         # through other occurrences cannot exist (pendant arcs occur once)
-    return DissectionQuiver(q, tuple(dedupe_relations(rels)), special, angle_for,
-                            pendant_loop)
+    return DissectionQuiver(q, tuple(rels), special, angle_for, pendant_loop)
 
 
 def skew_gentle_from_dissection(d: OrbifoldDissection) -> SkewGentlePresentation:
-    """The non-admissible presentation: add special loops and their relations."""
+    """The non-admissible presentation: special loops on the dissection quiver."""
     dq = quiver_from_dissection(d)
-    q = dq.quiver
-    specs = [(a.label, q.vertex(a.source).label, q.vertex(a.target).label)
-             for a in q.arrows]
-    extra = []
-    for vid in sorted(dq.special):
-        label = q.vertex(vid).label
-        extra.append((f"f{label}", label, label))
-    full = Quiver.build([v.label for v in q.vertices], specs + extra)
-
-    def lift(p: Path) -> Path:
-        arrows = tuple(full.arrow_by_label(q.arrow(a).label).id for a in p.arrows)
-        base = (full.arrow(arrows[0]).source if arrows
-                else full.vertex_by_label(q.vertex(p.base).label).id)
-        return Path(base, arrows)
-
-    rels = [Relation(tuple((c, lift(p)) for c, p in r.terms)) for r in dq.relations]
-    special_ids = set()
-    for vid in sorted(dq.special):
-        label = q.vertex(vid).label
-        f = full.arrow_by_label(f"f{label}")
-        special_ids.add(f.source)
-        rels.append(Relation.difference(Path(f.source, (f.id, f.id)),
-                                        Path(f.source, (f.id,))))
-        for ar in full.arrows_into(f.source):
-            if ar.id == f.id:
-                continue
-            for br in full.arrows_from(f.source):
-                if br.id == f.id:
-                    continue
-                rels.append(Relation.monomial(Path(ar.source, (ar.id, br.id))))
-    return make_presentation(BoundQuiver(full, tuple(rels), frozenset(special_ids)))
+    return loop_presentation(BoundQuiver(dq.quiver, dq.relations), dq.special)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A skew-gentle algebra is handled in two presentations: the non-admissible
 one (special loops f with f^2 = f) and the admissible one obtained by
 duplicating the special vertices and ranging relations over all sign
-decorations.
+decorations.  ``loop_presentation`` and ``collapse_presentation`` lead
+back to the first, from the auxiliary gentle algebra and from the second.
 
 An ``SgTuple`` builds its duplicated quiver (``SgTuple.sgq``) and the
 signed powers c^m of its cycles (``SgTuple.powers``) once, on first use.
@@ -15,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .basis import enumerate_basis, maximal_paths
+from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
+from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
                      canonical_rotation, cycle_rotations, is_locally_gentle,
                      stationary)
 
@@ -159,6 +160,31 @@ def auxiliary_gentle(p: SkewGentlePresentation) -> BoundQuiver:
     return BoundQuiver(sub, tuple(kept), frozenset(), True)
 
 
+def loop_presentation(aux: BoundQuiver, special: frozenset[int]) -> SkewGentlePresentation:
+    """The inverse of ``auxiliary_gentle``: special loops back on ``aux``.
+
+    Each special vertex x gets a loop ``f<x>`` (primed while the label is
+    taken) with f*f = f, and each transit through x becomes a monomial;
+    these relations follow those of ``aux``.
+    """
+    q = aux.quiver
+    taken = {v.label for v in q.vertices} | {a.label for a in q.arrows}
+    arrows = list(q.arrows)
+    rels = list(aux.relations)
+    first_id = max((a.id for a in q.arrows), default=-1) + 1
+    for fid, x in enumerate(sorted(special), start=first_id):
+        label = f"f{q.vertex(x).label}"
+        while label in taken:
+            label += "'"
+        taken.add(label)
+        arrows.append(Arrow(fid, label, x, x))
+        rels.append(Relation.difference(Path(x, (fid, fid)), Path(x, (fid,))))
+        rels.extend(Relation.monomial(Path(a.source, (a.id, b.id)))
+                    for a in q.arrows_into(x) for b in q.arrows_from(x))
+    return make_presentation(BoundQuiver(Quiver(q.vertices, tuple(arrows)),
+                                         tuple(rels), frozenset(special)))
+
+
 # ---------------------------------------------------------------------------
 # vertex duplication
 # ---------------------------------------------------------------------------
@@ -211,6 +237,64 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
                                f"{q.vertex(a.target).label}{ts}"))
     quiver = Quiver.build(vlabels, aspecs)
     return SgQuiver(quiver, vorig, aorig, vlook, alook)
+
+
+def collapse_presentation(adm: BoundQuiver,
+                          basis: Optional[PathBasis] = None) -> SkewGentlePresentation:
+    """The inverse of ``sg_quiver``: the loop presentation of ``adm``.
+
+    The base quiver and the vanishing transits through non-special
+    vertices are read from the sign bookkeeping; ``loop_presentation``
+    adds the rest.  ``basis`` is the path basis of ``adm``, computed when
+    not given.
+    """
+    if adm.vertex_origins is None:
+        raise NotSkewGentle("no duplication bookkeeping on this presentation")
+    q = adm.quiver
+    vorigin = {v.id: adm.vertex_origins.get(v.id, (v.label, "")) for v in q.vertices}
+    vsigns: dict[str, set[str]] = {}
+    for base, sign in vorigin.values():
+        vsigns.setdefault(base, set()).add(sign)
+    for base, signs in vsigns.items():
+        if signs not in ({""}, set(SIGNS)):
+            raise NotSkewGentle(f"vertex group {base} is not a sign pair")
+    paired = {base for base, signs in vsigns.items() if signs == set(SIGNS)}
+    vid = {base: i for i, base in enumerate(sorted(vsigns))}
+
+    origins = adm.arrow_origins or {}
+    agroups: dict[str, dict[tuple[str, str], Arrow]] = {}
+    for a in q.arrows:
+        base, ss, ts = origins.get(a.id, (a.label, "", ""))
+        agroups.setdefault(base, {})[(ss, ts)] = a
+    arrows = []
+    for base in sorted(agroups):
+        sample = next(iter(agroups[base].values()))
+        src, tgt = vorigin[sample.source][0], vorigin[sample.target][0]
+        want = (SIGNS if v in paired else ("",) for v in (src, tgt))
+        if set(agroups[base]) != set(product(*want)):
+            raise NotSkewGentle(f"arrow group {base} misses sign variants")
+        arrows.append(Arrow(len(arrows), base, vid[src], vid[tgt]))
+    collapsed = Quiver(tuple(Vertex(i, base) for base, i in vid.items()), tuple(arrows))
+    special = frozenset(vid[base] for base in paired)
+
+    if basis is None:
+        basis = enumerate_basis(adm)
+    monomials = []
+    for a in arrows:
+        if a.target in special:
+            continue
+        for b in collapsed.arrows_from(a.target):
+            # all signed copies must agree on vanishing
+            verdicts = {basis.is_zero(Path(ar.source, (ar.id, br.id)))
+                        for (_, ts), ar in agroups[a.label].items()
+                        for (ss, _), br in agroups[b.label].items()
+                        if ts == ss and ar.target == br.source}
+            if verdicts == {True}:
+                monomials.append(Relation.monomial(Path(a.source, (a.id, b.id))))
+            elif len(verdicts) == 2:
+                raise NotSkewGentle(
+                    f"transit {a.label}*{b.label} vanishes for some signs only")
+    return loop_presentation(BoundQuiver(collapsed, tuple(monomials)), special)
 
 
 def _visit_vertices(q: Quiver, p: Path) -> list[int]:
@@ -411,8 +495,7 @@ def sp_maximal_paths(p: SkewGentlePresentation) -> tuple[Path, ...]:
             if v in p.loops:
                 arrows.append(p.loops[v])
             if i < len(mp.arrows):
-                aux_arrow = aux.quiver.arrow(mp.arrows[i])
-                arrows.append(q.arrow_by_label(aux_arrow.label).id)
+                arrows.append(mp.arrows[i])    # aux keeps the arrow ids of q
         if arrows:
             out.append(Path(q.arrow(arrows[0]).source, tuple(arrows)))
         else:

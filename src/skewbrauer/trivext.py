@@ -12,27 +12,18 @@ from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
-from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
-                     UnknownArrow, UnknownVertex, UnsupportedClass)
+from .errors import (NotSkewGentleSource, NotSourceOrSink, UnknownArrow,
+                     UnknownVertex, UnsupportedClass)
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
                      canonical_rotation, dedupe_relations, is_locally_gentle)
 from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
-                         auxiliary_gentle, close_paths, induced_path,
-                         make_presentation, sg_bound_quiver)
+                         auxiliary_gentle, close_paths, collapse_presentation,
+                         induced_path, sg_bound_quiver)
 
 
 # ---------------------------------------------------------------------------
-# socle and elementary cycles
+# elementary cycles and trivial extensions
 # ---------------------------------------------------------------------------
-
-def socle_basis(a: BoundQuiver, basis: PathBasis) -> tuple[Path, ...]:
-    """Maximal paths, which form a socle bimodule basis for the supported classes."""
-    if not (a.admissible and (a.vertex_origins is not None or is_locally_gentle(a))):
-        raise UnsupportedClass(
-            "socle basis via maximal paths needs a gentle or admissible "
-            "skew-gentle presentation")
-    return maximal_paths(a, basis)
-
 
 @dataclass(frozen=True)
 class ElementaryCycle:
@@ -81,12 +72,17 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     if basis is None:
         basis = enumerate_basis(a)
     if a.vertex_origins is None:
+        if not is_locally_gentle(a):
+            raise UnsupportedClass(
+                "socle basis via maximal paths needs a gentle or admissible "
+                "skew-gentle presentation")
         base, special = a, frozenset()
     else:
+        # make_presentation has checked that the auxiliary algebra is gentle
         pres = collapse_presentation(a, basis)
         base, special = auxiliary_gentle(pres), pres.special
         basis = enumerate_basis(base)
-    paths = sorted(socle_basis(base, basis), key=Path.sort_key)
+    paths = sorted(maximal_paths(base, basis), key=Path.sort_key)
     tup, betas = close_paths(base.quiver, tuple(r.paths()[0] for r in base.relations),
                              special, paths, [f"B{i}" for i in range(1, len(paths) + 1)])
     algebra = sg_bound_quiver(tup)
@@ -269,96 +265,6 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
 
 
 # ---------------------------------------------------------------------------
-# collapse of a duplicated presentation back to the non-admissible form
-# ---------------------------------------------------------------------------
-
-def collapse_presentation(adm: BoundQuiver,
-                          basis: Optional[PathBasis] = None) -> SkewGentlePresentation:
-    """Reconstruct the non-admissible presentation from sign bookkeeping.
-
-    ``basis`` is the path basis of ``adm``, computed when not given."""
-    if adm.vertex_origins is None:
-        raise NotSkewGentle("no duplication bookkeeping on this presentation")
-    q = adm.quiver
-    vgroups: dict[str, dict[str, int]] = {}
-    for v in q.vertices:
-        base, sign = adm.vertex_origins.get(v.id, (v.label, ""))
-        vgroups.setdefault(base, {})[sign] = v.id
-    for base, group in vgroups.items():
-        if set(group) not in ({""}, {"+", "-"}):
-            raise NotSkewGentle(f"vertex group {base} is not a sign pair")
-    special_bases = {b for b, g in vgroups.items() if set(g) == {"+", "-"}}
-
-    agroups: dict[str, dict[tuple[str, str], Arrow]] = {}
-    origins = adm.arrow_origins or {}
-    for a in q.arrows:
-        base, ss, ts = origins.get(a.id, (a.label, "", ""))
-        agroups.setdefault(base, {})[(ss, ts)] = a
-    vlabels = sorted(vgroups)
-    arrow_specs = []
-    arrow_bases = []
-    for base in sorted(agroups):
-        group = agroups[base]
-        sample = next(iter(group.values()))
-        src_base = adm.vertex_origins.get(sample.source, (q.vertex(sample.source).label, ""))[0]
-        tgt_base = adm.vertex_origins.get(sample.target, (q.vertex(sample.target).label, ""))[0]
-        want_s = ("+", "-") if src_base in special_bases else ("",)
-        want_t = ("+", "-") if tgt_base in special_bases else ("",)
-        if set(group) != {(s, t) for s in want_s for t in want_t}:
-            raise NotSkewGentle(f"arrow group {base} misses sign variants")
-        arrow_specs.append((base, src_base, tgt_base))
-        arrow_bases.append(base)
-    loop_specs = []
-    for base in sorted(special_bases):
-        lab = f"f{base}"
-        while any(lab == s[0] for s in arrow_specs) or lab in vlabels:
-            lab += "'"
-        loop_specs.append((lab, base, base))
-    collapsed = Quiver.build(vlabels, arrow_specs + loop_specs)
-    special_ids = frozenset(collapsed.vertex_by_label(b).id for b in special_bases)
-    loops = {collapsed.vertex_by_label(b).id: collapsed.arrow_by_label(l).id
-             for (l, b, _) in loop_specs}
-
-    if basis is None:
-        basis = enumerate_basis(adm)
-    relations: list[Relation] = []
-    for (lab, b, _) in loop_specs:
-        f = collapsed.arrow_by_label(lab)
-        relations.append(Relation.difference(
-            Path(f.source, (f.id, f.id)), Path(f.source, (f.id,))))
-    loop_ids = set(loops.values())
-    for a in collapsed.arrows:
-        if a.id in loop_ids:
-            continue
-        for b in collapsed.arrows_from(a.target):
-            if b.id in loop_ids:
-                continue
-            mid_base = collapsed.vertex(a.target).label
-            if mid_base in special_bases:
-                relations.append(Relation.monomial(Path(a.source, (a.id, b.id))))
-                continue
-            # all decorated copies must agree on vanishing
-            a_group = agroups[a.label]
-            b_group = agroups[b.label]
-            verdicts = set()
-            for (ss, ts), ar in a_group.items():
-                for (ss2, ts2), br in b_group.items():
-                    if ts != ss2 or ar.target != br.source:
-                        continue
-                    verdicts.add(basis.is_zero(Path(ar.source, (ar.id, br.id))))
-            if verdicts == {True}:
-                relations.append(Relation.monomial(Path(a.source, (a.id, b.id))))
-            elif verdicts == {False}:
-                continue
-            elif verdicts:
-                raise NotSkewGentle(
-                    f"transit {a.label}*{b.label} vanishes for some signs only")
-    bq = BoundQuiver(collapsed, tuple(relations), special_ids,
-                     False if special_ids else None)
-    return make_presentation(bq)
-
-
-# ---------------------------------------------------------------------------
 # repetitive windows
 # ---------------------------------------------------------------------------
 
@@ -417,7 +323,7 @@ def repetitive_window(a: BoundQuiver, n_min: int, n_max: int) -> RepetitiveWindo
         if all(p is not None for _, p in terms):
             rels.append(Relation(terms))
     connectors = {i: (t.new_arrows[b], n) for (b, n), i in aid.items() if b in t.new_arrows}
-    return RepetitiveWindow(BoundQuiver(wq, tuple(dedupe_relations(rels))), connectors)
+    return RepetitiveWindow(BoundQuiver(wq, tuple(rels)), connectors)
 
 
 # ---------------------------------------------------------------------------

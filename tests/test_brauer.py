@@ -390,8 +390,9 @@ class TestProjectives:
         basis = enumerate_basis(alg.algebra)
         q = alg.quiver
         vid = q.vertex_by_label("3").id
-        assert len(basis.paths_from(vid)) == 9
-        assert len(basis.paths_into(vid)) == 9
+        blocks = basis.blocks()
+        assert sum(len(ps) for (s, _), ps in blocks.items() if s == vid) == 9
+        assert sum(len(ps) for (_, t), ps in blocks.items() if t == vid) == 9
 
     def test_truncated_vertex_single_layer(self):
         import skewbrauer.brauer as B

@@ -146,6 +146,22 @@ class TestCli:
         assert code == 0
         assert "skew-gentle: yes" in out
 
+    def test_check_sbg_validates_once(self, capsys, monkeypatch):
+        import skewbrauer.brauer as brauer
+        import skewbrauer.cli as cli
+        calls, validate = [], brauer.validate_graph
+
+        def counted(g):
+            calls.append(g)
+            return validate(g)
+        # every binding the check could reach: the CLI's and brauer's own
+        monkeypatch.setattr(cli, "validate_graph", counted)
+        monkeypatch.setattr(brauer, "validate_graph", counted)
+        assert main(["check", fixture_path("fig1.sbg")]) == 0
+        assert capsys.readouterr().out == \
+            "skew-Brauer graph: valid\nskew-Brauer tree: no\n"
+        assert len(calls) == 1
+
     def test_check_dis(self, capsys):
         code = main(["check", fixture_path("torus.dis")])
         out = capsys.readouterr().out

@@ -16,7 +16,7 @@ from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
                                    validate_dissection)
 from skewbrauer.errors import (InvalidPosition, NotReflectable, TrivialPolygon)
 from skewbrauer.iso import IsoResult, are_isomorphic
-from skewbrauer.quiver import Path, Verdict
+from skewbrauer.quiver import Path, Verdict, dedupe_relations
 from skewbrauer.skewgentle import (admissible_presentation, make_presentation,
                                    sg_bound_quiver)
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
@@ -89,6 +89,12 @@ class TestQuiverExtraction:
     def test_extraction_is_skew_gentle(self, name):
         pres = skew_gentle_from_dissection(load(name))
         assert pres.bound.quiver.vertices
+
+    @pytest.mark.parametrize("name", DIS_FIXTURES)
+    def test_no_relation_repeats(self, name):
+        # each ordered angle pair and each pendant loop gives one relation
+        rels = quiver_from_dissection(load(name)).relations
+        assert dedupe_relations(rels) == list(rels)
 
     @pytest.mark.parametrize("name", DIS_FIXTURES)
     def test_arc_meets_at_most_two_polygons(self, name):

@@ -82,8 +82,7 @@ def test_duplication_counts(bq):
     aux = auxiliary_gentle(pres)
     assert len(adm.quiver.vertices) == len(aux.quiver.vertices) + len(pres.special)
     basis = enumerate_basis(adm)
-    q = adm.quiver
-    assert basis.dimension == sum(len(basis.paths_from(v.id)) for v in q.vertices)
+    assert basis.dimension == sum(len(ps) for ps in basis.blocks().values())
     for p in basis.basis_paths:
         assert basis.reduce(p) == {p: Fraction(1)}
 

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from skewbrauer import formats
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.brauer import skew_brauer_algebra
-from skewbrauer.dissection import trivext_tuple_from_dissection
+from skewbrauer.dissection import (skew_gentle_from_dissection,
+                                   trivext_tuple_from_dissection)
 from skewbrauer.errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
 from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, dedupe_relations
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
-                                   auxiliary_gentle, induced_path,
-                                   is_skew_gentle, make_presentation,
+                                   auxiliary_gentle, collapse_presentation,
+                                   induced_path, is_skew_gentle,
+                                   loop_presentation, make_presentation,
                                    sg_bound_quiver, sg_ideal, sg_quiver,
                                    sp_maximal_paths)
 from skewbrauer.trivext import trivial_extension
@@ -200,6 +202,54 @@ class TestAdmissiblePresentation:
             else:
                 assert {len(p) for p in r.paths()} == {2}
         enumerate_basis(adm)
+
+
+def _loop_presentations():
+    """Every skew-gentle .bq fixture and every .dis fixture, presented with
+    special loops."""
+    out = [(n, make_presentation(load(n))) for n in SKEW_GENTLE_FIXTURES + ["excut.bq"]]
+    out += [(n, skew_gentle_from_dissection(load(n))) for n in DIS_FIXTURES]
+    return out
+
+
+class TestLoopPresentation:
+    def test_collapse_inverts_duplication(self):
+        # loop labels may differ (excut.bq names the loop at 3 f2, the
+        # collapse writes f3), so compare the admissible presentations.
+        # The collapse writes the gentle monomials in arrow order, which
+        # sec73_B.bq does not list its relations in.
+        for name, p in _loop_presentations():
+            adm = admissible_presentation(p)
+            back = admissible_presentation(collapse_presentation(adm))
+            assert back.quiver == adm.quiver, name
+            assert back.special_vertices == adm.special_vertices, name
+            if name == "sec73_B.bq":
+                assert set(back.relations) == set(adm.relations)
+                assert len(back.relations) == len(adm.relations)
+            else:
+                assert back.relations == adm.relations, name
+
+    def test_excut_loop_label(self):
+        p = collapse_presentation(admissible_presentation(make_presentation(load("excut.bq"))))
+        q = p.quiver
+        assert sorted(q.arrow(a).label for a in p.loops.values()) == ["f1", "f3"]
+        assert p.bound.special_vertices == p.special
+
+    @pytest.mark.parametrize("name", DIS_FIXTURES)
+    def test_loop_presentation_inverts_auxiliary(self, name):
+        p = skew_gentle_from_dissection(load(name))
+        back = loop_presentation(auxiliary_gentle(p), p.special)
+        assert formats.serialize_bq(back.bound) == formats.serialize_bq(p.bound)
+        assert back.special == p.special
+
+    def test_loop_label_is_primed_while_taken(self):
+        q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"),
+                                            ("f2", "3", "1")])
+        p = loop_presentation(BoundQuiver(q, ()), frozenset({1}))
+        f = p.quiver.arrow(p.loops[1])
+        assert f.label == "f2'" and f.source == f.target == 1
+        # the loop relation, then the transit through 2, after aux's own
+        assert [r.label(p.quiver) for r in p.bound.relations] == ["f2'*f2' - f2'", "a*b"]
 
 
 class TestSpMaximal:

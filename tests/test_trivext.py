@@ -6,19 +6,18 @@ import pytest
 from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
-from skewbrauer.errors import (NotAdmissible, NotSourceOrSink, UnknownArrow,
-                               UnsupportedClass)
+from skewbrauer.errors import (NotAdmissible, NotSkewGentle, NotSourceOrSink,
+                               UnknownArrow, UnsupportedClass)
 from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation
+from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
+                               dedupe_relations)
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
-                                   auxiliary_gentle, make_presentation,
-                                   sg_bound_quiver)
-from skewbrauer.trivext import (CutSet, collapse_presentation,
-                                enumerate_admissible_cuts,
+                                   auxiliary_gentle, collapse_presentation,
+                                   make_presentation, sg_bound_quiver)
+from skewbrauer.trivext import (CutSet, enumerate_admissible_cuts,
                                 enumerate_good_cuts, is_admissible_cut,
                                 is_sign_closed, quotient_by_cut, reflect,
-                                repetitive_window, socle_basis,
-                                trivial_extension)
+                                repetitive_window, trivial_extension)
 
 from helpers import BQ_FIXTURES, P, SKEW_GENTLE_FIXTURES, load, mono
 
@@ -39,19 +38,19 @@ class TestSocle:
     def test_auxiliary_socle(self):
         aux = toy_aux()
         basis = enumerate_basis(aux)
-        labels = sorted(p.label(aux.quiver) for p in socle_basis(aux, basis))
+        labels = sorted(p.label(aux.quiver) for p in maximal_paths(aux, basis))
         assert labels == ["a*b*g", "d*l"]
 
     def test_admissible_socle_three_classes(self):
         adm = toy_adm()
         basis = enumerate_basis(adm)
-        labels = sorted(p.label(adm.quiver) for p in socle_basis(adm, basis))
+        labels = sorted(p.label(adm.quiver) for p in maximal_paths(adm, basis))
         assert labels == ["+a+*+b*g", "-a+*+b*g", "d*l"]
 
     def test_isolated_vertex(self):
         bq = load("semisimple2.bq")
         basis = enumerate_basis(bq)
-        assert sorted(p.label(bq.quiver) for p in socle_basis(bq, basis)) \
+        assert sorted(p.label(bq.quiver) for p in maximal_paths(bq, basis)) \
             == ["e_x", "e_y"]
 
     def test_unsupported_class(self):
@@ -60,8 +59,9 @@ class TestSocle:
                          [("a", "1", "2"), ("b", "1", "3"),
                           ("c", "2", "4"), ("d", "3", "4")])
         bq = BoundQuiver(q, (Relation.difference(P(q, "a", "c"), P(q, "b", "d")),))
-        with pytest.raises(UnsupportedClass):
-            socle_basis(bq, enumerate_basis(bq))
+        with pytest.raises(UnsupportedClass, match="socle basis via maximal paths "
+                           "needs a gentle or admissible skew-gentle presentation"):
+            trivial_extension(bq)
 
 
 class TestTrivialExtension:
@@ -303,6 +303,22 @@ class TestGoodCuts:
             pres = collapse_presentation(quotient_by_cut(t, d))
             assert pres.bound.special_vertices
 
+    def test_cut_that_splits_sign_variants_is_not_skew_gentle(self):
+        # an admissible cut that takes some signed copies of an arrow but
+        # not all leaves a quotient with no loop presentation; the error
+        # names the first such arrow by label
+        t = trivial_extension(admissible_presentation(make_presentation(load("excut.bq"))))
+        split = [c for c in enumerate_admissible_cuts(t)
+                 if not is_sign_closed(t.algebra, c.arrows)]
+        assert len(split) == 12
+        messages = []
+        for cut in split:
+            with pytest.raises(NotSkewGentle, match="misses sign variants") as err:
+                trivial_extension(quotient_by_cut(t, cut))
+            messages.append(str(err.value))
+        assert messages.count("arrow group B1 misses sign variants") == 8
+        assert messages.count("arrow group B2 misses sign variants") == 4
+
 
 def repetitive_adm():
     return admissible_presentation(make_presentation(load("repetitive.bq")))
@@ -353,6 +369,15 @@ class TestRepetitiveWindow:
         for r in w.algebra.relations:
             for p in r.paths():
                 assert all(q.arrow(a) is not None for a in p.arrows)
+
+    @pytest.mark.parametrize("name", BQ_FIXTURES)
+    def test_no_relation_repeats(self, name):
+        # lifting a relation of T(A) to a level is injective, and T(A)
+        # repeats no relation
+        adm = admissible_presentation(make_presentation(load(name)))
+        for n_min, n_max in [(0, 0), (0, 1), (-1, 1)]:
+            rels = repetitive_window(adm, n_min, n_max).algebra.relations
+            assert dedupe_relations(rels) == list(rels)
 
     @pytest.mark.parametrize("window", [(0, 0), (0, 1), (-1, 1)])
     @pytest.mark.parametrize("name", BQ_FIXTURES)
