@@ -18,7 +18,10 @@ The groups:
   of every ``.dis`` fixture, and for every ``.bq`` fixture that has one,
   ``collapse_presentation`` of its admissible presentation and of each
   good-cut quotient of its T(A), and ``reflect`` at every auxiliary
-  vertex in both directions.
+  vertex in both directions;
+- ``formats``: every fixture's text and its deterministic edits: each
+  line dropped, each line repeated, and each whitespace-separated token
+  replaced by each token of ``REPLACEMENTS``.
 
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every alive
@@ -26,7 +29,9 @@ path, the projective layers at every vertex and ``CartanData``; each
 carrier with an ``sg_tuple`` adds the symmetrising-form verdict and its
 cycles, and a trivial extension its ``new_arrows``.  A loop presentation
 contributes its canonical ``.bq`` text, its special vertices and the
-relation tuple, in order, of its admissible presentation.  An error is
+relation tuple, in order, of its admissible presentation.  A text of
+the ``formats`` group contributes its canonical serialisation after
+parsing.  An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
 recorded by its class and message.
 """
 import hashlib
@@ -54,6 +59,7 @@ from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,  # noqa: E
 
 FIXTURES = os.path.join(ROOT, "fixtures")
 SEEDS = (1, 2, 3)
+REPLACEMENTS = ("nope", "", "B1", "1+", "#", ":", "->", "mult=x")
 
 
 def _fixtures(ext):
@@ -169,10 +175,40 @@ def _presentations():
                        lambda pres=pres, v=v.label, d=direction: reflect(pres, v, d))
 
 
+def _edits(text):
+    """(suffix, text) for the text itself and each of its edits."""
+    lines = text.splitlines()
+
+    def join(new):
+        return "\n".join(new) + "\n"
+    yield "", text
+    for i, line in enumerate(lines):
+        yield f":drop{i + 1}", join(lines[:i] + lines[i + 1:])
+        yield f":repeat{i + 1}", join(lines[:i + 1] + lines[i:])
+        tokens = line.split()
+        for j in range(len(tokens)):
+            for new in REPLACEMENTS:
+                edited = " ".join(tokens[:j] + [new] + tokens[j + 1:])
+                yield f":{i + 1}.{j + 1}={new}", join(lines[:i] + [edited] + lines[i + 1:])
+
+
+def _formats():
+    codecs = {".bq": (formats.parse_bq, formats.serialize_bq),
+              ".sbg": (formats.parse_sbg, formats.serialize_sbg),
+              ".dis": (formats.parse_dis, formats.serialize_dis)}
+    for name in sorted(os.listdir(FIXTURES)):
+        parse, serialize = codecs[os.path.splitext(name)[1]]
+        with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+            text = fh.read()
+        for suffix, edited in _edits(text):
+            yield name + suffix, lambda p=parse, s=serialize, t=edited, n=name: s(p(t, n))
+
+
 # each group: its items (name, build) and the record of what a build returns
 GROUPS = {"sbg": (_sbg, _lines), "families": (_family_graphs, _lines),
           "trivext": (_trivext, _lines), "dis": (_dis, _lines),
-          "presentations": (_presentations, _presentation_lines)}
+          "presentations": (_presentations, _presentation_lines),
+          "formats": (_formats, lambda text: [text])}
 
 
 def main() -> int:
@@ -184,7 +220,7 @@ def main() -> int:
         for name, build in items():
             try:
                 lines = lines_of(build())
-            except SkewBrauerError as exc:
+            except (SkewBrauerError, ValueError) as exc:
                 lines = [type(exc).__name__, str(exc)]
             record = repr((name, lines)).encode()
             digest.update(record)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -29,28 +30,35 @@ from .trivext import (enumerate_admissible_cuts, enumerate_good_cuts,
 
 
 def _emit(args, payload: dict, text: str) -> None:
+    """Write the text, or under ``--json`` its mirror, to ``--output`` or stdout."""
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
-def _write_or_print(args, text: str) -> None:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    if not text.endswith("\n"):
+        text += "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at exit cannot raise again (see the SIGPIPE note in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
-def _load_bq(path: str) -> BoundQuiver:
+def _load(path: str, kind: type, message: str):
+    """The object of ``path``; a parse error when it is not a ``kind``."""
     obj = formats.load(path)
-    if not isinstance(obj, BoundQuiver):
-        raise ParseError("expected a .bq file", path, 0)
+    if not isinstance(obj, kind):
+        raise ParseError(message, path, 0)
     return obj
 
 
-def _normalised(bq: BoundQuiver) -> BoundQuiver:
+def _load_admissible(path: str) -> BoundQuiver:
+    bq = _load(path, BoundQuiver, "expected a .bq file")
     if bq.admissible:
         return bq
     return admissible_presentation(make_presentation(bq))
@@ -98,21 +106,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    g = formats.load(args.input)
-    if not isinstance(g, SkewBrauerGraph):
-        raise ParseError("build expects a .sbg file", args.input, 0)
-    alg = skew_brauer_algebra(g)
+    alg = skew_brauer_algebra(_load(args.input, SkewBrauerGraph,
+                                    "build expects a .sbg file"))
     text = formats.serialize_bq(alg.algebra)
-    if args.json:
-        _emit(args, {"bq": text, "cycles": [c.path.label(alg.quiver)
-                                            for c in alg.cycles]}, text)
-    else:
-        _write_or_print(args, text)
+    _emit(args, {"bq": text, "cycles": [c.path.label(alg.quiver) for c in alg.cycles]},
+          text)
     return 0
 
 
 def cmd_trivext(args) -> int:
-    bq = _normalised(_load_bq(args.input))
+    bq = _load_admissible(args.input)
     t = trivial_extension(bq)
     text = formats.serialize_bq(t.algebra)
     side = []
@@ -121,19 +124,14 @@ def cmd_trivext(args) -> int:
         side.append(f"newarrow {t.algebra.quiver.arrow(aid).label} := "
                     f"{p.label(bq.quiver)}")
     text = text + "\n".join(side) + ("\n" if side else "")
-    if args.json:
-        _emit(args, {"bq": text,
-                     "new_arrows": {t.algebra.quiver.arrow(a).label:
-                                    p.label(bq.quiver)
-                                    for a, p in t.new_arrows.items()}}, text)
-    else:
-        _write_or_print(args, text)
+    _emit(args, {"bq": text,
+                 "new_arrows": {t.algebra.quiver.arrow(a).label: p.label(bq.quiver)
+                                for a, p in t.new_arrows.items()}}, text)
     return 0
 
 
 def cmd_cuts(args) -> int:
-    bq = _normalised(_load_bq(args.input))
-    t = trivial_extension(bq)
+    t = trivial_extension(_load_admissible(args.input))
     stream = (enumerate_good_cuts(t, limit=args.limit) if args.good
               else enumerate_admissible_cuts(t, limit=args.limit))
     q = t.algebra.quiver
@@ -144,8 +142,7 @@ def cmd_cuts(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    bq = _normalised(_load_bq(args.input))
-    t = trivial_extension(bq)
+    t = trivial_extension(_load_admissible(args.input))
     q = t.algebra.quiver
     labels = [s.strip() for s in args.cut.split(",") if s.strip()]
     try:
@@ -154,47 +151,33 @@ def cmd_quotient(args) -> int:
         raise SkewBrauerError(f"unknown arrow {exc.args[0]}")
     quot = quotient_by_cut(t, ids)
     text = formats.serialize_bq(quot)
-    if args.json:
-        _emit(args, {"bq": text}, text)
-    else:
-        _write_or_print(args, text)
+    _emit(args, {"bq": text}, text)
     return 0
 
 
 def cmd_reflect(args) -> int:
-    bq = _load_bq(args.input)
-    pres = make_presentation(bq)
-    result = reflect(pres, args.vertex, args.direction)
-    text = formats.serialize_bq(result.bound)
-    if args.json:
-        _emit(args, {"bq": text}, text)
-    else:
-        _write_or_print(args, text)
+    pres = make_presentation(_load(args.input, BoundQuiver, "expected a .bq file"))
+    text = formats.serialize_bq(reflect(pres, args.vertex, args.direction).bound)
+    _emit(args, {"bq": text}, text)
     return 0
 
 
 def _classify_one(path: str) -> tuple[str, str]:
-    g = formats.load(path)
-    if not isinstance(g, SkewBrauerGraph):
-        raise ParseError("classify expects .sbg files", path, 0)
-    c = classify_rep_type(g)
+    c = classify_rep_type(_load(path, SkewBrauerGraph, "classify expects .sbg files"))
     return path, f"{c.rep_type} (reason: {c.detail})" + (
         f" [band witness {c.band_witness}]" if c.band_witness else "")
 
 
 def cmd_classify(args) -> int:
     results = [_classify_one(p) for p in args.inputs]
-    payload = {path: text for path, text in results}
-    if len(results) == 1:
-        _emit(args, payload, results[0][1])
-    else:
-        _emit(args, payload,
-              "\n".join(f"{path}: {text}" for path, text in results))
+    text = (results[0][1] if len(results) == 1
+            else "\n".join(f"{path}: {text}" for path, text in results))
+    _emit(args, dict(results), text)
     return 0
 
 
 def cmd_cartan(args) -> int:
-    bq = _normalised(_load_bq(args.input))
+    bq = _load_admissible(args.input)
     basis = enumerate_basis(bq)
     data = cartan(bq, basis)
     payload = {
@@ -222,10 +205,8 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_projectives(args) -> int:
-    g = formats.load(args.input)
-    if not isinstance(g, SkewBrauerGraph):
-        raise ParseError("projectives expects a .sbg file", args.input, 0)
-    alg = skew_brauer_algebra(g)
+    alg = skew_brauer_algebra(_load(args.input, SkewBrauerGraph,
+                                    "projectives expects a .sbg file"))
     basis = enumerate_basis(alg.algebra)
     labels = ([args.vertex] if args.vertex
               else sorted(v.label for v in alg.quiver.vertices))
@@ -243,41 +224,30 @@ def cmd_projectives(args) -> int:
 
 
 def cmd_dissect(args) -> int:
-    d = formats.load(args.input)
-    if not isinstance(d, OrbifoldDissection):
-        raise ParseError("dissect expects a .dis file", args.input, 0)
+    d = _load(args.input, OrbifoldDissection, "dissect expects a .dis file")
     if args.tuple:
         algebra = sg_bound_quiver(trivext_tuple_from_dissection(d).as_sg_tuple())
         text = formats.serialize_bq(algebra)
     else:
         pres = skew_gentle_from_dissection(d)
         text = formats.serialize_bq(pres.bound)
-    if args.json:
-        det = q_cartan_det_formula(d)
-        _emit(args, {"bq": text, "det_q_formula": str(det)}, text)
-    else:
-        _write_or_print(args, text)
+    payload = {"bq": text}
+    if args.json:       # the formula is computed for the JSON mirror only
+        payload["det_q_formula"] = str(q_cartan_det_formula(d))
+    _emit(args, payload, text)
     return 0
 
 
 def cmd_move(args) -> int:
-    d = formats.load(args.input)
-    if not isinstance(d, OrbifoldDissection):
-        raise ParseError("move expects a .dis file", args.input, 0)
-    moved = contraction_addition(d, args.polygon, angle=args.angle,
-                                 pendant=args.pendant)
-    text = formats.serialize_dis(moved)
-    if args.json:
-        _emit(args, {"dis": text}, text)
-    else:
-        _write_or_print(args, text)
+    d = _load(args.input, OrbifoldDissection, "move expects a .dis file")
+    text = formats.serialize_dis(contraction_addition(d, args.polygon, angle=args.angle,
+                                                      pendant=args.pendant))
+    _emit(args, {"dis": text}, text)
     return 0
 
 
 def cmd_iso(args) -> int:
-    a = _normalised(_load_bq(args.a))
-    b = _normalised(_load_bq(args.b))
-    result = are_isomorphic(a, b)
+    result = are_isomorphic(_load_admissible(args.a), _load_admissible(args.b))
     payload = {"status": result.status,
                "vertex_map": result.vertex_map,
                "arrow_map": result.arrow_map}

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cartan import IntPoly, ONE
-from .errors import (InvalidPosition, NotReflectable, TrivialPolygon,
-                     UnsupportedClass)
+from .errors import (InvalidPosition, NotReflectable, SkewBrauerError,
+                     TrivialPolygon, UnsupportedClass)
 from .quiver import BoundQuiver, Path, Quiver, Relation, Verdict
 from .skewgentle import (SgTuple, SkewGentlePresentation, close_paths,
                          loop_presentation)
@@ -56,9 +56,10 @@ class OrbifoldDissection:
     def run(self, polygon: int) -> tuple[int, ...]:
         """Sides of a polygon read cyclically starting after BOUNDARY."""
         sides = self.polygons[polygon]
+        if BOUNDARY not in sides:
+            raise SkewBrauerError(f"polygon {polygon} has no boundary side")
         b = sides.index(BOUNDARY)
-        rotated = sides[b + 1:] + sides[:b]
-        return tuple(s for s in rotated)
+        return sides[b + 1:] + sides[:b]
 
     def is_trivial(self, polygon: int) -> bool:
         return len(self.polygons[polygon]) == 2

@@ -11,7 +11,8 @@ from fractions import Fraction
 from .brauer import BrauerEdge, BrauerGraph, BrauerVertex, SkewBrauerGraph
 from .dissection import Arc, BOUNDARY, OrbifoldDissection, Puncture
 from .errors import ParseError, SkewBrauerError
-from .quiver import BoundQuiver, Path, Quiver, Relation
+from .quiver import Arrow, BoundQuiver, Path, Quiver, Relation, Vertex
+from .skewgentle import _idempotent_loop, _idempotent_relation
 
 
 def _lines(text: str):
@@ -30,63 +31,93 @@ def _lines(text: str):
             yield i, line
 
 
+def _labelled(line: str, directive: str, usage: str, filename: str,
+              lineno: int) -> tuple[str, str]:
+    """Split ``<directive> <label>: <spec>`` into the stripped label and spec."""
+    label, colon, spec = line[len(directive):].partition(":")
+    if not colon:
+        raise ParseError(usage, filename, lineno)
+    return label.strip(), spec.strip()
+
+
+def _items(spec: str) -> list[str]:
+    """The non-empty entries of a comma list."""
+    return [e.strip() for e in spec.split(",") if e.strip()]
+
+
+def _index(specs, kind: str, filename: str) -> dict[str, int]:
+    """Label -> position of each spec ``(lineno, label, ...)``; a label met
+    twice is an error at the line of its second spec."""
+    index: dict[str, int] = {}
+    for lineno, label, *_ in specs:
+        if label in index:
+            raise ParseError(f"duplicate {kind} {label}", filename, lineno)
+        index[label] = len(index)
+    return index
+
+
 # ---------------------------------------------------------------------------
 # .bq
 # ---------------------------------------------------------------------------
 
 def parse_bq(text: str, filename: str = "<input>") -> BoundQuiver:
-    vertices: list[str] = []
+    vspecs: list[tuple[int, str]] = []
     special: set[str] = set()
-    arrows: list[tuple[str, str, str]] = []
-    special_loops: list[str] = []
+    aspecs: list[tuple[int, str, str, str, bool]] = []
     rel_specs: list[tuple[int, str]] = []
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) not in (2, 3):
                 raise ParseError("vertex <label> [special]", filename, lineno)
-            vertices.append(parts[1])
+            vspecs.append((lineno, parts[1]))
             if len(parts) == 3:
                 if parts[2] != "special":
                     raise ParseError(f"unknown vertex flag {parts[2]}", filename, lineno)
                 special.add(parts[1])
         elif parts[0] == "arrow":
-            rest = line[len("arrow"):].strip()
-            if ":" not in rest:
-                raise ParseError("arrow <label>: <src> -> <tgt>", filename, lineno)
-            label, spec = rest.split(":", 1)
-            label = label.strip()
+            usage = "arrow <label>: <src> -> <tgt>"
+            label, spec = _labelled(line, "arrow", usage, filename, lineno)
             pieces = spec.split()
-            flag = ""
-            if pieces and pieces[-1] == "special-loop":
-                flag = pieces.pop()
+            loop = bool(pieces) and pieces[-1] == "special-loop"
+            if loop:
+                pieces.pop()
             if len(pieces) != 3 or pieces[1] != "->":
-                raise ParseError("arrow <label>: <src> -> <tgt>", filename, lineno)
-            arrows.append((label, pieces[0], pieces[2]))
-            if flag:
-                special_loops.append(label)
+                raise ParseError(usage, filename, lineno)
+            aspecs.append((lineno, label, pieces[0], pieces[2], loop))
         elif parts[0] == "rel":
             rel_specs.append((lineno, line[len("rel"):].strip()))
         elif parts[0] == "newarrow":
             continue        # sidecar metadata emitted next to trivial extensions
         else:
             raise ParseError(f"unknown directive {parts[0]}", filename, lineno)
-    try:
-        quiver = Quiver.build(vertices, arrows)
-    except (ValueError, KeyError) as exc:
-        raise ParseError(str(exc), filename, 0)
+    vindex = _index(vspecs, "vertex", filename)
+    aindex = _index(aspecs, "arrow", filename)
+    arrows: list[Arrow] = []
+    loops: list[Arrow] = []
+    for lineno, label, src, tgt, loop in aspecs:
+        for end in (src, tgt):
+            if end not in vindex:
+                raise ParseError(f"arrow {label} uses an unknown vertex {end}",
+                                 filename, lineno)
+        arrows.append(Arrow(len(arrows), label, vindex[src], vindex[tgt]))
+        if loop:
+            if src != tgt:
+                raise ParseError(f"special-loop {label} is not a loop", filename, lineno)
+            special.add(src)
+            loops.append(arrows[-1])
+    quiver = Quiver(tuple(Vertex(i, label) for label, i in vindex.items()), tuple(arrows))
 
     def parse_path(spec: str, lineno: int) -> Path:
         labels = [s.strip() for s in spec.split("*")]
-        try:
-            ids = [quiver.arrow_by_label(lab).id for lab in labels]
-        except KeyError as exc:
-            raise ParseError(f"unknown arrow {exc.args[0]}", filename, lineno)
-        arrows_objs = [quiver.arrow(a) for a in ids]
-        for x, y in zip(arrows_objs, arrows_objs[1:]):
+        for lab in labels:
+            if lab not in aindex:
+                raise ParseError(f"unknown arrow {lab}", filename, lineno)
+        path = [arrows[aindex[lab]] for lab in labels]
+        for x, y in zip(path, path[1:]):
             if x.target != y.source:
                 raise ParseError(f"path breaks at {x.label}*{y.label}", filename, lineno)
-        return Path(arrows_objs[0].source, tuple(ids))
+        return Path(path[0].source, tuple(a.id for a in path))
 
     relations: list[Relation] = []
     for lineno, spec in rel_specs:
@@ -98,14 +129,8 @@ def parse_bq(text: str, filename: str = "<input>") -> BoundQuiver:
         sign = Fraction(1 if sep == " + " else -1)
         relations.append(Relation(((Fraction(1), parse_path(left, lineno)),
                                    (sign, parse_path(right, lineno)))))
-    for lab in special_loops:
-        f = quiver.arrow_by_label(lab)
-        if not f.is_loop:
-            raise ParseError(f"special-loop {lab} is not a loop", filename, 0)
-        special.add(quiver.vertex(f.source).label)
-        relations.append(Relation.difference(Path(f.source, (f.id, f.id)),
-                                             Path(f.source, (f.id,))))
-    special_ids = frozenset(quiver.vertex_by_label(s).id for s in special)
+    relations.extend(_idempotent_relation(f.source, f.id) for f in loops)
+    special_ids = frozenset(vindex[s] for s in special)
     try:
         return BoundQuiver(quiver, tuple(relations), special_ids)
     except ValueError as exc:
@@ -117,27 +142,19 @@ def serialize_bq(bq: BoundQuiver) -> str:
     one with any other ratio of coefficients raises ``SkewBrauerError``."""
     q = bq.quiver
     # loops with an implicit f*f - f relation are written with the flag
-    loop_rel: dict[int, Relation] = {}
-    for r in bq.relations:
-        if len(r.terms) == 2:
-            lens = sorted(len(p) for p in r.paths())
-            if lens == [1, 2]:
-                short = next(p for p in r.paths() if len(p) == 1)
-                long = next(p for p in r.paths() if len(p) == 2)
-                if (long.arrows == short.arrows * 2 and q.arrow(short.arrows[0]).is_loop
-                        and r.canonical().terms[1][0] == -1):
-                    loop_rel[short.arrows[0]] = r
+    loop_of = [_idempotent_loop(q, r) for r in bq.relations]
+    loops = set(loop_of)
     out = []
     for v in sorted(q.vertices, key=lambda v: v.label):
         flag = " special" if v.id in bq.special_vertices else ""
         out.append(f"vertex {v.label}{flag}")
     for a in sorted(q.arrows, key=lambda a: a.label):
-        flag = " special-loop" if a.id in loop_rel else ""
+        flag = " special-loop" if a.id in loops else ""
         out.append(f"arrow {a.label}: {q.vertex(a.source).label} -> "
                    f"{q.vertex(a.target).label}{flag}")
     rel_lines = []
-    for r in bq.relations:
-        if len(r.terms) == 2 and any(r is lr for lr in loop_rel.values()):
+    for r, loop in zip(bq.relations, loop_of):
+        if loop is not None:
             continue
         if r.is_monomial:
             rel_lines.append(f"rel {r.paths()[0].label(q)}")
@@ -157,16 +174,15 @@ def serialize_bq(bq: BoundQuiver) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_sbg(text: str, filename: str = "<input>") -> SkewBrauerGraph:
-    vspecs: list[tuple[str, int, bool]] = []
-    especs: list[tuple[str, str, str]] = []
-    orders: list[tuple[int, str, str]] = []
+    vspecs: list[tuple[int, str, int, bool]] = []
+    especs: list[tuple[int, str, str, str]] = []
+    orders: list[tuple[int, str, list[str]]] = []
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "vertex":
             if len(parts) < 2:
                 raise ParseError("vertex <label> [mult=<m>] [distinguished]",
                                  filename, lineno)
-            label = parts[1]
             mult = 1
             dist = False
             for flag in parts[2:]:
@@ -179,44 +195,30 @@ def parse_sbg(text: str, filename: str = "<input>") -> SkewBrauerGraph:
                     dist = True
                 else:
                     raise ParseError(f"unknown vertex flag {flag}", filename, lineno)
-            vspecs.append((label, mult, dist))
+            vspecs.append((lineno, parts[1], mult, dist))
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise ParseError("edge <label> <v1> <v2>", filename, lineno)
-            especs.append((parts[1], parts[2], parts[3]))
+            especs.append((lineno, parts[1], parts[2], parts[3]))
         elif parts[0] == "order":
-            rest = line[len("order"):].strip()
-            if ":" not in rest:
-                raise ParseError("order <vertex>: <edge>, ...", filename, lineno)
-            vlabel, entries = rest.split(":", 1)
-            orders.append((lineno, vlabel.strip(), entries.strip()))
+            vlabel, entries = _labelled(line, "order", "order <vertex>: <edge>, ...",
+                                        filename, lineno)
+            orders.append((lineno, vlabel, _items(entries)))
         else:
             raise ParseError(f"unknown directive {parts[0]}", filename, lineno)
-    vmap = {}
-    vertices = []
-    for i, (label, mult, dist) in enumerate(vspecs):
-        if label in vmap:
-            raise ParseError(f"duplicate vertex {label}", filename, 0)
-        vmap[label] = i
-        vertices.append(BrauerVertex(i, label, mult))
-    emap = {}
+    vmap = _index(vspecs, "vertex", filename)
+    emap = _index(especs, "edge", filename)
     edges = []
-    for i, (label, v1, v2) in enumerate(especs):
-        if label in emap:
-            raise ParseError(f"duplicate edge {label}", filename, 0)
+    for lineno, label, v1, v2 in especs:
         if v1 not in vmap or v2 not in vmap:
-            raise ParseError(f"edge {label} uses an unknown vertex", filename, 0)
-        emap[label] = i
-        edges.append(BrauerEdge(i, label, (vmap[v1], vmap[v2])))
+            raise ParseError(f"edge {label} uses an unknown vertex", filename, lineno)
+        edges.append(BrauerEdge(len(edges), label, (vmap[v1], vmap[v2])))
     order: dict[int, tuple] = {}
     for lineno, vlabel, entries in orders:
         if vlabel not in vmap:
             raise ParseError(f"order for unknown vertex {vlabel}", filename, lineno)
         hes = []
-        for entry in entries.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
+        for entry in entries:
             occ = 1
             if "#" in entry:
                 entry, occ_s = entry.split("#", 1)
@@ -228,10 +230,12 @@ def parse_sbg(text: str, filename: str = "<input>") -> SkewBrauerGraph:
                 raise ParseError(f"order mentions unknown edge {entry}", filename, lineno)
             hes.append((emap[entry], occ))
         order[vmap[vlabel]] = tuple(hes)
+    vertices = tuple(BrauerVertex(i, label, mult)
+                     for i, (_, label, mult, _) in enumerate(vspecs))
     for v in vertices:
         order.setdefault(v.id, ())
-    dist = frozenset(vmap[label] for label, _, d in vspecs if d)
-    return SkewBrauerGraph(BrauerGraph(tuple(vertices), tuple(edges), order), dist)
+    dist = frozenset(i for i, (*_, d) in enumerate(vspecs) if d)
+    return SkewBrauerGraph(BrauerGraph(vertices, tuple(edges), order), dist)
 
 
 def serialize_sbg(g: SkewBrauerGraph) -> str:
@@ -262,9 +266,9 @@ def serialize_sbg(g: SkewBrauerGraph) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_dis(text: str, filename: str = "<input>") -> OrbifoldDissection:
-    aspecs: list[tuple[str, str]] = []
-    polys: list[tuple[int, str]] = []
-    puncts: list[tuple[int, str, str]] = []
+    aspecs: list[tuple[int, str, str]] = []
+    polys: list[tuple[int, list[str]]] = []
+    puncts: list[tuple[int, str, list[str]]] = []
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "arc":
@@ -275,53 +279,32 @@ def parse_dis(text: str, filename: str = "<input>") -> OrbifoldDissection:
                     raise ParseError(f"unknown arc kind {kind}", filename, lineno)
             elif len(parts) != 2:
                 raise ParseError("arc <label> [special|pendant]", filename, lineno)
-            aspecs.append((parts[1], kind))
+            aspecs.append((lineno, parts[1], kind))
         elif parts[0].startswith("polygon"):
-            if ":" not in line:
-                raise ParseError("polygon: <side>, ...", filename, lineno)
-            polys.append((lineno, line.split(":", 1)[1]))
+            _, sides = _labelled(line, "polygon", "polygon: <side>, ...", filename, lineno)
+            polys.append((lineno, _items(sides)))
         elif parts[0] == "puncture":
-            rest = line[len("puncture"):].strip()
-            if ":" not in rest:
-                raise ParseError("puncture <label>: <arc>, ...", filename, lineno)
-            label, entries = rest.split(":", 1)
-            puncts.append((lineno, label.strip(), entries))
+            label, entries = _labelled(line, "puncture", "puncture <label>: <arc>, ...",
+                                       filename, lineno)
+            puncts.append((lineno, label, _items(entries)))
         else:
             raise ParseError(f"unknown directive {parts[0]}", filename, lineno)
-    amap = {}
-    arcs = []
-    for i, (label, kind) in enumerate(aspecs):
-        if label in amap:
-            raise ParseError(f"duplicate arc {label}", filename, 0)
-        amap[label] = i
-        arcs.append(Arc(i, label, kind))
+    amap = _index(aspecs, "arc", filename)
+    arcs = tuple(Arc(i, label, kind) for i, (_, label, kind) in enumerate(aspecs))
     polygons = []
-    for lineno, body in polys:
-        sides: list = []
-        for entry in body.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
-            if entry == BOUNDARY:
-                sides.append(BOUNDARY)
-            elif entry in amap:
-                sides.append(amap[entry])
-            else:
+    for lineno, sides in polys:
+        for entry in sides:
+            if entry != BOUNDARY and entry not in amap:
                 raise ParseError(f"unknown side {entry}", filename, lineno)
-        polygons.append(tuple(sides))
+        polygons.append(tuple(BOUNDARY if e == BOUNDARY else amap[e] for e in sides))
     punctures = []
     for lineno, label, entries in puncts:
-        aids = []
-        for entry in entries.split(","):
-            entry = entry.strip()
-            if not entry:
-                continue
+        for entry in entries:
             if entry not in amap:
                 raise ParseError(f"puncture {label} lists unknown arc {entry}",
                                  filename, lineno)
-            aids.append(amap[entry])
-        punctures.append(Puncture(label, tuple(aids)))
-    return OrbifoldDissection(tuple(arcs), tuple(polygons), tuple(punctures))
+        punctures.append(Puncture(label, tuple(amap[e] for e in entries)))
+    return OrbifoldDissection(arcs, tuple(polygons), tuple(punctures))
 
 
 def serialize_dis(d: OrbifoldDissection) -> str:

@@ -53,31 +53,35 @@ class SkewGentlePresentation:
         return self.bound.quiver
 
 
+def _idempotent_relation(x: int, f: int) -> Relation:
+    """The relation f*f - f of a special loop f at x."""
+    return Relation.difference(Path(x, (f, f)), Path(x, (f,)))
+
+
+def _idempotent_loop(q: Quiver, r: Relation) -> Optional[int]:
+    """The loop f when ``r`` is a multiple of f*f - f, else None."""
+    if len(r.terms) != 2:
+        return None
+    (c1, short), (c2, long) = sorted(r.terms, key=lambda t: len(t[1]))
+    f = short.arrows
+    if len(f) == 1 and long.arrows == f * 2 and q.arrow(f[0]).is_loop and c1 + c2 == 0:
+        return f[0]
+    return None
+
+
 def _classify_relations(bq: BoundQuiver):
     """Split relations into idempotent-loop pairs and quadratic monomials."""
     q = bq.quiver
     idem_loops: dict[int, Relation] = {}
     quads: list[Path] = []
     for r in bq.relations:
-        paths = r.paths()
-        if len(r.terms) == 2:
-            lens = sorted(len(p) for p in paths)
-            if lens == [1, 2]:
-                long = next(p for p in paths if len(p) == 2)
-                short = next(p for p in paths if len(p) == 1)
-                if (len(set(long.arrows)) == 1 and long.arrows[0] == short.arrows[0]
-                        and q.arrow(short.arrows[0]).is_loop):
-                    c_long = next(c for c, p in r.terms if len(p) == 2)
-                    c_short = next(c for c, p in r.terms if len(p) == 1)
-                    if c_long + c_short == 0:
-                        idem_loops[short.arrows[0]] = r
-                        continue
+        f = _idempotent_loop(q, r)
+        if f is not None:
+            idem_loops[f] = r
+        elif r.is_monomial and len(r.paths()[0]) == 2:
+            quads.append(r.paths()[0])
+        else:
             return None, None, r
-        p = paths[0]
-        if len(p) == 2:
-            quads.append(p)
-            continue
-        return None, None, r
     return idem_loops, quads, None
 
 
@@ -178,7 +182,7 @@ def loop_presentation(aux: BoundQuiver, special: frozenset[int]) -> SkewGentlePr
             label += "'"
         taken.add(label)
         arrows.append(Arrow(fid, label, x, x))
-        rels.append(Relation.difference(Path(x, (fid, fid)), Path(x, (fid,))))
+        rels.append(_idempotent_relation(x, fid))
         rels.extend(Relation.monomial(Path(a.source, (a.id, b.id)))
                     for a in q.arrows_into(x) for b in q.arrows_from(x))
     return make_presentation(BoundQuiver(Quiver(q.vertices, tuple(arrows)),

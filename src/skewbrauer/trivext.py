@@ -7,7 +7,6 @@ has dimension (2k-1)·dim A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -231,7 +230,7 @@ def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Rela
             if len(keep) < len(r.terms):
                 changed = True
                 if keep:
-                    out.append(Relation(tuple((Fraction(1), p) for _, p in keep))
+                    out.append(Relation.monomial(keep[0][1])
                                if len(keep) == 1 else Relation(tuple(keep)))
             else:
                 out.append(r)
@@ -252,9 +251,10 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     new_rels = []
     for r in algebra.relations:
         terms = [(c, p) for c, p in r.terms if not set(p.arrows) & ids]
-        if not terms:
-            continue
-        new_rels.append(Relation(tuple(terms)))
+        if len(terms) == 1:
+            new_rels.append(Relation.monomial(terms[0][1]))
+        elif terms:
+            new_rels.append(Relation(tuple(terms)))
     new_rels = minimalize_relations(sub, new_rels)
     ao = None
     if algebra.arrow_origins is not None:

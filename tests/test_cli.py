@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from skewbrauer import formats
 from skewbrauer.cli import main
+from skewbrauer.dissection import contraction_addition
 from skewbrauer.errors import ParseError, SkewBrauerError
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 
-from helpers import BQ_FIXTURES, DIS_FIXTURES, SBG_FIXTURES, P, diff, fixture_path, load
+from helpers import (BQ_FIXTURES, DIS_FIXTURES, SBG_FIXTURES, P, diff, family_graphs,
+                     fixture_path, load)
 
 
 def sign_pair() -> tuple[BoundQuiver, BoundQuiver]:
@@ -71,10 +73,52 @@ class TestRoundTrips:
         with pytest.raises(SkewBrauerError, match="g\\*e \\+ 2\\*h\\*f"):
             formats.serialize_bq(a.relabelled(relations=a.relations[:-1] + (double,)))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sbg_family_graphs(self, seed):
+        for name, text in family_graphs(seed):
+            canonical = formats.serialize_sbg(formats.parse_sbg(text, name))
+            assert formats.serialize_sbg(formats.parse_sbg(canonical)) == canonical
+
+    @pytest.mark.parametrize("name", DIS_FIXTURES)
+    def test_dis_after_every_move(self, name):
+        d = load(name)
+        moves = []
+        for polygon in range(len(d.polygons)):
+            if d.is_trivial(polygon):
+                continue
+            run = d.run(polygon)
+            moves += [(polygon, {"angle": k}) for k in range(len(run))]
+            moves += [(polygon, {"pendant": d.arc(a).label}) for a in run
+                      if d.arc(a).kind == "pendant"]
+        assert moves
+        for polygon, move in moves:
+            text = formats.serialize_dis(contraction_addition(d, polygon, **move))
+            assert formats.serialize_dis(formats.parse_dis(text)) == text
+
     def test_parse_error_cites_line(self):
         with pytest.raises(ParseError) as err:
             formats.parse_bq("vertex 1\nnonsense here\n", "f.bq")
         assert "f.bq:2" in str(err.value)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (formats.parse_bq, "vertex 1\nvertex 1\n", "f:2: duplicate vertex 1"),
+        (formats.parse_bq, "vertex 1\narrow a: 1 -> 1\narrow a: 1 -> 1\n",
+         "f:3: duplicate arrow a"),
+        (formats.parse_bq, "vertex 1\n\narrow a: 1 -> 9\n",
+         "f:3: arrow a uses an unknown vertex 9"),
+        (formats.parse_bq, "vertex 1\nvertex 2\narrow f: 1 -> 2 special-loop\n",
+         "f:3: special-loop f is not a loop"),
+        (formats.parse_sbg, "vertex x\nvertex x\n", "f:2: duplicate vertex x"),
+        (formats.parse_sbg, "vertex x\nedge 1 x x\nedge 1 x x\n", "f:3: duplicate edge 1"),
+        (formats.parse_sbg, "vertex x\n# y is missing\nedge 1 x y\n",
+         "f:3: edge 1 uses an unknown vertex"),
+        (formats.parse_dis, "arc a\narc b\narc a special\n", "f:3: duplicate arc a"),
+    ], ids=["bq-vertex", "bq-arrow", "bq-endpoint", "bq-special-loop", "sbg-vertex",
+            "sbg-edge", "sbg-endpoint", "dis-arc"])
+    def test_label_error_cites_its_line(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, "f")
+        assert str(err.value) == message
 
 
 def run_cli(*argv, capsys=None):
@@ -229,6 +273,26 @@ class TestCli:
         assert code == 0
         data = json.loads(out)
         assert list(data.values())[0].startswith("Infinite")
+
+    def test_json_output_writes_the_file(self, tmp_path, capsys):
+        argv = ["--json", "build", fixture_path("fig1.sbg")]
+        assert main(argv) == 0
+        mirror = capsys.readouterr().out
+        out = tmp_path / "fig1.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text(encoding="utf-8") == mirror
+        assert json.loads(mirror)["bq"].startswith("vertex ")
+
+    def test_closed_stdout(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "skewbrauer.cli", "build", fixture_path("torus.sbg")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() in (0, 1, 2)
+        assert err.count(b"\n") <= 1, err
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.bq"

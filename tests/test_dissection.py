@@ -5,6 +5,7 @@ import os
 import pytest
 from fractions import Fraction
 
+from skewbrauer import formats
 from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import ProjectiveLayers
 from skewbrauer.cartan import IntPoly, cartan
@@ -14,7 +15,8 @@ from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
                                    skew_gentle_from_dissection,
                                    trivext_tuple_from_dissection,
                                    validate_dissection)
-from skewbrauer.errors import (InvalidPosition, NotReflectable, TrivialPolygon)
+from skewbrauer.errors import (InvalidPosition, NotReflectable, SkewBrauerError,
+                               TrivialPolygon)
 from skewbrauer.iso import IsoResult, are_isomorphic
 from skewbrauer.quiver import Path, Verdict, dedupe_relations
 from skewbrauer.skewgentle import (admissible_presentation, make_presentation,
@@ -41,6 +43,12 @@ class TestValidate:
                                ((0, BOUNDARY, BOUNDARY), (0, BOUNDARY)))
         verdict = validate_dissection(d)
         assert not verdict and verdict.condition == "one-boundary"
+
+    def test_polygon_without_boundary_is_a_domain_error(self):
+        d = formats.parse_dis("arc 1\npolygon: 1, 1\n")
+        with pytest.raises(SkewBrauerError) as err:
+            formats.serialize_dis(d)
+        assert str(err.value) == "polygon 0 has no boundary side"
 
     def test_triple_occurrence_fails(self):
         d = OrbifoldDissection((Arc(0, "a"),),

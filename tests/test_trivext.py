@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.errors import (NotAdmissible, NotSkewGentle, NotSourceOrSink,
                                UnknownArrow, UnsupportedClass)
 from skewbrauer.iso import are_isomorphic
@@ -228,6 +229,38 @@ class TestCuts:
     def test_limit_streams(self):
         t = trivial_extension(toy_aux())
         assert len(list(enumerate_admissible_cuts(t, limit=5))) == 5
+
+
+class TestQuotientRelations:
+    """gamma2.sbg cut at +v.0+, +v.0-, +v.1-, -v.0-: two binomials keep one
+    term each, -v.0+*+v.1+ and -v.1-*-v.0+ (the second with coefficient -1),
+    and both are monomials of the ideal already."""
+
+    @staticmethod
+    def gamma2_cut():
+        alg = skew_brauer_algebra(load("gamma2.sbg"))
+        q = alg.algebra.quiver
+        return alg, [q.arrow_by_label(lab).id
+                     for lab in ("+v.0+", "+v.0-", "+v.1-", "-v.0-")]
+
+    def test_lone_surviving_term_is_a_monomial(self):
+        quot = quotient_by_cut(*self.gamma2_cut())
+        labels = [r.label(quot.quiver) for r in quot.relations]
+        assert "-v.1-*-v.0+" in labels
+        assert all(r.terms[0][0] == 1 for r in quot.relations if r.is_monomial)
+
+    def test_dedupe_passes_remove_relations(self, monkeypatch):
+        import skewbrauer.trivext as trivext
+        removed = []
+
+        def counted(relations):
+            relations = list(relations)
+            out = dedupe_relations(relations)
+            removed.append(len(relations) - len(out))
+            return out
+        monkeypatch.setattr(trivext, "dedupe_relations", counted)
+        quotient_by_cut(*self.gamma2_cut())
+        assert removed == [2, 0]
 
 
 class TestGoodCuts:
