@@ -1,4 +1,4 @@
-.PHONY: test verify bench-test bench examples gate
+.PHONY: test verify bench-test bench examples gate gate-diff
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -20,3 +20,15 @@ examples:
 
 gate:
 	python3 scripts/exact_gate.py
+
+# exact-gate digests of BASE (unpacked with git archive) against this
+# checkout, both read by this checkout's scripts/exact_gate.py; fails on
+# any difference
+gate-diff:
+	@test -n "$(BASE)" || { echo "usage: make gate-diff BASE=<commit>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive "$(BASE)" --prefix=base/ | tar -x -C "$$tmp" && \
+	python3 scripts/exact_gate.py "$$tmp/base" > "$$tmp/base.txt" && \
+	python3 scripts/exact_gate.py > "$$tmp/head.txt" && \
+	diff "$$tmp/base.txt" "$$tmp/head.txt" && \
+	echo "gate-diff: every digest identical to $(BASE)"

@@ -26,8 +26,10 @@ The groups:
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every alive
 path, the projective layers at every vertex and ``CartanData``; each
-carrier with an ``sg_tuple`` adds the symmetrising-form verdict and its
-cycles, and a trivial extension its ``new_arrows``.  A loop presentation
+carrier with an ``sg_tuple`` adds the symmetrising-form verdict; a
+skew-Brauer algebra or trivial extension adds the signed copies of its
+tuple's cycles, each with its graph vertex or new arrow; and a trivial
+extension its ``new_arrows``.  A loop presentation
 contributes its canonical ``.bq`` text, its special vertices and the
 relation tuple, in order, of its admissible presentation.  A text of
 the ``formats`` group contributes its canonical serialisation after
@@ -47,14 +49,17 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from skewbrauer import (auxiliary_gentle, collapse_presentation,  # noqa: E402
                         formats, reflect, skew_gentle_from_dissection)
 from skewbrauer.basis import enumerate_basis  # noqa: E402
-from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,  # noqa: E402
-                               symmetric_form_check)
+from skewbrauer.brauer import (SkewBrauerAlgebra,  # noqa: E402
+                               brauer_quivers_with_cycles, projective_layers,
+                               skew_brauer_algebra, symmetric_form_check)
 from skewbrauer.cartan import cartan  # noqa: E402
 from skewbrauer.dissection import trivext_tuple_from_dissection  # noqa: E402
 from skewbrauer.errors import SkewBrauerError  # noqa: E402
+from skewbrauer.quiver import canonical_rotation  # noqa: E402
 from skewbrauer.skewgentle import (admissible_presentation,  # noqa: E402
                                    make_presentation, sg_bound_quiver)
-from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,  # noqa: E402
+from skewbrauer.trivext import (TrivialExtension,  # noqa: E402
+                                enumerate_good_cuts, quotient_by_cut,
                                 trivial_extension)
 
 FIXTURES = os.path.join(ROOT, "fixtures")
@@ -86,13 +91,42 @@ def _lines(carrier):
     if getattr(carrier, "sg_tuple", None) is not None:
         verdict = symmetric_form_check(carrier, basis)
         out.append((verdict.ok, verdict.condition, verdict.detail))
-    cycles = getattr(carrier, "cycles", ())
-    out.append([(c.path.label(q), getattr(c, "new_arrow", None),
-                 getattr(c, "graph_vertex", None)) for c in cycles])
+    out.append(_cycles(carrier))
     new_arrows = getattr(carrier, "new_arrows", {})
     src = getattr(carrier, "source", None)
     out.append([(q.arrow(a).label, p.label(src.quiver)) for a, p in new_arrows.items()])
     return out
+
+
+def _signed_cycles(tup):
+    """``SgTuple.signed_cycles``, derived from ``SgTuple.powers`` on
+    checkouts that predate it."""
+    if hasattr(type(tup), "signed_cycles"):
+        return tup.signed_cycles
+    sq = tup.sgq.quiver
+    copies = {rot: cs for rot, cs, _ in tup.powers}
+    return [[canonical_rotation(sq, p.arrows[:len(c)]) for p in copies[c]]
+            for c in tup.cycles]
+
+
+def _cycles(carrier):
+    """(label, new arrow id, graph vertex id) of every signed cycle of a
+    skew-Brauer algebra or a trivial extension, in ``Path.sort_key`` order;
+    the field that does not apply is None.  Other carriers have none."""
+    if not isinstance(carrier, (SkewBrauerAlgebra, TrivialExtension)):
+        return []
+    tup = carrier.sg_tuple
+    vertices = [None] * len(tup.cycles)
+    if isinstance(carrier, SkewBrauerAlgebra):
+        _, cycles = brauer_quivers_with_cycles(carrier.graph.graph)
+        # (path, vertex, multiplicity); a SpecialCycle on older checkouts
+        vertices = [c[1] if isinstance(c, tuple) else c.graph_vertex for c in cycles]
+    new_arrows = getattr(carrier, "new_arrows", {})
+    rows = [(p, next((a for a in p.arrows if a in new_arrows), None), vid)
+            for vid, copies in zip(vertices, _signed_cycles(tup)) for p in copies]
+    rows.sort(key=lambda row: row[0].sort_key())
+    q = carrier.algebra.quiver
+    return [(p.label(q), new, vid) for p, new, vid in rows]
 
 
 def _presentation_lines(pres):

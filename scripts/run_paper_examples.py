@@ -47,8 +47,9 @@ def main() -> int:
     print("== trivial extension (12 arrows) ==")
     print(formats.serialize_bq(t.algebra))
     print("elementary cycles:")
-    for c in t.cycles:
-        print("   ", c.path.label(t.algebra.quiver))
+    for copies in t.sg_tuple.signed_cycles:
+        for p in copies:
+            print("   ", p.label(t.algebra.quiver))
     print()
 
     graph = graph_from_skew_gentle(pres)

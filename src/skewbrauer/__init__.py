@@ -29,11 +29,10 @@ from .skewgentle import (SgTuple, SkewGentlePresentation,
                          loop_presentation, make_presentation,
                          sg_bound_quiver, sg_ideal, sg_quiver,
                          sp_maximal_paths)
-from .trivext import (CutSet, ElementaryCycle, RepetitiveWindow,
-                      TrivialExtension, enumerate_admissible_cuts,
-                      enumerate_good_cuts, is_admissible_cut, is_sign_closed,
-                      quotient_by_cut, reflect, repetitive_window,
-                      trivial_extension)
+from .trivext import (CutSet, RepetitiveWindow, TrivialExtension,
+                      enumerate_admissible_cuts, enumerate_good_cuts,
+                      is_admissible_cut, is_sign_closed, quotient_by_cut,
+                      reflect, repetitive_window, trivial_extension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

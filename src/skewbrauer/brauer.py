@@ -7,8 +7,7 @@ from typing import Optional, Union
 
 from .basis import PathBasis, _axpy, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
-from .quiver import (BoundQuiver, Path, Quiver, Verdict, canonical_rotation,
-                     cycle_rotations)
+from .quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations
 from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
                          sg_bound_quiver)
 
@@ -127,18 +126,13 @@ def validate_graph(g: SkewBrauerGraph) -> Verdict:
 # Brauer quiver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpecialCycle:
-    """The oriented cycle at a graph vertex, as arrow ids of the Brauer quiver."""
-    graph_vertex: int
-    arrows: tuple[int, ...]
-    multiplicity: int
-
-
-def brauer_quivers_with_cycles(g: BrauerGraph) -> tuple[Quiver, tuple[SpecialCycle, ...]]:
+def brauer_quivers_with_cycles(
+        g: BrauerGraph) -> tuple[Quiver, tuple[tuple[Path, int, int], ...]]:
+    """The Brauer quiver, and ``(cycle, graph vertex id, multiplicity)`` for
+    the oriented cycle at each graph vertex v with m(v)·val(v) >= 2."""
     vlabels = [e.label for e in sorted(g.edges, key=lambda e: e.label)]
     arrow_specs: list[tuple[str, str, str]] = []
-    cycle_slots: list[tuple[int, list[int], int]] = []
+    cycle_slots: list[tuple[tuple[int, ...], int, int]] = []
     for v in sorted(g.vertices, key=lambda v: v.label):
         order = g.order.get(v.id, ())
         if v.multiplicity * len(order) < 2:
@@ -149,9 +143,9 @@ def brauer_quivers_with_cycles(g: BrauerGraph) -> tuple[Quiver, tuple[SpecialCyc
             label = f"{v.label}.{i}"
             ids.append(len(arrow_specs))
             arrow_specs.append((label, g.edge(eid).label, g.edge(nxt).label))
-        cycle_slots.append((v.id, ids, v.multiplicity))
+        cycle_slots.append((tuple(ids), v.id, v.multiplicity))
     q = Quiver.build(vlabels, arrow_specs)
-    cycles = tuple(SpecialCycle(vid, tuple(ids), m) for vid, ids, m in cycle_slots)
+    cycles = tuple((Path(q.arrow(ids[0]).source, ids), vid, m) for ids, vid, m in cycle_slots)
     return q, cycles
 
 
@@ -166,23 +160,13 @@ def brauer_quiver(g: Union[BrauerGraph, SkewBrauerGraph]) -> Quiver:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SgSpecialCycle:
-    """A sign decoration of a special cycle, in the duplicated quiver."""
-    path: Path                      # canonical rotation
-    graph_vertex: int
-
-    def occurrences(self, arrow_id: int) -> int:
-        return self.path.arrows.count(arrow_id)
-
-
-@dataclass(frozen=True)
 class SkewBrauerAlgebra:
-    """Admissible presentation of the skew-Brauer graph algebra with its cycles."""
+    """Admissible presentation of the skew-Brauer graph algebra, with the
+    tuple it was built from; the signed special cycles are
+    ``sg_tuple.signed_cycles``."""
     algebra: BoundQuiver
     graph: SkewBrauerGraph
-    cycles: tuple[SgSpecialCycle, ...]
     sg_tuple: SgTuple
-    special_cycles: tuple[SpecialCycle, ...]
 
     @property
     def quiver(self) -> Quiver:
@@ -203,22 +187,12 @@ def skew_brauer_algebra(g: SkewBrauerGraph) -> SkewBrauerAlgebra:
     q, special_cycles = brauer_quivers_with_cycles(gr)
     sp_edges = frozenset(q.vertex_by_label(gr.edge(e).label).id
                          for e in g.distinguished_edges())
-    cycles = tuple(Path(q.arrow(c.arrows[0]).source, c.arrows) for c in special_cycles)
+    cycles = tuple(c for c, _, _ in special_cycles)
     windows = {(rot.arrows * 2)[:2] for c in cycles for rot in cycle_rotations(q, c.arrows)}
     monomials = tuple(Path(a.source, (a.id, b.id)) for a in q.arrows
                       for b in q.arrows_from(a.target) if (a.id, b.id) not in windows)
-    tup = SgTuple(q, monomials, sp_edges, cycles,
-                  tuple(c.multiplicity for c in special_cycles))
-    # the signs of a copy of c^m repeat with each period, so its first
-    # len(c) arrows are a signed copy of c
-    sq = tup.sgq.quiver
-    copies = {rot: cs for rot, cs, _ in tup.powers}
-    sg_cycles = sorted((SgSpecialCycle(canonical_rotation(sq, p.arrows[:len(base)]),
-                                       c.graph_vertex)
-                        for c, base in zip(special_cycles, cycles) for p in copies[base]),
-                       key=lambda c: c.path.sort_key())
-    return SkewBrauerAlgebra(sg_bound_quiver(tup), g, tuple(sg_cycles), tup,
-                             special_cycles)
+    tup = SgTuple(q, monomials, sp_edges, cycles, tuple(m for _, _, m in special_cycles))
+    return SkewBrauerAlgebra(sg_bound_quiver(tup), g, tup)
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +441,12 @@ def classify_rep_type(g: SkewBrauerGraph) -> Classification:
                     "Finite", "brauer-tree-iso",
                     "two-edge graph with one distinguished leaf is a Brauer "
                     "tree algebra in disguise")
-            alg = skew_brauer_algebra(g)
-            loop = next(c for c in alg.special_cycles if len(c.arrows) == 1)
-            gamma = alg.sg_tuple.quiver.arrow(loop.arrows[0]).label
-            cyc = next(c for c in alg.special_cycles if len(c.arrows) == 2)
-            alpha = alg.sg_tuple.quiver.arrow(cyc.arrows[0]).label
-            beta = alg.sg_tuple.quiver.arrow(cyc.arrows[1]).label
+            tup = skew_brauer_algebra(g).sg_tuple
+            loop = next(c for c in tup.cycles if len(c) == 1)
+            gamma = tup.quiver.arrow(loop.arrows[0]).label
+            cyc = next(c for c in tup.cycles if len(c) == 2)
+            alpha = tup.quiver.arrow(cyc.arrows[0]).label
+            beta = tup.quiver.arrow(cyc.arrows[1]).label
             witness = f"{gamma}^-1 ({alpha}+)(+{beta})"
             return Classification(
                 "Infinite", "band-module",

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Optional
 
 from . import formats
@@ -22,7 +23,7 @@ from .dissection import (OrbifoldDissection, contraction_addition,
                          trivext_tuple_from_dissection, validate_dissection)
 from .errors import ParseError, SkewBrauerError
 from .iso import are_isomorphic
-from .quiver import BoundQuiver, is_gentle, is_locally_gentle
+from .quiver import BoundQuiver, Path, is_gentle, is_locally_gentle
 from .skewgentle import (admissible_presentation, is_skew_gentle,
                          make_presentation, sg_bound_quiver)
 from .trivext import (enumerate_admissible_cuts, enumerate_good_cuts,
@@ -36,8 +37,11 @@ def _emit(args, payload: dict, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SkewBrauerError(f"cannot write {args.output}: {exc.strerror}") from None
         return
     try:
         sys.stdout.write(text)
@@ -109,8 +113,8 @@ def cmd_build(args) -> int:
     alg = skew_brauer_algebra(_load(args.input, SkewBrauerGraph,
                                     "build expects a .sbg file"))
     text = formats.serialize_bq(alg.algebra)
-    _emit(args, {"bq": text, "cycles": [c.path.label(alg.quiver) for c in alg.cycles]},
-          text)
+    cycles = sorted(chain.from_iterable(alg.sg_tuple.signed_cycles), key=Path.sort_key)
+    _emit(args, {"bq": text, "cycles": [p.label(alg.quiver) for p in cycles]}, text)
     return 0
 
 

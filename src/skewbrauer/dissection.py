@@ -58,6 +58,9 @@ class OrbifoldDissection:
         sides = self.polygons[polygon]
         if BOUNDARY not in sides:
             raise SkewBrauerError(f"polygon {polygon} has no boundary side")
+        if sides.count(BOUNDARY) > 1:
+            raise SkewBrauerError(
+                f"polygon {polygon} has {sides.count(BOUNDARY)} boundary sides")
         b = sides.index(BOUNDARY)
         return sides[b + 1:] + sides[:b]
 

@@ -280,7 +280,7 @@ def parse_dis(text: str, filename: str = "<input>") -> OrbifoldDissection:
             elif len(parts) != 2:
                 raise ParseError("arc <label> [special|pendant]", filename, lineno)
             aspecs.append((lineno, parts[1], kind))
-        elif parts[0].startswith("polygon"):
+        elif parts[0] == "polygon" or parts[0].startswith("polygon:"):
             _, sides = _labelled(line, "polygon", "polygon: <side>, ...", filename, lineno)
             polys.append((lineno, _items(sides)))
         elif parts[0] == "puncture":
@@ -323,9 +323,15 @@ def serialize_dis(d: OrbifoldDissection) -> str:
 
 
 def load(path: str):
-    """Parse a file by extension; returns the corresponding object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a file by extension; returns the corresponding object.  A file
+    that cannot be read as UTF-8 text is a ``ParseError`` at line 0."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror}", path, 0) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read: {exc}", path, 0) from None
     if path.endswith(".bq"):
         return parse_bq(text, path)
     if path.endswith(".sbg"):

@@ -6,10 +6,11 @@ duplicating the special vertices and ranging relations over all sign
 decorations.  ``loop_presentation`` and ``collapse_presentation`` lead
 back to the first, from the auxiliary gentle algebra and from the second.
 
-An ``SgTuple`` builds its duplicated quiver (``SgTuple.sgq``) and the
-signed powers c^m of its cycles (``SgTuple.powers``) once, on first use.
-The ideal, the skew-Brauer and trivial-extension carriers and the
-symmetrising form all read them from the tuple.
+An ``SgTuple`` builds its duplicated quiver (``SgTuple.sgq``), the
+signed powers c^m of its cycles (``SgTuple.powers``) and the signed
+copies of the cycles themselves (``SgTuple.signed_cycles``) once, on
+first use.  The ideal, the symmetrising form and the cuts of the
+skew-Brauer and trivial-extension carriers all read them from the tuple.
 """
 from __future__ import annotations
 
@@ -387,6 +388,18 @@ class SgTuple:
                         flipped.append(Path(p.base, p.arrows[:-1] + (last,)))
                 out.append((rot, tuple(copies), tuple(flipped)))
         return tuple(out)
+
+    @cached_property
+    def signed_cycles(self) -> tuple[tuple[Path, ...], ...]:
+        """For each cycle c (not c^m): the canonical rotation in the sg
+        quiver of every signed copy of c, in ``Path.sort_key`` order.  The
+        signs of a copy of c^m repeat with each period, so its first len(c)
+        arrows, at c's own rotation, are a signed copy of c."""
+        sq = self.sgq.quiver
+        copies = {rot: cs for rot, cs, _ in self.powers}
+        return tuple(tuple(sorted((canonical_rotation(sq, p.arrows[:len(c)]) for p in copies[c]),
+                                  key=Path.sort_key))
+                     for c in self.cycles)
 
 
 def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],

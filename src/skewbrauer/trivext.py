@@ -1,4 +1,4 @@
-"""Trivial extensions, elementary cycles, cuts, repetitive windows, reflections.
+"""Trivial extensions, cuts, repetitive windows, reflections.
 
 A repetitive window is the full subcategory, on k consecutive levels, of
 the ℤ-cover of T(A).  It needs a gentle or admissible skew-gentle A and
@@ -14,40 +14,23 @@ from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentleSource, NotSourceOrSink, UnknownArrow,
                      UnknownVertex, UnsupportedClass)
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
-                     canonical_rotation, dedupe_relations, is_locally_gentle)
+                     dedupe_relations, is_locally_gentle)
 from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
                          auxiliary_gentle, close_paths, collapse_presentation,
                          induced_path, sg_bound_quiver)
 
 
 # ---------------------------------------------------------------------------
-# elementary cycles and trivial extensions
+# trivial extensions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ElementaryCycle:
-    """A signed copy of a closed maximal path, followed by its new arrow.
-
-    ``path`` is the canonical rotation: lexicographically least sequence
-    of arrow labels.  ``new_arrow`` is the id of the unique added arrow.
-    """
-    path: Path
-    new_arrow: int
-
-    def __len__(self) -> int:
-        return len(self.path)
-
-    def occurrences(self, arrow_id: int) -> int:
-        return self.path.arrows.count(arrow_id)
-
-
-@dataclass(frozen=True)
 class TrivialExtension:
-    """Trivial extension data: the algebra, its tuple, the new arrows, the cycles."""
+    """Trivial extension data: the algebra, its tuple and the new arrows;
+    the elementary cycles are ``sg_tuple.signed_cycles``."""
     algebra: BoundQuiver
     source: BoundQuiver
     new_arrows: dict[int, Path]          # new arrow id -> socle basis path (in source)
-    cycles: tuple[ElementaryCycle, ...]
     sg_tuple: SgTuple                    # the gentle base closed by new arrows
 
     @property
@@ -66,7 +49,7 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     special vertices and the closed cycles, each with multiplicity one.
     ``new_arrows`` maps each signed copy of ``B<i>`` to the induced path
     of its maximal path in ``a``: the signs of the copy at the ends, "+"
-    inside.  ``cycles`` are the signed copies of the closed cycles.
+    inside.
     """
     if basis is None:
         basis = enumerate_basis(a)
@@ -84,25 +67,18 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     paths = sorted(maximal_paths(base, basis), key=Path.sort_key)
     tup, betas = close_paths(base.quiver, tuple(r.paths()[0] for r in base.relations),
                              special, paths, [f"B{i}" for i in range(1, len(paths) + 1)])
-    algebra = sg_bound_quiver(tup)
-    sgq = tup.sgq
     # each new arrow lies on one cycle, of multiplicity one: the signed
-    # powers of the rotation that ends with it are the signed copies of
-    # its closed path
+    # powers of the rotation that ends with it end with its signed copies
     closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
-
     new_arrows: dict[int, Path] = {}
-    cycles = []
     for p, beta in zip(paths, betas):
         for dec in closing[beta]:
             copy = dec.arrows[-1]
-            cycles.append(ElementaryCycle(canonical_rotation(sgq.quiver, dec.arrows), copy))
             if copy not in new_arrows:
-                _, eps2, eps = sgq.arrow_origins[copy]
+                _, eps2, eps = tup.sgq.arrow_origins[copy]
                 new_arrows[copy] = (p if a.vertex_origins is None
                                     else induced_path(a, base, p, eps, eps2))
-    cycles.sort(key=lambda c: c.path.sort_key())
-    return TrivialExtension(algebra, a, new_arrows, tuple(cycles), tup)
+    return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +100,13 @@ def is_admissible_cut(t, arrow_ids: Iterable[int]) -> bool:
     known = {a.id for a in t.algebra.quiver.arrows}
     if not ids <= known:
         raise UnknownArrow(str(sorted(ids - known)))
-    for c in t.cycles:
-        if sum(c.occurrences(a) for a in ids) != 1:
-            return False
-    return True
+    return all(_hits(ids, p) == 1 for copies in t.sg_tuple.signed_cycles for p in copies)
 
 
 def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet]:
     """Backtracking enumeration of admissible cuts, deduplicated and sorted."""
-    for arrows in _cuts(t.algebra.quiver, [c.path for c in t.cycles], limit):
+    cycles = [p for copies in t.sg_tuple.signed_cycles for p in copies]
+    for arrows in _cuts(t.algebra.quiver, cycles, limit):
         yield CutSet(arrows, "admissible")
 
 
@@ -161,7 +135,7 @@ def _cuts(q: Quiver, cycles: Sequence[Path],
     return list(out)
 
 
-def _hits(chosen: frozenset[int], c: Path) -> int:
+def _hits(chosen: Iterable[int], c: Path) -> int:
     return sum(c.arrows.count(a) for a in chosen)
 
 
@@ -355,11 +329,14 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
         boundary = {a.label for a in q.arrows_into(v.id)}
 
     t = trivial_extension(admissible_presentation(p))
-    origins = t.algebra.arrow_origins
+    tq, origins = t.sg_tuple.quiver, t.algebra.arrow_origins
+    new = {origins[a][0] for a in t.new_arrows}
     chosen: set[str] = set()
-    for c in t.cycles:
-        hits = {origins[a][0] for a in c.path.arrows} & boundary
+    # every signed copy of a cycle carries the base labels of the cycle
+    for c in t.sg_tuple.cycles:
+        labels = {tq.arrow(a).label for a in c.arrows}
+        hits = labels & boundary
         if len(hits) > 1:
             raise NotSourceOrSink("several boundary arrows on one cycle")
-        chosen |= hits or {origins[c.new_arrow][0]}
+        chosen |= hits or labels & new
     return collapse_presentation(quotient_by_cut(t, _signed_copies(t, chosen)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.util
 import os
 from functools import lru_cache
+from itertools import chain
 
 from skewbrauer import formats
 from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, path_from_arrows
@@ -27,6 +28,12 @@ def family_graphs(seed: int) -> list[tuple[str, str]]:
     families = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(families)
     return families.family(seed)
+
+
+def signed_cycles(carrier) -> list[Path]:
+    """The signed copies of every cycle of a carrier's tuple, in
+    ``Path.sort_key`` order."""
+    return sorted(chain.from_iterable(carrier.sg_tuple.signed_cycles), key=Path.sort_key)
 
 
 def P(q: Quiver, *labels: str) -> Path:

@@ -2,7 +2,8 @@
 import pytest
 
 from skewbrauer.basis import enumerate_basis
-from skewbrauer.brauer import (SkewBrauerGraph, brauer_quiver, classify_rep_type,
+from skewbrauer.brauer import (SkewBrauerGraph, brauer_quiver,
+                               brauer_quivers_with_cycles, classify_rep_type,
                                graph_from_skew_gentle, is_skew_brauer_tree,
                                projective_layers, skew_brauer_algebra,
                                symmetric_form_check, validate_graph)
@@ -14,7 +15,8 @@ from skewbrauer.quiver import BoundQuiver, Path, Relation, canonical_rotation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation, sg_quiver
 from skewbrauer.trivext import trivial_extension
 
-from helpers import SBG_FIXTURES, SKEW_GENTLE_FIXTURES, load
+from helpers import (SBG_FIXTURES, SKEW_GENTLE_FIXTURES, family_graphs, load,
+                     signed_cycles)
 from oracle import cycle_decorations, oracle_reduce
 
 
@@ -85,25 +87,43 @@ class TestBrauerQuiver:
 class TestSkewBrauerAlgebra:
     def test_two_to_r_cycles(self):
         alg = skew_brauer_algebra(load("fig1.sbg"))
+        _, cycles = brauer_quivers_with_cycles(alg.graph.graph)
+        assert tuple(c for c, _, _ in cycles) == alg.sg_tuple.cycles
         per_vertex = {}
-        for c in alg.cycles:
-            per_vertex[c.graph_vertex] = per_vertex.get(c.graph_vertex, 0) + 1
+        for (_, vid, _), copies in zip(cycles, alg.sg_tuple.signed_cycles):
+            per_vertex[vid] = per_vertex.get(vid, 0) + len(copies)
         labels = {alg.graph.graph.vertex(k).label: v for k, v in per_vertex.items()}
         assert labels == {"v2": 4, "v3": 1}
 
     @pytest.mark.parametrize("name", ["gamma1_m2.sbg", "bstar_m2.sbg", "btree_m3.sbg"])
     def test_cycles_are_the_signed_copies_of_each_cycle(self, name):
-        # the carrier reads its cycles off the signed powers c^m; with m > 1
-        # they must still be the signed copies of c itself
+        # the tuple reads its signed cycles off the signed powers c^m; with
+        # m > 1 they must still be the signed copies of c itself
         alg = skew_brauer_algebra(load(name))
         tup = alg.sg_tuple
         assert max(tup.multiplicities) > 1
         sgq = sg_quiver(tup.quiver, tup.special)
-        want = sorted(((canonical_rotation(sgq.quiver, dec.arrows), c.graph_vertex)
-                       for c, base in zip(alg.special_cycles, tup.cycles)
+        _, cycles = brauer_quivers_with_cycles(alg.graph.graph)
+        want = sorted(((canonical_rotation(sgq.quiver, dec.arrows), vid)
+                       for base, vid, _ in cycles
                        for dec in cycle_decorations(sgq, tup.quiver, tup.special, base)),
                       key=lambda pair: pair[0].sort_key())
-        assert [(c.path, c.graph_vertex) for c in alg.cycles] == want
+        got = sorted(((p, vid) for (_, vid, _), copies in zip(cycles, tup.signed_cycles)
+                      for p in copies), key=lambda pair: pair[0].sort_key())
+        assert got == want
+
+    def test_brauer_graph_dimension_formula(self):
+        # without distinguished vertices: dim = 2|E| + sum_v val(v)(m(v) val(v) - 1)
+        graphs = [SkewBrauerGraph(formats.parse_sbg(text, name).graph, frozenset())
+                  for seed in (1, 2, 3) for name, text in family_graphs(seed)]
+        graphs += [g for g in map(load, SBG_FIXTURES) if not g.distinguished]
+        assert len(graphs) == 75
+        for g in graphs:
+            gr = g.graph
+            want = 2 * len(gr.edges) + sum(
+                gr.valency(v.id) * (v.multiplicity * gr.valency(v.id) - 1)
+                for v in gr.vertices)
+            assert enumerate_basis(skew_brauer_algebra(g).algebra).dimension == want
 
     def test_fig1_is_trivial_extension_of_toy(self):
         alg = skew_brauer_algebra(load("fig1.sbg"))
@@ -117,12 +137,12 @@ class TestSkewBrauerAlgebra:
         basis = enumerate_basis(alg.algebra)
         labels = {a.label: a for a in q.arrows}
         # sg-special cycles as printed
-        cycles = {c.path.label(q) for c in alg.cycles}
+        cycles = {p.label(q) for p in signed_cycles(alg)}
         def rot_class(labels_):
             p = [labels[x].id for x in labels_]
             return min(tuple(q.arrow(a).label for a in (tuple(p[i:]) + tuple(p[:i])))
                        for i in range(len(p)))
-        assert len(alg.cycles) == 4
+        assert len(signed_cycles(alg)) == 4
         # printed examples lie in the ideal
         def dead(*labs):
             ids = tuple(labels[x].id for x in labs)

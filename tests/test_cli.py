@@ -120,6 +120,14 @@ class TestRoundTrips:
             parse(text, "f")
         assert str(err.value) == message
 
+    def test_polygon_directive_is_the_whole_word(self):
+        with pytest.raises(ParseError) as err:
+            formats.parse_dis("arc 1\npolygonfoo bar: 1, BOUNDARY\n", "f")
+        assert str(err.value) == "f:2: unknown directive polygonfoo"
+        d = formats.parse_dis("arc 1\npolygon p: 1, BOUNDARY\npolygon:1, BOUNDARY\n")
+        assert formats.serialize_dis(d) == (
+            "arc 1\npolygon: 1, BOUNDARY\npolygon: 1, BOUNDARY\n")
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -354,6 +362,42 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("Finite")
+
+
+class TestFileErrors:
+    """An unreadable input exits 2 and an unwritable --output exits 1, each
+    with one line on stderr, in a separate interpreter."""
+
+    @staticmethod
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "skewbrauer.cli", *argv],
+                              capture_output=True, text=True)
+
+    def test_missing_input(self, tmp_path):
+        path = tmp_path / "nope.bq"
+        proc = self.run("check", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}:0: cannot read: No such file or directory\n"
+
+    def test_directory_input(self, tmp_path):
+        proc = self.run("check", str(tmp_path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {tmp_path}:0: cannot read: Is a directory\n"
+
+    def test_input_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.bq"
+        path.write_bytes(b"\xff")
+        proc = self.run("check", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {path}:0: cannot read: 'utf-8' codec can't decode "
+                               "byte 0xff in position 0: invalid start byte\n")
+
+    def test_output_in_missing_directory(self, tmp_path):
+        out = tmp_path / "missing_dir" / "x.bq"
+        proc = self.run("build", fixture_path("fig1.sbg"), "--output", str(out))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: cannot write {out}: No such file or directory\n"
+        assert not out.parent.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,12 @@ class TestValidate:
             formats.serialize_dis(d)
         assert str(err.value) == "polygon 0 has no boundary side"
 
+    def test_polygon_with_two_boundaries_is_a_domain_error(self):
+        d = formats.parse_dis("arc 1\npolygon: 1, BOUNDARY, 1, BOUNDARY\n")
+        with pytest.raises(SkewBrauerError) as err:
+            formats.serialize_dis(d)
+        assert str(err.value) == "polygon 0 has 2 boundary sides"
+
     def test_triple_occurrence_fails(self):
         d = OrbifoldDissection((Arc(0, "a"),),
                                ((0, 0, BOUNDARY), (0, BOUNDARY)))
