@@ -1,4 +1,4 @@
-.PHONY: test verify bench-test bench examples gate gate-diff
+.PHONY: test verify bench-test bench examples gate gate-diff check
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -20,6 +20,10 @@ examples:
 
 gate:
 	python3 scripts/exact_gate.py
+
+# everything that calls the library by name: run it before changing a
+# public name
+check: test bench-test gate
 
 # exact-gate digests of BASE (unpacked with git archive) against this
 # checkout, both read by this checkout's scripts/exact_gate.py; fails on

@@ -21,7 +21,10 @@ The groups:
   vertex in both directions;
 - ``formats``: every fixture's text and its deterministic edits: each
   line dropped, each line repeated, and each whitespace-separated token
-  replaced by each token of ``REPLACEMENTS``.
+  replaced by each token of ``REPLACEMENTS``;
+- ``generated``: ``GENERATED`` small bound quivers drawn from
+  ``random.Random(GENERATED_SEED)`` (see ``_draw``), so that the gate
+  also sees the completion on relations that no construction writes.
 
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every alive
@@ -39,8 +42,10 @@ recorded by its class and message.
 import hashlib
 import importlib.util
 import os
+import random
 import sys
 import types
+from fractions import Fraction
 
 ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
                        else os.path.join(os.path.dirname(__file__), os.pardir))
@@ -55,7 +60,8 @@ from skewbrauer.brauer import (SkewBrauerAlgebra,  # noqa: E402
 from skewbrauer.cartan import cartan  # noqa: E402
 from skewbrauer.dissection import trivext_tuple_from_dissection  # noqa: E402
 from skewbrauer.errors import SkewBrauerError  # noqa: E402
-from skewbrauer.quiver import canonical_rotation  # noqa: E402
+from skewbrauer.quiver import (BoundQuiver, Path, Quiver,  # noqa: E402
+                               Relation, canonical_rotation)
 from skewbrauer.skewgentle import (admissible_presentation,  # noqa: E402
                                    make_presentation, sg_bound_quiver)
 from skewbrauer.trivext import (TrivialExtension,  # noqa: E402
@@ -64,6 +70,9 @@ from skewbrauer.trivext import (TrivialExtension,  # noqa: E402
 
 FIXTURES = os.path.join(ROOT, "fixtures")
 SEEDS = (1, 2, 3)
+GENERATED_SEED = 16
+GENERATED = 200
+TRUNCATE = 4
 REPLACEMENTS = ("nope", "", "B1", "1+", "#", ":", "->", "mult=x")
 
 
@@ -209,6 +218,49 @@ def _presentations():
                        lambda pres=pres, v=v.label, d=direction: reflect(pres, v, d))
 
 
+def _words(q, cap):
+    """Every path of length 2 to ``cap`` in ``q``, as a word of arrow ids."""
+    out, frontier = [], [(a.id,) for a in q.arrows]
+    for _ in range(cap - 1):
+        frontier = [w + (a.id,) for w in frontier
+                    for a in q.arrows_from(q.arrow(w[-1]).target)]
+        out += frontier
+    return out
+
+
+def _draw(rng):
+    """A small bound quiver, loops allowed, drawn as the property test
+    ``inhomogeneous_algebras`` draws: every path of length ``TRUNCATE``
+    is a monomial, so the quotient is finite; up to two shorter monomials;
+    one to three two-term relations whose terms differ in length."""
+    nv = rng.randint(1, 3)
+    q = Quiver.build([str(v) for v in range(nv)],
+                     [(f"a{i}", str(rng.randrange(nv)), str(rng.randrange(nv)))
+                      for i in range(rng.randint(1, 4))])
+    words = _words(q, TRUNCATE)
+    short = [w for w in words if len(w) < TRUNCATE]
+    terms = [((1, w),) for w in words if len(w) == TRUNCATE]
+    if short:
+        terms += [((1, rng.choice(short)),) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(1, 3)):
+            w = rng.choice(short)
+            ends = (q.arrow(w[0]).source, q.arrow(w[-1]).target)
+            partners = [u for u in words if len(u) != len(w)
+                        and (q.arrow(u[0]).source, q.arrow(u[-1]).target) == ends]
+            if partners:
+                terms.append(((1, w), (rng.choice((-2, -1, 1, 3)), rng.choice(partners))))
+    relations = tuple(Relation(tuple((Fraction(c), Path(q.arrow(w[0]).source, w))
+                                     for c, w in r)) for r in terms)
+    return BoundQuiver(q, relations)
+
+
+def _generated():
+    rng = random.Random(GENERATED_SEED)
+    for i in range(GENERATED):
+        bq = _draw(rng)
+        yield f"gen{i}", lambda bq=bq: types.SimpleNamespace(algebra=bq)
+
+
 def _edits(text):
     """(suffix, text) for the text itself and each of its edits."""
     lines = text.splitlines()
@@ -242,7 +294,8 @@ def _formats():
 GROUPS = {"sbg": (_sbg, _lines), "families": (_family_graphs, _lines),
           "trivext": (_trivext, _lines), "dis": (_dis, _lines),
           "presentations": (_presentations, _presentation_lines),
-          "formats": (_formats, lambda text: [text])}
+          "formats": (_formats, lambda text: [text]),
+          "generated": (_generated, _lines)}
 
 
 def main() -> int:

@@ -7,7 +7,7 @@ Cartan invariants, and classifies representation type.
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .brauer import (BrauerEdge, BrauerGraph, BrauerVertex, Classification,
                      ProjectiveLayers, SkewBrauerAlgebra, SkewBrauerGraph,
-                     brauer_quiver, classify_rep_type, graph_from_skew_gentle,
+                     classify_rep_type, graph_from_skew_gentle,
                      is_skew_brauer_tree, projective_layers,
                      skew_brauer_algebra, symmetric_form_check, validate_graph)
 from .cartan import CartanData, IntPoly, cartan, det_fraction_free
@@ -16,23 +16,19 @@ from .dissection import (Arc, OrbifoldDissection, Puncture,
                          q_cartan_det_formula, quiver_from_dissection,
                          skew_gentle_from_dissection,
                          trivext_tuple_from_dissection, validate_dissection)
-from .errors import (InfiniteDimensional, NonComposable, NotAdmissible,
-                     NotSkewGentle, ParseError, SkewBrauerError, Undecided,
-                     UnsupportedClass)
+from .errors import (InfiniteDimensional, NotAdmissible, NotSkewGentle,
+                     ParseError, SkewBrauerError, Undecided, UnsupportedClass)
 from .iso import IsoResult, are_isomorphic
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
-                     Vertex, compose_paths, is_gentle, is_locally_gentle,
-                     path_from_arrows, stationary)
+                     Vertex, is_gentle, is_locally_gentle, stationary)
 from .skewgentle import (SgTuple, SkewGentlePresentation,
                          admissible_presentation, auxiliary_gentle,
                          collapse_presentation, induced_path, is_skew_gentle,
                          loop_presentation, make_presentation,
-                         sg_bound_quiver, sg_ideal, sg_quiver,
-                         sp_maximal_paths)
-from .trivext import (CutSet, RepetitiveWindow, TrivialExtension,
-                      enumerate_admissible_cuts, enumerate_good_cuts,
-                      is_admissible_cut, is_sign_closed, quotient_by_cut,
-                      reflect, repetitive_window, trivial_extension)
+                         sg_bound_quiver, sg_ideal, sg_quiver)
+from .trivext import (CutSet, TrivialExtension, enumerate_admissible_cuts,
+                      enumerate_good_cuts, is_admissible_cut, quotient_by_cut,
+                      reflect, trivial_extension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

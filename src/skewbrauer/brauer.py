@@ -149,12 +149,6 @@ def brauer_quivers_with_cycles(
     return q, cycles
 
 
-def brauer_quiver(g: Union[BrauerGraph, SkewBrauerGraph]) -> Quiver:
-    """Vertices are the edges; one arrow per successor step around each fat vertex."""
-    graph = g.graph if isinstance(g, SkewBrauerGraph) else g
-    return brauer_quivers_with_cycles(graph)[0]
-
-
 # ---------------------------------------------------------------------------
 # the skew-Brauer algebra
 # ---------------------------------------------------------------------------
@@ -295,7 +289,14 @@ def _echelon_insert(echelon: dict, vec: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 def graph_from_skew_gentle(p: SkewGentlePresentation) -> SkewBrauerGraph:
-    """Edges are the quiver vertices; fat vertices are the sp-maximal paths."""
+    """The skew-Brauer graph of a skew-gentle presentation.
+
+    Edges are the quiver vertices.  Graph vertices: ``p<i>`` for each
+    maximal path of the auxiliary gentle algebra, ``e<v>`` for each
+    non-special vertex v that ends a single arrow or sits in the middle of
+    a transit that does not vanish, and the distinguished ``x<v>`` for
+    each special vertex v.
+    """
     aux = auxiliary_gentle(p)
     q = aux.quiver
     for v in q.vertices:
@@ -504,7 +505,7 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
     q = alg.algebra.quiver
     try:
         vid = q.vertex_by_label(vertex).id if isinstance(vertex, str) else q.vertex(vertex).id
-    except (KeyError, StopIteration):
+    except KeyError:
         raise UnknownVertex(str(vertex))
     blocks = basis.alive_blocks()
     layer_counts: dict[int, dict[int, int]] = {}

@@ -73,14 +73,13 @@ def cmd_check(args) -> int:
     if isinstance(obj, BoundQuiver):
         local = is_locally_gentle(obj)
         sg = is_skew_gentle(obj)
-        gentle = is_gentle(obj) if obj.admissible else local
         payload = {
             "kind": "bound-quiver",
             "vertices": len(obj.quiver.vertices),
             "arrows": len(obj.quiver.arrows),
             "admissible": obj.admissible,
             "locally_gentle": bool(local),
-            "gentle": bool(gentle) and obj.admissible,
+            "gentle": bool(is_gentle(obj)),
             "skew_gentle": bool(sg),
             "special_vertices": list(sg.special_vertices),
         }

@@ -183,7 +183,6 @@ class DissectionTuple:
     monomials: tuple[Path, ...]
     special: frozenset[int]
     cycles: tuple[Path, ...]
-    new_arrows: dict[int, int]      # arrow id -> polygon index
 
     def as_sg_tuple(self) -> SgTuple:
         return SgTuple(self.quiver, self.monomials, self.special, self.cycles)
@@ -206,11 +205,10 @@ def trivext_tuple_from_dissection(d: OrbifoldDissection) -> DissectionTuple:
         return Path(dq.quiver.arrow(out[0]).source, tuple(out))
 
     polygons = [i for i in range(len(d.polygons)) if len(d.run(i)) > 1]
-    tup, new_ids = close_paths(
+    tup, _ = close_paths(
         dq.quiver, tuple(r.paths()[0] for r in dq.relations), dq.special,
         [polygon_path(i) for i in polygons], [f"B{i}" for i in polygons])
-    return DissectionTuple(tup.quiver, tup.monomials, tup.special, tup.cycles,
-                           dict(zip(new_ids, polygons)))
+    return DissectionTuple(tup.quiver, tup.monomials, tup.special, tup.cycles)
 
 
 # ---------------------------------------------------------------------------

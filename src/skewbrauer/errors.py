@@ -5,10 +5,6 @@ class SkewBrauerError(Exception):
     """Base class for all domain errors."""
 
 
-class NonComposable(SkewBrauerError):
-    """Raised when two paths with mismatched endpoints are composed."""
-
-
 class NotAdmissible(SkewBrauerError):
     """Raised when a basis computation is attempted on a non-admissible presentation."""
 

@@ -5,11 +5,10 @@ arrow is the source of the next, and ``p * q`` means "p first, then q".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
-
-from .errors import NonComposable
 
 Coeff = Fraction
 ONE = Fraction(1)
@@ -64,7 +63,7 @@ class Quiver:
 
     # -- lookups -----------------------------------------------------------
     def vertex(self, vid: int) -> Vertex:
-        return self._vmap()[vid]
+        return self._vmap[vid]
 
     def vertex_by_label(self, label: str) -> Vertex:
         for v in self.vertices:
@@ -73,7 +72,7 @@ class Quiver:
         raise KeyError(label)
 
     def arrow(self, aid: int) -> Arrow:
-        return self._amap()[aid]
+        return self._amap[aid]
 
     def arrow_by_label(self, label: str) -> Arrow:
         for a in self.arrows:
@@ -81,38 +80,29 @@ class Quiver:
                 return a
         raise KeyError(label)
 
+    @cached_property
     def _vmap(self) -> dict[int, Vertex]:
-        m = self.__dict__.get("_vm")
-        if m is None:
-            m = {v.id: v for v in self.vertices}
-            self.__dict__["_vm"] = m
-        return m
+        return {v.id: v for v in self.vertices}
 
+    @cached_property
     def _amap(self) -> dict[int, Arrow]:
-        m = self.__dict__.get("_am")
-        if m is None:
-            m = {a.id: a for a in self.arrows}
-            self.__dict__["_am"] = m
-        return m
+        return {a.id: a for a in self.arrows}
 
+    @cached_property
     def _adjacency(self) -> tuple[dict[int, tuple[Arrow, ...]], dict[int, tuple[Arrow, ...]]]:
-        m = self.__dict__.get("_adj")
-        if m is None:
-            out: dict[int, list[Arrow]] = {}
-            into: dict[int, list[Arrow]] = {}
-            for a in self.arrows:
-                out.setdefault(a.source, []).append(a)
-                into.setdefault(a.target, []).append(a)
-            m = ({v: tuple(arrs) for v, arrs in out.items()},
-                 {v: tuple(arrs) for v, arrs in into.items()})
-            self.__dict__["_adj"] = m
-        return m
+        out: dict[int, list[Arrow]] = {}
+        into: dict[int, list[Arrow]] = {}
+        for a in self.arrows:
+            out.setdefault(a.source, []).append(a)
+            into.setdefault(a.target, []).append(a)
+        return ({v: tuple(arrs) for v, arrs in out.items()},
+                {v: tuple(arrs) for v, arrs in into.items()})
 
     def arrows_from(self, vid: int) -> tuple[Arrow, ...]:
-        return self._adjacency()[0].get(vid, ())
+        return self._adjacency[0].get(vid, ())
 
     def arrows_into(self, vid: int) -> tuple[Arrow, ...]:
-        return self._adjacency()[1].get(vid, ())
+        return self._adjacency[1].get(vid, ())
 
 
 @dataclass(frozen=True)
@@ -143,16 +133,6 @@ class Path:
         return (len(self.arrows), self.arrows, self.base)
 
 
-def path_from_arrows(q: Quiver, arrows: Sequence[Arrow | int]) -> Path:
-    aids = [a.id if isinstance(a, Arrow) else a for a in arrows]
-    objs = [q.arrow(a) for a in aids]
-    for prev, nxt in zip(objs, objs[1:]):
-        if prev.target != nxt.source:
-            raise NonComposable(f"{prev.label} then {nxt.label}")
-    base = objs[0].source if objs else 0
-    return Path(base, tuple(aids))
-
-
 def stationary(vid: int) -> Path:
     return Path(vid, ())
 
@@ -166,21 +146,9 @@ def cycle_rotations(q: Quiver, arrows: Sequence[int]) -> tuple[Path, ...]:
 
 def canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
     """Rotation with lexicographically least arrow-label sequence."""
-    arrow = q._amap()
+    arrow = q._amap
     return min(cycle_rotations(q, arrows),
                key=lambda p: tuple(arrow[a].label for a in p.arrows))
-
-
-def compose_paths(q: Quiver, p: Path, r: Path) -> Path:
-    """Concatenate ``p`` then ``r``; stationary paths act as identities."""
-    if p.target(q) != r.source(q):
-        raise NonComposable(
-            f"target of {p.label(q)} is not the source of {r.label(q)}")
-    if p.is_stationary:
-        return r
-    if r.is_stationary:
-        return p
-    return Path(p.base, p.arrows + r.arrows)
 
 
 @dataclass(frozen=True)
@@ -260,12 +228,11 @@ class BoundQuiver:
     quiver: Quiver
     relations: tuple[Relation, ...] = ()
     special_vertices: frozenset[int] = frozenset()
-    admissible: bool = field(default=None)  # type: ignore[assignment]
     vertex_origins: Optional[Mapping[int, tuple[str, str]]] = None
     arrow_origins: Optional[Mapping[int, tuple[str, str, str]]] = None
 
     def __post_init__(self):
-        arrow = self.quiver._amap()
+        arrow = self.quiver._amap
         for r in self.relations:
             ends = {(arrow[p.arrows[0]].source, arrow[p.arrows[-1]].target)
                     if p.arrows else (p.base, p.base) for _, p in r.terms}
@@ -274,16 +241,14 @@ class BoundQuiver:
         vids = {v.id for v in self.quiver.vertices}
         if not set(self.special_vertices) <= vids:
             raise ValueError("special vertex outside the quiver")
-        if self.admissible is None:
-            flag = all(len(p) >= 2 for r in self.relations for p in r.paths())
-            object.__setattr__(self, "admissible", flag)
+
+    @cached_property
+    def admissible(self) -> bool:
+        """Whether every relation term has length at least two."""
+        return all(len(p) >= 2 for r in self.relations for p in r.paths())
 
     def relabelled(self, **kwargs) -> "BoundQuiver":
-        data = dict(quiver=self.quiver, relations=self.relations,
-                    special_vertices=self.special_vertices, admissible=self.admissible,
-                    vertex_origins=self.vertex_origins, arrow_origins=self.arrow_origins)
-        data.update(kwargs)
-        return BoundQuiver(**data)
+        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,10 @@ from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
-from .basis import PathBasis, enumerate_basis, maximal_paths
+from .basis import enumerate_basis
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
-                     canonical_rotation, cycle_rotations, is_locally_gentle,
-                     stationary)
+                     canonical_rotation, cycle_rotations, is_locally_gentle)
 
 SIGNS = ("+", "-")
 _OTHER = {"+": "-", "-": "+"}
@@ -123,8 +122,7 @@ def is_skew_gentle(bq: BoundQuiver) -> SgCheck:
                                "is not a relation")
     gentle_part = BoundQuiver(
         Quiver(q.vertices, plain),
-        tuple(Relation.monomial(p) for p in quads),
-        frozenset(), True)
+        tuple(Relation.monomial(p) for p in quads))
     local = is_locally_gentle(gentle_part)
     if not local:
         return SgCheck(False, f"gentle-part:{local.condition}", local.detail)
@@ -162,7 +160,7 @@ def auxiliary_gentle(p: SkewGentlePresentation) -> BoundQuiver:
         if mid in p.special:
             continue
         kept.append(Relation.monomial(path))
-    return BoundQuiver(sub, tuple(kept), frozenset(), True)
+    return BoundQuiver(sub, tuple(kept))
 
 
 def loop_presentation(aux: BoundQuiver, special: frozenset[int]) -> SkewGentlePresentation:
@@ -244,14 +242,12 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
     return SgQuiver(quiver, vorig, aorig, vlook, alook)
 
 
-def collapse_presentation(adm: BoundQuiver,
-                          basis: Optional[PathBasis] = None) -> SkewGentlePresentation:
+def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
     """The inverse of ``sg_quiver``: the loop presentation of ``adm``.
 
     The base quiver and the vanishing transits through non-special
-    vertices are read from the sign bookkeeping; ``loop_presentation``
-    adds the rest.  ``basis`` is the path basis of ``adm``, computed when
-    not given.
+    vertices are read from the sign bookkeeping and the path basis of
+    ``adm``; ``loop_presentation`` adds the rest.
     """
     if adm.vertex_origins is None:
         raise NotSkewGentle("no duplication bookkeeping on this presentation")
@@ -282,8 +278,7 @@ def collapse_presentation(adm: BoundQuiver,
     collapsed = Quiver(tuple(Vertex(i, base) for base, i in vid.items()), tuple(arrows))
     special = frozenset(vid[base] for base in paired)
 
-    if basis is None:
-        basis = enumerate_basis(adm)
+    basis = enumerate_basis(adm)
     monomials = []
     for a in arrows:
         if a.target in special:
@@ -482,7 +477,7 @@ def sg_ideal(t: SgTuple) -> tuple[Relation, ...]:
 def sg_bound_quiver(t: SgTuple) -> BoundQuiver:
     """The sg-bound quiver algebra of a tuple, as an admissible presentation."""
     sgq = t.sgq
-    return BoundQuiver(sgq.quiver, sg_ideal(t), frozenset(), True,
+    return BoundQuiver(sgq.quiver, sg_ideal(t),
                        vertex_origins=sgq.vertex_origins,
                        arrow_origins=sgq.arrow_origins)
 
@@ -493,31 +488,6 @@ def admissible_presentation(p: SkewGentlePresentation) -> BoundQuiver:
     mono = tuple(r.paths()[0] for r in aux.relations)
     t = SgTuple(aux.quiver, mono, frozenset(p.special), ())
     return sg_bound_quiver(t)
-
-
-def sp_maximal_paths(p: SkewGentlePresentation) -> tuple[Path, ...]:
-    """Maximal paths that begin and end with the special loop at special ends.
-
-    Computed through the bijection with maximal paths of the auxiliary
-    gentle algebra: reinsert the special loop at every special visit.
-    """
-    aux = auxiliary_gentle(p)
-    basis = enumerate_basis(aux)
-    q = p.quiver
-    out = []
-    for mp in maximal_paths(aux, basis):
-        visits = _visit_vertices(aux.quiver, mp)
-        arrows: list[int] = []
-        for i, v in enumerate(visits):
-            if v in p.loops:
-                arrows.append(p.loops[v])
-            if i < len(mp.arrows):
-                arrows.append(mp.arrows[i])    # aux keeps the arrow ids of q
-        if arrows:
-            out.append(Path(q.arrow(arrows[0]).source, tuple(arrows)))
-        else:
-            out.append(stationary(mp.base))
-    return tuple(out)
 
 
 def induced_path(adm: BoundQuiver, aux: BoundQuiver, p: Path,

@@ -1,20 +1,14 @@
-"""Trivial extensions, cuts, repetitive windows, reflections.
-
-A repetitive window is the full subcategory, on k consecutive levels, of
-the ℤ-cover of T(A).  It needs a gentle or admissible skew-gentle A and
-has dimension (2k-1)·dim A.
-"""
+"""Trivial extensions, cuts, quotients and reflections."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentleSource, NotSourceOrSink, UnknownArrow,
                      UnknownVertex, UnsupportedClass)
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
-                     dedupe_relations, is_locally_gentle)
+from .quiver import (BoundQuiver, Path, Quiver, Relation, dedupe_relations,
+                     is_locally_gentle)
 from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
                          auxiliary_gentle, close_paths, collapse_presentation,
                          induced_path, sg_bound_quiver)
@@ -61,7 +55,7 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
         base, special = a, frozenset()
     else:
         # make_presentation has checked that the auxiliary algebra is gentle
-        pres = collapse_presentation(a, basis)
+        pres = collapse_presentation(a)
         base, special = auxiliary_gentle(pres), pres.special
         basis = enumerate_basis(base)
     paths = sorted(maximal_paths(base, basis), key=Path.sort_key)
@@ -88,7 +82,6 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
 @dataclass(frozen=True)
 class CutSet:
     arrows: frozenset[int]
-    kind: str = "admissible"        # "admissible" | "good"
 
     def labels(self, q: Quiver) -> tuple[str, ...]:
         return tuple(sorted(q.arrow(a).label for a in self.arrows))
@@ -107,7 +100,7 @@ def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet
     """Backtracking enumeration of admissible cuts, deduplicated and sorted."""
     cycles = [p for copies in t.sg_tuple.signed_cycles for p in copies]
     for arrows in _cuts(t.algebra.quiver, cycles, limit):
-        yield CutSet(arrows, "admissible")
+        yield CutSet(arrows)
 
 
 def _cuts(q: Quiver, cycles: Sequence[Path],
@@ -139,27 +132,10 @@ def _hits(chosen: Iterable[int], c: Path) -> int:
     return sum(c.arrows.count(a) for a in chosen)
 
 
-def is_sign_closed(algebra: BoundQuiver, arrow_ids: Iterable[int]) -> bool:
-    """Whether the set is a union of complete sign-variant groups."""
-    if algebra.arrow_origins is None:
-        return True
-    ids = set(arrow_ids)
-    groups: dict[str, set[int]] = {}
-    for a in algebra.quiver.arrows:
-        base = algebra.arrow_origins.get(a.id, (a.label, "", ""))[0]
-        groups.setdefault(base, set()).add(a.id)
-    for base, members in groups.items():
-        inter = ids & members
-        if inter and inter != members:
-            return False
-    return True
-
-
 def _signed_copies(t: TrivialExtension, labels: set[str]) -> CutSet:
     """Every arrow of T whose base arrow is labelled in ``labels``."""
     origins = t.algebra.arrow_origins
-    return CutSet(frozenset(a for a, (base, _, _) in origins.items() if base in labels),
-                  "good")
+    return CutSet(frozenset(a for a, (base, _, _) in origins.items() if base in labels))
 
 
 def enumerate_good_cuts(t: TrivialExtension,
@@ -234,70 +210,8 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     if algebra.arrow_origins is not None:
         ao = {a.id: algebra.arrow_origins[a.id] for a in kept_arrows
               if a.id in algebra.arrow_origins}
-    return BoundQuiver(sub, new_rels, algebra.special_vertices, True,
+    return BoundQuiver(sub, new_rels, algebra.special_vertices,
                        vertex_origins=algebra.vertex_origins, arrow_origins=ao)
-
-
-# ---------------------------------------------------------------------------
-# repetitive windows
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RepetitiveWindow:
-    """Levels of the repetitive algebra of A, as a bound quiver.
-
-    ``connectors`` maps the id of each arrow from level n to level n+1 to
-    ``(path, n)``: ``path`` is the maximal path of A that the lifted new
-    arrow of T(A) closes, as in ``TrivialExtension.new_arrows``.
-    """
-    algebra: BoundQuiver
-    connectors: dict[int, tuple[Path, int]]
-
-
-def repetitive_window(a: BoundQuiver, n_min: int, n_max: int) -> RepetitiveWindow:
-    """Levels ``n_min .. n_max`` of the repetitive algebra Â of ``a``.
-
-    Â is the ℤ-cover of T(A) = Â/ν: every vertex and base arrow of T(A) has
-    a copy ``x[n]`` on each level n, and every new arrow of T(A) goes from
-    level n to level n+1.  The ideal of T(A) is homogeneous in the new
-    arrows and levels only rise along a path, so its relations lifted to
-    every start level that keeps them inside the window give the full
-    subcategory of Â on these levels.  ``a`` must be gentle or admissible
-    skew-gentle; k levels have dimension (2k-1)·dim A.
-    """
-    if n_min > n_max:
-        raise ValueError("empty window")
-    t = trivial_extension(a)
-    tq = t.quiver
-    levels = range(n_min, n_max + 1)
-    vid = {(v.id, n): i for i, (n, v) in enumerate(product(levels, tq.vertices))}
-    arrows: list[Arrow] = []
-    aid: dict[tuple[int, int], int] = {}
-    for n, b in product(levels, tq.arrows):
-        m = n + (b.id in t.new_arrows)
-        if m <= n_max:
-            aid[b.id, n] = len(arrows)
-            arrows.append(Arrow(len(arrows), f"{b.label}[{n}]",
-                                vid[b.source, n], vid[b.target, m]))
-    wq = Quiver(tuple(Vertex(i, f"{tq.vertex(v).label}[{n}]") for (v, n), i in vid.items()),
-                tuple(arrows))
-
-    def lift(p: Path, n: int) -> Optional[Path]:
-        start, ids = n, []
-        for b in p.arrows:
-            if (b, n) not in aid:
-                return None
-            ids.append(aid[b, n])
-            n += b in t.new_arrows
-        return Path(vid[p.base, start], tuple(ids))
-
-    rels = []
-    for r, n in product(t.algebra.relations, levels):
-        terms = tuple((c, lift(p, n)) for c, p in r.terms)
-        if all(p is not None for _, p in terms):
-            rels.append(Relation(terms))
-    connectors = {i: (t.new_arrows[b], n) for (b, n), i in aid.items() if b in t.new_arrows}
-    return RepetitiveWindow(BoundQuiver(wq, tuple(rels)), connectors)
 
 
 # ---------------------------------------------------------------------------

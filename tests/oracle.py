@@ -11,8 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from skewbrauer.brauer import ProjectiveLayers
-from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Verdict, compose_paths,
-                               cycle_rotations)
+from skewbrauer.quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations
 from skewbrauer.skewgentle import SgQuiver, sg_quiver
 
 
@@ -211,7 +210,7 @@ def dense_symmetric_form_check(alg, basis) -> Verdict:
     def phi(a: Path, b: Path) -> Fraction:
         if a.target(q) != b.source(q):
             return Fraction(0)
-        nf = basis.reduce(compose_paths(q, a, b))
+        nf = basis.reduce(Path(a.base, a.arrows + b.arrows))
         return sum((c for p, c in nf.items() if p in support), Fraction(0))
 
     paths = basis.basis_paths

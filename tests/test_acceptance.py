@@ -133,7 +133,8 @@ def test_criterion_4_cuts():
         by_shape[key] = a
     cut = {by_shape[("1+", "2")].id, by_shape[("2", "1-")].id,
            by_shape[("3+", "2")].id, by_shape[("2", "3-")].id}
-    from skewbrauer.trivext import is_admissible_cut, is_sign_closed
+    from skewbrauer.trivext import is_admissible_cut
+    from helpers import is_sign_closed
     assert is_admissible_cut(alg, cut)
     assert not is_sign_closed(alg.algebra, cut)
     quotient = quotient_by_cut(alg, cut)

@@ -18,10 +18,11 @@ from skewbrauer.cartan import cartan
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation
 from skewbrauer.skewgentle import (admissible_presentation, auxiliary_gentle,
-                                   is_skew_gentle, make_presentation,
-                                   sp_maximal_paths)
+                                   is_skew_gentle, make_presentation)
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,
                                 trivial_extension)
+
+from helpers import sp_maximal_paths
 
 
 @st.composite

@@ -12,16 +12,16 @@ from skewbrauer.basis import (DEFAULT_LENGTH_CAP, _RewriteSystem, enumerate_basi
 from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
-from skewbrauer.errors import (InfiniteDimensional, NonComposable, NotAdmissible,
-                               Undecided)
+from skewbrauer.errors import InfiniteDimensional, NotAdmissible, Undecided
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
-                               compose_paths, dedupe_relations, is_gentle,
-                               is_locally_gentle, path_from_arrows, stationary)
+                               dedupe_relations, is_gentle, is_locally_gentle,
+                               stationary)
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import trivial_extension
 
-from helpers import BQ_FIXTURES, P, diff, load, mono
+from helpers import (BQ_FIXTURES, NonComposable, P, compose_paths, diff, load,
+                     mono)
 
 
 def leibniz_det(m, one):
@@ -181,6 +181,19 @@ class TestEnumerateBasis:
         assert str(info.value) == (
             "the ideal contains no power of the arrow ideal: paths of every "
             "length are nonzero, e.g. x*x*x")
+
+    def test_relabelled_recomputes_admissible(self):
+        # x*x*x is admissible, x*x - x is not: the relabelled copy equals
+        # the one built fresh, and the basis refuses it up front
+        q = Quiver.build(["v"], [("x", "v", "v")])
+        a = BoundQuiver(q, (mono(q, "x", "x", "x"),))
+        relations = (diff(q, ("x", "x"), ("x",)),)
+        b = a.relabelled(relations=relations)
+        assert a.admissible and not b.admissible
+        assert b == BoundQuiver(a.quiver, relations, a.special_vertices)
+        with pytest.raises(NotAdmissible) as info:
+            enumerate_basis(b)
+        assert str(info.value) == "normalise the presentation before computing a basis"
 
     def test_endless_completion_is_undecided(self):
         # the braid relation y*x*y = x*y*x has no finite rewriting system

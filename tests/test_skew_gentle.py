@@ -14,12 +14,12 @@ from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    auxiliary_gentle, collapse_presentation,
                                    induced_path, is_skew_gentle,
                                    loop_presentation, make_presentation,
-                                   sg_bound_quiver, sg_ideal, sg_quiver,
-                                   sp_maximal_paths)
+                                   sg_bound_quiver, sg_ideal, sg_quiver)
 from skewbrauer.trivext import trivial_extension
 
 from helpers import (BQ_FIXTURES, DIS_FIXTURES, P, SBG_FIXTURES,
-                     SKEW_GENTLE_FIXTURES, family_graphs, load, mono)
+                     SKEW_GENTLE_FIXTURES, family_graphs, load, mono,
+                     sp_maximal_paths)
 
 
 def toy():

@@ -17,10 +17,10 @@ from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    make_presentation, sg_bound_quiver)
 from skewbrauer.trivext import (CutSet, enumerate_admissible_cuts,
                                 enumerate_good_cuts, is_admissible_cut,
-                                is_sign_closed, quotient_by_cut, reflect,
-                                repetitive_window, trivial_extension)
+                                quotient_by_cut, reflect, trivial_extension)
 
-from helpers import BQ_FIXTURES, P, SKEW_GENTLE_FIXTURES, load, mono, signed_cycles
+from helpers import (BQ_FIXTURES, P, SKEW_GENTLE_FIXTURES, is_sign_closed, load,
+                     mono, repetitive_window, signed_cycles)
 
 
 def toy_pres():
@@ -214,19 +214,19 @@ class TestCuts:
 
     def test_cut_by_new_arrows_recovers_source(self):
         t = trivial_extension(toy_aux())
-        d = CutSet(frozenset(t.new_arrows), "admissible")
+        d = CutSet(frozenset(t.new_arrows))
         quotient = quotient_by_cut(t, d)
         assert are_isomorphic(quotient, t.source)
 
     def test_empty_cut_is_identity(self):
         t = trivial_extension(toy_aux())
-        quotient = quotient_by_cut(t, CutSet(frozenset(), "admissible"))
+        quotient = quotient_by_cut(t, CutSet(frozenset()))
         assert are_isomorphic(quotient, t.algebra)
 
     def test_unknown_arrow(self):
         t = trivial_extension(toy_aux())
         with pytest.raises(UnknownArrow):
-            quotient_by_cut(t, CutSet(frozenset({999}), "admissible"))
+            quotient_by_cut(t, CutSet(frozenset({999})))
 
     def test_limit_streams(self):
         t = trivial_extension(toy_aux())
