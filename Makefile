@@ -25,11 +25,13 @@ gate:
 # public name
 check: test bench-test gate
 
-# exact-gate digests of BASE (unpacked with git archive) against this
+# exact-gate digests of BASE (default HEAD, so a plain `make gate-diff`
+# checks the uncommitted changes; unpacked with git archive) against this
 # checkout, both read by this checkout's scripts/exact_gate.py; fails on
 # any difference
+BASE ?= HEAD
+
 gate-diff:
-	@test -n "$(BASE)" || { echo "usage: make gate-diff BASE=<commit>" >&2; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	git archive "$(BASE)" --prefix=base/ | tar -x -C "$$tmp" && \
 	python3 scripts/exact_gate.py "$$tmp/base" > "$$tmp/base.txt" && \

@@ -8,10 +8,14 @@ Overlap ambiguities between tips are resolved in order of degree; a tip
 that contains a newer one is rewritten and inserted again, which settles
 the inclusion ambiguities.  Only tips that can overlap are paired: the
 last arrow of the left one must occur in the right one, before its last
-arrow.  Once no ambiguity is pending, Bergman's diamond lemma gives every
-path a unique normal form, a combination of tip-free paths.  Normal
-forms are computed by memoised rewriting, so they terminate even for
-inhomogeneous relations such as differences of cycles of unequal length.
+arrow.  Overlaps of two monomial rules (both tails zero) are never
+queued, since they rewrite to zero; so the ``ambiguities`` counter of
+``PathBasis.stats`` counts only the overlaps actually resolved, fewer
+than all overlapping pairs.  Once no ambiguity is pending, Bergman's
+diamond lemma gives every path a unique normal form, a combination of
+tip-free paths.  Normal forms are computed by memoised rewriting, so
+they terminate even for inhomogeneous relations such as differences of
+cycles of unequal length.
 
 Arithmetic is exact: coefficients stay ``int`` while every tip
 coefficient is ±1, as in every relation the builders write, and become
@@ -42,6 +46,7 @@ them.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,27 +83,37 @@ class _RewriteSystem:
 
     def __init__(self):
         self.rules: dict[Word, Poly] = {}
-        self._tip_lengths: list[int] = []
+        self._tip_lengths: list[int] = []   # sorted; may keep a length no tip has
         self._memo: dict[Word, Poly] = {}
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
         self.alive: tuple[Path, ...] = ()       # see PathBasis.alive_paths
         self.blocks: Optional[Blocks] = None        # see PathBasis.blocks
         self.alive_blocks: Optional[Blocks] = None  # see PathBasis.alive_blocks
-        self.counts = {"rules": 0, "ambiguities": 0, "nf_calls": 0, "memo_hits": 0}
+        self.ambiguities = self.nf_calls = self.memo_hits = 0
 
     # -- normal forms --------------------------------------------------------
     def normal_form(self, w: Word) -> Poly:
         """Rewrite the path with arrows ``w`` until no tip occurs in it."""
-        self.counts["nf_calls"] += 1
+        self.nf_calls += 1
         out = self._memo.get(w)
         if out is not None:
-            self.counts["memo_hits"] += 1
+            self.memo_hits += 1
             return out
         prefix = w[:-1]
         head = self.normal_form(prefix) if prefix else {prefix: 1}
-        if prefix in head:       # the prefix is tip-free
-            out = self._rewrite_suffix(w)
+        if prefix in head:
+            # the prefix is tip-free, so a tip can only end w
+            out = {w: 1}
+            for n in self._tip_lengths:
+                if n > len(w):
+                    break
+                tail = self.rules.get(w[-n:])
+                if tail is not None:
+                    out = {}
+                    for s, d in tail.items():
+                        _axpy(out, d, self.normal_form(w[:-n] + s))
+                    break
         else:
             # every term of the prefix's normal form is tip-free
             out = {}
@@ -106,19 +121,6 @@ class _RewriteSystem:
                 _axpy(out, c, self.normal_form(u + w[-1:]))
         self._memo[w] = out
         return out
-
-    def _rewrite_suffix(self, w: Word) -> Poly:
-        """Normal form of ``w`` whose proper prefix is tip-free."""
-        for n in self._tip_lengths:
-            if n > len(w):
-                break
-            tail = self.rules.get(w[-n:])
-            if tail is not None:
-                out: Poly = {}
-                for s, d in tail.items():
-                    _axpy(out, d, self.normal_form(w[:-n] + s))
-                return out
-        return {w: 1}
 
     def reduce(self, vec: Poly) -> Poly:
         out: Poly = {}
@@ -137,46 +139,55 @@ class _RewriteSystem:
             vec: Poly = {}
             for c, p in r.terms:
                 _axpy(vec, c.numerator if c.denominator == 1 else c, {p.arrows: 1})
-            self._insert(vec)
+            vec = self.reduce(vec)
+            if vec:
+                self._insert(vec)
         while self._pending:
             degree, _, left, right, k = heapq.heappop(self._pending)
             if left not in self.rules or right not in self.rules:
                 continue
             if degree > 2 * cap:
                 raise Undecided(cap)
-            self.counts["ambiguities"] += 1
-            # left * v == u * right for the overlap of k arrows
+            self.ambiguities += 1
+            # left * v == u * right for the overlap of k arrows; the
+            # difference of two normal forms is in normal form
             v, u = right[k:], left[:-k]
             vec = self.reduce({s + v: c for s, c in self.rules[left].items()})
             _axpy(vec, -1, self.reduce({u + s: c for s, c in self.rules[right].items()}))
-            self._insert(vec)
-        self.counts["rules"] = len(self.rules)
+            if vec:
+                self._insert(vec)
 
     def _insert(self, vec: Poly) -> None:
-        """Add the ideal element ``vec`` as a rule unless it rewrites to zero."""
-        todo = [vec]
-        while todo:
-            vec = self.reduce(todo.pop())
-            if not vec:
+        """Add the nonzero ideal element ``vec``, in normal form, as a rule.
+
+        Rules whose tips contain the new tip are taken out, reduced by it
+        and inserted again, the last one first.
+        """
+        tip = max(vec, key=_order)
+        c = vec.pop(tip)
+        n = len(tip)
+        stale = [t for t in self.rules if len(t) > n and _contains(t, tip)]
+        stale = [(t, self.rules.pop(t)) for t in stale]
+        scale = -c if c == 1 or c == -1 else -1 / Fraction(c)
+        tail = self.rules[tip] = {s: d * scale for s, d in vec.items()}
+        if n not in self._tip_lengths:
+            bisect.insort(self._tip_lengths, n)
+        self._memo.clear()
+        # t overlaps tip on the left only if t[-1] is in tip[:-1], and on
+        # the right only if t[0] is in tip[1:]; the overlap of two monomial
+        # rules rewrites to zero, so it is never queued
+        heads, tails = set(tip[:-1]), set(tip[1:])
+        for t, t_tail in self.rules.items():
+            if not (tail or t_tail):
                 continue
-            tip = max(vec, key=_order)
-            c = vec.pop(tip)
-            n = len(tip)
-            stale = [t for t in self.rules if len(t) > n and _contains(t, tip)]
-            for t in stale:
-                todo.append({t: 1, **{s: -d for s, d in self.rules.pop(t).items()}})
-            scale = -c if c == 1 or c == -1 else -1 / Fraction(c)
-            self.rules[tip] = {s: d * scale for s, d in vec.items()}
-            self._tip_lengths = sorted({len(t) for t in self.rules})
-            self._memo.clear()
-            # t overlaps tip on the left only if t[-1] is in tip[:-1], and
-            # on the right only if t[0] is in tip[1:]
-            heads, tails = set(tip[:-1]), set(tip[1:])
-            for t in self.rules:
-                if t[-1] in heads:
-                    self._queue_overlaps(t, tip)
-                if t[0] in tails and t != tip:
-                    self._queue_overlaps(tip, t)
+            if t[-1] in heads:
+                self._queue_overlaps(t, tip)
+            if t[0] in tails and t != tip:
+                self._queue_overlaps(tip, t)
+        for t, t_tail in reversed(stale):
+            vec = self.reduce({t: 1, **{s: -d for s, d in t_tail.items()}})
+            if vec:
+                self._insert(vec)
 
     def _queue_overlaps(self, left: Word, right: Word) -> None:
         for k in range(1, min(len(left), len(right))):
@@ -187,8 +198,18 @@ class _RewriteSystem:
 
 
 def _contains(word: Word, sub: Word) -> bool:
-    n = len(sub)
-    return any(word[i:i + n] == sub for i in range(len(word) - n + 1))
+    """Whether ``sub``, a nonempty word, occurs in ``word``."""
+    n, first = len(sub), sub[0]
+    end = len(word) - n + 1       # the starts that leave room for sub
+    i = 0
+    try:
+        while True:
+            i = word.index(first, i, end)
+            if word[i:i + n] == sub:
+                return True
+            i += 1
+    except ValueError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -206,8 +227,15 @@ class PathBasis:
     @property
     def stats(self) -> dict[str, int]:
         """Engine counters: rules of the completed system, ambiguities
-        resolved, normal-form calls and their memo hits so far."""
-        return dict(self._engine.counts)
+        resolved, normal-form calls and their memo hits so far.
+
+        Overlaps of two monomial rules rewrite to zero and are never
+        queued, so ``ambiguities`` counts only the overlaps that a rule
+        with a nonzero tail takes part in.
+        """
+        e = self._engine
+        return {"rules": len(e.rules), "ambiguities": e.ambiguities,
+                "nf_calls": e.nf_calls, "memo_hits": e.memo_hits}
 
     def normal_form(self, word: Word) -> Poly:
         """Normal form of the path with arrows ``word``, keyed by words.
@@ -310,21 +338,23 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
     engine.complete(bq.relations, cap)
     k = max(max(map(len, engine.rules), default=0) - 1, 1)
 
-    # extend nonzero paths one arrow at a time; every nonzero path is
-    # recorded, shortest first, and the tip-free ones are the basis
-    frontier = [stationary(v.id) for v in q.vertices]
-    found = list(frontier)
-    basis = list(frontier)
+    # extend nonzero paths one arrow at a time, each with its target;
+    # every nonzero path is recorded, shortest first, and the tip-free
+    # ones are the basis
+    steps = {v.id: [(a.id, a.target) for a in q.arrows_from(v.id)] for v in q.vertices}
+    frontier = [(stationary(v.id), v.id) for v in q.vertices]
+    found = [p for p, _ in frontier]
+    basis = list(found)
     length = 1
     while True:
         alive = []
-        for p in frontier:
-            for a in q.arrows_from(p.target(q)):
-                w = p.arrows + (a.id,)
+        for p, end in frontier:
+            for a, target in steps[end]:
+                w = p.arrows + (a,)
                 nf = engine.normal_form(w)
                 if nf:
-                    ext = Path(p.base if p.arrows else a.source, w)
-                    alive.append(ext)
+                    ext = Path(p.base, w)
+                    alive.append((ext, target))
                     if w in nf:
                         basis.append(ext)
                         # a window of k arrows that recurs bounds a cycle with
@@ -341,8 +371,8 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
         if length > len(basis) - len(q.vertices):
             raise NotAdmissible(
                 "the ideal contains no power of the arrow ideal: paths of every "
-                f"length are nonzero, e.g. {alive[0].label(q)}")
-        found += alive
+                f"length are nonzero, e.g. {alive[0][0].label(q)}")
+        found += [p for p, _ in alive]
         frontier = alive
         length += 1
     engine.alive = tuple(found)

@@ -5,7 +5,7 @@ arrow is the source of the next, and ``p * q`` means "p first, then q".
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -228,8 +228,9 @@ class BoundQuiver:
     quiver: Quiver
     relations: tuple[Relation, ...] = ()
     special_vertices: frozenset[int] = frozenset()
-    vertex_origins: Optional[Mapping[int, tuple[str, str]]] = None
-    arrow_origins: Optional[Mapping[int, tuple[str, str, str]]] = None
+    # dicts: equality compares them, the hash leaves them out
+    vertex_origins: Optional[Mapping[int, tuple[str, str]]] = field(default=None, hash=False)
+    arrow_origins: Optional[Mapping[int, tuple[str, str, str]]] = field(default=None, hash=False)
 
     def __post_init__(self):
         arrow = self.quiver._amap

@@ -3,19 +3,17 @@
 Each test prints a single PASS line on success (pytest -s shows them);
 a failure raises in the usual way.
 """
-import pytest
 from fractions import Fraction
 
-from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import (classify_rep_type, graph_from_skew_gentle,
                                projective_layers, skew_brauer_algebra,
-                               symmetric_form_check, is_skew_brauer_tree)
+                               symmetric_form_check)
 from skewbrauer.cartan import cartan
 from skewbrauer.dissection import q_cartan_det_formula, skew_gentle_from_dissection
 from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import BoundQuiver, Path, Relation
-from skewbrauer.skewgentle import (admissible_presentation, auxiliary_gentle,
-                                   make_presentation)
+from skewbrauer.quiver import Relation
+from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
                                 trivial_extension)
 

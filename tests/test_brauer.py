@@ -9,9 +9,9 @@ from skewbrauer.brauer import (SkewBrauerGraph, brauer_quivers_with_cycles,
                                symmetric_form_check, validate_graph)
 from skewbrauer import brauer as brauer_module, formats, skewgentle, trivext
 from skewbrauer.cartan import cartan
-from skewbrauer.errors import UnknownVertex, UnsupportedClass
+from skewbrauer.errors import UnknownVertex
 from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import BoundQuiver, Path, Relation, canonical_rotation
+from skewbrauer.quiver import Path, Relation, canonical_rotation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation, sg_quiver
 from skewbrauer.trivext import trivial_extension
 

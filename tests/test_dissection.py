@@ -3,13 +3,12 @@ import dataclasses
 import importlib.util
 import os
 import pytest
-from fractions import Fraction
 
 from skewbrauer import formats
 from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import ProjectiveLayers
 from skewbrauer.cartan import IntPoly, cartan
-from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection, Puncture,
+from skewbrauer.dissection import (BOUNDARY, Arc, OrbifoldDissection,
                                    contraction_addition, geometric_reflection,
                                    q_cartan_det_formula, quiver_from_dissection,
                                    skew_gentle_from_dissection,
@@ -19,12 +18,11 @@ from skewbrauer.errors import (InvalidPosition, NotReflectable, SkewBrauerError,
                                TrivialPolygon)
 from skewbrauer.iso import IsoResult, are_isomorphic
 from skewbrauer.quiver import Path, Verdict, dedupe_relations
-from skewbrauer.skewgentle import (admissible_presentation, make_presentation,
-                                   sg_bound_quiver)
+from skewbrauer.skewgentle import admissible_presentation, sg_bound_quiver
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut, reflect,
                                 trivial_extension)
 
-from helpers import DIS_FIXTURES, P, load
+from helpers import DIS_FIXTURES, load
 from oracle import cycle_decorations
 
 

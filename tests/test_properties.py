@@ -8,7 +8,6 @@ correspondence away from the hand-built paper fixtures.
 """
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis

@@ -7,8 +7,8 @@ from fractions import Fraction
 from itertools import permutations
 from hypothesis import example, given, settings, strategies as st
 
-from skewbrauer.basis import (DEFAULT_LENGTH_CAP, _RewriteSystem, enumerate_basis,
-                              maximal_paths)
+from skewbrauer.basis import (DEFAULT_LENGTH_CAP, _contains, _RewriteSystem,
+                              enumerate_basis, maximal_paths)
 from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
@@ -22,6 +22,7 @@ from skewbrauer.trivext import trivial_extension
 
 from helpers import (BQ_FIXTURES, NonComposable, P, compose_paths, diff, load,
                      mono)
+from oracle import oracle_reduce
 
 
 def leibniz_det(m, one):
@@ -195,6 +196,16 @@ class TestEnumerateBasis:
             enumerate_basis(b)
         assert str(info.value) == "normalise the presentation before computing a basis"
 
+    def test_presentation_with_sign_bookkeeping_hashes(self):
+        # the origin dicts are left out of the hash, not out of equality
+        a = admissible_presentation(make_presentation(load("toy.bq")))
+        b = admissible_presentation(make_presentation(load("toy.bq")))
+        assert a.arrow_origins and a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        bare = a.relabelled(vertex_origins=None, arrow_origins=None)
+        assert bare != a and hash(bare) == hash(a)
+
     def test_endless_completion_is_undecided(self):
         # the braid relation y*x*y = x*y*x has no finite rewriting system
         # under the (length, arrows) order: the completion guard stops it
@@ -324,6 +335,33 @@ class TestEnumerateBasis:
         stats = enumerate_basis(bq).stats
         assert stats["rules"] == rules
         assert 0 < stats["memo_hits"] < stats["nf_calls"]
+
+    @pytest.mark.parametrize("name", ["toy_aux", "xyx"])
+    def test_monomial_overlaps_are_never_resolved(self, name):
+        # every overlap of two monomial rules rewrites to zero, so none is
+        # queued; the tips overlap (l*g*d, x*x*x, x*y*x*y*x, ...), and
+        # the basis is still the oracle's
+        if name == "toy_aux":
+            bq = toy_aux()
+        else:
+            q = Quiver.build(["v"], [("x", "v", "v"), ("y", "v", "v")])
+            bq = BoundQuiver(q, (mono(q, "x", "x"), mono(q, "y", "y"),
+                                 mono(q, "x", "y", "x")))
+        basis = enumerate_basis(bq)
+        assert basis.stats["ambiguities"] == 0
+        dim, bound, paths, _ = oracle_reduce(bq, cap=basis.nilpotency_bound + 3)
+        assert (basis.dimension, basis.nilpotency_bound) == (dim, bound)
+        assert set(basis.basis_paths) == set(paths)
+
+    @pytest.mark.parametrize("word, sub, found", [
+        ((1, 1, 2), (1, 2), True),            # after a false start
+        ((1, 3, 1, 1, 2), (1, 2), True),      # at the very end
+        ((1, 2, 3), (1, 2, 3), True),         # the whole word
+        ((2, 1, 3, 2, 1), (1, 2), False),     # never
+        ((1, 2), (1, 2, 3), False),           # longer than the word
+    ])
+    def test_contains(self, word, sub, found):
+        assert _contains(word, sub) is found
 
     def test_non_admissible_rejected(self):
         with pytest.raises(NotAdmissible):

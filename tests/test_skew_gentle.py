@@ -1,20 +1,18 @@
 """Skew-gentle recognition, duplication, admissible presentations."""
 import pytest
-from fractions import Fraction
-from hypothesis import given, settings, strategies as st
 
 from skewbrauer import formats
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.dissection import (skew_gentle_from_dissection,
                                    trivext_tuple_from_dissection)
-from skewbrauer.errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
-from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, dedupe_relations
+from skewbrauer.errors import LoopAtDistinguished, SignMismatch
+from skewbrauer.quiver import BoundQuiver, Quiver, Relation, dedupe_relations
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    auxiliary_gentle, collapse_presentation,
                                    induced_path, is_skew_gentle,
                                    loop_presentation, make_presentation,
-                                   sg_bound_quiver, sg_ideal, sg_quiver)
+                                   sg_ideal, sg_quiver)
 from skewbrauer.trivext import trivial_extension
 
 from helpers import (BQ_FIXTURES, DIS_FIXTURES, P, SBG_FIXTURES,

@@ -20,7 +20,7 @@ from skewbrauer.trivext import (CutSet, enumerate_admissible_cuts,
                                 quotient_by_cut, reflect, trivial_extension)
 
 from helpers import (BQ_FIXTURES, P, SKEW_GENTLE_FIXTURES, is_sign_closed, load,
-                     mono, repetitive_window, signed_cycles)
+                     repetitive_window, signed_cycles)
 
 
 def toy_pres():
