@@ -24,7 +24,15 @@ The groups:
   replaced by each token of ``REPLACEMENTS``;
 - ``generated``: ``GENERATED`` small bound quivers drawn from
   ``random.Random(GENERATED_SEED)`` (see ``_draw``), so that the gate
-  also sees the completion on relations that no construction writes.
+  also sees the completion on relations that no construction writes;
+- ``iso``: ``are_isomorphic`` on T(quotient) against T(A) and T(A)
+  against T(quotient) for every good cut of the ``trivext`` group; on
+  the admissible presentation of every ``.bq`` fixture against itself
+  (the same object) and against a second parse of it; on every ordered
+  pair of distinct ``.bq`` fixtures whose admissible presentations have
+  equal numbers of vertices and arrows; on loop.bq against a copy with
+  its arrow renamed; and on toy.bq against a second parse with
+  ``budget=1``.
 
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every alive
@@ -36,7 +44,9 @@ extension its ``new_arrows``.  A loop presentation
 contributes its canonical ``.bq`` text, its special vertices and the
 relation tuple, in order, of its admissible presentation.  A text of
 the ``formats`` group contributes its canonical serialisation after
-parsing.  An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
+parsing.  An ``iso`` item contributes its ``IsoResult``: the status,
+the vertex and arrow maps as sorted label pairs, and the node count.
+An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
 recorded by its class and message.
 """
 import hashlib
@@ -46,6 +56,7 @@ import random
 import sys
 import types
 from fractions import Fraction
+from itertools import permutations
 
 ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
                        else os.path.join(os.path.dirname(__file__), os.pardir))
@@ -60,6 +71,7 @@ from skewbrauer.brauer import (SkewBrauerAlgebra,  # noqa: E402
 from skewbrauer.cartan import cartan  # noqa: E402
 from skewbrauer.dissection import trivext_tuple_from_dissection  # noqa: E402
 from skewbrauer.errors import SkewBrauerError  # noqa: E402
+from skewbrauer.iso import are_isomorphic  # noqa: E402
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver,  # noqa: E402
                                Relation, canonical_rotation)
 from skewbrauer.skewgentle import (admissible_presentation,  # noqa: E402
@@ -151,6 +163,10 @@ def _admissible(bq):
     return bq if bq.admissible else admissible_presentation(make_presentation(bq))
 
 
+def _load_admissible(name):
+    return _admissible(formats.load(os.path.join(FIXTURES, name)))
+
+
 def _sbg():
     for name in _fixtures(".sbg"):
         yield name, lambda name=name: skew_brauer_algebra(
@@ -170,7 +186,7 @@ def _family_graphs():
 
 def _trivext():
     for name in _fixtures(".bq"):
-        a = _admissible(formats.load(os.path.join(FIXTURES, name)))
+        a = _load_admissible(name)
         yield name, lambda a=a: types.SimpleNamespace(algebra=a)
         yield name + ":T", lambda a=a: trivial_extension(a)
         try:
@@ -290,12 +306,61 @@ def _formats():
             yield name + suffix, lambda p=parse, s=serialize, t=edited, n=name: s(p(t, n))
 
 
+def _iso_self(name):
+    a = _load_admissible(name)
+    return are_isomorphic(a, a)
+
+
+def _iso_round_trip(t, cut, back_first):
+    back = trivial_extension(quotient_by_cut(t, cut)).algebra
+    return are_isomorphic(back, t.algebra) if back_first else are_isomorphic(t.algebra, back)
+
+
+def _iso_renamed_loop():
+    with open(os.path.join(FIXTURES, "loop.bq"), encoding="utf-8") as fh:
+        text = fh.read()
+    renamed = formats.parse_bq(text.replace("arrow f:", "arrow g:"), "loop.bq")
+    return are_isomorphic(formats.parse_bq(text, "loop.bq"), renamed)
+
+
+def _iso():
+    names = _fixtures(".bq")
+    sizes = {}
+    for name in names:
+        a = _load_admissible(name)
+        sizes[name] = (len(a.quiver.vertices), len(a.quiver.arrows))
+        try:
+            t = trivial_extension(a)
+            cuts = list(enumerate_good_cuts(t))
+        except SkewBrauerError:
+            cuts = []
+        for i, cut in enumerate(cuts):
+            yield f"{name}:cut{i}:T~T", lambda t=t, cut=cut: _iso_round_trip(t, cut, True)
+            yield f"{name}:T~cut{i}:T", lambda t=t, cut=cut: _iso_round_trip(t, cut, False)
+    for name in names:
+        yield name + ":self", lambda name=name: _iso_self(name)
+        yield name + ":reparse", lambda name=name: are_isomorphic(
+            _load_admissible(name), _load_admissible(name))
+    for x, y in permutations(names, 2):
+        if sizes[x] == sizes[y]:
+            yield f"{x}~{y}", lambda x=x, y=y: are_isomorphic(
+                _load_admissible(x), _load_admissible(y))
+    yield "loop.bq~renamed", _iso_renamed_loop
+    yield "toy.bq:budget1", lambda: are_isomorphic(
+        _load_admissible("toy.bq"), _load_admissible("toy.bq"), budget=1)
+
+
+def _iso_lines(result):
+    return [result.status, sorted((result.vertex_map or {}).items()),
+            sorted((result.arrow_map or {}).items()), result.nodes]
+
+
 # each group: its items (name, build) and the record of what a build returns
 GROUPS = {"sbg": (_sbg, _lines), "families": (_family_graphs, _lines),
           "trivext": (_trivext, _lines), "dis": (_dis, _lines),
           "presentations": (_presentations, _presentation_lines),
           "formats": (_formats, lambda text: [text]),
-          "generated": (_generated, _lines)}
+          "generated": (_generated, _lines), "iso": (_iso, _iso_lines)}
 
 
 def main() -> int:

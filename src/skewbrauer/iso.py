@@ -1,20 +1,32 @@
 """Bound-quiver isomorphism by backtracking search.
 
 A hit is a vertex/arrow bijection that matches special-vertex markings
-and carries each relation ideal onto the other, checked through normal
-forms in the target algebra (monomials must vanish; binomials must
-vanish up to a diagonal rescaling of arrows).
+and carries each relation ideal onto the other.  ``are_isomorphic``
+checks, in order:
+
+1. the sizes and the vertex profiles (in- and out-degree, loops,
+   special marking) of the two quivers;
+2. when the two arguments are different objects, the generator check:
+   the search runs to its first candidate map only, and that map is a
+   hit if it sends the relations of ``a``, each up to a nonzero scalar,
+   onto exactly those of ``b``, which proves that it carries one ideal
+   onto the other without a basis of ``a``;
+3. otherwise both bases and their dimensions, then the full search,
+   whose maps are checked through normal forms in the target algebra
+   (monomials must vanish; binomials must vanish up to a diagonal
+   rescaling of arrows).
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional
 
 from .basis import PathBasis, _axpy, enumerate_basis
-from .quiver import Arrow, BoundQuiver, Quiver
+from .errors import SkewBrauerError
+from .quiver import Arrow, BoundQuiver, Path, Quiver, _canonical_terms
 
 
 @dataclass(frozen=True)
@@ -81,18 +93,38 @@ def _relations_carry(relations: list[Terms], dst_basis: PathBasis,
     return True
 
 
+def _same_generators(a: BoundQuiver, b: BoundQuiver, vertex_map: dict[int, int],
+                     arrow_map: dict[int, int]) -> bool:
+    """Whether the map sends the relations of ``a``, each up to a nonzero
+    scalar, onto exactly the relations of ``b``.
+
+    Then it carries the ideal of ``a`` onto that of ``b``.  A relation
+    with a zero coefficient has no canonical form, so it fails the check.
+    """
+    if any(c == 0 for r in a.relations + b.relations for c, _ in r.terms):
+        return False
+    image_of = arrow_map.__getitem__
+    images = {_canonical_terms(tuple((c, Path(vertex_map[p.base], tuple(map(image_of, p.arrows))))
+                                     for c, p in r.terms)) for r in a.relations}
+    return images == {_canonical_terms(r.terms) for r in b.relations}
+
+
 @dataclass
 class _Search:
-    """The fixed data of one isomorphism search, and its node count."""
+    """The fixed data of one isomorphism search, and its node count.
+
+    Without the bases, every full map is a hit: the search stops at its
+    first candidate, which the generator check then tests.
+    """
     budget: int
     a_order: list
     candidates: dict[int, list[int]]
     groups_a: dict[tuple[int, int], list[Arrow]]
     groups_b: dict[tuple[int, int], list[Arrow]]
-    rels_a: list[Terms]
-    rels_b: list[Terms]
-    basis_a: PathBasis
-    basis_b: PathBasis
+    rels_a: list[Terms] = field(default_factory=list)
+    rels_b: list[Terms] = field(default_factory=list)
+    basis_a: Optional[PathBasis] = None
+    basis_b: Optional[PathBasis] = None
     nodes: int = 0
 
     def visit(self) -> bool:
@@ -107,6 +139,14 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
 
     Requires admissible presentations on both sides.  ``budget`` bounds
     the number of search nodes; exhaustion is reported distinctly.
+
+    The checks run in order: the vertex profiles; then, when ``a is not
+    b``, the generator check on the first candidate map, within
+    min(budget, |Q0| + |Q1|) nodes and with the basis of ``b`` only;
+    then both bases, their dimensions and the search through normal
+    forms.  A map that the generator check accepts is the first
+    candidate of that search too, and passes it, so both give the same
+    result.
     """
     qa, qb = a.quiver, b.quiver
     if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
@@ -116,11 +156,6 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
     prof_a = {v.id: _vertex_profile(a, v.id) for v in qa.vertices}
     prof_b = {w.id: _vertex_profile(b, w.id) for w in qb.vertices}
     if sorted(prof_a.values()) != sorted(prof_b.values()):
-        return IsoResult("not_isomorphic")
-
-    basis_a = enumerate_basis(a)
-    basis_b = enumerate_basis(b)
-    if basis_a.dimension != basis_b.dimension:
         return IsoResult("not_isomorphic")
 
     # order vertices by rarity of profile, then label, for fast pruning
@@ -137,19 +172,44 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         if same:
             rest = [w for w in candidates[v.id] if w not in same]
             candidates[v.id] = same + rest
+    groups = (_arrow_groups(qa), _arrow_groups(qb))
 
-    search = _Search(budget, a_order, candidates, _arrow_groups(qa), _arrow_groups(qb),
+    # the generator check needs no basis of a; b's must build, or the
+    # answer is an error, which the path below raises (a's first)
+    if a is not b:
+        try:
+            enumerate_basis(b)
+        except SkewBrauerError:
+            pass
+        else:
+            search = _Search(min(budget, len(qa.vertices) + len(qa.arrows)),
+                             a_order, candidates, *groups)
+            found = _backtrack(search, 0, {}, set())
+            if found is not None and _same_generators(a, b, *found):
+                return _hit(qa, qb, found, search.nodes)
+
+    basis_a = enumerate_basis(a)
+    basis_b = enumerate_basis(b)
+    if basis_a.dimension != basis_b.dimension:
+        return IsoResult("not_isomorphic")
+
+    search = _Search(budget, a_order, candidates, *groups,
                      _relation_words(a), _relation_words(b), basis_a, basis_b)
     found = _backtrack(search, 0, {}, set())
     if found is not None:
-        vmap, amap = found
-        return IsoResult(
-            "isomorphic",
-            {qa.vertex(v).label: qb.vertex(w).label for v, w in vmap.items()},
-            {qa.arrow(x).label: qb.arrow(y).label for x, y in amap.items()},
-            nodes=search.nodes)
+        return _hit(qa, qb, found, search.nodes)
     status = "budget_exhausted" if search.nodes > budget else "not_isomorphic"
     return IsoResult(status, nodes=search.nodes)
+
+
+def _hit(qa: Quiver, qb: Quiver, found: tuple, nodes: int) -> IsoResult:
+    """The result for ``found``, a vertex map and an arrow map on ids."""
+    vmap, amap = found
+    return IsoResult(
+        "isomorphic",
+        {qa.vertex(v).label: qb.vertex(w).label for v, w in vmap.items()},
+        {qa.arrow(x).label: qb.arrow(y).label for x, y in amap.items()},
+        nodes=nodes)
 
 
 # Module-level functions over explicit state: a nested function that calls
@@ -203,6 +263,8 @@ def _match_multi(s: _Search, multi: list[tuple[list, list]], i: int,
                  acc: dict[int, int]) -> Optional[dict[int, int]]:
     """Try each matching of the parallel arrows of ``multi[i:]``."""
     if i == len(multi):
+        if s.basis_a is None:
+            return acc
         if _relations_carry(s.rels_a, s.basis_b, acc):
             inv_a = {w: v for v, w in acc.items()}
             if _relations_carry(s.rels_b, s.basis_a, inv_a):

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
-from skewbrauer import formats
+from skewbrauer import basis, formats
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.errors import SkewBrauerError
 from skewbrauer.quiver import Arrow, BoundQuiver, Path, Quiver, Relation, Vertex
@@ -81,6 +81,19 @@ def mono(q: Quiver, *labels: str) -> Relation:
 
 def diff(q: Quiver, left: tuple[str, ...], right: tuple[str, ...]) -> Relation:
     return Relation.difference(P(q, *left), P(q, *right))
+
+
+def record_builds(monkeypatch) -> list[BoundQuiver]:
+    """The algebras whose basis is built from now on, in order, by object;
+    a basis kept on its algebra is not built again."""
+    built = []
+    build = basis._build
+
+    def counted(bq, cap):
+        built.append(bq)
+        return build(bq, cap)
+    monkeypatch.setattr(basis, "_build", counted)
+    return built
 
 
 # fixture pools used by property-style sweeps

@@ -13,15 +13,16 @@ from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
 from skewbrauer.errors import InfiniteDimensional, NotAdmissible, Undecided
-from skewbrauer.iso import are_isomorphic
+from skewbrauer.iso import _same_generators, are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                dedupe_relations, is_gentle, is_locally_gentle,
                                stationary)
 from skewbrauer.skewgentle import admissible_presentation, make_presentation
-from skewbrauer.trivext import trivial_extension
+from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,
+                                trivial_extension)
 
-from helpers import (BQ_FIXTURES, NonComposable, P, compose_paths, diff, load,
-                     mono)
+from helpers import (BQ_FIXTURES, NonComposable, P, compose_paths, diff,
+                     fixture_path, load, mono, record_builds)
 from oracle import oracle_reduce
 
 
@@ -653,3 +654,72 @@ class TestIsomorphism:
         result = are_isomorphic(adm, adm, budget=1)
         assert result.status == "budget_exhausted"
         assert result.nodes > 1
+
+    def test_relabelled_copy_is_certified_by_its_generators(self, monkeypatch):
+        # vertex and arrow ids reversed, every arrow renamed: the first
+        # candidate map sends the relations of the copy onto those of the
+        # original, so the copy needs no basis
+        adm = admissible_presentation(make_presentation(load("toy.bq")))
+        q = adm.quiver
+        label = {v.id: v.label for v in q.vertices}
+        cq = Quiver.build([label[v.id] for v in reversed(q.vertices)],
+                          [("r" + a.label, label[a.source], label[a.target])
+                           for a in reversed(q.arrows)])
+        vid = {v.id: cq.vertex_by_label(v.label).id for v in q.vertices}
+        aid = {a.id: cq.arrow_by_label("r" + a.label).id for a in q.arrows}
+        assert vid != {v: v for v in vid} and aid != {a: a for a in aid}
+        copy = BoundQuiver(cq, tuple(
+            Relation(tuple((c, Path(vid[p.base], tuple(aid[x] for x in p.arrows)))
+                           for c, p in r.terms)) for r in adm.relations),
+            frozenset(vid[v] for v in adm.special_vertices))
+        built = record_builds(monkeypatch)
+        result = are_isomorphic(copy, adm)
+        assert result.status == "isomorphic"
+        assert result.vertex_map == {lab: lab for lab in label.values()}
+        assert result.arrow_map == {"r" + a.label: a.label for a in q.arrows}
+        assert not any(x is copy for x in built)
+
+    def test_round_trip_builds_no_basis_of_the_quotient_extension(self, monkeypatch):
+        t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
+        for cut in enumerate_good_cuts(t):
+            back = trivial_extension(quotient_by_cut(t, cut)).algebra
+            built = record_builds(monkeypatch)
+            assert are_isomorphic(back, t.algebra)
+            assert not any(x is back for x in built)
+
+    def test_generator_check_rejects_a_changed_sign(self, monkeypatch):
+        # a*b - c*d against a*b + c*d: not the same generators, so the
+        # basis of the first argument is built for the normal-form search
+        q = square()
+        minus = BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),))
+        plus = BoundQuiver(q, (Relation(((Fraction(1), P(q, "a", "b")),
+                                         (Fraction(1), P(q, "c", "d")))),))
+        same_v = {v.id: v.id for v in q.vertices}
+        same_a = {a.id: a.id for a in q.arrows}
+        assert _same_generators(minus, minus, same_v, same_a)
+        assert not _same_generators(minus, plus, same_v, same_a)
+        built = record_builds(monkeypatch)
+        are_isomorphic(minus, plus)
+        assert any(x is minus for x in built)
+
+    def test_zero_coefficient_fails_the_generator_check(self):
+        # a*b + 0*c*d leads with its zero term once sorted, so it has no
+        # canonical form; the normal-form search still decides
+        q = square()
+        rel = Relation(((Fraction(1), P(q, "a", "b")), (Fraction(0), P(q, "c", "d"))))
+        x, y = BoundQuiver(q, (rel,)), BoundQuiver(q, (rel,))
+        same_v = {v.id: v.id for v in q.vertices}
+        same_a = {a.id: a.id for a in q.arrows}
+        assert not _same_generators(x, y, same_v, same_a)
+        result = are_isomorphic(x, y)
+        assert result.status == "isomorphic" and result.is_identity
+
+    def test_renamed_infinite_loop_raises_for_the_first_argument(self):
+        # both bases fail; the error names the cycle of the first argument
+        loop = load("loop.bq")
+        with open(fixture_path("loop.bq"), encoding="utf-8") as fh:
+            renamed = formats.parse_bq(fh.read().replace("arrow f:", "arrow g:"))
+        with pytest.raises(InfiniteDimensional, match="cycle f is"):
+            are_isomorphic(loop, renamed)
+        with pytest.raises(InfiniteDimensional, match="cycle g is"):
+            are_isomorphic(renamed, loop)

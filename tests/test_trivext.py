@@ -315,6 +315,28 @@ class TestGoodCuts:
                 t2 = trivial_extension(quotient)
                 assert are_isomorphic(t2.algebra, t.algebra)
 
+    @pytest.mark.parametrize("name", SKEW_GENTLE_FIXTURES)
+    def test_round_trip_maps_relations_onto_relations(self, name):
+        # T(A/D) and T(A) are the sg-bound quiver of one skew-Brauer graph,
+        # so the isomorphism found sends the relations of T(A/D), each up
+        # to a scalar, onto exactly those of T(A)
+        t = trivial_extension(admissible_presentation(make_presentation(load(name))))
+        q = t.algebra.quiver
+        relations = {r.canonical() for r in t.algebra.relations}
+        for d in enumerate_good_cuts(t):
+            back = trivial_extension(quotient_by_cut(t, d)).algebra
+            result = are_isomorphic(back, t.algebra)
+            assert result, d.labels(q)
+            bq = back.quiver
+            vmap = {bq.vertex_by_label(x).id: q.vertex_by_label(y).id
+                    for x, y in result.vertex_map.items()}
+            amap = {bq.arrow_by_label(x).id: q.arrow_by_label(y).id
+                    for x, y in result.arrow_map.items()}
+            images = {Relation(tuple((c, Path(vmap[p.base], tuple(amap[a] for a in p.arrows)))
+                                     for c, p in r.terms)).canonical()
+                      for r in back.relations}
+            assert images == relations, d.labels(q)
+
     def test_round_trip_makes_no_cycle(self):
         # the good-cut and isomorphism searches must leave no reference
         # cycle behind, or T(quotient) would outlive its last reference
