@@ -31,8 +31,10 @@ The groups:
   (the same object) and against a second parse of it; on every ordered
   pair of distinct ``.bq`` fixtures whose admissible presentations have
   equal numbers of vertices and arrows; on loop.bq against a copy with
-  its arrow renamed; and on toy.bq against a second parse with
-  ``budget=1``.
+  its arrow renamed; on toy.bq against a second parse with
+  ``budget=1``; and both ways on two pairs of ``SMALL``: two squares
+  whose relations differ in one sign, and two stars of unequal
+  dimension.
 
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every alive
@@ -45,7 +47,9 @@ contributes its canonical ``.bq`` text, its special vertices and the
 relation tuple, in order, of its admissible presentation.  A text of
 the ``formats`` group contributes its canonical serialisation after
 parsing.  An ``iso`` item contributes its ``IsoResult``: the status,
-the vertex and arrow maps as sorted label pairs, and the node count.
+the vertex and arrow maps as sorted label pairs, and the node count;
+and whether the call built the basis of its first argument, so that a
+map accepted without that basis is seen.
 An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
 recorded by its class and message.
 """
@@ -86,6 +90,16 @@ GENERATED_SEED = 16
 GENERATED = 200
 TRUNCATE = 4
 REPLACEMENTS = ("nope", "", "B1", "1+", "#", ":", "->", "mult=x")
+# small bound quivers of the iso group, as .bq text: two squares that
+# differ in one sign, and a star with two binomials (dimension 12)
+# against one with three monomials (dimension 11)
+SQUARE = ("vertex 1\nvertex 2\nvertex 3\nvertex 4\n"
+          "arrow a: 1 -> 2\narrow b: 2 -> 4\narrow c: 1 -> 3\narrow d: 3 -> 4\n")
+STAR = "".join(f"vertex {v}\n" for v in range(5)) + "".join(
+    f"arrow x{i}: 0 -> {i}\narrow y{i}: {i} -> 4\n" for i in (1, 2, 3))
+SMALL = {"square-": SQUARE + "rel a*b - c*d\n", "square+": SQUARE + "rel a*b + c*d\n",
+         "star2": STAR + "rel x1*y1 - x2*y2\nrel x2*y2 - x3*y3\n",
+         "star0": STAR + "rel x1*y1\nrel x2*y2\nrel x3*y3\n"}
 
 
 def _fixtures(ext):
@@ -306,21 +320,27 @@ def _formats():
             yield name + suffix, lambda p=parse, s=serialize, t=edited, n=name: s(p(t, n))
 
 
+def _iso_call(a, b, **kwargs):
+    """``are_isomorphic(a, b)``, and whether the call built the basis of ``a``."""
+    before = "_basis" in a.__dict__
+    return are_isomorphic(a, b, **kwargs), not before and "_basis" in a.__dict__
+
+
 def _iso_self(name):
     a = _load_admissible(name)
-    return are_isomorphic(a, a)
+    return _iso_call(a, a)
 
 
 def _iso_round_trip(t, cut, back_first):
     back = trivial_extension(quotient_by_cut(t, cut)).algebra
-    return are_isomorphic(back, t.algebra) if back_first else are_isomorphic(t.algebra, back)
+    return _iso_call(back, t.algebra) if back_first else _iso_call(t.algebra, back)
 
 
 def _iso_renamed_loop():
     with open(os.path.join(FIXTURES, "loop.bq"), encoding="utf-8") as fh:
         text = fh.read()
     renamed = formats.parse_bq(text.replace("arrow f:", "arrow g:"), "loop.bq")
-    return are_isomorphic(formats.parse_bq(text, "loop.bq"), renamed)
+    return _iso_call(formats.parse_bq(text, "loop.bq"), renamed)
 
 
 def _iso():
@@ -339,20 +359,25 @@ def _iso():
             yield f"{name}:T~cut{i}:T", lambda t=t, cut=cut: _iso_round_trip(t, cut, False)
     for name in names:
         yield name + ":self", lambda name=name: _iso_self(name)
-        yield name + ":reparse", lambda name=name: are_isomorphic(
+        yield name + ":reparse", lambda name=name: _iso_call(
             _load_admissible(name), _load_admissible(name))
     for x, y in permutations(names, 2):
         if sizes[x] == sizes[y]:
-            yield f"{x}~{y}", lambda x=x, y=y: are_isomorphic(
+            yield f"{x}~{y}", lambda x=x, y=y: _iso_call(
                 _load_admissible(x), _load_admissible(y))
     yield "loop.bq~renamed", _iso_renamed_loop
-    yield "toy.bq:budget1", lambda: are_isomorphic(
+    yield "toy.bq:budget1", lambda: _iso_call(
         _load_admissible("toy.bq"), _load_admissible("toy.bq"), budget=1)
+    for x, y in (("square-", "square+"), ("star2", "star0")):
+        for first, second in ((x, y), (y, x)):
+            yield f"{first}~{second}", lambda f=first, s=second: _iso_call(
+                formats.parse_bq(SMALL[f], f), formats.parse_bq(SMALL[s], s))
 
 
-def _iso_lines(result):
+def _iso_lines(call):
+    result, built_a = call
     return [result.status, sorted((result.vertex_map or {}).items()),
-            sorted((result.arrow_map or {}).items()), result.nodes]
+            sorted((result.arrow_map or {}).items()), result.nodes, built_a]
 
 
 # each group: its items (name, build) and the record of what a build returns

@@ -331,6 +331,11 @@ def enumerate_basis(bq: BoundQuiver, length_cap: Optional[int] = None) -> PathBa
     return PathBasis(bq, *data)
 
 
+def _is_built(bq: BoundQuiver) -> bool:
+    """Whether ``enumerate_basis`` has built the basis of ``bq`` and kept it."""
+    return "_basis" in bq.__dict__
+
+
 def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSystem]:
     cap = max(cap, max((r.max_term_length() for r in bq.relations), default=0))
     q = bq.quiver

@@ -208,6 +208,7 @@ def parse_sbg(text: str, filename: str = "<input>") -> SkewBrauerGraph:
             raise ParseError(f"unknown directive {parts[0]}", filename, lineno)
     vmap = _index(vspecs, "vertex", filename)
     emap = _index(especs, "edge", filename)
+    _index(orders, "order for vertex", filename)
     edges = []
     for lineno, label, v1, v2 in especs:
         if v1 not in vmap or v2 not in vmap:
@@ -290,6 +291,7 @@ def parse_dis(text: str, filename: str = "<input>") -> OrbifoldDissection:
         else:
             raise ParseError(f"unknown directive {parts[0]}", filename, lineno)
     amap = _index(aspecs, "arc", filename)
+    _index(puncts, "puncture", filename)
     arcs = tuple(Arc(i, label, kind) for i, (_, label, kind) in enumerate(aspecs))
     polygons = []
     for lineno, sides in polys:

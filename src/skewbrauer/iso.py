@@ -2,19 +2,23 @@
 
 A hit is a vertex/arrow bijection that matches special-vertex markings
 and carries each relation ideal onto the other.  ``are_isomorphic``
-checks, in order:
+first compares the vertex profiles (in- and out-degree, loops, special
+marking) of the two quivers and builds the basis of ``b``.  Then one
+search tests each full candidate map, in order:
 
-1. the sizes and the vertex profiles (in- and out-degree, loops,
-   special marking) of the two quivers;
-2. when the two arguments are different objects, the generator check:
-   the search runs to its first candidate map only, and that map is a
-   hit if it sends the relations of ``a``, each up to a nonzero scalar,
-   onto exactly those of ``b``, which proves that it carries one ideal
-   onto the other without a basis of ``a``;
-3. otherwise both bases and their dimensions, then the full search,
-   whose maps are checked through normal forms in the target algebra
+1. the generator check, while the basis of ``a`` is not built: the map
+   is a hit if it sends the relations of ``a``, each up to a nonzero
+   scalar, onto exactly those of ``b``, which proves that it carries one
+   ideal onto the other without a basis of ``a``;
+2. otherwise the basis of ``a`` is built, on first need; if its
+   dimension is not that of ``b``, the search ends as ``not_isomorphic``;
+3. otherwise the map is a hit if it carries the relations of each side
+   into the ideal of the other, checked through normal forms
    (monomials must vanish; binomials must vanish up to a diagonal
    rescaling of arrows).
+
+A map that passes the first test passes the third, which replaces it
+once ``a`` has a basis (from the start, if it was built before the call).
 """
 from __future__ import annotations
 
@@ -22,9 +26,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional
+from typing import Iterable, Optional
 
-from .basis import PathBasis, _axpy, enumerate_basis
+from .basis import PathBasis, _axpy, _is_built, enumerate_basis
 from .errors import SkewBrauerError
 from .quiver import Arrow, BoundQuiver, Path, Quiver, _canonical_terms
 
@@ -93,44 +97,71 @@ def _relations_carry(relations: list[Terms], dst_basis: PathBasis,
     return True
 
 
-def _same_generators(a: BoundQuiver, b: BoundQuiver, vertex_map: dict[int, int],
-                     arrow_map: dict[int, int]) -> bool:
-    """Whether the map sends the relations of ``a``, each up to a nonzero
-    scalar, onto exactly the relations of ``b``.
+def _generators(relations: Iterable[tuple]) -> Optional[set[tuple]]:
+    """The relations, given by their terms, each scaled to lead 1; None if
+    a coefficient is zero, which leaves a relation without a canonical form."""
+    relations = list(relations)
+    if any(c == 0 for terms in relations for c, _ in terms):
+        return None
+    return set(map(_canonical_terms, relations))
 
-    Then it carries the ideal of ``a`` onto that of ``b``.  A relation
-    with a zero coefficient has no canonical form, so it fails the check.
-    """
-    if any(c == 0 for r in a.relations + b.relations for c, _ in r.terms):
-        return False
+
+def _same_generators(a: BoundQuiver, gens_b: Optional[set[tuple]],
+                     vertex_map: dict[int, int], arrow_map: dict[int, int]) -> bool:
+    """Whether the map sends the relations of ``a``, each up to a nonzero
+    scalar, onto exactly ``gens_b``, the ``_generators`` of ``b``; then it
+    carries the ideal of ``a`` onto that of ``b``.  A relation with a zero
+    coefficient has no canonical form, so it fails the check."""
     image_of = arrow_map.__getitem__
-    images = {_canonical_terms(tuple((c, Path(vertex_map[p.base], tuple(map(image_of, p.arrows))))
-                                     for c, p in r.terms)) for r in a.relations}
-    return images == {_canonical_terms(r.terms) for r in b.relations}
+    return gens_b is not None and gens_b == _generators(
+        tuple((c, Path(vertex_map[p.base], tuple(map(image_of, p.arrows)))) for c, p in r.terms)
+        for r in a.relations)
+
+
+class _DimensionsDiffer(Exception):
+    """Ends a search: the bases of its two algebras differ in dimension."""
 
 
 @dataclass
 class _Search:
-    """The fixed data of one isomorphism search, and its node count.
-
-    Without the bases, every full map is a hit: the search stops at its
-    first candidate, which the generator check then tests.
-    """
+    """The fixed data of one isomorphism search, its node count, and the
+    basis of ``a`` once a candidate map or the end of the search needs it."""
+    a: BoundQuiver
+    b: BoundQuiver
     budget: int
     a_order: list
     candidates: dict[int, list[int]]
     groups_a: dict[tuple[int, int], list[Arrow]]
     groups_b: dict[tuple[int, int], list[Arrow]]
+    gens_b: Optional[set[tuple]]
+    basis_b: PathBasis
+    basis_a: Optional[PathBasis] = None
     rels_a: list[Terms] = field(default_factory=list)
     rels_b: list[Terms] = field(default_factory=list)
-    basis_a: Optional[PathBasis] = None
-    basis_b: Optional[PathBasis] = None
     nodes: int = 0
 
     def visit(self) -> bool:
         """Count a node; false once the budget is exhausted."""
         self.nodes += 1
         return self.nodes <= self.budget
+
+    def need_basis_a(self) -> PathBasis:
+        """The basis of ``a``, built on first need; raises
+        ``_DimensionsDiffer`` if its dimension is not that of ``b``."""
+        if self.basis_a is None:
+            self.basis_a = enumerate_basis(self.a)
+            self.rels_a, self.rels_b = _relation_words(self.a), _relation_words(self.b)
+        if self.basis_a.dimension != self.basis_b.dimension:
+            raise _DimensionsDiffer
+        return self.basis_a
+
+    def is_hit(self, vmap: dict[int, int], amap: dict[int, int]) -> bool:
+        """Whether the full candidate map carries each ideal onto the other."""
+        if self.basis_a is None and _same_generators(self.a, self.gens_b, vmap, amap):
+            return True
+        basis_a = self.need_basis_a()
+        return (_relations_carry(self.rels_a, self.basis_b, amap)
+                and _relations_carry(self.rels_b, basis_a, {w: v for v, w in amap.items()}))
 
 
 def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
@@ -140,19 +171,14 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
     Requires admissible presentations on both sides.  ``budget`` bounds
     the number of search nodes; exhaustion is reported distinctly.
 
-    The checks run in order: the vertex profiles; then, when ``a is not
-    b``, the generator check on the first candidate map, within
-    min(budget, |Q0| + |Q1|) nodes and with the basis of ``b`` only;
-    then both bases, their dimensions and the search through normal
-    forms.  A map that the generator check accepts is the first
-    candidate of that search too, and passes it, so both give the same
-    result.
+    One search tests each full candidate map in the order of the module
+    docstring; a search without a hit builds the basis of ``a`` too, so
+    unequal dimensions always give ``not_isomorphic`` with no nodes.  If
+    the basis of ``b`` fails, that of ``a`` is built before the error is
+    raised, so an error of ``a`` comes first.
     """
     qa, qb = a.quiver, b.quiver
-    if len(qa.vertices) != len(qb.vertices) or len(qa.arrows) != len(qb.arrows):
-        return IsoResult("not_isomorphic")
-    if len(a.special_vertices) != len(b.special_vertices):
-        return IsoResult("not_isomorphic")
+    # equal profiles imply equal numbers of vertices, arrows and special vertices
     prof_a = {v.id: _vertex_profile(a, v.id) for v in qa.vertices}
     prof_b = {w.id: _vertex_profile(b, w.id) for w in qb.vertices}
     if sorted(prof_a.values()) != sorted(prof_b.values()):
@@ -162,54 +188,34 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
     freq = Counter(prof_a.values())
     a_order = sorted(qa.vertices, key=lambda v: (freq[prof_a[v.id]], v.label))
     b_by_label = sorted(qb.vertices, key=lambda w: w.label)
-    candidates = {
-        v.id: [w.id for w in b_by_label if prof_a[v.id] == prof_b[w.id]]
-        for v in qa.vertices
-    }
-    # prefer the same label first so identity maps are found immediately
-    for v in qa.vertices:
-        same = [w for w in candidates[v.id] if qb.vertex(w).label == qa.vertex(v.id).label]
-        if same:
-            rest = [w for w in candidates[v.id] if w not in same]
-            candidates[v.id] = same + rest
-    groups = (_arrow_groups(qa), _arrow_groups(qb))
+    # the same label first, so identity maps are found immediately
+    candidates = {v.id: [w.id for w in sorted(b_by_label, key=lambda w: w.label != v.label)
+                         if prof_a[v.id] == prof_b[w.id]] for v in qa.vertices}
 
-    # the generator check needs no basis of a; b's must build, or the
-    # answer is an error, which the path below raises (a's first)
-    if a is not b:
-        try:
-            enumerate_basis(b)
-        except SkewBrauerError:
-            pass
-        else:
-            search = _Search(min(budget, len(qa.vertices) + len(qa.arrows)),
-                             a_order, candidates, *groups)
-            found = _backtrack(search, 0, {}, set())
-            if found is not None and _same_generators(a, b, *found):
-                return _hit(qa, qb, found, search.nodes)
-
-    basis_a = enumerate_basis(a)
-    basis_b = enumerate_basis(b)
-    if basis_a.dimension != basis_b.dimension:
+    try:
+        basis_b = enumerate_basis(b)
+    except SkewBrauerError:
+        enumerate_basis(a)
+        raise
+    search = _Search(a, b, budget, a_order, candidates, _arrow_groups(qa), _arrow_groups(qb),
+                     _generators(r.terms for r in b.relations), basis_b)
+    try:
+        if _is_built(a):    # costs no build: compare dimensions before the search
+            search.need_basis_a()
+        found = _backtrack(search, 0, {}, set())
+        if found is None:
+            search.need_basis_a()
+    except _DimensionsDiffer:
         return IsoResult("not_isomorphic")
-
-    search = _Search(budget, a_order, candidates, *groups,
-                     _relation_words(a), _relation_words(b), basis_a, basis_b)
-    found = _backtrack(search, 0, {}, set())
-    if found is not None:
-        return _hit(qa, qb, found, search.nodes)
-    status = "budget_exhausted" if search.nodes > budget else "not_isomorphic"
-    return IsoResult(status, nodes=search.nodes)
-
-
-def _hit(qa: Quiver, qb: Quiver, found: tuple, nodes: int) -> IsoResult:
-    """The result for ``found``, a vertex map and an arrow map on ids."""
+    if found is None:
+        status = "budget_exhausted" if search.nodes > budget else "not_isomorphic"
+        return IsoResult(status, nodes=search.nodes)
     vmap, amap = found
     return IsoResult(
         "isomorphic",
         {qa.vertex(v).label: qb.vertex(w).label for v, w in vmap.items()},
         {qa.arrow(x).label: qb.arrow(y).label for x, y in amap.items()},
-        nodes=nodes)
+        nodes=search.nodes)
 
 
 # Module-level functions over explicit state: a nested function that calls
@@ -256,27 +262,21 @@ def _try_arrows(s: _Search, vmap: dict[int, int]) -> Optional[dict[int, int]]:
         groups.append((ars, bs))
     multi = [g for g in groups if len(g[0]) > 1]
     base = {g[0][0].id: g[1][0].id for g in groups if len(g[0]) == 1}
-    return _match_multi(s, multi, 0, base)
+    return _match_multi(s, vmap, multi, 0, base)
 
 
-def _match_multi(s: _Search, multi: list[tuple[list, list]], i: int,
-                 acc: dict[int, int]) -> Optional[dict[int, int]]:
+def _match_multi(s: _Search, vmap: dict[int, int], multi: list[tuple[list, list]],
+                 i: int, acc: dict[int, int]) -> Optional[dict[int, int]]:
     """Try each matching of the parallel arrows of ``multi[i:]``."""
     if i == len(multi):
-        if s.basis_a is None:
-            return acc
-        if _relations_carry(s.rels_a, s.basis_b, acc):
-            inv_a = {w: v for v, w in acc.items()}
-            if _relations_carry(s.rels_b, s.basis_a, inv_a):
-                return acc
-        return None
+        return acc if s.is_hit(vmap, acc) else None
     ars, bs = multi[i]
     for perm in permutations(bs):
         if not s.visit():
             return None
         trial = dict(acc)
         trial.update({x.id: y.id for x, y in zip(ars, perm)})
-        got = _match_multi(s, multi, i + 1, trial)
+        got = _match_multi(s, vmap, multi, i + 1, trial)
         if got is not None:
             return got
     return None

@@ -96,6 +96,25 @@ def record_builds(monkeypatch) -> list[BoundQuiver]:
     return built
 
 
+def shuffled_copy(bq: BoundQuiver, rng) -> BoundQuiver:
+    """``bq`` with its vertex ids, arrow ids, vertex labels, arrow labels
+    and relation order each permuted by ``rng``."""
+    q = bq.quiver
+    vid = rng.sample(range(len(q.vertices)), len(q.vertices))
+    aid = rng.sample(range(len(q.arrows)), len(q.arrows))
+    vlabel = rng.sample([v.label for v in q.vertices], len(q.vertices))
+    alabel = rng.sample([a.label for a in q.arrows], len(q.arrows))
+    vertices = sorted((Vertex(vid[v.id], vlabel[v.id]) for v in q.vertices),
+                      key=lambda v: v.id)
+    arrows = sorted((Arrow(aid[a.id], alabel[a.id], vid[a.source], vid[a.target])
+                     for a in q.arrows), key=lambda a: a.id)
+    relations = [Relation(tuple((c, Path(vid[p.base], tuple(aid[x] for x in p.arrows)))
+                                for c, p in r.terms)) for r in bq.relations]
+    rng.shuffle(relations)
+    return BoundQuiver(Quiver(tuple(vertices), tuple(arrows)), tuple(relations),
+                       frozenset(vid[v] for v in bq.special_vertices))
+
+
 # fixture pools used by property-style sweeps
 BQ_FIXTURES = ["toy.bq", "repetitive.bq", "sec73_A.bq", "sec73_B.bq", "sec74.bq",
                "a2.bq", "kronecker.bq", "semisimple2.bq"]

@@ -113,8 +113,12 @@ class TestRoundTrips:
         (formats.parse_sbg, "vertex x\n# y is missing\nedge 1 x y\n",
          "f:3: edge 1 uses an unknown vertex"),
         (formats.parse_dis, "arc a\narc b\narc a special\n", "f:3: duplicate arc a"),
+        (formats.parse_sbg, "vertex x\nedge 1 x x\norder x: 1#1, 1#2\norder x: 1#2, 1#1\n",
+         "f:4: duplicate order for vertex x"),
+        (formats.parse_dis, "arc a\npolygon: a, a, BOUNDARY\npuncture p: a\n\npuncture p: a\n",
+         "f:5: duplicate puncture p"),
     ], ids=["bq-vertex", "bq-arrow", "bq-endpoint", "bq-special-loop", "sbg-vertex",
-            "sbg-edge", "sbg-endpoint", "dis-arc"])
+            "sbg-edge", "sbg-endpoint", "dis-arc", "sbg-order", "dis-puncture"])
     def test_label_error_cites_its_line(self, parse, text, message):
         with pytest.raises(ParseError) as err:
             parse(text, "f")

@@ -1,5 +1,7 @@
 """Core quiver machinery: composition, bases, verdicts, Cartan data, isomorphism."""
 import gc
+import os
+import random
 import weakref
 
 import pytest
@@ -13,7 +15,7 @@ from skewbrauer import formats
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
 from skewbrauer.errors import InfiniteDimensional, NotAdmissible, Undecided
-from skewbrauer.iso import _same_generators, are_isomorphic
+from skewbrauer.iso import IsoResult, _generators, _same_generators, are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                dedupe_relations, is_gentle, is_locally_gentle,
                                stationary)
@@ -21,8 +23,8 @@ from skewbrauer.skewgentle import admissible_presentation, make_presentation
 from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,
                                 trivial_extension)
 
-from helpers import (BQ_FIXTURES, NonComposable, P, compose_paths, diff,
-                     fixture_path, load, mono, record_builds)
+from helpers import (BQ_FIXTURES, FIXTURES, NonComposable, P, compose_paths, diff,
+                     fixture_path, load, mono, record_builds, shuffled_copy)
 from oracle import oracle_reduce
 
 
@@ -696,8 +698,9 @@ class TestIsomorphism:
                                          (Fraction(1), P(q, "c", "d")))),))
         same_v = {v.id: v.id for v in q.vertices}
         same_a = {a.id: a.id for a in q.arrows}
-        assert _same_generators(minus, minus, same_v, same_a)
-        assert not _same_generators(minus, plus, same_v, same_a)
+        gens = {bq: _generators(r.terms for r in bq.relations) for bq in (minus, plus)}
+        assert _same_generators(minus, gens[minus], same_v, same_a)
+        assert not _same_generators(minus, gens[plus], same_v, same_a)
         built = record_builds(monkeypatch)
         are_isomorphic(minus, plus)
         assert any(x is minus for x in built)
@@ -710,9 +713,28 @@ class TestIsomorphism:
         x, y = BoundQuiver(q, (rel,)), BoundQuiver(q, (rel,))
         same_v = {v.id: v.id for v in q.vertices}
         same_a = {a.id: a.id for a in q.arrows}
-        assert not _same_generators(x, y, same_v, same_a)
+        assert _generators(r.terms for r in y.relations) is None
+        assert not _same_generators(x, None, same_v, same_a)
+        # nor does the image of x match a*b, its relation without the zero term
+        assert not _same_generators(x, _generators([mono(q, "a", "b").terms]), same_v, same_a)
         result = are_isomorphic(x, y)
         assert result.status == "isomorphic" and result.is_identity
+
+    def test_unequal_dimensions_end_the_search_with_no_nodes(self):
+        # x_i: 0 -> i, y_i: i -> 4; two binomials leave one of the three
+        # paths x_i*y_i (dimension 12), three monomials none (dimension
+        # 11): the first candidate fails the generator check, and the basis
+        # it builds ends the search
+        q = Quiver.build([str(i) for i in range(5)],
+                         [(f"{x}{i}", *ends) for i in (1, 2, 3)
+                          for x, ends in (("x", ("0", str(i))), ("y", (str(i), "4")))])
+        binomials = BoundQuiver(q, (diff(q, ("x1", "y1"), ("x2", "y2")),
+                                    diff(q, ("x2", "y2"), ("x3", "y3"))))
+        monomials = BoundQuiver(q, tuple(mono(q, f"x{i}", f"y{i}") for i in (1, 2, 3)))
+        assert enumerate_basis(binomials).dimension == 12
+        assert enumerate_basis(monomials).dimension == 11
+        for x, y in ((binomials, monomials), (monomials, binomials)):
+            assert are_isomorphic(x, y) == IsoResult("not_isomorphic")
 
     def test_renamed_infinite_loop_raises_for_the_first_argument(self):
         # both bases fail; the error names the cycle of the first argument
@@ -723,3 +745,29 @@ class TestIsomorphism:
             are_isomorphic(loop, renamed)
         with pytest.raises(InfiniteDimensional, match="cycle g is"):
             are_isomorphic(renamed, loop)
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(FIXTURES) if n.endswith(".bq") and n != "loop.bq"))
+    def test_shuffled_copies_are_isomorphic_by_maps_that_carry_the_relations(self, name):
+        # loop.bq is infinite-dimensional; every other .bq fixture builds.
+        # The admissible presentation and T(A), each against 15 copies with
+        # ids, labels and relation order permuted: the copy is found
+        # isomorphic, and the maps send each of its relations into the ideal
+        adm = load(name)
+        if not adm.admissible:
+            adm = admissible_presentation(make_presentation(adm))
+        for bq in (adm, trivial_extension(adm).algebra):
+            q, target = bq.quiver, enumerate_basis(bq)
+            for seed in range(15):
+                copy = shuffled_copy(bq, random.Random(seed))
+                result = are_isomorphic(copy, bq)
+                assert result.status == "isomorphic", (name, seed)
+                cq = copy.quiver
+                vmap = {v.id: q.vertex_by_label(result.vertex_map[v.label]).id
+                        for v in cq.vertices}
+                amap = {a.id: q.arrow_by_label(result.arrow_map[a.label]).id
+                        for a in cq.arrows}
+                for r in copy.relations:
+                    image = tuple((c, Path(vmap[p.base], tuple(amap[x] for x in p.arrows)))
+                                  for c, p in r.terms)
+                    assert target.relation_holds(Relation(image)), (name, seed, r.label(cq))
