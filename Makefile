@@ -1,4 +1,4 @@
-.PHONY: test verify bench-test bench examples gate gate-diff check
+.PHONY: test verify bench-test bench examples gate gate-diff check importtime
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -38,3 +38,9 @@ gate-diff:
 	python3 scripts/exact_gate.py > "$$tmp/head.txt" && \
 	diff "$$tmp/base.txt" "$$tmp/head.txt" && \
 	echo "gate-diff: every digest identical to $(BASE)"
+
+# the 20 slowest lines of `python3 -X importtime` for `import skewbrauer`,
+# by cumulative microseconds (the second column); the table goes to stderr
+importtime:
+	@PYTHONPATH=src python3 -X importtime -c 'import skewbrauer' 2>&1 >/dev/null | \
+	sort -t'|' -k2 -n -r | head -20

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .basis import PathBasis, _axpy, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
@@ -14,15 +14,13 @@ from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
 HalfEdge = tuple[int, int]          # (edge id, occurrence 1 or 2)
 
 
-@dataclass(frozen=True)
-class BrauerVertex:
+class BrauerVertex(NamedTuple):
     id: int
     label: str
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
-class BrauerEdge:
+class BrauerEdge(NamedTuple):
     id: int
     label: str
     ends: tuple[int, int]
@@ -32,8 +30,7 @@ class BrauerEdge:
         return self.ends[0] == self.ends[1]
 
 
-@dataclass(frozen=True)
-class BrauerGraph:
+class BrauerGraph(NamedTuple):
     vertices: tuple[BrauerVertex, ...]
     edges: tuple[BrauerEdge, ...]
     order: dict[int, tuple[HalfEdge, ...]]    # vertex id -> cyclic half-edge list
@@ -60,8 +57,7 @@ class BrauerGraph:
         return out
 
 
-@dataclass(frozen=True)
-class SkewBrauerGraph:
+class SkewBrauerGraph(NamedTuple):
     graph: BrauerGraph
     distinguished: frozenset[int]     # vertex ids
 
@@ -397,8 +393,7 @@ def _is_tree(gr: BrauerGraph) -> bool:
     return len(seen) == len(gr.vertices)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     rep_type: str              # "Finite" | "Infinite"
     reason_code: str
     detail: str

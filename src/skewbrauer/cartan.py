@@ -9,9 +9,8 @@ ordinary one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .basis import PathBasis
 from .quiver import BoundQuiver
@@ -139,8 +138,7 @@ def det_fraction_free(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     """Ordinary and path-length-graded Cartan matrices with their determinants."""
     vertex_labels: tuple[str, ...]
     ordinary: tuple[tuple[int, ...], ...]

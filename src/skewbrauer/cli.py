@@ -272,6 +272,17 @@ def cmd_iso(args) -> int:
     return 1
 
 
+def _limit(text: str) -> int:
+    """A ``--limit`` value: an int, at least 0 (0 asks for no cuts)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="skewbrauer",
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("cuts", help="enumerate cut sets of the trivial extension")
     s.add_argument("input")
     s.add_argument("--good", action="store_true")
-    s.add_argument("--limit", type=int, default=None)
+    s.add_argument("--limit", type=_limit, default=None)
     s.set_defaults(fn=cmd_cuts)
 
     s = sub.add_parser("quotient", help="quotient the trivial extension by a cut")

@@ -9,7 +9,7 @@ arrow s -> t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .cartan import IntPoly, ONE
 from .errors import (InvalidPosition, NotReflectable, SkewBrauerError,
@@ -34,14 +34,12 @@ class Arc:
             raise ValueError(f"unknown arc kind {self.kind}")
 
 
-@dataclass(frozen=True)
-class Puncture:
+class Puncture(NamedTuple):
     label: str
     arcs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbifoldDissection:
+class OrbifoldDissection(NamedTuple):
     arcs: tuple[Arc, ...]
     polygons: tuple[tuple[Union[int, str], ...], ...]   # arc ids or BOUNDARY
     punctures: tuple[Puncture, ...] = ()
@@ -95,8 +93,7 @@ def validate_dissection(d: OrbifoldDissection) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class _Angle:
+class _Angle(NamedTuple):
     polygon: int
     index: int          # gap after run position index
     source: int         # arc id
@@ -112,8 +109,7 @@ def _angles(d: OrbifoldDissection) -> list[_Angle]:
     return out
 
 
-@dataclass(frozen=True)
-class DissectionQuiver:
+class DissectionQuiver(NamedTuple):
     """Extracted tuple data plus the angle bookkeeping used by moves."""
     quiver: Quiver
     relations: tuple[Relation, ...]
@@ -176,8 +172,7 @@ def skew_gentle_from_dissection(d: OrbifoldDissection) -> SkewGentlePresentation
     return loop_presentation(BoundQuiver(dq.quiver, dq.relations), dq.special)
 
 
-@dataclass(frozen=True)
-class DissectionTuple:
+class DissectionTuple(NamedTuple):
     """The duplication-ready tuple of the dissection's trivial extension."""
     quiver: Quiver
     monomials: tuple[Path, ...]

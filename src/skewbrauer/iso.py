@@ -26,15 +26,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .basis import PathBasis, _axpy, _is_built, enumerate_basis
 from .errors import SkewBrauerError
 from .quiver import Arrow, BoundQuiver, Path, Quiver, _canonical_terms
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     status: str                      # "isomorphic" | "not_isomorphic" | "budget_exhausted"
     vertex_map: Optional[dict[str, str]] = None
     arrow_map: Optional[dict[str, str]] = None

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 Coeff = Fraction
 ONE = Fraction(1)
@@ -252,8 +252,7 @@ class BoundQuiver:
         return replace(self, **kwargs)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a structural check, with the first violation when it fails."""
     ok: bool
     condition: str = ""

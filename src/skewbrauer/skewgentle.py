@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .basis import enumerate_basis
 from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
@@ -28,8 +28,7 @@ SIGNS = ("+", "-")
 _OTHER = {"+": "-", "-": "+"}
 
 
-@dataclass(frozen=True)
-class SgCheck:
+class SgCheck(NamedTuple):
     """Outcome of the skew-gentle recognition, with identified data."""
     ok: bool
     condition: str = ""
@@ -41,8 +40,7 @@ class SgCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class SkewGentlePresentation:
+class SkewGentlePresentation(NamedTuple):
     """Non-admissible presentation: bound quiver plus identified Sp and S."""
     bound: BoundQuiver
     special: frozenset[int]          # special vertex ids
@@ -192,8 +190,7 @@ def loop_presentation(aux: BoundQuiver, special: frozenset[int]) -> SkewGentlePr
 # vertex duplication
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SgQuiver:
+class SgQuiver(NamedTuple):
     """Quiver after duplication, with origin bookkeeping both ways.
 
     The origins name the base vertex or arrow by its label; the lookups

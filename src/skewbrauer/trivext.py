@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentleSource, NotSourceOrSink, UnknownArrow,
@@ -79,8 +79,7 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
 # cut sets and quotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CutSet:
+class CutSet(NamedTuple):
     arrows: frozenset[int]
 
     def labels(self, q: Quiver) -> tuple[str, ...]:
@@ -105,7 +104,10 @@ def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet
 
 def _cuts(q: Quiver, cycles: Sequence[Path],
           limit: Optional[int] = None) -> list[frozenset[int]]:
-    """Arrow sets meeting each cycle exactly once, counted with multiplicity."""
+    """Arrow sets meeting each cycle exactly once, counted with multiplicity;
+    at most ``limit`` of them, which must not be negative."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     order = sorted(cycles, key=Path.sort_key)
     out: dict[frozenset[int], None] = {}
     # depth first, candidates in label order, on an explicit stack: a

@@ -247,6 +247,21 @@ class TestCli:
         assert len(out) == 3
         assert all(line.startswith("cut: ") for line in out)
 
+    @pytest.mark.parametrize("limit, code, err", [
+        ("-1", 2, "skewbrauer cuts: error: argument --limit: must be at least 0, got -1\n"),
+        ("x", 2, "skewbrauer cuts: error: argument --limit: invalid int value: 'x'\n"),
+        ("0", 0, ""),
+    ], ids=["negative", "not-an-int", "zero"])
+    def test_cuts_limit_values(self, capsys, limit, code, err):
+        try:
+            got = main(["cuts", fixture_path("toy.bq"), "--limit", limit])
+        except SystemExit as exc:
+            got = exc.code
+        out = capsys.readouterr()
+        assert got == code
+        assert out.out.strip() == ""
+        assert out.err.splitlines(keepends=True)[-1:] == ([err] if err else [])
+
     def test_quotient_by_new_arrows(self, capsys):
         code = main(["quotient", fixture_path("a2.bq"), "--cut", "B1"])
         out = capsys.readouterr().out

@@ -231,6 +231,11 @@ class TestCuts:
     def test_limit_streams(self):
         t = trivial_extension(toy_aux())
         assert len(list(enumerate_admissible_cuts(t, limit=5))) == 5
+        t = trivial_extension(toy_adm())
+        for enumerate_cuts in (enumerate_admissible_cuts, enumerate_good_cuts):
+            assert list(enumerate_cuts(t, limit=0)) == []
+            with pytest.raises(ValueError, match="limit must be at least 0, got -1"):
+                list(enumerate_cuts(t, limit=-1))
 
 
 class TestQuotientRelations:
