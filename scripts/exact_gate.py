@@ -37,7 +37,7 @@ The groups:
   dimension.
 
 Each algebra contributes its quiver, its relation tuple in order,
-``basis_paths``, the nilpotency bound, the normal form of every alive
+``basis_paths``, the nilpotency bound, the normal form of every nonzero
 path, the projective layers at every vertex and ``CartanData``; each
 carrier with an ``sg_tuple`` adds the symmetrising-form verdict; a
 skew-Brauer algebra or trivial extension adds the signed copies of its
@@ -117,7 +117,7 @@ def _lines(carrier):
     out += [[p.label(q) for p in basis.basis_paths], basis.nilpotency_bound]
     out.append([(p.label(q), sorted((w, str(c)) for w, c in
                                     basis.normal_form(p.arrows).items()))
-                for p in basis.alive_paths() if p.arrows])
+                for p in _nonzero_paths(q, basis)])
     out.append([projective_layers(carrier, v.id, basis) for v in q.vertices])
     data = cartan(bq, basis)
     out.append((data.vertex_labels, data.ordinary,
@@ -130,6 +130,17 @@ def _lines(carrier):
     new_arrows = getattr(carrier, "new_arrows", {})
     src = getattr(carrier, "source", None)
     out.append([(q.arrow(a).label, p.label(src.quiver)) for a, p in new_arrows.items()])
+    return out
+
+
+def _nonzero_paths(q, basis):
+    """Every path of positive length with a nonzero normal form, breadth
+    first from the stationary paths in one-arrow extension order."""
+    out, frontier = [], [Path(v.id, ()) for v in q.vertices]
+    while frontier:
+        frontier = [ext for p in frontier for a in q.arrows_from(p.target(q))
+                    if not basis.is_zero(ext := Path(p.base, p.arrows + (a.id,)))]
+        out += frontier
     return out
 
 

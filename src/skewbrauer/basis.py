@@ -21,28 +21,34 @@ Arithmetic is exact: coefficients stay ``int`` while every tip
 coefficient is ±1, as in every relation the builders write, and become
 ``Fraction`` otherwise.
 
+A ``Relation`` has at most two terms, so the ideal is binomial, and
+completion keeps it so: reducing one or two terms by rules whose tails
+have at most one term leaves at most two, at an overlap too, so every
+tail has at most one term.  The normal form of a path is then one
+tip-free path times a scalar, or zero.
+
 Normal forms are read at two levels.  ``PathBasis.normal_form`` takes a
 word, the tuple of arrow ids of a path, and returns
 ``{word: int | Fraction}`` straight from the engine; the relation checks
-of ``iso``, ``relation_holds``, ``is_zero``, the symmetrising form and
-the projective layers read it there.  ``PathBasis.reduce`` wraps it for
-a ``Path`` and returns ``{Path: Fraction}``.
+of ``iso``, ``relation_holds``, ``is_zero`` and the symmetrising form
+read it there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
+``{Path: Fraction}``.
 
-The walk that finds the basis extends every nonzero path, shortest
-first, and records them all as ``alive_paths``; the tip-free ones are
-the basis.  It decides finite dimension exactly (Ufnarovski): with
+The walk that finds the basis extends nonzero paths shortest first,
+keeping one for each normal form of each length.  A tip-free word is
+first reached at its own length, where it joins the basis; its depth
+(``PathBasis.depth``) is the last length that reaches it.  The walk
+decides finite dimension exactly (Ufnarovski): with
 k = max(longest tip - 1, 1), tip-freeness is read on windows of k + 1
 arrows, so a tip-free word whose last k arrows occur earlier in it pumps
 the closed path between them, whose powers are then all nonzero.  Else
-the walk ends where all paths of a length are zero, or once the
-dimension shows that no length ever will be (x^2 = x^3 on a loop).  The
+the walk ends at the first length that reaches no normal form, or once
+the dimension shows that no length ever will (x^2 = x^3 on a loop).  The
 length cap only guards the completion.  The completed system is built
 once per algebra: it is kept on the ``BoundQuiver``, and each call
-returns a new ``PathBasis`` around it.  ``PathBasis.blocks``
-and ``PathBasis.alive_blocks`` group the basis and the alive paths by
-(source, target) once per completed system, on first use; the
-symmetrising form, the projective layers and the Cartan matrix read
-them.
+returns a new ``PathBasis`` around it.  ``PathBasis.blocks`` groups the
+basis by (source, target) once per completed system, on first use; the
+symmetrising form, the projective layers and the Cartan matrix read it.
 """
 from __future__ import annotations
 
@@ -87,9 +93,8 @@ class _RewriteSystem:
         self._memo: dict[Word, Poly] = {}
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
-        self.alive: tuple[Path, ...] = ()       # see PathBasis.alive_paths
-        self.blocks: Optional[Blocks] = None        # see PathBasis.blocks
-        self.alive_blocks: Optional[Blocks] = None  # see PathBasis.alive_blocks
+        self.depth: dict[Word, int] = {}        # see PathBasis.depth
+        self.blocks: Optional[Blocks] = None    # see PathBasis.blocks
         self.ambiguities = self.nf_calls = self.memo_hits = 0
 
     # -- normal forms --------------------------------------------------------
@@ -240,10 +245,12 @@ class PathBasis:
     def normal_form(self, word: Word) -> Poly:
         """Normal form of the path with arrows ``word``, keyed by words.
 
-        Coefficients are ``int`` or ``Fraction``; the empty word stands
-        for the stationary paths, and is its own normal form.  Returns
-        ``{}`` at or past the nilpotency bound.  The dict is the engine's
-        memo: read it, do not change it.
+        At most one term, since relations have at most two (see the
+        module docstring): a tip-free word times an ``int`` or
+        ``Fraction``, or ``{}``, also at or past the nilpotency bound.
+        The empty word stands for the stationary paths, and is its own
+        normal form.  The dict is the engine's memo: read it, do not
+        change it.
         """
         if len(word) >= self.nilpotency_bound:
             return {}
@@ -272,31 +279,22 @@ class PathBasis:
         """The basis paths grouped by (source, target), each group in
         ``basis_paths`` order.
 
-        Built once per completed system, like ``alive_paths``: read it, do
-        not change it.
+        Built once per completed system, on first use: read it, do not
+        change it.
         """
         out = self._engine.blocks
         if out is None:
             out = self._engine.blocks = _group(self.algebra.quiver, self.basis_paths)
         return out
 
-    def alive_blocks(self) -> Blocks:
-        """The paths of ``alive_paths`` grouped by (source, target), each
-        group shortest first.  Built once per completed system."""
-        out = self._engine.alive_blocks
-        if out is None:
-            out = self._engine.alive_blocks = _group(self.algebra.quiver,
-                                                     self._engine.alive)
-        return out
+    def depth(self, p: Path) -> int:
+        """The radical layer of the basis path ``p``: the length of the
+        longest path whose normal form is a multiple of ``p``.
 
-    def alive_paths(self) -> tuple[Path, ...]:
-        """All paths with nonzero normal form, shortest first.
-
-        They are the paths the basis walk of ``enumerate_basis`` extends,
-        recorded in its order; every ``PathBasis`` of the same algebra
-        returns the same tuple.
+        J^k, the k-th power of the arrow ideal, is spanned by the basis
+        paths of depth at least k.  Stationary paths have depth 0.
         """
-        return self._engine.alive
+        return self._engine.depth[p.arrows] if p.arrows else 0
 
 
 def _group(q: Quiver, paths: Iterable[Path]) -> Blocks:
@@ -343,44 +341,50 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
     engine.complete(bq.relations, cap)
     k = max(max(map(len, engine.rules), default=0) - 1, 1)
 
-    # extend nonzero paths one arrow at a time, each with its target;
-    # every nonzero path is recorded, shortest first, and the tip-free
-    # ones are the basis
+    # extend nonzero paths one arrow at a time, each as (source, word,
+    # target), keeping the first path to reach each normal form of a
+    # length: paths with proportional normal forms have proportional
+    # extensions
     steps = {v.id: [(a.id, a.target) for a in q.arrows_from(v.id)] for v in q.vertices}
-    frontier = [(stationary(v.id), v.id) for v in q.vertices]
-    found = [p for p, _ in frontier]
-    basis = list(found)
+    frontier = [(v.id, (), v.id) for v in q.vertices]
+    basis = [stationary(v.id) for v in q.vertices]
+    depth: dict[Word, int] = {}
     length = 1
     while True:
-        alive = []
-        for p, end in frontier:
+        reached: dict[Word, tuple[int, Word, int]] = {}
+        for src, word, end in frontier:
             for a, target in steps[end]:
-                w = p.arrows + (a,)
+                w = word + (a,)
                 nf = engine.normal_form(w)
-                if nf:
-                    ext = Path(p.base, w)
-                    alive.append((ext, target))
-                    if w in nf:
-                        basis.append(ext)
-                        # a window of k arrows that recurs bounds a cycle with
-                        # tip-free powers; w's prefix repeats none, so only
-                        # its last window is new
-                        i = next((i for i in range(length - k) if w[i:i + k] == w[-k:]), -1)
-                        if i >= 0:
-                            u = Path(q.arrow(w[i]).source, w[i:length - k])
-                            raise InfiniteDimensional(u, u.label(q))
-        if not alive:
+                if not nf:
+                    continue
+                # relations have at most two terms, so a normal form has at most one
+                (u,) = nf
+                if u in reached:
+                    continue
+                reached[u] = (src, w, target)
+                if u not in depth:
+                    basis.append(Path(src, u))
+                    # a window of k arrows that recurs bounds a cycle with
+                    # tip-free powers; u's prefix repeats none, so only
+                    # its last window is new
+                    i = next((i for i in range(length - k) if u[i:i + k] == u[-k:]), -1)
+                    if i >= 0:
+                        c = Path(q.arrow(u[i]).source, u[i:length - k])
+                        raise InfiniteDimensional(c, c.label(q))
+        if not reached:
             break
         # the powers of the arrow ideal shrink strictly until they vanish,
         # from dimension - |vertices|; past that, they never vanish
         if length > len(basis) - len(q.vertices):
+            src, w, _ = next(iter(reached.values()))
             raise NotAdmissible(
                 "the ideal contains no power of the arrow ideal: paths of every "
-                f"length are nonzero, e.g. {alive[0][0].label(q)}")
-        found += [p for p, _ in alive]
-        frontier = alive
+                f"length are nonzero, e.g. {Path(src, w).label(q)}")
+        depth.update(dict.fromkeys(reached, length))
+        frontier = reached.values()
         length += 1
-    engine.alive = tuple(found)
+    engine.depth = depth
     basis.sort(key=Path.sort_key)
     return tuple(basis), length, engine
 

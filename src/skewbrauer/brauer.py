@@ -38,9 +38,6 @@ class BrauerGraph(NamedTuple):
     def vertex(self, vid: int) -> BrauerVertex:
         return next(v for v in self.vertices if v.id == vid)
 
-    def vertex_by_label(self, label: str) -> BrauerVertex:
-        return next(v for v in self.vertices if v.label == label)
-
     def edge(self, eid: int) -> BrauerEdge:
         return next(e for e in self.edges if e.id == eid)
 
@@ -490,10 +487,12 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
                       basis: Optional[PathBasis] = None) -> ProjectiveLayers:
     """Radical filtration of the projective at a quiver vertex.
 
-    Layer k lists the composition factors of rad^k / rad^{k+1}, computed
-    from normal forms of the paths ending at the vertex, labelled by their
-    sources.  The paths are read one block (source, vertex) at a time from
-    ``PathBasis.alive_blocks``, and their normal forms on words.
+    Layer k lists the composition factors of rad^k / rad^{k+1}, labelled
+    by their sources.  Every normal form is a multiple of one basis path
+    (see ``skewbrauer.basis``), so rad^k is spanned by the basis paths of
+    ``PathBasis.depth`` at least k that end at the vertex, and layer k
+    counts those of depth exactly k, one block (source, vertex) of
+    ``PathBasis.blocks`` at a time.
     """
     if basis is None:
         basis = enumerate_basis(alg.algebra)
@@ -501,27 +500,12 @@ def projective_layers(alg: SkewBrauerAlgebra, vertex: Union[str, int],
     try:
         vid = q.vertex_by_label(vertex).id if isinstance(vertex, str) else q.vertex(vertex).id
     except KeyError:
-        raise UnknownVertex(str(vertex))
-    blocks = basis.alive_blocks()
-    layer_counts: dict[int, dict[int, int]] = {}
-    for src in q.vertices:
-        # longest first: a path adds to layer k when its normal form is
-        # independent of those of the longer paths; within one source
-        # block the words are unique keys
-        echelon: dict = {}
-        for p in reversed(blocks.get((src.id, vid), ())):
-            if _echelon_insert(echelon, basis.normal_form(p.arrows)):
-                counts = layer_counts.setdefault(len(p), {})
-                counts[src.id] = counts.get(src.id, 0) + 1
-    layers = []
-    for k in range(0, max(layer_counts, default=0) + 1):
-        row: list[str] = []
-        for src, cnt in sorted(layer_counts.get(k, {}).items(),
-                               key=lambda t: q.vertex(t[0]).label):
-            row.extend([q.vertex(src).label] * cnt)
-        layers.append(tuple(row))
-    while layers and not layers[-1]:
-        layers.pop()
-    label = q.vertex(vid).label
-    socle = layers[-1][0] if layers and layers[-1] else label
-    return ProjectiveLayers(label, tuple(layers), socle)
+        raise UnknownVertex(f"no vertex {vertex}") from None
+    blocks = basis.blocks()
+    by_depth: dict[int, list[str]] = {}
+    for src in sorted(q.vertices, key=lambda v: v.label):
+        for p in blocks.get((src.id, vid), ()):
+            by_depth.setdefault(basis.depth(p), []).append(src.label)
+    # the stationary path at the vertex is in layer 0, so no projective is zero
+    layers = tuple(tuple(by_depth.get(k, ())) for k in range(max(by_depth) + 1))
+    return ProjectiveLayers(q.vertex(vid).label, layers, layers[-1][0])

@@ -153,7 +153,9 @@ def canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
 
 @dataclass(frozen=True)
 class Relation:
-    """A monomial or two-term relation; all terms share source and target."""
+    """A monomial or two-term relation; all terms share source and target.
+
+    With at most two terms, a normal form has at most one (see ``basis``)."""
     terms: tuple[tuple[Coeff, Path], ...]
 
     def __post_init__(self):

@@ -328,6 +328,19 @@ class TestSkewBrauerTree:
     def test_multiplicity_fails(self):
         assert not is_skew_brauer_tree(load("gamma1_m2.sbg"))
 
+    def test_cycle_fails(self):
+        # one distinguished leaf on a triangle, every multiplicity one
+        g = formats.parse_sbg(
+            "vertex x distinguished\nvertex u\nvertex v\nvertex w\n"
+            "edge 1 x u\nedge 2 u v\nedge 3 v w\nedge 4 w u\n"
+            "order x: 1\norder u: 1, 2, 4\norder v: 2, 3\norder w: 3, 4\n", "triangle")
+        assert is_skew_brauer_tree(g) == (
+            False, "tree", "the underlying graph is not a tree", ())
+        c = classify_rep_type(g)
+        assert (c.rep_type, c.reason_code, c.detail) == (
+            "Infinite", "not-skew-brauer-tree",
+            "not a skew-Brauer tree: the underlying graph is not a tree")
+
 
 class TestClassification:
     def test_fig1_infinite_multiple_distinguished(self):
@@ -427,8 +440,30 @@ class TestProjectives:
 
     def test_unknown_vertex(self):
         alg = skew_brauer_algebra(load("fig1.sbg"))
-        with pytest.raises(UnknownVertex):
+        with pytest.raises(UnknownVertex, match="^no vertex nope$"):
             projective_layers(alg, "nope")
+        with pytest.raises(UnknownVertex, match="^no vertex 99$"):
+            projective_layers(alg, 99)
+
+    @staticmethod
+    def fat(m):
+        """Edges x-c and c-y, x distinguished, c of multiplicity m."""
+        return skew_brauer_algebra(formats.parse_sbg(
+            f"vertex x distinguished\nvertex c mult={m}\nvertex y\n"
+            "edge 1 x c\nedge 2 c y\norder x: 1\norder c: 1, 2\norder y: 2\n", "fat"))
+
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_fat_vertex_walk_grows_linearly(self, m):
+        # one frontier entry per normal form: a walk over every nonzero
+        # path would make 645, 10,065 and 159,885 normal-form calls
+        assert enumerate_basis(self.fat(m).algebra).stats["nf_calls"] <= 60 * m
+
+    def test_fat_vertex_layers_sum_to_dimension(self):
+        alg = self.fat(16)
+        basis = enumerate_basis(alg.algebra)
+        assert basis.dimension == 145
+        assert sum(projective_layers(alg, v.id, basis).dimension
+                   for v in alg.quiver.vertices) == 145
 
     @pytest.mark.parametrize("name", ["fig1.sbg", "excut.sbg", "torus.sbg",
                                       "gamma1_m2.sbg", "btree_m3.sbg"])

@@ -352,6 +352,12 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == "error: no vertex nope\n"
 
+    def test_projectives_unknown_vertex_exit_1(self, capsys):
+        code = main(["projectives", fixture_path("torus.sbg"), "--vertex", "nope"])
+        assert code == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: no vertex nope\n")
+
     def test_move_unknown_pendant_exit_1(self, capsys):
         code = main(["move", fixture_path("annulus.dis"), "--polygon", "0",
                      "--pendant", "nope"])

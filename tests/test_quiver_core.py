@@ -257,7 +257,7 @@ class TestEnumerateBasis:
         gc.disable()
         try:
             basis = enumerate_basis(bq)
-            basis.alive_paths()
+            basis.depth(basis.basis_paths[-1])
             enumerate_basis(bq, length_cap=8)
             del bq, basis
             assert ref() is None
@@ -315,15 +315,6 @@ class TestEnumerateBasis:
         # a zero coefficient ahead of a nonzero term adds nothing
         assert not free.relation_holds(Relation(((Fraction(0), ab), (Fraction(1), cd))))
         assert free.normal_form(cd.arrows) == {cd.arrows: 1}
-
-    def test_alive_paths_cached_shortest_first(self):
-        alg = skew_brauer_algebra(load("torus.sbg"))
-        basis = enumerate_basis(alg.algebra)
-        alive = basis.alive_paths()
-        assert basis.alive_paths() is alive
-        assert [len(p) for p in alive] == sorted(len(p) for p in alive)
-        assert set(basis.basis_paths) <= set(alive)
-        assert not any(basis.is_zero(p) for p in alive)
 
     @pytest.mark.parametrize("name, rules", [("toy.bq", 20), ("fig1.sbg", 20),
                                              ("torus.sbg", 21)])
@@ -425,25 +416,26 @@ class TestBlockIndex:
         assert basis.blocks() is blocks
 
     @pytest.mark.parametrize("name", INDEXED)
-    def test_alive_paths_are_the_basis_walk(self, name):
+    def test_normal_forms_have_one_term_and_depth_is_the_longest_path(self, name):
         bq = _indexed_algebra(name)
         basis = enumerate_basis(bq)
         q = bq.quiver
-        # breadth first from the stationary paths, one arrow at a time
-        want = [stationary(v.id) for v in q.vertices]
-        for p in want:
+        # breadth first from the stationary paths, one arrow at a time,
+        # over every nonzero path
+        walk = [stationary(v.id) for v in q.vertices]
+        longest = {}
+        for p in walk:
             for a in q.arrows_from(p.target(q)):
                 ext = Path(p.base if p.arrows else a.source, p.arrows + (a.id,))
-                if not basis.is_zero(ext):
-                    want.append(ext)
-        alive = basis.alive_paths()
-        assert alive == tuple(want)
-        assert enumerate_basis(bq).alive_paths() is alive
-        grouped = basis.alive_blocks()
-        assert sum(len(block) for block in grouped.values()) == len(alive)
-        for (s, t), block in grouped.items():
-            assert block == tuple(p for p in alive
-                                  if (p.source(q), p.target(q)) == (s, t))
+                nf = basis.normal_form(ext.arrows)
+                assert len(nf) <= 1, ext.label(q)
+                if nf:
+                    walk.append(ext)
+                    (w,) = nf
+                    longest[w] = len(ext)
+        assert sorted(longest) == sorted(p.arrows for p in basis.basis_paths if p.arrows)
+        for p in basis.basis_paths:
+            assert basis.depth(p) == longest.get(p.arrows, 0), p.label(q)
 
 
 class TestMaximalPaths:
@@ -476,6 +468,22 @@ class TestGentleVerdicts:
         verdict = is_locally_gentle(BoundQuiver(q))
         assert not verdict
         assert verdict.condition == "at-most-two-arrows"
+
+    @pytest.mark.parametrize("arrows, relations, verdict", [
+        ([("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")], [("a", "b"), ("a", "c")],
+         ("unique-killed-successor", "arrow a has two killed successors", ("b", "c"))),
+        ([("a", "1", "2"), ("b", "2", "3"), ("c", "2", "4")], [],
+         ("unique-alive-successor", "arrow a has two surviving successors", ("b", "c"))),
+        ([("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")], [("a", "c"), ("b", "c")],
+         ("unique-killed-predecessor", "arrow c has two killed predecessors", ("a", "b"))),
+        ([("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")], [],
+         ("unique-alive-predecessor", "arrow c has two surviving predecessors",
+          ("a", "b"))),
+    ])
+    def test_unique_neighbour_verdicts(self, arrows, relations, verdict):
+        q = Quiver.build(["1", "2", "3", "4"], arrows)
+        got = is_locally_gentle(BoundQuiver(q, tuple(mono(q, *r) for r in relations)))
+        assert got == (False, *verdict)
 
     def test_kronecker_locally_gentle(self):
         assert is_locally_gentle(load("kronecker.bq"))

@@ -7,7 +7,8 @@ from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.dissection import (skew_gentle_from_dissection,
                                    trivext_tuple_from_dissection)
 from skewbrauer.errors import LoopAtDistinguished, SignMismatch
-from skewbrauer.quiver import BoundQuiver, Quiver, Relation, dedupe_relations
+from skewbrauer.quiver import (BoundQuiver, Quiver, Relation, dedupe_relations,
+                               stationary)
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    auxiliary_gentle, collapse_presentation,
                                    induced_path, is_skew_gentle,
@@ -308,6 +309,31 @@ class TestInducedPaths:
             induced_path(adm, aux, P(aux.quiver, "g", "d"), "+", "")
         with pytest.raises(SignMismatch):
             induced_path(adm, aux, P(aux.quiver, "a", "b"), "", "")
+
+    def test_stationary_path_at_a_special_vertex(self):
+        # one sign, on either side or on both, picks the vertex copy
+        pres = toy()
+        aux = auxiliary_gentle(pres)
+        adm = admissible_presentation(pres)
+        e1 = stationary(aux.quiver.vertex_by_label("1").id)
+        for eps, eps2, label in (("+", "", "e_1+"), ("", "-", "e_1-"), ("+", "+", "e_1+")):
+            got = induced_path(adm, aux, e1, eps, eps2)
+            assert got.arrows == () and got.label(adm.quiver) == label
+        with pytest.raises(SignMismatch, match="^stationary path needs one sign$"):
+            induced_path(adm, aux, e1, "+", "-")
+        with pytest.raises(SignMismatch,
+                           match="^endpoint 1 is special; a sign is required$"):
+            induced_path(adm, aux, e1)
+
+    def test_special_end_needs_its_sign(self):
+        pres = toy()
+        aux = auxiliary_gentle(pres)
+        adm = admissible_presentation(pres)
+        a = P(aux.quiver, "a")
+        with pytest.raises(SignMismatch,
+                           match="^endpoint 2 is special; a sign is required$"):
+            induced_path(adm, aux, a, "+", "")
+        assert induced_path(adm, aux, a, "+", "-").label(adm.quiver) == "+a-"
 
     def test_variants_share_normal_form(self):
         pres = toy()

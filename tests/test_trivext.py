@@ -15,6 +15,7 @@ from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
                                    auxiliary_gentle, collapse_presentation,
                                    make_presentation, sg_bound_quiver)
+from skewbrauer import trivext
 from skewbrauer.trivext import (CutSet, enumerate_admissible_cuts,
                                 enumerate_good_cuts, is_admissible_cut,
                                 quotient_by_cut, reflect, trivial_extension)
@@ -268,6 +269,35 @@ class TestQuotientRelations:
         monkeypatch.setattr(trivext, "dedupe_relations", counted)
         quotient_by_cut(*self.gamma2_cut())
         assert removed == [2, 0]
+
+    def test_minimalize_on_a_cut_that_is_not_admissible(self):
+        # T(A) of toy.bq cut at B2- alone: the binomials with a term
+        # through B2- keep their other term as a monomial, and the
+        # monomials that then contain a shorter monomial are dropped,
+        # which takes a second pass to reach the fixpoint
+        t = trivial_extension(toy_adm())
+        q = t.algebra.quiver
+        cut = {q.arrow_by_label("B2-").id}
+        assert not is_admissible_cut(t, cut)
+        quot = quotient_by_cut(t, cut)
+        assert [r.label(q) for r in quot.relations] == [
+            "+a+*+b - +a-*-b", "-a+*+b - -a-*-b", "B2+*+a+", "B2+*+a-",
+            "B1*d*l", "d*l*B1", "g*d", "l*g", "B1*B2+", "+b*B1", "-b*B1",
+            "-a+*+b*g*B2+", "-a-*-b*g*B2+"]
+        assert trivext.minimalize_relations(quot.quiver, quot.relations) == quot.relations
+        # the relations with the cut terms dropped and nothing minimised
+        # span the same ideal
+        raw = []
+        for r in t.algebra.relations:
+            terms = tuple((c, p) for c, p in r.terms if not set(p.arrows) & cut)
+            if terms:
+                raw.append(Relation(terms))
+        assert len(raw) == 26
+        want = enumerate_basis(BoundQuiver(quot.quiver, tuple(raw)))
+        got = enumerate_basis(quot)
+        assert (got.basis_paths, got.nilpotency_bound) == (
+            want.basis_paths, want.nilpotency_bound)
+        assert got.dimension == 32
 
 
 class TestGoodCuts:
