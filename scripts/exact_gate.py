@@ -18,7 +18,10 @@ The groups:
   of every ``.dis`` fixture, and for every ``.bq`` fixture that has one,
   ``collapse_presentation`` of its admissible presentation and of each
   good-cut quotient of its T(A), and ``reflect`` at every auxiliary
-  vertex in both directions;
+  vertex in both directions; and ``collapse_presentation`` and
+  ``trivial_extension`` of each input of ``_bookkeeping_faults``, whose
+  sign bookkeeping is missing or broken, or whose gentle base is not
+  skew-gentle;
 - ``formats``: every fixture's text and its deterministic edits: each
   line dropped, each line repeated, and each whitespace-separated token
   replaced by each token of ``REPLACEMENTS``;
@@ -78,8 +81,9 @@ from skewbrauer.errors import SkewBrauerError  # noqa: E402
 from skewbrauer.iso import are_isomorphic  # noqa: E402
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver,  # noqa: E402
                                Relation, canonical_rotation)
-from skewbrauer.skewgentle import (admissible_presentation,  # noqa: E402
-                                   make_presentation, sg_bound_quiver)
+from skewbrauer.skewgentle import (SgTuple,  # noqa: E402
+                                   admissible_presentation, make_presentation,
+                                   sg_bound_quiver)
 from skewbrauer.trivext import (TrivialExtension,  # noqa: E402
                                 enumerate_good_cuts, quotient_by_cut,
                                 trivial_extension)
@@ -176,7 +180,9 @@ def _cycles(carrier):
 
 
 def _presentation_lines(pres):
-    """The record of one loop presentation."""
+    """The record of one loop presentation, or of a trivial extension."""
+    if isinstance(pres, TrivialExtension):
+        return _lines(pres)
     q = pres.quiver
     adm = admissible_presentation(pres)
     return [formats.serialize_bq(pres.bound),
@@ -234,6 +240,30 @@ def _dis():
         yield name, build
 
 
+def _bookkeeping_faults():
+    """(name, admissible presentation) of inputs that no construction
+    writes: toy.bq's without its bookkeeping, and with the "-" copy of
+    vertex 1 claiming the base vertex 1x; excut.bq's without ``+a*b+``,
+    so the transit a*b vanishes for some signs only; toy.bq's without
+    ``l*g``, whose gentle base is not gentle; and a special vertex that
+    starts two arrows, which breaks condition 4."""
+    def edited(adm, drop="", vertex_origins=None):
+        q = adm.quiver
+        return BoundQuiver(q, tuple(r for r in adm.relations if r.label(q) != drop),
+                           adm.special_vertices,
+                           vertex_origins=vertex_origins or adm.vertex_origins,
+                           arrow_origins=adm.arrow_origins)
+    toy = _load_admissible("toy.bq")
+    yield "toy.bq:no-bookkeeping", BoundQuiver(toy.quiver, toy.relations)
+    yield "toy.bq:renamed-copy", edited(toy, vertex_origins={
+        v: ("1x", s) if (base, s) == ("1", "-") else (base, s)
+        for v, (base, s) in toy.vertex_origins.items()})
+    yield "excut.bq:signed-transit", edited(_load_admissible("excut.bq"), drop="+a*b+")
+    yield "toy.bq:gentle-part", edited(toy, drop="l*g")
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")])
+    yield "condition-4", sg_bound_quiver(SgTuple(q, (), frozenset({0}), ()))
+
+
 def _presentations():
     for name in _fixtures(".dis"):
         yield name, lambda name=name: skew_gentle_from_dissection(
@@ -257,6 +287,9 @@ def _presentations():
             for direction in ("minus", "plus"):
                 yield (f"{name}:reflect:{v.label}:{direction}",
                        lambda pres=pres, v=v.label, d=direction: reflect(pres, v, d))
+    for name, bq in _bookkeeping_faults():
+        yield name + ":collapse", lambda bq=bq: collapse_presentation(bq)
+        yield name + ":T", lambda bq=bq: trivial_extension(bq)
 
 
 def _words(q, cap):

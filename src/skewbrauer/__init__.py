@@ -23,7 +23,7 @@ from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
                      Vertex, is_gentle, is_locally_gentle, stationary)
 from .skewgentle import (SgTuple, SkewGentlePresentation,
                          admissible_presentation, auxiliary_gentle,
-                         collapse_presentation, induced_path, is_skew_gentle,
+                         collapse_presentation, gentle_base, is_skew_gentle,
                          loop_presentation, make_presentation,
                          sg_bound_quiver, sg_ideal, sg_quiver)
 from .trivext import (CutSet, TrivialExtension, enumerate_admissible_cuts,

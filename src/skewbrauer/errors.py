@@ -37,10 +37,6 @@ class LoopAtDistinguished(SkewBrauerError):
     """Raised when a vertex marked for duplication carries a loop."""
 
 
-class SignMismatch(SkewBrauerError):
-    """Raised when a sign decoration disagrees with the special-vertex pattern."""
-
-
 class NotSkewGentle(SkewBrauerError):
     """Raised when an operation requires a skew-gentle presentation."""
 

@@ -3,8 +3,9 @@
 A skew-gentle algebra is handled in two presentations: the non-admissible
 one (special loops f with f^2 = f) and the admissible one obtained by
 duplicating the special vertices and ranging relations over all sign
-decorations.  ``loop_presentation`` and ``collapse_presentation`` lead
-back to the first, from the auxiliary gentle algebra and from the second.
+decorations.  ``gentle_base`` reads the auxiliary gentle algebra and its
+special vertices back off the sign bookkeeping of the second;
+``loop_presentation`` leads from that pair back to the first.
 
 An ``SgTuple`` builds its duplicated quiver (``SgTuple.sgq``), the
 signed powers c^m of its cycles (``SgTuple.powers``) and the signed
@@ -20,7 +21,7 @@ from itertools import chain, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .basis import enumerate_basis
-from .errors import LoopAtDistinguished, NotSkewGentle, SignMismatch
+from .errors import LoopAtDistinguished, NotSkewGentle
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
                      canonical_rotation, cycle_rotations, is_locally_gentle)
 
@@ -43,12 +44,16 @@ class SgCheck(NamedTuple):
 class SkewGentlePresentation(NamedTuple):
     """Non-admissible presentation: bound quiver plus identified Sp and S."""
     bound: BoundQuiver
-    special: frozenset[int]          # special vertex ids
     loops: dict[int, int]            # special vertex id -> loop arrow id
 
     @property
     def quiver(self) -> Quiver:
         return self.bound.quiver
+
+    @property
+    def special(self) -> frozenset[int]:
+        """The special vertex ids."""
+        return frozenset(self.loops)
 
 
 def _idempotent_relation(x: int, f: int) -> Relation:
@@ -83,6 +88,21 @@ def _classify_relations(bq: BoundQuiver):
     return idem_loops, quads, None
 
 
+def condition_4(q: Quiver, x: int, loops: int = 0) -> str:
+    """Why the special vertex x of ``q`` breaks condition 4, or "": x
+    carries no loop but its ``loops`` special ones, and is the start or
+    end of exactly one other arrow.  The transit through x is left to the
+    caller."""
+    label = q.vertex(x).label
+    if sum(a.is_loop for a in q.arrows_from(x)) > loops:
+        return f"there is another loop at the special vertex {label}"
+    incoming = [a for a in q.arrows_into(x) if not a.is_loop]
+    outgoing = [a for a in q.arrows_from(x) if not a.is_loop]
+    if len(incoming) > 1 or len(outgoing) > 1 or not (incoming or outgoing):
+        return f"special vertex {label} is not the start or end of exactly one arrow"
+    return ""
+
+
 def is_skew_gentle(bq: BoundQuiver) -> SgCheck:
     """Check the four defining conditions; identify Sp and the special loops."""
     q = bq.quiver
@@ -98,26 +118,17 @@ def is_skew_gentle(bq: BoundQuiver) -> SgCheck:
         if any(a in idem_loops for a in p.arrows):
             return SgCheck(False, "mixed-relation",
                            f"quadratic relation {p.label(q)} uses a special loop")
-    loop_arrows = set(idem_loops)
-    plain = tuple(a for a in q.arrows if a.id not in loop_arrows)
     for x in special:
-        others = [a for a in plain if a.is_loop and a.source == x]
-        doubled = [a for a, _ in idem_loops.items() if q.arrow(a).source == x]
-        if others or len(doubled) > 1:
+        fault = condition_4(q, x, loops=1)
+        if fault:
+            return SgCheck(False, "condition-4", fault)
+        # at most one arrow in and one out: the transit when there are both
+        transit = tuple(a.id for a in q.arrows_into(x) + q.arrows_from(x) if not a.is_loop)
+        if len(transit) == 2 and not any(p.arrows == transit for p in quads):
             return SgCheck(False, "condition-4",
-                           f"there is another loop at the special vertex {q.vertex(x).label}")
-        incoming = [a for a in plain if a.target == x]
-        outgoing = [a for a in plain if a.source == x]
-        if len(incoming) > 1 or len(outgoing) > 1 or not (incoming or outgoing):
-            return SgCheck(False, "condition-4",
-                           f"special vertex {q.vertex(x).label} is not the start or end "
-                           "of exactly one arrow")
-        if incoming and outgoing:
-            pair = (incoming[0].id, outgoing[0].id)
-            if not any(p.arrows == pair for p in quads):
-                return SgCheck(False, "condition-4",
-                               f"the transit through special vertex {q.vertex(x).label} "
-                               "is not a relation")
+                           f"the transit through special vertex {q.vertex(x).label} "
+                           "is not a relation")
+    plain = tuple(a for a in q.arrows if a.id not in idem_loops)
     gentle_part = BoundQuiver(
         Quiver(q.vertices, plain),
         tuple(Relation.monomial(p) for p in quads))
@@ -138,7 +149,7 @@ def make_presentation(bq: BoundQuiver) -> SkewGentlePresentation:
     for lab in check.special_loops:
         a = q.arrow_by_label(lab)
         loops[a.source] = a.id
-    return SkewGentlePresentation(bq, frozenset(loops), loops)
+    return SkewGentlePresentation(bq, loops)
 
 
 def auxiliary_gentle(p: SkewGentlePresentation) -> BoundQuiver:
@@ -239,17 +250,29 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
     return SgQuiver(quiver, vorig, aorig, vlook, alook)
 
 
-def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
-    """The inverse of ``sg_quiver``: the loop presentation of ``adm``.
+def sign_origins(adm: BoundQuiver) -> tuple[dict[int, tuple[str, str]],
+                                            dict[int, tuple[str, str, str]]]:
+    """The origin of every vertex and arrow of ``adm``: (base label, sign)
+    and (base label, source sign, target sign).  One the bookkeeping does
+    not record is its own base, unsigned."""
+    vo, ao = adm.vertex_origins or {}, adm.arrow_origins or {}
+    return ({v.id: vo.get(v.id, (v.label, "")) for v in adm.quiver.vertices},
+            {a.id: ao.get(a.id, (a.label, "", "")) for a in adm.quiver.arrows})
 
-    The base quiver and the vanishing transits through non-special
-    vertices are read from the sign bookkeeping and the path basis of
-    ``adm``; ``loop_presentation`` adds the rest.
+
+def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
+    """The inverse of ``sg_quiver``: the gentle base of ``adm`` and its
+    special vertices.
+
+    The base quiver is read from the sign bookkeeping; its relations are
+    the transits through non-special vertices that vanish in ``adm``, for
+    all signs alike.  Only the bookkeeping is checked: whether the pair is
+    skew-gentle is left to the caller.
     """
     if adm.vertex_origins is None:
         raise NotSkewGentle("no duplication bookkeeping on this presentation")
     q = adm.quiver
-    vorigin = {v.id: adm.vertex_origins.get(v.id, (v.label, "")) for v in q.vertices}
+    vorigin, aorigin = sign_origins(adm)
     vsigns: dict[str, set[str]] = {}
     for base, sign in vorigin.values():
         vsigns.setdefault(base, set()).add(sign)
@@ -259,10 +282,9 @@ def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
     paired = {base for base, signs in vsigns.items() if signs == set(SIGNS)}
     vid = {base: i for i, base in enumerate(sorted(vsigns))}
 
-    origins = adm.arrow_origins or {}
     agroups: dict[str, dict[tuple[str, str], Arrow]] = {}
     for a in q.arrows:
-        base, ss, ts = origins.get(a.id, (a.label, "", ""))
+        base, ss, ts = aorigin[a.id]
         agroups.setdefault(base, {})[(ss, ts)] = a
     arrows = []
     for base in sorted(agroups):
@@ -291,7 +313,12 @@ def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
             elif len(verdicts) == 2:
                 raise NotSkewGentle(
                     f"transit {a.label}*{b.label} vanishes for some signs only")
-    return loop_presentation(BoundQuiver(collapsed, tuple(monomials)), special)
+    return BoundQuiver(collapsed, tuple(monomials)), special
+
+
+def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
+    """The loop presentation of ``adm``, checked by ``make_presentation``."""
+    return loop_presentation(*gentle_base(adm))
 
 
 def _visit_vertices(q: Quiver, p: Path) -> list[int]:
@@ -483,53 +510,6 @@ def admissible_presentation(p: SkewGentlePresentation) -> BoundQuiver:
     """Duplicated presentation of the auxiliary tuple (Q', I', Sp, {})."""
     aux = auxiliary_gentle(p)
     mono = tuple(r.paths()[0] for r in aux.relations)
-    t = SgTuple(aux.quiver, mono, frozenset(p.special), ())
+    t = SgTuple(aux.quiver, mono, p.special, ())
     return sg_bound_quiver(t)
 
-
-def induced_path(adm: BoundQuiver, aux: BoundQuiver, p: Path,
-                 eps: str = "", eps2: str = "") -> Path:
-    """Canonical representative of a path in the admissible presentation.
-
-    Interior signs are fixed to "+"; endpoint signs must be supplied
-    exactly when the endpoint is special.
-    """
-    if adm.arrow_origins is None or adm.vertex_origins is None:
-        raise SignMismatch("presentation lacks duplication bookkeeping")
-    vlook = {(base, sign): vid for vid, (base, sign) in adm.vertex_origins.items()}
-    alook = {(base, ss, ts): aid for aid, (base, ss, ts) in adm.arrow_origins.items()}
-    q = aux.quiver
-    visits = _visit_vertices(q, p)
-    special = {base for (base, sign) in vlook if sign}
-
-    def sign_for(i: int, v: int) -> str:
-        label = q.vertex(v).label
-        if label in special:
-            if i == 0 and len(visits) == 1:
-                if eps and eps2 and eps != eps2:
-                    raise SignMismatch("stationary path needs one sign")
-                s = eps or eps2
-                if not s:
-                    raise SignMismatch(f"endpoint {label} is special; a sign is required")
-                return s
-            if i == 0:
-                if not eps:
-                    raise SignMismatch(f"endpoint {label} is special; a sign is required")
-                return eps
-            if i == len(visits) - 1:
-                if not eps2:
-                    raise SignMismatch(f"endpoint {label} is special; a sign is required")
-                return eps2
-            return "+"
-        if (i == 0 and eps) or (i == len(visits) - 1 and eps2):
-            raise SignMismatch(f"endpoint {label} is not special")
-        return ""
-
-    signs = [sign_for(i, v) for i, v in enumerate(visits)]
-    if not p.arrows:
-        return Path(vlook[(q.vertex(p.base).label, signs[0])], ())
-    arrows = []
-    for i, aid in enumerate(p.arrows):
-        a = q.arrow(aid)
-        arrows.append(alook[(a.label, signs[i], signs[i + 1])])
-    return Path(adm.quiver.arrow(arrows[0]).source, tuple(arrows))

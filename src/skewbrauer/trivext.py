@@ -5,13 +5,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
-from .errors import (NotSkewGentleSource, NotSourceOrSink, UnknownArrow,
-                     UnknownVertex, UnsupportedClass)
+from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
+                     UnknownArrow, UnknownVertex, UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, dedupe_relations,
                      is_locally_gentle)
 from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
                          auxiliary_gentle, close_paths, collapse_presentation,
-                         induced_path, sg_bound_quiver)
+                         condition_4, gentle_base, sg_bound_quiver, sign_origins)
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +36,14 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     """Build T(A) as the sg-bound quiver of its tuple.
 
     The base is a gentle algebra: ``a`` itself when it carries no sign
-    bookkeeping, else the auxiliary gentle algebra of its collapsed
-    presentation.  Each maximal path of the base is closed by a new arrow
-    ``B<i>`` (numbered in ``Path.sort_key`` order); the tuple holds the
-    base monomials, the quadratic monomials around the new arrows, the
-    special vertices and the closed cycles, each with multiplicity one.
-    ``new_arrows`` maps each signed copy of ``B<i>`` to the induced path
-    of its maximal path in ``a``: the signs of the copy at the ends, "+"
-    inside.
+    bookkeeping, else its ``gentle_base``, checked as ``make_presentation``
+    checks a loop presentation.  Each maximal path of the base is closed
+    by a new arrow ``B<i>`` (numbered in ``Path.sort_key`` order); the
+    tuple holds the base monomials, the quadratic monomials around the new
+    arrows, the special vertices and the closed cycles, each with
+    multiplicity one.  ``new_arrows`` maps each signed copy of ``B<i>`` to
+    the copy of its maximal path in ``a``: the signs of the new arrow's
+    copy at the ends, "+" at special vertices inside.
     """
     if basis is None:
         basis = enumerate_basis(a)
@@ -54,9 +54,14 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
                 "skew-gentle presentation")
         base, special = a, frozenset()
     else:
-        # make_presentation has checked that the auxiliary algebra is gentle
-        pres = collapse_presentation(a)
-        base, special = auxiliary_gentle(pres), pres.special
+        base, special = gentle_base(a)
+        for x in sorted(special):
+            fault = condition_4(base.quiver, x)
+            if fault:
+                raise NotSkewGentle(f"condition-4: {fault}")
+        local = is_locally_gentle(base)
+        if not local:
+            raise NotSkewGentle(f"gentle-part:{local.condition}: {local.detail}")
         basis = enumerate_basis(base)
     paths = sorted(maximal_paths(base, basis), key=Path.sort_key)
     tup, betas = close_paths(base.quiver, tuple(r.paths()[0] for r in base.relations),
@@ -64,14 +69,21 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     # each new arrow lies on one cycle, of multiplicity one: the signed
     # powers of the rotation that ends with it end with its signed copies
     closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
+    # the copy in ``a`` of a base path: the signs of the new arrow's copy
+    # at its ends, "+" at special vertices inside; read off the vertex or
+    # arrow of ``a`` with each origin
+    in_a = {o: i for origins in sign_origins(a) for i, o in origins.items()}
+    q = base.quiver
     new_arrows: dict[int, Path] = {}
     for p, beta in zip(paths, betas):
+        inside = ["+" if q.arrow(x).target in special else "" for x in p.arrows[:-1]]
         for dec in closing[beta]:
             copy = dec.arrows[-1]
             if copy not in new_arrows:
                 _, eps2, eps = tup.sgq.arrow_origins[copy]
-                new_arrows[copy] = (p if a.vertex_origins is None
-                                    else induced_path(a, base, p, eps, eps2))
+                signs = (eps, *inside, eps2)
+                new_arrows[copy] = Path(in_a[q.vertex(p.base).label, eps], tuple(
+                    in_a[q.arrow(x).label, s, t] for x, s, t in zip(p.arrows, signs, signs[1:])))
     return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
 
 

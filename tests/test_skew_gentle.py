@@ -1,19 +1,19 @@
 """Skew-gentle recognition, duplication, admissible presentations."""
 import pytest
 
-from skewbrauer import formats
+from skewbrauer import formats, skewgentle, trivext
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.dissection import (skew_gentle_from_dissection,
                                    trivext_tuple_from_dissection)
-from skewbrauer.errors import LoopAtDistinguished, SignMismatch
+from skewbrauer.errors import LoopAtDistinguished, NotSkewGentle
 from skewbrauer.quiver import (BoundQuiver, Quiver, Relation, dedupe_relations,
                                stationary)
-from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
+from skewbrauer.skewgentle import (SgTuple, _decorate, admissible_presentation,
                                    auxiliary_gentle, collapse_presentation,
-                                   induced_path, is_skew_gentle,
-                                   loop_presentation, make_presentation,
-                                   sg_ideal, sg_quiver)
+                                   is_skew_gentle, loop_presentation,
+                                   make_presentation, sg_bound_quiver, sg_ideal,
+                                   sg_quiver)
 from skewbrauer.trivext import trivial_extension
 
 from helpers import (BQ_FIXTURES, DIS_FIXTURES, P, SBG_FIXTURES,
@@ -251,6 +251,101 @@ class TestLoopPresentation:
         assert [r.label(p.quiver) for r in p.bound.relations] == ["f2'*f2' - f2'", "a*b"]
 
 
+def _toy_adm():
+    return admissible_presentation(toy())
+
+
+def _with_bookkeeping(adm, relations=None, vertex_origins=None):
+    """``adm`` with other relations or vertex origins, bookkeeping kept."""
+    return BoundQuiver(adm.quiver, adm.relations if relations is None else relations,
+                       adm.special_vertices,
+                       vertex_origins=vertex_origins or adm.vertex_origins,
+                       arrow_origins=adm.arrow_origins)
+
+
+def _without(adm, label):
+    q = adm.quiver
+    return _with_bookkeeping(adm, tuple(r for r in adm.relations if r.label(q) != label))
+
+
+def _renamed_minus_copy():
+    # the "-" copy of vertex 1 claims the base vertex 1x
+    adm = _toy_adm()
+    return _with_bookkeeping(adm, vertex_origins={
+        v: ("1x", s) if (base, s) == ("1", "-") else (base, s)
+        for v, (base, s) in adm.vertex_origins.items()})
+
+
+def _two_arrows_out():
+    # special vertex 1 starts two arrows: condition 4 fails on the base
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")])
+    return sg_bound_quiver(SgTuple(q, (), frozenset({0}), ()))
+
+
+BOOKKEEPING_FAULTS = {
+    "renamed-copy": (_renamed_minus_copy, "vertex group 1 is not a sign pair"),
+    "signed-transit": (lambda: _without(admissible_presentation(
+        make_presentation(load("excut.bq"))), "+a*b+"),
+        "transit a*b vanishes for some signs only"),
+    "condition-4": (_two_arrows_out, "condition-4: special vertex 1 is not the "
+                    "start or end of exactly one arrow"),
+    "gentle-part": (lambda: _without(_toy_adm(), "l*g"),
+                    "gentle-part:unique-alive-predecessor: "
+                    "arrow g has two surviving predecessors"),
+}
+
+
+class TestGentleBase:
+    def test_no_bookkeeping(self):
+        adm = _toy_adm()
+        with pytest.raises(NotSkewGentle,
+                           match="^no duplication bookkeeping on this presentation$"):
+            collapse_presentation(BoundQuiver(adm.quiver, adm.relations))
+
+    @pytest.mark.parametrize("reader", [collapse_presentation, trivial_extension])
+    @pytest.mark.parametrize("fault", sorted(BOOKKEEPING_FAULTS))
+    def test_faults(self, fault, reader):
+        # trivial_extension checks the gentle base as make_presentation
+        # checks its loop presentation, with the same messages
+        build, message = BOOKKEEPING_FAULTS[fault]
+        with pytest.raises(NotSkewGentle) as info:
+            reader(build())
+        assert str(info.value) == message
+
+    def test_trivial_extension_builds_no_loop_presentation(self, monkeypatch):
+        adm = _toy_adm()
+        calls = []
+        for name in ("make_presentation", "loop_presentation", "auxiliary_gentle"):
+            def spy(*args, name=name, real=getattr(skewgentle, name)):
+                calls.append(name)
+                return real(*args)
+            for module in (skewgentle, trivext):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy)
+        t = trivial_extension(adm)
+        assert calls == []
+        assert enumerate_basis(t.algebra).dimension == 2 * enumerate_basis(adm).dimension
+
+    def test_unrecorded_arrows_are_their_own_base(self):
+        # bookkeeping on the vertices only: every arrow is its own
+        # unsigned base, so T(A) is that of the unsigned presentation
+        a = load("a2.bq")
+        t = trivial_extension(BoundQuiver(a.quiver, a.relations, vertex_origins={
+            v.id: (v.label, "") for v in a.quiver.vertices}))
+        plain = trivial_extension(a)
+        assert t.algebra.quiver == plain.algebra.quiver
+        assert t.new_arrows == plain.new_arrows
+
+    def test_isolated_vertex_closes_its_stationary_path(self):
+        q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("f", "2", "2")])
+        adm = admissible_presentation(make_presentation(
+            BoundQuiver(q, (Relation.difference(P(q, "f", "f"), P(q, "f")),))))
+        t = trivial_extension(adm)
+        e3 = stationary(adm.quiver.vertex_by_label("3").id)
+        assert {t.quiver.arrow(b).label: p for b, p in t.new_arrows.items()} == {
+            "B1": e3, "+B2": P(adm.quiver, "a+"), "-B2": P(adm.quiver, "a-")}
+
+
 class TestSpMaximal:
     def test_repetitive_example(self):
         pres = make_presentation(load("repetitive.bq"))
@@ -284,57 +379,16 @@ class TestSpMaximal:
             tuple(aux.quiver.arrow(a).label for a in p.arrows) for p in amax}
 
 
+def _induced(pres, aux, p, eps, eps2):
+    """The copy of the auxiliary path p in the admissible presentation:
+    signs eps and eps2 at its ends, "+" at special vertices inside."""
+    sgq = SgTuple(aux.quiver, (), pres.special, ()).sgq
+    q = aux.quiver
+    inside = ["+" if q.arrow(a).target in pres.special else "" for a in p.arrows[:-1]]
+    return _decorate(sgq, p, [eps, *inside, eps2])
+
+
 class TestInducedPaths:
-    def test_canonical_interior_plus(self):
-        pres = toy()
-        aux = auxiliary_gentle(pres)
-        adm = admissible_presentation(pres)
-        p = P(aux.quiver, "a", "b")
-        got = induced_path(adm, aux, p, "+", "")
-        assert got.label(adm.quiver) == "+a+*+b"
-
-    def test_no_special_endpoints_identity(self):
-        pres = toy()
-        aux = auxiliary_gentle(pres)
-        adm = admissible_presentation(pres)
-        p = P(aux.quiver, "g", "d")
-        got = induced_path(adm, aux, p)
-        assert got.label(adm.quiver) == "g*d"
-
-    def test_sign_mismatch(self):
-        pres = toy()
-        aux = auxiliary_gentle(pres)
-        adm = admissible_presentation(pres)
-        with pytest.raises(SignMismatch):
-            induced_path(adm, aux, P(aux.quiver, "g", "d"), "+", "")
-        with pytest.raises(SignMismatch):
-            induced_path(adm, aux, P(aux.quiver, "a", "b"), "", "")
-
-    def test_stationary_path_at_a_special_vertex(self):
-        # one sign, on either side or on both, picks the vertex copy
-        pres = toy()
-        aux = auxiliary_gentle(pres)
-        adm = admissible_presentation(pres)
-        e1 = stationary(aux.quiver.vertex_by_label("1").id)
-        for eps, eps2, label in (("+", "", "e_1+"), ("", "-", "e_1-"), ("+", "+", "e_1+")):
-            got = induced_path(adm, aux, e1, eps, eps2)
-            assert got.arrows == () and got.label(adm.quiver) == label
-        with pytest.raises(SignMismatch, match="^stationary path needs one sign$"):
-            induced_path(adm, aux, e1, "+", "-")
-        with pytest.raises(SignMismatch,
-                           match="^endpoint 1 is special; a sign is required$"):
-            induced_path(adm, aux, e1)
-
-    def test_special_end_needs_its_sign(self):
-        pres = toy()
-        aux = auxiliary_gentle(pres)
-        adm = admissible_presentation(pres)
-        a = P(aux.quiver, "a")
-        with pytest.raises(SignMismatch,
-                           match="^endpoint 2 is special; a sign is required$"):
-            induced_path(adm, aux, a, "+", "")
-        assert induced_path(adm, aux, a, "+", "-").label(adm.quiver) == "+a-"
-
     def test_variants_share_normal_form(self):
         pres = toy()
         adm = admissible_presentation(pres)
@@ -353,6 +407,7 @@ class TestInducedPaths:
         adm = admissible_presentation(pres)
         aux_basis = enumerate_basis(aux)
         adm_basis = enumerate_basis(adm)
+        assert SgTuple(aux.quiver, (), pres.special, ()).sgq.quiver == adm.quiver
         special_labels = {pres.quiver.vertex(x).label for x in pres.special}
         for p in aux_basis.basis_paths:
             if p.is_stationary:
@@ -364,7 +419,7 @@ class TestInducedPaths:
             classes = set()
             for e1 in eps_opts:
                 for e2 in eps2_opts:
-                    ip = induced_path(adm, aux, p, e1, e2)
+                    ip = _induced(pres, aux, p, e1, e2)
                     nf = adm_basis.reduce(ip)
                     assert nf, "induced path of a nonzero path must be nonzero"
                     classes.add(tuple(sorted((pp.arrows, str(c))
@@ -387,7 +442,7 @@ class TestInducedPaths:
             tgt = aux.quiver.vertex(p.target(aux.quiver)).label
             for e1 in (["+", "-"] if src in special_labels else [""]):
                 for e2 in (["+", "-"] if tgt in special_labels else [""]):
-                    nf = adm_basis.reduce(induced_path(adm, aux, p, e1, e2))
+                    nf = adm_basis.reduce(_induced(pres, aux, p, e1, e2))
                     (rep, coeff), = nf.items()
                     yield rep
 
