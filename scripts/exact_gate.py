@@ -119,8 +119,9 @@ def _lines(carrier):
            [r.label(q) for r in bq.relations]]
     basis = enumerate_basis(bq)
     out += [[p.label(q) for p in basis.basis_paths], basis.nilpotency_bound]
-    out.append([(p.label(q), sorted((w, str(c)) for w, c in
-                                    basis.normal_form(p.arrows).items()))
+    # through reduce, whose {Path: Fraction} shape every checkout shares;
+    # str(Fraction(1)) == str(1), so the record is that of the words
+    out.append([(p.label(q), sorted((u.arrows, str(c)) for u, c in basis.reduce(p).items()))
                 for p in _nonzero_paths(q, basis)])
     out.append([projective_layers(carrier, v.id, basis) for v in q.vertices])
     data = cartan(bq, basis)

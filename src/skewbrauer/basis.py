@@ -27,11 +27,16 @@ have at most one term leaves at most two, at an overlap too, so every
 tail has at most one term.  The normal form of a path is then one
 tip-free path times a scalar, or zero.
 
+The engine carries that fact in its data: a rule maps its tip to
+``(coefficient, word)``, or to None for a monomial tip, and a normal
+form is ``(coefficient, word)``, or None for zero.  Completion builds
+each new rule from the sum of two such pairs.
+
 Normal forms are read at two levels.  ``PathBasis.normal_form`` takes a
-word, the tuple of arrow ids of a path, and returns
-``{word: int | Fraction}`` straight from the engine; the relation checks
-of ``iso``, ``relation_holds``, ``is_zero`` and the symmetrising form
-read it there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
+word, the tuple of arrow ids of a path, and returns the engine's pair,
+or None; the basis walk, the relation checks of ``iso``,
+``relation_holds``, ``is_zero`` and the symmetrising form read it
+there.  ``PathBasis.reduce`` wraps it for a ``Path`` and returns
 ``{Path: Fraction}``.
 
 The walk that finds the basis extends nonzero paths shortest first,
@@ -64,33 +69,31 @@ from .quiver import ONE, BoundQuiver, Path, Quiver, Relation, stationary
 DEFAULT_LENGTH_CAP = 64
 
 Word = tuple[int, ...]            # the arrows of a path of positive length
-Poly = dict[Word, int | Fraction]
+Form = Optional[tuple[int | Fraction, Word]]    # c * word, or None for zero
 Blocks = dict[tuple[int, int], tuple[Path, ...]]   # (source, target) -> paths
+
+_UNSET = object()       # not in the memo, or not a tip of the rules
 
 
 def _order(w: Word) -> tuple:
     return (len(w), w)
 
 
-def _axpy(out: dict, c: Fraction, vec: dict) -> None:
-    """``out += c * vec``, dropping cancelled terms."""
-    if not c:
-        return
-    for w, d in vec.items():
-        new = out.get(w, 0) + c * d
-        if new:
-            out[w] = new
-        else:
-            del out[w]
+def _times(c: int | Fraction, form: Form) -> Form:
+    """``c * form``, for a nonzero ``c``."""
+    return form and (c * form[0], form[1])
 
 
 class _RewriteSystem:
-    """Rules ``tip -> tail`` with every tail path smaller than its tip."""
+    """Rules ``tip -> tail`` with every tail path smaller than its tip.
+
+    A tail is ``(coefficient, word)``, or None for a monomial tip.
+    """
 
     def __init__(self):
-        self.rules: dict[Word, Poly] = {}
+        self.rules: dict[Word, Form] = {}
         self._tip_lengths: list[int] = []   # sorted; may keep a length no tip has
-        self._memo: dict[Word, Poly] = {}
+        self._memo: dict[Word, Form] = {}
         self._pending: list[tuple[int, int, Word, Word, int]] = []
         self._queued = 0
         self.depth: dict[Word, int] = {}        # see PathBasis.depth
@@ -98,39 +101,36 @@ class _RewriteSystem:
         self.ambiguities = self.nf_calls = self.memo_hits = 0
 
     # -- normal forms --------------------------------------------------------
-    def normal_form(self, w: Word) -> Poly:
-        """Rewrite the path with arrows ``w`` until no tip occurs in it."""
+    def normal_form(self, w: Word) -> Form:
+        """Rewrite the path with arrows ``w`` until no tip occurs in it:
+        ``(c, u)`` with ``u`` tip-free, or None for zero."""
         self.nf_calls += 1
-        out = self._memo.get(w)
-        if out is not None:
+        out = self._memo.get(w, _UNSET)
+        if out is not _UNSET:
             self.memo_hits += 1
             return out
         prefix = w[:-1]
-        head = self.normal_form(prefix) if prefix else {prefix: 1}
-        if prefix in head:
+        head = self.normal_form(prefix) if prefix else (1, prefix)
+        if head is None:
+            out = None
+        elif head[1] == prefix:
             # the prefix is tip-free, so a tip can only end w
-            out = {w: 1}
+            out, m = (1, w), len(w)
             for n in self._tip_lengths:
-                if n > len(w):
+                if n > m:
                     break
-                tail = self.rules.get(w[-n:])
-                if tail is not None:
-                    out = {}
-                    for s, d in tail.items():
-                        _axpy(out, d, self.normal_form(w[:-n] + s))
+                tail = self.rules.get(w[-n:], _UNSET)
+                if tail is not _UNSET:
+                    out = tail and self.normal_form(w[:-n] + tail[1])
+                    if out is not None:
+                        out = (tail[0] * out[0], out[1])
                     break
         else:
-            # every term of the prefix's normal form is tip-free
-            out = {}
-            for u, c in head.items():
-                _axpy(out, c, self.normal_form(u + w[-1:]))
+            # the prefix's normal form is tip-free
+            out = self.normal_form(head[1] + w[-1:])
+            if out is not None:
+                out = (head[0] * out[0], out[1])
         self._memo[w] = out
-        return out
-
-    def reduce(self, vec: Poly) -> Poly:
-        out: Poly = {}
-        for w, c in vec.items():
-            _axpy(out, c, self.normal_form(w))
         return out
 
     # -- completion ----------------------------------------------------------
@@ -141,12 +141,12 @@ class _RewriteSystem:
         is still pending.
         """
         for r in relations:
-            vec: Poly = {}
+            # a path twice in one relation is one term; zero terms drop
+            vec: dict[Word, int | Fraction] = {}
             for c, p in r.terms:
-                _axpy(vec, c.numerator if c.denominator == 1 else c, {p.arrows: 1})
-            vec = self.reduce(vec)
-            if vec:
-                self._insert(vec)
+                vec[p.arrows] = vec.get(p.arrows, 0) + (
+                    c.numerator if c.denominator == 1 else c)
+            self._insert(*(_times(c, self.normal_form(w)) for w, c in vec.items() if c))
         while self._pending:
             degree, _, left, right, k = heapq.heappop(self._pending)
             if left not in self.rules or right not in self.rules:
@@ -157,24 +157,32 @@ class _RewriteSystem:
             # left * v == u * right for the overlap of k arrows; the
             # difference of two normal forms is in normal form
             v, u = right[k:], left[:-k]
-            vec = self.reduce({s + v: c for s, c in self.rules[left].items()})
-            _axpy(vec, -1, self.reduce({u + s: c for s, c in self.rules[right].items()}))
-            if vec:
-                self._insert(vec)
+            x, y = self.rules[left], self.rules[right]
+            self._insert(x and _times(x[0], self.normal_form(x[1] + v)),
+                         y and _times(-y[0], self.normal_form(u + y[1])))
 
-    def _insert(self, vec: Poly) -> None:
-        """Add the nonzero ideal element ``vec``, in normal form, as a rule.
+    def _insert(self, x: Form = None, y: Form = None) -> None:
+        """Add the ideal element ``x + y``, a sum of two normal forms, as a
+        rule, unless it is zero.
 
         Rules whose tips contain the new tip are taken out, reduced by it
         and inserted again, the last one first.
         """
-        tip = max(vec, key=_order)
-        c = vec.pop(tip)
+        if x is None or (y is not None and _order(y[1]) > _order(x[1])):
+            x, y = y, x
+        if x is None:
+            return
+        if y is not None and y[1] == x[1]:
+            c = x[0] + y[0]
+            if not c:
+                return
+            x, y = (c, x[1]), None
+        c, tip = x
         n = len(tip)
         stale = [t for t in self.rules if len(t) > n and _contains(t, tip)]
         stale = [(t, self.rules.pop(t)) for t in stale]
         scale = -c if c == 1 or c == -1 else -1 / Fraction(c)
-        tail = self.rules[tip] = {s: d * scale for s, d in vec.items()}
+        tail = self.rules[tip] = _times(scale, y)
         if n not in self._tip_lengths:
             bisect.insort(self._tip_lengths, n)
         self._memo.clear()
@@ -183,16 +191,15 @@ class _RewriteSystem:
         # rules rewrites to zero, so it is never queued
         heads, tails = set(tip[:-1]), set(tip[1:])
         for t, t_tail in self.rules.items():
-            if not (tail or t_tail):
+            if tail is None and t_tail is None:
                 continue
             if t[-1] in heads:
                 self._queue_overlaps(t, tip)
             if t[0] in tails and t != tip:
                 self._queue_overlaps(tip, t)
         for t, t_tail in reversed(stale):
-            vec = self.reduce({t: 1, **{s: -d for s, d in t_tail.items()}})
-            if vec:
-                self._insert(vec)
+            self._insert(self.normal_form(t),
+                         t_tail and _times(-t_tail[0], self.normal_form(t_tail[1])))
 
     def _queue_overlaps(self, left: Word, right: Word) -> None:
         for k in range(1, min(len(left), len(right))):
@@ -242,18 +249,17 @@ class PathBasis:
         return {"rules": len(e.rules), "ambiguities": e.ambiguities,
                 "nf_calls": e.nf_calls, "memo_hits": e.memo_hits}
 
-    def normal_form(self, word: Word) -> Poly:
-        """Normal form of the path with arrows ``word``, keyed by words.
+    def normal_form(self, word: Word) -> Form:
+        """Normal form of the path with arrows ``word``: ``(c, u)``, a
+        tip-free word ``u`` times an ``int`` or ``Fraction`` ``c``, or None
+        for zero, also at or past the nilpotency bound.
 
-        At most one term, since relations have at most two (see the
-        module docstring): a tip-free word times an ``int`` or
-        ``Fraction``, or ``{}``, also at or past the nilpotency bound.
-        The empty word stands for the stationary paths, and is its own
-        normal form.  The dict is the engine's memo: read it, do not
-        change it.
+        One term, since relations have at most two (see the module
+        docstring).  The empty word stands for the stationary paths, and
+        is its own normal form, ``(1, ())``.
         """
         if len(word) >= self.nilpotency_bound:
-            return {}
+            return None
         return self._engine.normal_form(word)
 
     def reduce(self, p: Path) -> dict[Path, Fraction]:
@@ -261,19 +267,24 @@ class PathBasis:
         ``Fraction`` coefficients."""
         if not p.arrows:
             return {p: ONE}
+        nf = self.normal_form(p.arrows)
+        if nf is None:
+            return {}
         src = self.algebra.quiver.arrow(p.arrows[0]).source
-        return {Path(src, w): Fraction(c) for w, c in self.normal_form(p.arrows).items()}
+        return {Path(src, nf[1]): Fraction(nf[0])}
 
     def is_zero(self, p: Path) -> bool:
-        return not self.normal_form(p.arrows)
+        return self.normal_form(p.arrows) is None
 
     def relation_holds(self, rel: Relation) -> bool:
         """Whether the relation element lies in the ideal."""
-        # the terms share their source, so a stationary term is the word ()
-        out: Poly = {}
-        for c, p in rel.terms:
-            _axpy(out, c, self.normal_form(p.arrows))
-        return not out
+        # the terms share their source, so a stationary term is the word ();
+        # each nonzero term is one word times a scalar, so the element
+        # vanishes iff no term is left or two cancel on one word
+        terms = [(c * nf[0], nf[1]) for c, p in rel.terms
+                 if (nf := self.normal_form(p.arrows)) is not None and c]
+        return not terms or (len(terms) == 2 and terms[0][1] == terms[1][1]
+                             and terms[0][0] + terms[1][0] == 0)
 
     def blocks(self) -> Blocks:
         """The basis paths grouped by (source, target), each group in
@@ -356,10 +367,9 @@ def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSy
             for a, target in steps[end]:
                 w = word + (a,)
                 nf = engine.normal_form(w)
-                if not nf:
+                if nf is None:
                     continue
-                # relations have at most two terms, so a normal form has at most one
-                (u,) = nf
+                u = nf[1]
                 if u in reached:
                     continue
                 reached[u] = (src, w, target)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .basis import PathBasis, _axpy, enumerate_basis, maximal_paths
+from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
 from .quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations
 from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
@@ -209,7 +209,9 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     support: set[tuple[int, ...]] = set()     # words of the normal forms of the c^m
     for _, copies, _ in alg.sg_tuple.powers:
         for power in copies:
-            support.update(basis.normal_form(power.arrows))
+            nf = basis.normal_form(power.arrows)
+            if nf is not None:
+                support.add(nf[1])
 
     blocks = basis.blocks()
     gram: dict[tuple[int, int], list[list]] = {}   # (s, t) -> [[phi(ab) for b] for a]
@@ -219,11 +221,8 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
         for a in block:
             row = []
             for b in others:
-                value = 0
-                for w, c in basis.normal_form(a.arrows + b.arrows).items():
-                    if w in support:
-                        value += c
-                row.append(value)
+                nf = basis.normal_form(a.arrows + b.arrows)
+                row.append(nf[0] if nf is not None and nf[1] in support else 0)
             rows.append(row)
     asymmetric = []     # (a, its first b in block order with phi(ab) != phi(ba))
     for (s, t), block in blocks.items():
@@ -247,6 +246,18 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
         return Verdict(False, "nondegenerate",
                        f"pairing has rank {rank} < dimension {n}")
     return Verdict(True)
+
+
+def _axpy(out: dict, c: Fraction, vec: dict) -> None:
+    """``out += c * vec``, dropping cancelled terms."""
+    if not c:
+        return
+    for w, d in vec.items():
+        new = out.get(w, 0) + c * d
+        if new:
+            out[w] = new
+        else:
+            del out[w]
 
 
 def _echelon_insert(echelon: dict, vec: dict) -> bool:

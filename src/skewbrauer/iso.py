@@ -13,12 +13,19 @@ search tests each full candidate map, in order:
 2. otherwise the basis of ``a`` is built, on first need; if its
    dimension is not that of ``b``, the search ends as ``not_isomorphic``;
 3. otherwise the map is a hit if it carries the relations of each side
-   into the ideal of the other, checked through normal forms
-   (monomials must vanish; binomials must vanish up to a diagonal
-   rescaling of arrows).
+   into the ideal of the other, checked through normal forms, each one
+   word times a scalar or zero: up to a diagonal rescaling of arrows, a
+   relation is carried iff the images of its nonzero terms all vanish,
+   or two of them are nonzero on the same word.
 
 A map that passes the first test passes the third, which replaces it
 once ``a`` has a basis (from the start, if it was built before the call).
+
+Relations are compared as (coefficient, base vertex, word) terms, with
+whole coefficients as ``int``.  The terms of ``a`` are read once per
+search; the generators of ``b``, its relations in the canonical form of
+the first test, are computed once per algebra and kept on ``b``, like
+its basis.
 """
 from __future__ import annotations
 
@@ -28,9 +35,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
-from .basis import PathBasis, _axpy, _is_built, enumerate_basis
+from .basis import PathBasis, _is_built, enumerate_basis
 from .errors import SkewBrauerError
-from .quiver import Arrow, BoundQuiver, Path, Quiver, _canonical_terms
+from .quiver import Arrow, BoundQuiver, Quiver
 
 
 class IsoResult(NamedTuple):
@@ -62,57 +69,78 @@ def _arrow_groups(q: Quiver) -> dict[tuple[int, int], list[Arrow]]:
     return groups
 
 
-Terms = tuple[tuple[int | Fraction, tuple[int, ...]], ...]
+Term = tuple[int | Fraction, int, tuple[int, ...]]     # (coefficient, base vertex, word)
+Terms = tuple[Term, ...]
+
+_UNSET = object()       # generators not computed yet
 
 
-def _relation_words(bq: BoundQuiver) -> list[Terms]:
-    """Each relation as (coefficient, word) terms; whole coefficients as ``int``."""
-    return [tuple((c.numerator if c.denominator == 1 else c, p.arrows)
+def _terms(bq: BoundQuiver) -> list[Terms]:
+    """Each relation as (coefficient, base vertex, word) terms; whole
+    coefficients as ``int``."""
+    return [tuple((c.numerator if c.denominator == 1 else c, p.base, p.arrows)
                   for c, p in rel.terms)
             for rel in bq.relations]
 
 
 def _relations_carry(relations: list[Terms], dst_basis: PathBasis,
                      arrow_map: dict[int, int]) -> bool:
+    """Whether the map carries each relation into the ideal of
+    ``dst_basis``, up to a diagonal rescaling of arrows: the images of its
+    nonzero terms all vanish, or, since normal forms have one term, two
+    of them are nonzero on the same word, so that one ratio of arrow
+    scalars cancels them."""
     nf, image_of = dst_basis.normal_form, arrow_map.__getitem__
     for terms in relations:
-        images = [(c, nf(tuple(map(image_of, w)))) for c, w in terms]
-        if len(images) == 1:
-            if images[0][1]:          # a monomial must vanish
-                return False
+        images = [nf(tuple(map(image_of, w))) for c, _, w in terms if c]
+        if all(image is None for image in images):
             continue
-        out: dict = {}
-        for c, image in images:
-            _axpy(out, c, image)
-        if not out:
-            continue
-        # allow a scalar between the two terms (diagonal arrow rescaling):
-        # normal forms have one term, so equal keys leave one ratio
-        (_, n1), (_, n2) = images
-        if not n1 or n1.keys() != n2.keys():
+        if len(images) == 1 or None in images or images[0][1] != images[1][1]:
             return False
     return True
 
 
-def _generators(relations: Iterable[tuple]) -> Optional[set[tuple]]:
-    """The relations, given by their terms, each scaled to lead 1; None if
-    a coefficient is zero, which leaves a relation without a canonical form."""
-    relations = list(relations)
-    if any(c == 0 for terms in relations for c, _ in terms):
-        return None
-    return set(map(_canonical_terms, relations))
+def _generators(relations: Iterable[Terms]) -> Optional[set[Terms]]:
+    """The relations, given by their terms, each with its largest term
+    first, by (length, word, base vertex), and scaled to lead 1; None if
+    a coefficient is zero, which leaves a relation without a canonical
+    form."""
+    out = set()
+    for terms in relations:
+        if not all(c for c, _, _ in terms):
+            return None
+        if len(terms) == 2:
+            (_, v0, w0), (_, v1, w1) = terms
+            if (len(w1), w1, v1) > (len(w0), w0, v0):
+                terms = terms[::-1]
+        lead = terms[0][0]
+        if lead != 1:
+            terms = tuple((-c if lead == -1 else c / Fraction(lead), v, w)
+                          for c, v, w in terms)
+        out.add(terms)
+    return out
 
 
-def _same_generators(a: BoundQuiver, gens_b: Optional[set[tuple]],
+def _generators_of(bq: BoundQuiver) -> Optional[set[Terms]]:
+    """``_generators`` of the relations of ``bq``, computed once and kept
+    on ``bq``, like its basis."""
+    gens = bq.__dict__.get("_generators", _UNSET)
+    if gens is _UNSET:
+        gens = bq.__dict__["_generators"] = _generators(_terms(bq))
+    return gens
+
+
+def _same_generators(terms_a: list[Terms], gens_b: Optional[set[Terms]],
                      vertex_map: dict[int, int], arrow_map: dict[int, int]) -> bool:
-    """Whether the map sends the relations of ``a``, each up to a nonzero
-    scalar, onto exactly ``gens_b``, the ``_generators`` of ``b``; then it
-    carries the ideal of ``a`` onto that of ``b``.  A relation with a zero
-    coefficient has no canonical form, so it fails the check."""
+    """Whether the map sends the relations of ``a``, given by their
+    ``_terms``, each up to a nonzero scalar, onto exactly ``gens_b``, the
+    ``_generators`` of ``b``; then it carries the ideal of ``a`` onto
+    that of ``b``.  A relation with a zero coefficient has no canonical
+    form, so it fails the check."""
     image_of = arrow_map.__getitem__
     return gens_b is not None and gens_b == _generators(
-        tuple((c, Path(vertex_map[p.base], tuple(map(image_of, p.arrows)))) for c, p in r.terms)
-        for r in a.relations)
+        tuple((c, vertex_map[v], tuple(map(image_of, w))) for c, v, w in terms)
+        for terms in terms_a)
 
 
 class _DimensionsDiffer(Exception):
@@ -130,11 +158,11 @@ class _Search:
     candidates: dict[int, list[int]]
     groups_a: dict[tuple[int, int], list[Arrow]]
     groups_b: dict[tuple[int, int], list[Arrow]]
-    gens_b: Optional[set[tuple]]
+    terms_a: list[Terms]
+    gens_b: Optional[set[Terms]]
     basis_b: PathBasis
     basis_a: Optional[PathBasis] = None
-    rels_a: list[Terms] = field(default_factory=list)
-    rels_b: list[Terms] = field(default_factory=list)
+    terms_b: list[Terms] = field(default_factory=list)
     nodes: int = 0
 
     def visit(self) -> bool:
@@ -147,18 +175,18 @@ class _Search:
         ``_DimensionsDiffer`` if its dimension is not that of ``b``."""
         if self.basis_a is None:
             self.basis_a = enumerate_basis(self.a)
-            self.rels_a, self.rels_b = _relation_words(self.a), _relation_words(self.b)
+            self.terms_b = _terms(self.b)
         if self.basis_a.dimension != self.basis_b.dimension:
             raise _DimensionsDiffer
         return self.basis_a
 
     def is_hit(self, vmap: dict[int, int], amap: dict[int, int]) -> bool:
         """Whether the full candidate map carries each ideal onto the other."""
-        if self.basis_a is None and _same_generators(self.a, self.gens_b, vmap, amap):
+        if self.basis_a is None and _same_generators(self.terms_a, self.gens_b, vmap, amap):
             return True
         basis_a = self.need_basis_a()
-        return (_relations_carry(self.rels_a, self.basis_b, amap)
-                and _relations_carry(self.rels_b, basis_a, {w: v for v, w in amap.items()}))
+        return (_relations_carry(self.terms_a, self.basis_b, amap)
+                and _relations_carry(self.terms_b, basis_a, {w: v for v, w in amap.items()}))
 
 
 def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
@@ -195,7 +223,7 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         enumerate_basis(a)
         raise
     search = _Search(a, b, budget, a_order, candidates, _arrow_groups(qa), _arrow_groups(qb),
-                     _generators(r.terms for r in b.relations), basis_b)
+                     _terms(a), _generators_of(b), basis_b)
     try:
         if _is_built(a):    # costs no build: compare dimensions before the search
             search.need_basis_a()

@@ -11,11 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from skewbrauer.basis import (DEFAULT_LENGTH_CAP, _contains, _RewriteSystem,
                               enumerate_basis, maximal_paths)
-from skewbrauer import formats
+from skewbrauer import formats, iso
 from skewbrauer.brauer import skew_brauer_algebra
 from skewbrauer.cartan import IntPoly, cartan, det_fraction_free
 from skewbrauer.errors import InfiniteDimensional, NotAdmissible, Undecided
-from skewbrauer.iso import IsoResult, _generators, _same_generators, are_isomorphic
+from skewbrauer.iso import (IsoResult, _generators, _relations_carry, _same_generators,
+                           _terms, are_isomorphic)
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                dedupe_relations, is_gentle, is_locally_gentle,
                                stationary)
@@ -165,7 +166,7 @@ class TestEnumerateBasis:
         engine.complete(bq.relations, DEFAULT_LENGTH_CAP)
         for j in range(1, 6):
             power = u.arrows * j
-            assert engine.normal_form(power) == {power: 1}
+            assert engine.normal_form(power) == (1, power)
 
     def test_long_linear_quiver_is_finite(self):
         # A_70 without relations: 70 + 69 * 70 / 2 paths, the longest of
@@ -274,22 +275,43 @@ class TestEnumerateBasis:
         assert nf == {P(q, "a", "b"): Fraction(1, 2)}
         assert type(nf[P(q, "a", "b")]) is Fraction
 
+    @pytest.mark.parametrize("first, second, want", [
+        # c*d -> a*b / 2, then e*f -> c*d / 3 -> a*b / 6
+        ((1, -2), (1, -3), Fraction(1, 6)),
+        # c*d -> 2*a*b, then e*f -> 3*c*d -> 6*a*b, with int coefficients
+        ((-2, 1), (-3, 1), 6),
+    ])
+    def test_chained_scaled_binomials_multiply_their_scalars(self, first, second, want):
+        # three parallel paths a*b < c*d < e*f; each relation is
+        # x*(smaller) + y*(larger), so the largest path rewrites twice
+        q = Quiver.build(["1", "2", "3", "4", "5"],
+                         [("a", "1", "2"), ("b", "2", "5"), ("c", "1", "3"),
+                          ("d", "3", "5"), ("e", "1", "4"), ("f", "4", "5")])
+        ab, cd, ef = P(q, "a", "b"), P(q, "c", "d"), P(q, "e", "f")
+        rels = tuple(Relation(((Fraction(x), small), (Fraction(y), large)))
+                     for (x, y), small, large in ((first, ab, cd), (second, cd, ef)))
+        basis = enumerate_basis(BoundQuiver(q, rels))
+        nf = basis.normal_form(ef.arrows)
+        assert nf == (want, ab.arrows) and type(nf[0]) is type(want)
+        assert basis.reduce(ef) == {ab: Fraction(want)}
+        assert basis.relation_holds(Relation(((Fraction(1), ef), (-Fraction(want), ab))))
+
     def test_normal_form_on_words(self):
         q = square()
         ab, cd = P(q, "a", "b").arrows, P(q, "c", "d").arrows
         basis = enumerate_basis(BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),)))
         nf = basis.normal_form(cd)
-        assert nf == {ab: 1} and type(nf[ab]) is int
-        assert basis.normal_form(ab) == {ab: 1}
-        assert basis.normal_form(()) == {(): 1}
+        assert nf == (1, ab) and type(nf[0]) is int
+        assert basis.normal_form(ab) == (1, ab)
+        assert basis.normal_form(()) == (1, ())
         line = Quiver.build(["1", "2", "3", "4"], [("a", "1", "2"), ("b", "2", "3"),
                                                    ("c", "3", "4")])
         cut = enumerate_basis(BoundQuiver(line, (mono(line, "a", "b", "c"),)))
         assert cut.nilpotency_bound == 3
-        assert cut.normal_form(P(line, "a", "b", "c").arrows) == {}
+        assert cut.normal_form(P(line, "a", "b", "c").arrows) is None
         half = Relation(((Fraction(1), P(q, "a", "b")), (Fraction(-2), P(q, "c", "d"))))
         nf = enumerate_basis(BoundQuiver(q, (half,))).normal_form(cd)
-        assert nf == {ab: Fraction(1, 2)} and type(nf[ab]) is Fraction
+        assert nf == (Fraction(1, 2), ab) and type(nf[0]) is Fraction
         assert basis.reduce(P(q, "c", "d")) == {P(q, "a", "b"): Fraction(1)}
         assert basis.relation_holds(diff(q, ("c", "d"), ("a", "b")))
         assert not basis.relation_holds(Relation.monomial(P(q, "a", "b")))
@@ -314,7 +336,7 @@ class TestEnumerateBasis:
         assert not free.relation_holds(with_zero)
         # a zero coefficient ahead of a nonzero term adds nothing
         assert not free.relation_holds(Relation(((Fraction(0), ab), (Fraction(1), cd))))
-        assert free.normal_form(cd.arrows) == {cd.arrows: 1}
+        assert free.normal_form(cd.arrows) == (1, cd.arrows)
 
     @pytest.mark.parametrize("name, rules", [("toy.bq", 20), ("fig1.sbg", 20),
                                              ("torus.sbg", 21)])
@@ -428,10 +450,10 @@ class TestBlockIndex:
             for a in q.arrows_from(p.target(q)):
                 ext = Path(p.base if p.arrows else a.source, p.arrows + (a.id,))
                 nf = basis.normal_form(ext.arrows)
-                assert len(nf) <= 1, ext.label(q)
-                if nf:
+                if nf is not None:
+                    c, w = nf
+                    assert c and isinstance(w, tuple), ext.label(q)
                     walk.append(ext)
-                    (w,) = nf
                     longest[w] = len(ext)
         assert sorted(longest) == sorted(p.arrows for p in basis.basis_paths if p.arrows)
         for p in basis.basis_paths:
@@ -689,6 +711,19 @@ class TestIsomorphism:
         assert result.arrow_map == {"r" + a.label: a.label for a in q.arrows}
         assert not any(x is copy for x in built)
 
+    def test_generators_of_b_are_computed_once(self, monkeypatch):
+        # the same b in two calls: its relation terms, read only for its
+        # generator set, are read once; a is read once per call
+        t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
+        cut = next(iter(enumerate_good_cuts(t)))
+        back = trivial_extension(quotient_by_cut(t, cut)).algebra
+        read = []
+        real = iso._terms
+        monkeypatch.setattr(iso, "_terms", lambda bq: read.append(bq) or real(bq))
+        assert are_isomorphic(back, t.algebra) and are_isomorphic(back, t.algebra)
+        assert sum(x is t.algebra for x in read) == 1
+        assert sum(x is back for x in read) == 2
+
     def test_round_trip_builds_no_basis_of_the_quotient_extension(self, monkeypatch):
         t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
         for cut in enumerate_good_cuts(t):
@@ -706,12 +741,27 @@ class TestIsomorphism:
                                          (Fraction(1), P(q, "c", "d")))),))
         same_v = {v.id: v.id for v in q.vertices}
         same_a = {a.id: a.id for a in q.arrows}
-        gens = {bq: _generators(r.terms for r in bq.relations) for bq in (minus, plus)}
-        assert _same_generators(minus, gens[minus], same_v, same_a)
-        assert not _same_generators(minus, gens[plus], same_v, same_a)
+        gens = {bq: _generators(_terms(bq)) for bq in (minus, plus)}
+        assert _same_generators(_terms(minus), gens[minus], same_v, same_a)
+        assert not _same_generators(_terms(minus), gens[plus], same_v, same_a)
         built = record_builds(monkeypatch)
         are_isomorphic(minus, plus)
         assert any(x is minus for x in built)
+
+    def test_zero_terms_drop_from_the_normal_form_check(self):
+        # 0*a*b + c*d is the monomial c*d: not carried into the commutative
+        # square, where c*d is nonzero, but carried where c*d is zero; and
+        # 0*a*b is no relation at all
+        q = square()
+        ab, cd = P(q, "a", "b"), P(q, "c", "d")
+        same_a = {a.id: a.id for a in q.arrows}
+        commutative = enumerate_basis(BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),)))
+        zero = enumerate_basis(BoundQuiver(q, (mono(q, "a", "b"), mono(q, "c", "d"))))
+        terms = _terms(BoundQuiver(q, (Relation(((Fraction(0), ab), (Fraction(1), cd))),)))
+        assert not _relations_carry(terms, commutative, same_a)
+        assert _relations_carry(terms, zero, same_a)
+        nothing = _terms(BoundQuiver(q, (Relation(((Fraction(0), ab),)),)))
+        assert _relations_carry(nothing, commutative, same_a)
 
     def test_zero_coefficient_fails_the_generator_check(self):
         # a*b + 0*c*d leads with its zero term once sorted, so it has no
@@ -721,10 +771,11 @@ class TestIsomorphism:
         x, y = BoundQuiver(q, (rel,)), BoundQuiver(q, (rel,))
         same_v = {v.id: v.id for v in q.vertices}
         same_a = {a.id: a.id for a in q.arrows}
-        assert _generators(r.terms for r in y.relations) is None
-        assert not _same_generators(x, None, same_v, same_a)
+        assert _generators(_terms(y)) is None
+        assert not _same_generators(_terms(x), None, same_v, same_a)
         # nor does the image of x match a*b, its relation without the zero term
-        assert not _same_generators(x, _generators([mono(q, "a", "b").terms]), same_v, same_a)
+        ab = BoundQuiver(q, (mono(q, "a", "b"),))
+        assert not _same_generators(_terms(x), _generators(_terms(ab)), same_v, same_a)
         result = are_isomorphic(x, y)
         assert result.status == "isomorphic" and result.is_identity
 
