@@ -1,4 +1,4 @@
-.PHONY: test verify bench-test bench examples gate gate-diff check importtime
+.PHONY: test verify bench-test bench bench-pairs examples gate gate-diff check importtime
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
@@ -38,6 +38,14 @@ gate-diff:
 	python3 scripts/exact_gate.py > "$$tmp/head.txt" && \
 	diff "$$tmp/base.txt" "$$tmp/head.txt" && \
 	echo "gate-diff: every digest identical to $(BASE)"
+
+# alternating runs of perfbench/run.py on BASE (unpacked with git archive)
+# and on this checkout, over seeds 1-3; medians, quartiles and wins per metric
+WORKLOAD ?= families
+PAIRS ?= 10
+
+bench-pairs:
+	python3 scripts/bench_pairs.py --base "$(BASE)" --workload $(WORKLOAD) --pairs $(PAIRS)
 
 # the 20 slowest lines of `python3 -X importtime` for `import skewbrauer`,
 # by cumulative microseconds (the second column); the table goes to stderr

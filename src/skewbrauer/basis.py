@@ -92,6 +92,7 @@ class _RewriteSystem:
 
     def __init__(self):
         self.rules: dict[Word, Form] = {}
+        self._binomial: dict[Word, None] = {}   # the tips with a tail, in rules order
         self._tip_lengths: list[int] = []   # sorted; may keep a length no tip has
         self._memo: dict[Word, Form] = {}
         self._pending: list[tuple[int, int, Word, Word, int]] = []
@@ -140,7 +141,8 @@ class _RewriteSystem:
         Raises ``Undecided`` when an ambiguity longer than twice the cap
         is still pending.
         """
-        for r in relations:
+        # by longest term, so that a new tip is seldom inside an older one
+        for r in sorted(relations, key=Relation.max_term_length):
             # a path twice in one relation is one term; zero terms drop
             vec: dict[Word, int | Fraction] = {}
             for c, p in r.terms:
@@ -160,13 +162,14 @@ class _RewriteSystem:
             x, y = self.rules[left], self.rules[right]
             self._insert(x and _times(x[0], self.normal_form(x[1] + v)),
                          y and _times(-y[0], self.normal_form(u + y[1])))
+        self._binomial.clear()      # read only while completing
 
     def _insert(self, x: Form = None, y: Form = None) -> None:
         """Add the ideal element ``x + y``, a sum of two normal forms, as a
         rule, unless it is zero.
 
         Rules whose tips contain the new tip are taken out, reduced by it
-        and inserted again, the last one first.
+        and inserted again, the last one first; only a longer tip can.
         """
         if x is None or (y is not None and _order(y[1]) > _order(x[1])):
             x, y = y, x
@@ -179,10 +182,16 @@ class _RewriteSystem:
             x, y = (c, x[1]), None
         c, tip = x
         n = len(tip)
-        stale = [t for t in self.rules if len(t) > n and _contains(t, tip)]
+        stale = []
+        if self._tip_lengths and self._tip_lengths[-1] > n:
+            stale = [t for t in self.rules if len(t) > n and _contains(t, tip)]
+        for t in stale:
+            self._binomial.pop(t, None)
         stale = [(t, self.rules.pop(t)) for t in stale]
         scale = -c if c == 1 or c == -1 else -1 / Fraction(c)
         tail = self.rules[tip] = _times(scale, y)
+        if tail is not None:
+            self._binomial[tip] = None
         if n not in self._tip_lengths:
             bisect.insort(self._tip_lengths, n)
         self._memo.clear()
@@ -190,9 +199,7 @@ class _RewriteSystem:
         # the right only if t[0] is in tip[1:]; the overlap of two monomial
         # rules rewrites to zero, so it is never queued
         heads, tails = set(tip[:-1]), set(tip[1:])
-        for t, t_tail in self.rules.items():
-            if tail is None and t_tail is None:
-                continue
+        for t in self.rules if tail is not None else self._binomial:
             if t[-1] in heads:
                 self._queue_overlaps(t, tip)
             if t[0] in tails and t != tip:

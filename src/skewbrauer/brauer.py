@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
@@ -199,9 +199,12 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     only when b runs from the target of a back to its source.  The basis
     paths are grouped into blocks B(s, t) by source and target
     (``PathBasis.blocks``), and ab is reduced once for each a in B(s, t)
-    and b in B(t, s).  Up to a
-    permutation of rows and columns the Gram matrix is block diagonal with
-    blocks B(s, t) x B(t, s), so its rank is the sum of the block ranks.
+    and b in B(t, s).  Up to a permutation of rows and columns the Gram
+    matrix is block diagonal with blocks B(s, t) x B(t, s), so its rank
+    is the sum of the block ranks.
+
+    A Gram row keeps only its nonzeros, ``{j: phi(a b_j)}``: symmetry is
+    checked on the nonzeros of both blocks, and ``_rank`` gives the rank.
     """
     if basis is None:
         basis = enumerate_basis(alg.algebra)
@@ -214,33 +217,33 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
                 support.add(nf[1])
 
     blocks = basis.blocks()
-    gram: dict[tuple[int, int], list[list]] = {}   # (s, t) -> [[phi(ab) for b] for a]
+    gram: dict[tuple[int, int], list[dict]] = {}   # (s, t) -> [{j: phi(a b_j)} for a]
     for (s, t), block in blocks.items():
         others = blocks.get((t, s), ())
         rows = gram[s, t] = []
         for a in block:
-            row = []
-            for b in others:
+            row = {}
+            for j, b in enumerate(others):
                 nf = basis.normal_form(a.arrows + b.arrows)
-                row.append(nf[0] if nf is not None and nf[1] in support else 0)
+                if nf is not None and nf[1] in support:
+                    row[j] = nf[0]
             rows.append(row)
     asymmetric = []     # (a, its first b in block order with phi(ab) != phi(ba))
-    for (s, t), block in blocks.items():
-        others, back = blocks.get((t, s), ()), gram.get((t, s), ())
-        for i, (a, row) in enumerate(zip(block, gram[s, t])):
-            j = next((j for j, value in enumerate(row) if value != back[j][i]), None)
-            if j is not None:
-                asymmetric.append((a, others[j]))
+    for (s, t), rows in gram.items():
+        cols: list[dict] = [{} for _ in rows]   # cols[i][j] = phi(b_j a_i)
+        for j, back in enumerate(gram.get((t, s), ())):
+            for i, value in back.items():
+                cols[i][j] = value
+        for a, row, col in zip(blocks[s, t], rows, cols):
+            if row != col:
+                j = min(j for j in row.keys() | col.keys() if row.get(j) != col.get(j))
+                asymmetric.append((a, blocks[t, s][j]))
     if asymmetric:
         # the first a in basis_paths order, which is Path.sort_key order
         a, b = min(asymmetric, key=lambda pair: pair[0].sort_key())
         return Verdict(False, "symmetry",
                        f"phi(ab) != phi(ba) for a={a.label(q)}, b={b.label(q)}")
-    rank = 0
-    for rows in gram.values():
-        echelon: dict = {}
-        rank += sum(_echelon_insert(echelon, {j: v for j, v in enumerate(row) if v})
-                    for row in rows)
+    rank = sum(_rank(rows) for rows in gram.values())
     n = len(basis.basis_paths)
     if rank != n:
         return Verdict(False, "nondegenerate",
@@ -248,44 +251,30 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
     return Verdict(True)
 
 
-def _axpy(out: dict, c: Fraction, vec: dict) -> None:
-    """``out += c * vec``, dropping cancelled terms."""
-    if not c:
-        return
-    for w, d in vec.items():
-        new = out.get(w, 0) + c * d
-        if new:
-            out[w] = new
-        else:
-            del out[w]
-
-
-def _echelon_insert(echelon: dict, vec: dict) -> bool:
-    """Add ``vec`` to the span of the rows of ``echelon``; report whether
-    the span grew.
-
-    Keys are any hashable: words, paths or column indices.  Each row is
-    keyed by its pivot, with coefficient 1 there, and holds the rest of
-    the row; no row holds another row's pivot.  So ``vec`` is reduced in
-    one pass over its keys, and a nonzero remainder becomes a new row on
-    its first key, which is then cleared from the older rows.  Rows stay
-    ``int`` while every pivot coefficient is ±1, and become ``Fraction``
-    otherwise.
-    """
-    vec = dict(vec)
-    for lead in [k for k in vec if k in echelon]:
-        _axpy(vec, -vec.pop(lead), echelon[lead])
-    if not vec:
-        return False
-    lead = next(iter(vec))
-    coef = vec.pop(lead)
-    scale = coef if coef == 1 or coef == -1 else 1 / Fraction(coef)
-    new = {k: v * scale for k, v in vec.items()}
-    for row in echelon.values():
-        c = row.pop(lead, 0)
-        _axpy(row, -c, new)
-    echelon[lead] = new
-    return True
+def _rank(rows: Iterable[dict]) -> int:
+    """Rank over the rationals of sparse rows ``{column: value}``, whose
+    columns compare.  Each echelon row is keyed by its least column, with
+    coefficient 1 there; a new row is reduced only by the echelon rows its
+    own least columns hit, and older rows are never rewritten.  Rows stay
+    ``int`` while every lead is ±1, and become ``Fraction`` otherwise."""
+    echelon: dict = {}
+    for vec in rows:
+        vec = dict(vec)
+        while vec:
+            lead = min(vec)
+            c = vec.pop(lead)
+            top = echelon.get(lead)
+            if top is None:
+                scale = c if c == 1 or c == -1 else 1 / Fraction(c)
+                echelon[lead] = {k: v * scale for k, v in vec.items()}
+                break
+            for k, v in top.items():
+                new = vec.get(k, 0) - c * v
+                if new:
+                    vec[k] = new
+                else:
+                    del vec[k]
+    return len(echelon)
 
 
 # ---------------------------------------------------------------------------

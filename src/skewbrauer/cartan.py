@@ -1,15 +1,27 @@
 """Cartan and q-Cartan matrices with exact determinants.
 
-The q-graded determinant det_q is computed by Kronecker substitution:
-one integer Bareiss pass on the matrix evaluated at q = 2*beta + 1,
-decoded in balanced digits, where beta = prod_i sum_j |C_ij|_1 bounds
-every coefficient.  The ordinary determinant is det_q(1), since
-evaluation at 1 is a ring map that sends the q-Cartan matrix to the
-ordinary one.
+det_q is computed by Kronecker substitution: one fraction-free Bareiss
+pass (E. H. Bareiss, Math. Comp. 22 (1968)) over the integers on the
+matrix at q = B, decoded in balanced base-B digits, B = 2^k >= 2 beta + 1.
+Every coefficient of det C is at most beta = ceil(sqrt(prod_i sum_j
+|C_ij|_1^2)) (A. J. Goldstein and R. L. Graham, SIAM Rev. 16 (1974)):
+by Parseval their squares sum to the mean of |det C(z)|^2 on |z| = 1,
+which Hadamard's inequality with |C_ij(z)| <= |C_ij|_1 bounds by that
+product.  Rows and columns are permuted alike, in minimum degree order
+on the pattern of C + C^T.  Rows are sparse, and one with no entry in
+the pivot column k is not touched: step k only scales it by d_k /
+d_(k-1), d_k the k-th pivot, so the factors telescope and it catches
+up once, from its stage s by d_(k-1) / d_(s-1), when next used.
+``cartan`` never swaps rows for a zero pivot: only stationary paths
+have length 0, so C(0) = I, and each pivot, a leading principal minor
+of P C(B) P^T, is 1 mod B.  The ordinary determinant is det_q(1),
+since evaluation at 1 is a ring map that sends the q-Cartan matrix to
+the ordinary one.
 """
 from __future__ import annotations
 
 from itertools import zip_longest
+from math import isqrt, prod
 from typing import NamedTuple, Sequence
 
 from .basis import PathBasis
@@ -98,41 +110,59 @@ ONE = IntPoly.const(1)
 
 
 def det_fraction_free(matrix: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Determinant by Kronecker substitution and one integer Bareiss pass.
-
-    Every coefficient of det is at most beta = prod_i sum_j |C_ij|_1 in
-    absolute value (the permanent of the 1-norms is at most the product of
-    their row sums), so det is read off det(C(B)), B = 2 beta + 1, as
-    balanced base-B digits in [-beta, beta].  The pivot is the lowest row
-    index with a nonzero entry, and every ``//`` is exact (Sylvester).
-    """
-    beta, degree = 1, 0
-    for row in matrix:
-        beta *= sum(abs(c) for p in row for c in p.coeffs)
-        degree += max(len(p.coeffs) for p in row) - 1
-    base = 2 * beta + 1
-    m = [[p.eval_at(base) for p in row] for row in matrix]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot_row is None:
-            return IntPoly()
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+    """Determinant of a square matrix by the sparse Bareiss pass of the
+    module docstring.  A zero pivot swaps with the first lower row that
+    is nonzero in its column; with none, det = 0.  Every ``//`` is exact
+    (Sylvester)."""
+    sparse = [{j: p for j, p in enumerate(row) if p.coeffs} for row in matrix]
+    bound = prod(sum(sum(map(abs, p.coeffs)) ** 2 for p in row.values()) for row in sparse)
+    if not bound:
+        return IntPoly()    # an all-zero row
+    n = len(sparse)
+    degree = sum(max(len(p.coeffs) for p in row.values()) - 1 for row in sparse)
+    adj = {i: {j for j in range(n) if j != i and (j in sparse[i] or i in sparse[j])}
+           for i in range(n)}
+    order = []      # minimum degree, ties to the lower index, the first in adj
+    while adj:
+        v = min(adj, key=lambda i: len(adj[i]))
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            adj[u] |= nbrs
+            adj[u] -= {u, v}
+        order.append(v)
+    bits = (2 * (isqrt(bound - 1) + 1)).bit_length()     # B = 2^bits >= 2 beta + 1
+    where = {old: new for new, old in enumerate(order)}
+    rows = [{where[j]: p.eval_at(1 << bits) for j, p in sparse[i].items()} for i in order]
+    # rows[i] is at Bareiss stage stage[i]; piv[s] = d_(s-1), the divisor
+    # of the step from stage s
+    sign, stage, piv = 1, [0] * n, [1]
+    for k in range(n):
+        if k not in rows[k]:
+            r = next((i for i in range(k + 1, n) if k in rows[i]), None)
+            if r is None:
+                return IntPoly()
+            rows[k], rows[r], stage[k], stage[r] = rows[r], rows[k], stage[r], stage[k]
             sign = -sign
-        top, pivot = m[k], m[k][k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    value = sign * m[-1][-1] if n else 1
+        top = rows[k]
+        if stage[k] < k:
+            top = {j: v * piv[k] // piv[stage[k]] for j, v in top.items()}
+        pivot = top.pop(k)
+        for i in range(k + 1, n):
+            row = rows[i]
+            lead = row.pop(k, 0)
+            if lead:
+                # the step from the row's own stage, catching up on the way
+                prev = piv[stage[i]]
+                rows[i] = {j: v for j in row.keys() | top.keys()
+                           if (v := (row.get(j, 0) * pivot - lead * top.get(j, 0)) // prev)}
+                stage[i] = k + 1
+        piv.append(pivot)
+    value, mask, half = sign * piv[n], (1 << bits) - 1, 1 << (bits - 1)
     coeffs = []
     for _ in range(degree + 1):
-        digit = (value + beta) % base - beta
+        digit = ((value + half) & mask) - half
         coeffs.append(digit)
-        value = (value - digit) // base
+        value = (value - digit) >> bits
     if value:
         raise ArithmeticError("determinant coefficient exceeds the Kronecker bound")
     return IntPoly(coeffs)

@@ -1,4 +1,6 @@
 """Skew-Brauer graphs, their algebras, symmetry, projectives, classification."""
+from types import SimpleNamespace
+
 import pytest
 
 from skewbrauer.basis import enumerate_basis
@@ -11,12 +13,12 @@ from skewbrauer import brauer as brauer_module, formats, skewgentle, trivext
 from skewbrauer.cartan import cartan
 from skewbrauer.errors import UnknownVertex
 from skewbrauer.iso import are_isomorphic
-from skewbrauer.quiver import Path, Relation, canonical_rotation
+from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, canonical_rotation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation, sg_quiver
 from skewbrauer.trivext import trivial_extension
 
-from helpers import (SBG_FIXTURES, SKEW_GENTLE_FIXTURES, family_graphs, load,
-                     signed_cycles)
+from helpers import (SBG_FIXTURES, SKEW_GENTLE_FIXTURES, P, diff, family_graphs,
+                     load, mono, signed_cycles)
 from oracle import cycle_decorations, oracle_reduce
 
 
@@ -245,6 +247,27 @@ class TestSymmetricForm:
             alg.algebra, cap=basis.nilpotency_bound + max_gen)
         assert (dim, bound) == (basis.dimension, basis.nilpotency_bound)
         assert set(paths) == set(basis.basis_paths)
+
+    @pytest.mark.parametrize("support, want", [
+        # phi = x* + (xy)*: the rows of y and xy are reduced by the rows
+        # of e and x, each of which has a second nonzero left to subtract
+        ((("x",), ("x", "y")), (True, "", "")),
+        # phi = x* + y* + (xy)*: a reduction leaves the lead -2, so the
+        # echelon turns to Fraction
+        ((("x",), ("y",), ("x", "y")), (True, "", "")),
+        # phi = x* + y*: xy pairs to zero with every path
+        ((("x",), ("y",)), (False, "nondegenerate", "pairing has rank 2 < dimension 4")),
+    ])
+    def test_gram_rows_with_several_nonzeros(self, support, want):
+        # k[x, y]/(x^2, y^2, xy - yx), basis e, x, y, xy in one block: the
+        # Gram row of e has a nonzero for each path phi is 1 on
+        q = Quiver.build(["v"], [("x", "v", "v"), ("y", "v", "v")])
+        bq = BoundQuiver(q, (mono(q, "x", "x"), mono(q, "y", "y"),
+                             diff(q, ("y", "x"), ("x", "y"))))
+        powers = ((None, tuple(P(q, *w) for w in support), None),)
+        carrier = SimpleNamespace(algebra=bq, sg_tuple=SimpleNamespace(powers=powers))
+        verdict = symmetric_form_check(carrier)
+        assert (verdict.ok, verdict.condition, verdict.detail) == want
 
     def test_fails_without_type_one_relation(self):
         alg = skew_brauer_algebra(load("excut.sbg"))

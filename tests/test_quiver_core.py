@@ -60,6 +60,11 @@ def sparse_poly_matrices(draw):
     return m
 
 
+def _consts(rows, q_power=0):
+    """An IntPoly matrix of the integer matrix ``rows`` times q^q_power."""
+    return [[IntPoly.q_power(q_power, x) for x in row] for row in rows]
+
+
 def a2():
     return BoundQuiver(Quiver.build(["1", "2"], [("a", "1", "2")]))
 
@@ -616,8 +621,38 @@ class TestIntPoly:
     @example([[IntPoly((1, 2)), IntPoly((0, 1))], [IntPoly(), IntPoly()]])
     # mixed signs in a row: a bound from signed sums would be too small
     @example([[IntPoly((1, -1)), IntPoly((0, 1))], [IntPoly((0, 1)), IntPoly((1, -1))]])
+    # Hadamard matrices: a coefficient at +-beta exactly, where the bound
+    # is the Goldstein-Graham one, below the product of the row sums
+    @example(_consts([[1, 1], [1, -1]], q_power=1))
+    @example(_consts([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]))
+    # tridiagonal, eliminated in the identity order: the last row misses
+    # the pivot columns 0 and 1, then catches up by d_1 at column 2
+    @example([[IntPoly((2,)), IntPoly((1,)), IntPoly(), IntPoly()],
+              [IntPoly((1,)), IntPoly((3,)), IntPoly((0, 1)), IntPoly()],
+              [IntPoly(), IntPoly((1,)), IntPoly((2, 1)), IntPoly((1,))],
+              [IntPoly(), IntPoly(), IntPoly((-1,)), IntPoly((5,))]])
+    # two blocks: both rows of the second wait two steps, then one is
+    # scaled up to be the pivot row and the other catches up as it is hit
+    @example([[IntPoly((2,)), IntPoly((1,)), IntPoly(), IntPoly()],
+              [IntPoly((1,)), IntPoly((3,)), IntPoly(), IntPoly()],
+              [IntPoly(), IntPoly(), IntPoly((2, 1)), IntPoly((1,))],
+              [IntPoly(), IntPoly(), IntPoly((-1,)), IntPoly((0, 3))]])
+    # minimum degree puts vertex 1 first, whose diagonal is zero: a swap
+    @example(_consts([[1, 1, 1], [1, 0, 0], [1, 0, 1]]))
+    # the second pivot cancels to zero: a swap in mid-elimination
+    @example(_consts([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
+    # an all-zero column
+    @example([[IntPoly((1,)), IntPoly()], [IntPoly((0, 1)), IntPoly()]])
     def test_bareiss_matches_leibniz_on_sparse_matrices(self, m):
         assert det_fraction_free(m) == leibniz_det(m, IntPoly.const(1))
+
+    @given(sparse_poly_matrices(), st.data())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_det_is_invariant_under_symmetric_permutation(self, m, data):
+        # det(P C P^T) = det C, whatever order minimum degree then picks
+        perm = data.draw(st.permutations(range(len(m))))
+        permuted = [[m[i][j] for j in perm] for i in perm]
+        assert det_fraction_free(permuted) == det_fraction_free(m)
 
 
 class TestIsomorphism:
