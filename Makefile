@@ -21,9 +21,10 @@ examples:
 gate:
 	python3 scripts/exact_gate.py
 
-# everything that calls the library by name, and the exact gate against
-# HEAD: run it before changing a public name or an answer
-check: test bench-test gate-diff
+# everything that calls the library by name (the tests, the benchmark's
+# tests and the example scripts), and the exact gate against HEAD: run it
+# before changing a public name or an answer
+check: test bench-test examples gate-diff
 
 # exact-gate digests of BASE (default HEAD, so a plain `make gate-diff`
 # checks the uncommitted changes; unpacked with git archive) against this

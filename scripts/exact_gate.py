@@ -19,9 +19,9 @@ The groups:
   ``collapse_presentation`` of its admissible presentation and of each
   good-cut quotient of its T(A), and ``reflect`` at every auxiliary
   vertex in both directions; and ``collapse_presentation`` and
-  ``trivial_extension`` of each input of ``_bookkeeping_faults``, whose
-  sign bookkeeping is missing or broken, or whose gentle base is not
-  skew-gentle;
+  ``trivial_extension`` of each input of ``_bookkeeping_faults``, which
+  carries no sg-tuple, or whose relations are not the sg ideal of its
+  tuple, or whose gentle base is not skew-gentle;
 - ``formats``: every fixture's text and its deterministic edits: each
   line dropped, each line repeated, and each whitespace-separated token
   replaced by each token of ``REPLACEMENTS``;
@@ -56,6 +56,7 @@ map accepted without that basis is seen.
 An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
 recorded by its class and message.
 """
+import dataclasses
 import hashlib
 import importlib.util
 import os
@@ -243,24 +244,29 @@ def _dis():
 
 def _bookkeeping_faults():
     """(name, admissible presentation) of inputs that no construction
-    writes: toy.bq's without its bookkeeping, and with the "-" copy of
-    vertex 1 claiming the base vertex 1x; excut.bq's without ``+a*b+``,
-    so the transit a*b vanishes for some signs only; toy.bq's without
-    ``l*g``, whose gentle base is not gentle; and a special vertex that
-    starts two arrows, which breaks condition 4."""
-    def edited(adm, drop="", vertex_origins=None):
+    writes: toy.bq's without its sg-tuple; excut.bq's without ``+a*b+``,
+    so the transit a*b vanishes for some signs only; the sg-bound quiver
+    of toy.bq's tuple without ``l*g``, whose gentle base is not gentle;
+    toy.bq's with the monomial ``+a+*+b*g`` added, which is not in the sg
+    ideal (dimension 22 against 23); and a special vertex that starts two
+    arrows, which breaks condition 4.  Edits go through
+    ``dataclasses.replace``, which keeps whatever sign data a checkout's
+    ``BoundQuiver`` carries."""
+    def edited(adm, drop="", extra=()):
         q = adm.quiver
-        return BoundQuiver(q, tuple(r for r in adm.relations if r.label(q) != drop),
-                           adm.special_vertices,
-                           vertex_origins=vertex_origins or adm.vertex_origins,
-                           arrow_origins=adm.arrow_origins)
-    toy = _load_admissible("toy.bq")
+        return dataclasses.replace(adm, relations=tuple(
+            r for r in adm.relations if r.label(q) != drop) + extra)
+    pres = make_presentation(formats.load(os.path.join(FIXTURES, "toy.bq")))
+    toy = admissible_presentation(pres)
     yield "toy.bq:no-bookkeeping", BoundQuiver(toy.quiver, toy.relations)
-    yield "toy.bq:renamed-copy", edited(toy, vertex_origins={
-        v: ("1x", s) if (base, s) == ("1", "-") else (base, s)
-        for v, (base, s) in toy.vertex_origins.items()})
     yield "excut.bq:signed-transit", edited(_load_admissible("excut.bq"), drop="+a*b+")
-    yield "toy.bq:gentle-part", edited(toy, drop="l*g")
+    aux = auxiliary_gentle(pres)
+    yield "toy.bq:gentle-part", sg_bound_quiver(SgTuple(aux.quiver, tuple(
+        r.paths()[0] for r in aux.relations if r.label(aux.quiver) != "l*g"), pres.special, ()))
+    q = toy.quiver
+    arrows = [q.arrow_by_label(x) for x in ("+a+", "+b", "g")]
+    yield "toy.bq:extra-monomial", edited(toy, extra=(Relation.monomial(
+        Path(arrows[0].source, tuple(a.id for a in arrows))),))
     q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "1", "3")])
     yield "condition-4", sg_bound_quiver(SgTuple(q, (), frozenset({0}), ()))
 

@@ -8,7 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .skewgentle import SgTuple
 
 Coeff = Fraction
 ONE = Fraction(1)
@@ -223,16 +226,15 @@ def dedupe_relations(relations: Iterable[Relation]) -> list[Relation]:
 class BoundQuiver:
     """A quiver with relation generators and optional special-vertex markings.
 
-    ``origins`` carries bookkeeping for presentations produced by vertex
-    duplication: vertex id -> (base label, sign) and arrow id ->
-    (base label, source sign, target sign), with signs in {"", "+", "-"}.
+    ``sg_tuple`` is the tuple (Q, monomials, Sp, cycles) of a presentation
+    that ``sg_bound_quiver`` built; its ``sgq`` holds the sign of every
+    vertex and arrow.  Any other presentation carries None.
     """
     quiver: Quiver
     relations: tuple[Relation, ...] = ()
     special_vertices: frozenset[int] = frozenset()
-    # dicts: equality compares them, the hash leaves them out
-    vertex_origins: Optional[Mapping[int, tuple[str, str]]] = field(default=None, hash=False)
-    arrow_origins: Optional[Mapping[int, tuple[str, str, str]]] = field(default=None, hash=False)
+    # equality compares it, the hash leaves it out
+    sg_tuple: Optional[SgTuple] = field(default=None, hash=False)
 
     def __post_init__(self):
         arrow = self.quiver._amap

@@ -3,15 +3,17 @@
 A skew-gentle algebra is handled in two presentations: the non-admissible
 one (special loops f with f^2 = f) and the admissible one obtained by
 duplicating the special vertices and ranging relations over all sign
-decorations.  ``gentle_base`` reads the auxiliary gentle algebra and its
-special vertices back off the sign bookkeeping of the second;
-``loop_presentation`` leads from that pair back to the first.
+decorations.  The second is ``sg_bound_quiver`` of a tuple
+(Q, monomials, Sp, no cycles), and carries that tuple as its
+``sg_tuple``; ``gentle_base`` reads the auxiliary gentle algebra and its
+special vertices back off it, and ``loop_presentation`` leads from that
+pair back to the first.
 
-An ``SgTuple`` builds its duplicated quiver (``SgTuple.sgq``), the
-signed powers c^m of its cycles (``SgTuple.powers``) and the signed
-copies of the cycles themselves (``SgTuple.signed_cycles``) once, on
-first use.  The ideal, the symmetrising form and the cuts of the
-skew-Brauer and trivial-extension carriers all read them from the tuple.
+An ``SgTuple`` builds its duplicated quiver (``sgq``, the sign of
+every vertex and arrow), its ideal (``ideal``), the signed powers c^m of
+its cycles (``powers``) and the signed copies of the cycles themselves
+(``signed_cycles``) once, on first use.  The symmetrising form and the
+cuts of the skew-Brauer and trivial-extension carriers read them there.
 """
 from __future__ import annotations
 
@@ -20,9 +22,8 @@ from functools import cached_property
 from itertools import chain, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .basis import enumerate_basis
 from .errors import LoopAtDistinguished, NotSkewGentle
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
+from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
                      canonical_rotation, cycle_rotations, is_locally_gentle)
 
 SIGNS = ("+", "-")
@@ -250,70 +251,43 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
     return SgQuiver(quiver, vorig, aorig, vlook, alook)
 
 
-def sign_origins(adm: BoundQuiver) -> tuple[dict[int, tuple[str, str]],
-                                            dict[int, tuple[str, str, str]]]:
-    """The origin of every vertex and arrow of ``adm``: (base label, sign)
-    and (base label, source sign, target sign).  One the bookkeeping does
-    not record is its own base, unsigned."""
-    vo, ao = adm.vertex_origins or {}, adm.arrow_origins or {}
-    return ({v.id: vo.get(v.id, (v.label, "")) for v in adm.quiver.vertices},
-            {a.id: ao.get(a.id, (a.label, "", "")) for a in adm.quiver.arrows})
-
-
 def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
-    """The inverse of ``sg_quiver``: the gentle base of ``adm`` and its
-    special vertices.
+    """The inverse of ``sg_bound_quiver`` on a tuple with no cycles: the
+    gentle base of ``adm`` and its special vertices, read off its tuple.
 
-    The base quiver is read from the sign bookkeeping; its relations are
-    the transits through non-special vertices that vanish in ``adm``, for
-    all signs alike.  Only the bookkeeping is checked: whether the pair is
-    skew-gentle is left to the caller.
+    ``adm`` must be the sg-bound quiver of its tuple: its quiver is the
+    tuple's ``sgq.quiver`` and its relations are the tuple's sg relations
+    (``SgTuple.ideal``), up to order and scalars; the same ideal written
+    with other generators is refused too.  The base numbers its vertices
+    and arrows in label order; its relations are the tuple's monomials,
+    by arrow ids.  Whether the pair is skew-gentle is left to the caller.
     """
-    if adm.vertex_origins is None:
+    t = adm.sg_tuple
+    if t is None:
         raise NotSkewGentle("no duplication bookkeeping on this presentation")
+    if t.cycles:
+        raise NotSkewGentle("the tuple of this presentation has distinguished cycles")
     q = adm.quiver
-    vorigin, aorigin = sign_origins(adm)
-    vsigns: dict[str, set[str]] = {}
-    for base, sign in vorigin.values():
-        vsigns.setdefault(base, set()).add(sign)
-    for base, signs in vsigns.items():
-        if signs not in ({""}, set(SIGNS)):
-            raise NotSkewGentle(f"vertex group {base} is not a sign pair")
-    paired = {base for base, signs in vsigns.items() if signs == set(SIGNS)}
-    vid = {base: i for i, base in enumerate(sorted(vsigns))}
-
-    agroups: dict[str, dict[tuple[str, str], Arrow]] = {}
-    for a in q.arrows:
-        base, ss, ts = aorigin[a.id]
-        agroups.setdefault(base, {})[(ss, ts)] = a
-    arrows = []
-    for base in sorted(agroups):
-        sample = next(iter(agroups[base].values()))
-        src, tgt = vorigin[sample.source][0], vorigin[sample.target][0]
-        want = (SIGNS if v in paired else ("",) for v in (src, tgt))
-        if set(agroups[base]) != set(product(*want)):
-            raise NotSkewGentle(f"arrow group {base} misses sign variants")
-        arrows.append(Arrow(len(arrows), base, vid[src], vid[tgt]))
-    collapsed = Quiver(tuple(Vertex(i, base) for base, i in vid.items()), tuple(arrows))
-    special = frozenset(vid[base] for base in paired)
-
-    basis = enumerate_basis(adm)
-    monomials = []
-    for a in arrows:
-        if a.target in special:
-            continue
-        for b in collapsed.arrows_from(a.target):
-            # all signed copies must agree on vanishing
-            verdicts = {basis.is_zero(Path(ar.source, (ar.id, br.id)))
-                        for (_, ts), ar in agroups[a.label].items()
-                        for (ss, _), br in agroups[b.label].items()
-                        if ts == ss and ar.target == br.source}
-            if verdicts == {True}:
-                monomials.append(Relation.monomial(Path(a.source, (a.id, b.id))))
-            elif len(verdicts) == 2:
-                raise NotSkewGentle(
-                    f"transit {a.label}*{b.label} vanishes for some signs only")
-    return BoundQuiver(collapsed, tuple(monomials)), special
+    if q != t.sgq.quiver:
+        raise NotSkewGentle("the quiver is not the duplicated quiver of its tuple")
+    if adm.relations != t.ideal:
+        have, want = ({r.canonical() for r in rels} for rels in (adm.relations, t.ideal))
+        for r in adm.relations:
+            if r.canonical() not in want:
+                raise NotSkewGentle(f"relation {r.label(q)} is not an sg relation of its tuple")
+        for r in t.ideal:
+            if r.canonical() not in have:
+                raise NotSkewGentle(f"sg relation {r.label(q)} of its tuple is missing")
+    tq = t.quiver
+    base = Quiver.build(sorted(v.label for v in tq.vertices),
+                        sorted((a.label, tq.vertex(a.source).label, tq.vertex(a.target).label)
+                               for a in tq.arrows))
+    vid = {v.id: base.vertex_by_label(v.label).id for v in tq.vertices}
+    aid = {a.id: base.arrow_by_label(a.label).id for a in tq.arrows}
+    monomials = sorted((Path(vid[m.base], tuple(aid[x] for x in m.arrows)) for m in t.monomials),
+                       key=lambda m: m.arrows)
+    return (BoundQuiver(base, tuple(map(Relation.monomial, monomials))),
+            frozenset(vid[x] for x in t.special))
 
 
 def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
@@ -384,6 +358,11 @@ class SgTuple:
     def sgq(self) -> SgQuiver:
         """The duplicated quiver of ``(quiver, special)``."""
         return sg_quiver(self.quiver, self.special)
+
+    @cached_property
+    def ideal(self) -> tuple[Relation, ...]:
+        """``sg_ideal`` of the tuple."""
+        return sg_ideal(self)
 
     @cached_property
     def powers(self) -> tuple[tuple[Path, tuple[Path, ...], tuple[Path, ...]], ...]:
@@ -499,11 +478,9 @@ def sg_ideal(t: SgTuple) -> tuple[Relation, ...]:
 
 
 def sg_bound_quiver(t: SgTuple) -> BoundQuiver:
-    """The sg-bound quiver algebra of a tuple, as an admissible presentation."""
-    sgq = t.sgq
-    return BoundQuiver(sgq.quiver, sg_ideal(t),
-                       vertex_origins=sgq.vertex_origins,
-                       arrow_origins=sgq.arrow_origins)
+    """The sg-bound quiver algebra of a tuple, as an admissible
+    presentation that carries the tuple."""
+    return BoundQuiver(t.sgq.quiver, t.ideal, sg_tuple=t)
 
 
 def admissible_presentation(p: SkewGentlePresentation) -> BoundQuiver:

@@ -9,9 +9,10 @@ from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
                      UnknownArrow, UnknownVertex, UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, dedupe_relations,
                      is_locally_gentle)
-from .skewgentle import (SgTuple, SkewGentlePresentation, admissible_presentation,
-                         auxiliary_gentle, close_paths, collapse_presentation,
-                         condition_4, gentle_base, sg_bound_quiver, sign_origins)
+from .skewgentle import (SgTuple, SkewGentlePresentation, _decorate,
+                         admissible_presentation, auxiliary_gentle, close_paths,
+                         collapse_presentation, condition_4, gentle_base,
+                         sg_bound_quiver)
 
 
 # ---------------------------------------------------------------------------
@@ -35,23 +36,28 @@ class TrivialExtension:
 def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> TrivialExtension:
     """Build T(A) as the sg-bound quiver of its tuple.
 
-    The base is a gentle algebra: ``a`` itself when it carries no sign
-    bookkeeping, else its ``gentle_base``, checked as ``make_presentation``
-    checks a loop presentation.  Each maximal path of the base is closed
-    by a new arrow ``B<i>`` (numbered in ``Path.sort_key`` order); the
-    tuple holds the base monomials, the quadratic monomials around the new
-    arrows, the special vertices and the closed cycles, each with
-    multiplicity one.  ``new_arrows`` maps each signed copy of ``B<i>`` to
-    the copy of its maximal path in ``a``: the signs of the new arrow's
-    copy at the ends, "+" at special vertices inside.
+    The base is a gentle algebra: ``a`` itself when it carries no
+    sg-tuple, else its ``gentle_base``, read off that tuple and checked as
+    ``make_presentation`` checks a loop presentation; only the base's
+    basis is built.  Each maximal path of the base is closed by a new
+    arrow ``B<i>`` (numbered in ``Path.sort_key`` order); the tuple holds
+    the base monomials, the quadratic monomials around the new arrows,
+    the special vertices and the closed cycles, each with multiplicity
+    one.  ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
+    its maximal path in ``a``: the signs of the new arrow's copy at the
+    ends, "+" at special vertices inside, looked up in the duplicated
+    quiver of ``a``'s tuple.
     """
-    if basis is None:
-        basis = enumerate_basis(a)
-    if a.vertex_origins is None:
-        if not is_locally_gentle(a):
+    own = a.sg_tuple
+    if own is None:
+        if basis is None:
+            basis = enumerate_basis(a)
+        local = is_locally_gentle(a)
+        if not local:
             raise UnsupportedClass(
                 "socle basis via maximal paths needs a gentle or admissible "
-                "skew-gentle presentation")
+                f"skew-gentle presentation; {local.condition}: {local.detail} "
+                f"({', '.join(local.witnesses)})")
         base, special = a, frozenset()
     else:
         base, special = gentle_base(a)
@@ -69,21 +75,21 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     # each new arrow lies on one cycle, of multiplicity one: the signed
     # powers of the rotation that ends with it end with its signed copies
     closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
-    # the copy in ``a`` of a base path: the signs of the new arrow's copy
-    # at its ends, "+" at special vertices inside; read off the vertex or
-    # arrow of ``a`` with each origin
-    in_a = {o: i for origins in sign_origins(a) for i, o in origins.items()}
     q = base.quiver
     new_arrows: dict[int, Path] = {}
     for p, beta in zip(paths, betas):
         inside = ["+" if q.arrow(x).target in special else "" for x in p.arrows[:-1]]
+        if own is not None:
+            # the base path in the ids of a's tuple, whose sgq signs it
+            tq = own.quiver
+            p = Path(tq.vertex_by_label(q.vertex(p.base).label).id,
+                     tuple(tq.arrow_by_label(q.arrow(x).label).id for x in p.arrows))
         for dec in closing[beta]:
             copy = dec.arrows[-1]
             if copy not in new_arrows:
                 _, eps2, eps = tup.sgq.arrow_origins[copy]
-                signs = (eps, *inside, eps2)
-                new_arrows[copy] = Path(in_a[q.vertex(p.base).label, eps], tuple(
-                    in_a[q.arrow(x).label, s, t] for x, s, t in zip(p.arrows, signs, signs[1:])))
+                new_arrows[copy] = p if own is None else _decorate(
+                    own.sgq, p, (eps, *inside, eps2))
     return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
 
 
@@ -148,23 +154,20 @@ def _hits(chosen: Iterable[int], c: Path) -> int:
 
 def _signed_copies(t: TrivialExtension, labels: set[str]) -> CutSet:
     """Every arrow of T whose base arrow is labelled in ``labels``."""
-    origins = t.algebra.arrow_origins
+    origins = t.sg_tuple.sgq.arrow_origins
     return CutSet(frozenset(a for a, (base, _, _) in origins.items() if base in labels))
 
 
 def enumerate_good_cuts(t: TrivialExtension,
                         limit: Optional[int] = None) -> Iterator[CutSet]:
-    """The signed copies of the admissible cuts of the base cycles."""
-    if t.source.vertex_origins is None and t.source.special_vertices:
+    """The signed copies of the admissible cuts of the base cycles: each
+    signed copy of a cycle carries the base arrows of the cycle, so these
+    are admissible cuts too."""
+    if t.source.sg_tuple is None and t.source.special_vertices:
         raise NotSkewGentleSource("the source carries no sign structure")
     tq = t.sg_tuple.quiver
     for base_cut in _cuts(tq, t.sg_tuple.cycles, limit):
-        closure = _signed_copies(t, {tq.arrow(a).label for a in base_cut})
-        if not is_admissible_cut(t, closure.arrows):
-            raise NotSkewGentleSource(
-                "the signed copies of a base cut are not an admissible cut; "
-                "the sign bookkeeping is inconsistent")
-        yield closure
+        yield _signed_copies(t, {tq.arrow(a).label for a in base_cut})
 
 
 def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Relation, ...]:
@@ -203,15 +206,38 @@ def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Rela
 
 
 def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
-    """Delete the cut arrows and push the relations to the quotient presentation."""
-    algebra = t.algebra
-    q = algebra.quiver
+    """The quotient of ``t.algebra`` by the cut arrows.
+
+    When every cycle of ``t.sg_tuple`` has multiplicity one and the cut is
+    the signed copies of a set of base arrows that meets each cycle once,
+    the quotient is the sg-bound quiver of the cut tuple: the tuple less
+    those base arrows, with the monomials that avoid them, the same
+    special vertices and no cycles.  Its arrows are numbered afresh.  Any
+    other cut pushes the relations down (``_pushdown``), and that
+    quotient carries no tuple.
+    """
+    q = t.algebra.quiver
     ids = set(cut.arrows if isinstance(cut, CutSet) else cut)
     known = {a.id for a in q.arrows}
     if not ids <= known:
         raise UnknownArrow(str(sorted(ids - known)))
-    kept_arrows = tuple(a for a in q.arrows if a.id not in ids)
-    sub = Quiver(q.vertices, kept_arrows)
+    tup = t.sg_tuple
+    labels = {tup.sgq.arrow_origins[a][0] for a in ids}
+    tq = tup.quiver
+    base_cut = {a.id for a in tq.arrows if a.label in labels}
+    if (all(m == 1 for m in tup.multiplicities) and _signed_copies(t, labels).arrows == ids
+            and all(_hits(base_cut, c) == 1 for c in tup.cycles)):
+        kept = Quiver(tq.vertices, tuple(a for a in tq.arrows if a.id not in base_cut))
+        return sg_bound_quiver(SgTuple(
+            kept, tuple(m for m in tup.monomials if base_cut.isdisjoint(m.arrows)),
+            tup.special, ()))
+    return _pushdown(t.algebra, ids)
+
+
+def _pushdown(algebra: BoundQuiver, ids: set[int]) -> BoundQuiver:
+    """Delete the arrows ``ids`` and push the relations down by syntax."""
+    q = algebra.quiver
+    sub = Quiver(q.vertices, tuple(a for a in q.arrows if a.id not in ids))
     new_rels = []
     for r in algebra.relations:
         terms = [(c, p) for c, p in r.terms if not set(p.arrows) & ids]
@@ -219,13 +245,7 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
             new_rels.append(Relation.monomial(terms[0][1]))
         elif terms:
             new_rels.append(Relation(tuple(terms)))
-    new_rels = minimalize_relations(sub, new_rels)
-    ao = None
-    if algebra.arrow_origins is not None:
-        ao = {a.id: algebra.arrow_origins[a.id] for a in kept_arrows
-              if a.id in algebra.arrow_origins}
-    return BoundQuiver(sub, new_rels, algebra.special_vertices,
-                       vertex_origins=algebra.vertex_origins, arrow_origins=ao)
+    return BoundQuiver(sub, minimalize_relations(sub, new_rels), algebra.special_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +277,7 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
         boundary = {a.label for a in q.arrows_into(v.id)}
 
     t = trivial_extension(admissible_presentation(p))
-    tq, origins = t.sg_tuple.quiver, t.algebra.arrow_origins
+    tq, origins = t.sg_tuple.quiver, t.sg_tuple.sgq.arrow_origins
     new = {origins[a][0] for a in t.new_arrows}
     chosen: set[str] = set()
     # every signed copy of a cycle carries the base labels of the cycle

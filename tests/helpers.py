@@ -131,13 +131,12 @@ SKEW_GENTLE_FIXTURES = ["toy.bq", "repetitive.bq", "sec73_A.bq", "sec73_B.bq",
 
 def is_sign_closed(algebra: BoundQuiver, arrow_ids: Iterable[int]) -> bool:
     """Whether the set is a union of complete sign-variant groups."""
-    if algebra.arrow_origins is None:
+    if algebra.sg_tuple is None:
         return True
     ids = set(arrow_ids)
     groups: dict[str, set[int]] = {}
-    for a in algebra.quiver.arrows:
-        base = algebra.arrow_origins.get(a.id, (a.label, "", ""))[0]
-        groups.setdefault(base, set()).add(a.id)
+    for a, (base, _, _) in algebra.sg_tuple.sgq.arrow_origins.items():
+        groups.setdefault(base, set()).add(a)
     for base, members in groups.items():
         inter = ids & members
         if inter and inter != members:

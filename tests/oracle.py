@@ -4,14 +4,18 @@ Lists all paths up to a cap, forms every product u * r * v of the
 relation generators by paths, and row-reduces the whole system at once
 by dense Gaussian elimination over exact rationals.  Deliberately
 one-shot and unoptimised; used to cross-check the rewriting engine.
+Also the earlier, slower readings of data the library now reads
+directly, kept to cross-check those reads.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
 
+from skewbrauer.basis import enumerate_basis
 from skewbrauer.brauer import ProjectiveLayers
-from skewbrauer.quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations
+from skewbrauer.quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
+                               Vertex, cycle_rotations)
 from skewbrauer.skewgentle import SgQuiver, sg_quiver
 
 
@@ -304,3 +308,41 @@ def dense_projective_layers(alg, vertex) -> ProjectiveLayers:
     label = q.vertex(vid).label
     socle = layers[-1][0] if layers else label
     return ProjectiveLayers(label, tuple(tuple(layer) for layer in layers), socle)
+
+
+def gentle_base_by_basis(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
+    """The gentle base of ``adm`` read the way ``gentle_base`` read it
+    before presentations carried their sg-tuple: the base quiver from the
+    signs of the duplicated quiver, numbered in label order, and its
+    relations the transits through non-special vertices that vanish in
+    ``adm`` for all signs alike, seen in the basis of ``adm``.  A transit
+    that vanishes for some signs only raises ``AssertionError``."""
+    sgq = adm.sg_tuple.sgq
+    vorigin, q = sgq.vertex_origins, adm.quiver
+    vid = {base: i for i, base in enumerate(sorted({b for b, _ in vorigin.values()}))}
+    paired = {base for base, sign in vorigin.values() if sign}
+    agroups: dict[str, dict[tuple[str, str], Arrow]] = {}
+    for a in q.arrows:
+        base, ss, ts = sgq.arrow_origins[a.id]
+        agroups.setdefault(base, {})[(ss, ts)] = a
+    arrows = []
+    for base in sorted(agroups):
+        sample = next(iter(agroups[base].values()))
+        arrows.append(Arrow(len(arrows), base, vid[vorigin[sample.source][0]],
+                            vid[vorigin[sample.target][0]]))
+    collapsed = Quiver(tuple(Vertex(i, base) for base, i in vid.items()), tuple(arrows))
+    special = frozenset(vid[base] for base in paired)
+    basis = enumerate_basis(adm)
+    monomials = []
+    for a in arrows:
+        if a.target in special:
+            continue
+        for b in collapsed.arrows_from(a.target):
+            verdicts = {basis.is_zero(Path(ar.source, (ar.id, br.id)))
+                        for (_, ts), ar in agroups[a.label].items()
+                        for (ss, _), br in agroups[b.label].items()
+                        if ts == ss and ar.target == br.source}
+            assert len(verdicts) == 1, f"transit {a.label}*{b.label} vanishes for some signs only"
+            if verdicts == {True}:
+                monomials.append(Relation.monomial(Path(a.source, (a.id, b.id))))
+    return BoundQuiver(collapsed, tuple(monomials)), special

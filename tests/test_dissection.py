@@ -227,10 +227,10 @@ class TestMoves:
         t = trivial_extension(adm)
         dq = quiver_from_dissection(d)
         angle = {dq.quiver.arrow(k).label: a for k, a in dq.angle_of_arrow.items()}
-        origins = t.algebra.arrow_origins
+        origins = t.sg_tuple.sgq.arrow_origins
         # a new arrow closes the maximal path of the polygon that holds the
         # path's first angle
-        closes = {aid: angle[adm.arrow_origins[p.arrows[0]][0]].polygon
+        closes = {aid: angle[adm.sg_tuple.sgq.arrow_origins[p.arrows[0]][0]].polygon
                   for aid, p in t.new_arrows.items()}
         count = 0
         for cut in enumerate_good_cuts(t):

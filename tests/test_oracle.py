@@ -1,23 +1,28 @@
-"""Oracle equivalence: the rewriting engine against one-shot exhaustive reduction."""
+"""Oracle equivalence: the rewriting engine against one-shot exhaustive
+reduction, and the reads off the sg-tuple against the readings they replaced."""
 import dataclasses
+import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from skewbrauer.basis import enumerate_basis
-from skewbrauer import brauer, formats
+from skewbrauer import brauer, formats, trivext
 from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,
                                symmetric_form_check)
 from skewbrauer.cartan import IntPoly, cartan
-from skewbrauer.errors import InfiniteDimensional, Undecided
+from skewbrauer.dissection import skew_gentle_from_dissection
+from skewbrauer.errors import InfiniteDimensional, SkewBrauerError, Undecided
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
-from skewbrauer.skewgentle import admissible_presentation, make_presentation
-from skewbrauer.trivext import trivial_extension
+from skewbrauer.skewgentle import (admissible_presentation, gentle_base,
+                                   make_presentation)
+from skewbrauer.trivext import enumerate_good_cuts, quotient_by_cut, trivial_extension
 
-from helpers import BQ_FIXTURES, SBG_FIXTURES, family_graphs, load
+from helpers import BQ_FIXTURES, FIXTURES, SBG_FIXTURES, family_graphs, load
 from oracle import (all_paths, dense_projective_layers, dense_rank,
-                    dense_symmetric_form_check, laplace_det, oracle_reduce)
+                    dense_symmetric_form_check, gentle_base_by_basis, laplace_det,
+                    oracle_reduce)
 
 
 def _admissible(name: str) -> BoundQuiver:
@@ -288,3 +293,75 @@ def test_projective_layers_match_dense_ranks():
             want = dense_projective_layers(alg, v.id)
             assert (got.top, got.layers, got.socle) == (
                 want.top, want.layers, want.socle), (label, v.label)
+
+
+def _presentations():
+    """The admissible presentation of every .bq and .dis fixture that has a
+    loop presentation and a finite basis, with the trivial extension of
+    each."""
+    for name in sorted(f for f in os.listdir(FIXTURES) if f.endswith((".bq", ".dis"))):
+        try:
+            pres = (skew_gentle_from_dissection(load(name)) if name.endswith(".dis")
+                    else make_presentation(load(name)))
+            adm = admissible_presentation(pres)
+            enumerate_basis(adm)
+        except SkewBrauerError:
+            continue
+        yield name, adm, trivial_extension(adm)
+
+
+def test_gentle_base_matches_the_basis_reading():
+    # the tuple read against the transits that vanish in the basis, on
+    # every admissible presentation and every good-cut quotient
+    count = 0
+    for name, adm, t in _presentations():
+        for bq in (adm, *(quotient_by_cut(t, cut) for cut in enumerate_good_cuts(t))):
+            base, special = gentle_base(bq)
+            want, want_special = gentle_base_by_basis(bq)
+            assert (base.quiver, base.relations, special) == (
+                want.quiver, want.relations, want_special), name
+            count += 1
+    assert count == 18 + 112
+
+
+def _quotient_shape(bq):
+    q = bq.quiver
+    return ([(a.label, q.vertex(a.source).label, q.vertex(a.target).label) for a in q.arrows],
+            [r.label(q) for r in bq.relations])
+
+
+def _sbg_base_cuts(multiplicity_one):
+    """The signed copies of every base cut of the .sbg fixtures whose
+    cycles all have multiplicity one, or of those that have one above."""
+    for name in SBG_FIXTURES:
+        alg = skew_brauer_algebra(load(name))
+        tup = alg.sg_tuple
+        if (set(tup.multiplicities) == {1}) != multiplicity_one:
+            continue
+        for base_cut in trivext._cuts(tup.quiver, tup.cycles):
+            labels = {tup.quiver.arrow(a).label for a in base_cut}
+            yield name, alg, trivext._signed_copies(alg, labels)
+
+
+def test_cut_tuple_matches_the_pushdown():
+    # the sg-bound quiver of the cut tuple has the arrows and the relation
+    # tuple, in order, that pushing the relations down gives
+    bq_cuts = [(name, t, cut) for name, _, t in _presentations() if name.endswith(".bq")
+               for cut in enumerate_good_cuts(t)]
+    count = 0
+    for name, t, cut in bq_cuts + list(_sbg_base_cuts(True)):
+        quotient = quotient_by_cut(t, cut)
+        assert quotient.sg_tuple is not None
+        assert _quotient_shape(quotient) == _quotient_shape(
+            trivext._pushdown(t.algebra, set(cut.arrows))), name
+        count += 1
+    assert count == 53 + 220
+
+
+def test_cut_of_a_higher_multiplicity_is_pushed_down():
+    # a tuple with a cycle of multiplicity above one is no trivial
+    # extension of a skew-gentle algebra: its cuts carry no tuple
+    cuts = list(_sbg_base_cuts(False))
+    assert len(cuts) == 8
+    for name, alg, cut in cuts:
+        assert quotient_by_cut(alg, cut) == trivext._pushdown(alg.algebra, set(cut.arrows)), name

@@ -205,14 +205,14 @@ class TestEnumerateBasis:
             enumerate_basis(b)
         assert str(info.value) == "normalise the presentation before computing a basis"
 
-    def test_presentation_with_sign_bookkeeping_hashes(self):
-        # the origin dicts are left out of the hash, not out of equality
+    def test_presentation_with_sg_tuple_hashes(self):
+        # the sg-tuple is left out of the hash, not out of equality
         a = admissible_presentation(make_presentation(load("toy.bq")))
         b = admissible_presentation(make_presentation(load("toy.bq")))
-        assert a.arrow_origins and a is not b
+        assert a.sg_tuple is not None and a is not b
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
-        bare = a.relabelled(vertex_origins=None, arrow_origins=None)
+        bare = a.relabelled(sg_tuple=None)
         assert bare != a and hash(bare) == hash(a)
 
     def test_endless_completion_is_undecided(self):

@@ -255,25 +255,18 @@ def _toy_adm():
     return admissible_presentation(toy())
 
 
-def _with_bookkeeping(adm, relations=None, vertex_origins=None):
-    """``adm`` with other relations or vertex origins, bookkeeping kept."""
-    return BoundQuiver(adm.quiver, adm.relations if relations is None else relations,
-                       adm.special_vertices,
-                       vertex_origins=vertex_origins or adm.vertex_origins,
-                       arrow_origins=adm.arrow_origins)
-
-
 def _without(adm, label):
     q = adm.quiver
-    return _with_bookkeeping(adm, tuple(r for r in adm.relations if r.label(q) != label))
+    return adm.relabelled(relations=tuple(r for r in adm.relations if r.label(q) != label))
 
 
-def _renamed_minus_copy():
-    # the "-" copy of vertex 1 claims the base vertex 1x
-    adm = _toy_adm()
-    return _with_bookkeeping(adm, vertex_origins={
-        v: ("1x", s) if (base, s) == ("1", "-") else (base, s)
-        for v, (base, s) in adm.vertex_origins.items()})
+def _toy_tuple_without(label):
+    # toy.bq's tuple less one monomial of its auxiliary gentle algebra
+    pres = toy()
+    aux = auxiliary_gentle(pres)
+    q = aux.quiver
+    return SgTuple(q, tuple(r.paths()[0] for r in aux.relations if r.label(q) != label),
+                   pres.special, ())
 
 
 def _two_arrows_out():
@@ -282,16 +275,24 @@ def _two_arrows_out():
     return sg_bound_quiver(SgTuple(q, (), frozenset({0}), ()))
 
 
+def _extra_monomial():
+    # toy.bq's admissible presentation (dimension 23) with the monomial
+    # +a+*+b*g added, which is not in the sg ideal: dimension 22
+    adm = _toy_adm()
+    return adm.relabelled(relations=adm.relations + (mono(adm.quiver, "+a+", "+b", "g"),))
+
+
 BOOKKEEPING_FAULTS = {
-    "renamed-copy": (_renamed_minus_copy, "vertex group 1 is not a sign pair"),
     "signed-transit": (lambda: _without(admissible_presentation(
         make_presentation(load("excut.bq"))), "+a*b+"),
-        "transit a*b vanishes for some signs only"),
+        "sg relation +a*b+ of its tuple is missing"),
     "condition-4": (_two_arrows_out, "condition-4: special vertex 1 is not the "
                     "start or end of exactly one arrow"),
-    "gentle-part": (lambda: _without(_toy_adm(), "l*g"),
+    "gentle-part": (lambda: sg_bound_quiver(_toy_tuple_without("l*g")),
                     "gentle-part:unique-alive-predecessor: "
                     "arrow g has two surviving predecessors"),
+    "extra-monomial": (_extra_monomial,
+                       "relation +a+*+b*g is not an sg relation of its tuple"),
 }
 
 
@@ -326,15 +327,23 @@ class TestGentleBase:
         assert calls == []
         assert enumerate_basis(t.algebra).dimension == 2 * enumerate_basis(adm).dimension
 
-    def test_unrecorded_arrows_are_their_own_base(self):
-        # bookkeeping on the vertices only: every arrow is its own
-        # unsigned base, so T(A) is that of the unsigned presentation
-        a = load("a2.bq")
-        t = trivial_extension(BoundQuiver(a.quiver, a.relations, vertex_origins={
-            v.id: (v.label, "") for v in a.quiver.vertices}))
-        plain = trivial_extension(a)
-        assert t.algebra.quiver == plain.algebra.quiver
-        assert t.new_arrows == plain.new_arrows
+    def test_extra_monomial_changes_the_algebra(self):
+        # the fault "extra-monomial" is a smaller algebra with the same
+        # tuple: read off the tuple alone, its T(A) had dimension 46, not
+        # twice 22
+        assert enumerate_basis(_toy_adm()).dimension == 23
+        assert enumerate_basis(_extra_monomial()).dimension == 22
+
+    def test_tuple_with_cycles_has_no_gentle_base(self):
+        t = trivial_extension(_toy_adm())
+        with pytest.raises(NotSkewGentle, match="distinguished cycles"):
+            collapse_presentation(t.algebra)
+
+    def test_quiver_off_its_tuple_is_refused(self):
+        adm = _toy_adm()
+        other = load("a2.bq").quiver
+        with pytest.raises(NotSkewGentle, match="not the duplicated quiver"):
+            collapse_presentation(adm.relabelled(quiver=other, relations=()))
 
     def test_isolated_vertex_closes_its_stationary_path(self):
         q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("f", "2", "2")])

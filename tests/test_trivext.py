@@ -1,5 +1,6 @@
 """Trivial extensions: cycles, cuts, quotients, windows, reflections."""
 import gc
+import re
 import weakref
 
 import pytest
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.brauer import skew_brauer_algebra
-from skewbrauer.errors import (NotAdmissible, NotSkewGentle, NotSourceOrSink,
+from skewbrauer.errors import (NotAdmissible, NotSourceOrSink,
                                UnknownArrow, UnsupportedClass)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
@@ -397,19 +398,24 @@ class TestGoodCuts:
 
     def test_cut_that_splits_sign_variants_is_not_skew_gentle(self):
         # an admissible cut that takes some signed copies of an arrow but
-        # not all leaves a quotient with no loop presentation; the error
-        # names the first such arrow by label
+        # not all is no good cut: its quotient carries no tuple and is not
+        # gentle, and the error's witness names a kept copy of an arrow
+        # the cut splits
         t = trivial_extension(admissible_presentation(make_presentation(load("excut.bq"))))
+        origins = t.sg_tuple.sgq.arrow_origins
         split = [c for c in enumerate_admissible_cuts(t)
                  if not is_sign_closed(t.algebra, c.arrows)]
         assert len(split) == 12
-        messages = []
         for cut in split:
-            with pytest.raises(NotSkewGentle, match="misses sign variants") as err:
-                trivial_extension(quotient_by_cut(t, cut))
-            messages.append(str(err.value))
-        assert messages.count("arrow group B1 misses sign variants") == 8
-        assert messages.count("arrow group B2 misses sign variants") == 4
+            quotient = quotient_by_cut(t, cut)
+            assert quotient.sg_tuple is None
+            torn = {origins[a][0] for a in cut.arrows} & {
+                origins[a.id][0] for a in quotient.quiver.arrows}
+            with pytest.raises(UnsupportedClass) as err:
+                trivial_extension(quotient)
+            witness = re.fullmatch(r".*; [a-z-]+: .* \((.*)\)", str(err.value)).group(1)
+            assert {origins[t.algebra.quiver.arrow_by_label(x).id][0]
+                    for x in witness.split(", ")} & torn
 
 
 def repetitive_adm():
