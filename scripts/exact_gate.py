@@ -45,7 +45,9 @@ path, the projective layers at every vertex and ``CartanData``; each
 carrier with an ``sg_tuple`` adds the symmetrising-form verdict; a
 skew-Brauer algebra or trivial extension adds the signed copies of its
 tuple's cycles, each with its graph vertex or new arrow; and a trivial
-extension its ``new_arrows``.  A loop presentation
+extension its ``new_arrows`` and, in the order they are enumerated, the
+label rows of its admissible cuts and of its good cuts, so that a change
+in the order of the ``cuts`` rows is seen.  A loop presentation
 contributes its canonical ``.bq`` text, its special vertices and the
 relation tuple, in order, of its admissible presentation.  A text of
 the ``formats`` group contributes its canonical serialisation after
@@ -86,8 +88,8 @@ from skewbrauer.skewgentle import (SgTuple,  # noqa: E402
                                    admissible_presentation, make_presentation,
                                    sg_bound_quiver)
 from skewbrauer.trivext import (TrivialExtension,  # noqa: E402
-                                enumerate_good_cuts, quotient_by_cut,
-                                trivial_extension)
+                                enumerate_admissible_cuts, enumerate_good_cuts,
+                                quotient_by_cut, trivial_extension)
 
 FIXTURES = os.path.join(ROOT, "fixtures")
 SEEDS = (1, 2, 3)
@@ -136,7 +138,22 @@ def _lines(carrier):
     new_arrows = getattr(carrier, "new_arrows", {})
     src = getattr(carrier, "source", None)
     out.append([(q.arrow(a).label, p.label(src.quiver)) for a, p in new_arrows.items()])
+    if isinstance(carrier, TrivialExtension):
+        out.append(_cut_rows(carrier))
     return out
+
+
+def _cut_rows(t):
+    """The label rows of the admissible and of the good cuts of a trivial
+    extension, in the order they are enumerated, or the error."""
+    q = t.algebra.quiver
+    rows = []
+    for enumerate_cuts in (enumerate_admissible_cuts, enumerate_good_cuts):
+        try:
+            rows.append([cut.labels(q) for cut in enumerate_cuts(t)])
+        except SkewBrauerError as exc:
+            rows.append([type(exc).__name__, str(exc)])
+    return rows
 
 
 def _nonzero_paths(q, basis):

@@ -434,12 +434,10 @@ def classify_rep_type(g: SkewBrauerGraph) -> Classification:
                     "Finite", "brauer-tree-iso",
                     "two-edge graph with one distinguished leaf is a Brauer "
                     "tree algebra in disguise")
-            tup = skew_brauer_algebra(g).sg_tuple
-            loop = next(c for c in tup.cycles if len(c) == 1)
-            gamma = tup.quiver.arrow(loop.arrows[0]).label
-            cyc = next(c for c in tup.cycles if len(c) == 2)
-            alpha = tup.quiver.arrow(cyc.arrows[0]).label
-            beta = tup.quiver.arrow(cyc.arrows[1]).label
+            q, cycles = brauer_quivers_with_cycles(gr)
+            loop = next(c for c, _, _ in cycles if len(c) == 1)
+            cyc = next(c for c, _, _ in cycles if len(c) == 2)
+            gamma, alpha, beta = (q.arrow(a).label for a in loop.arrows + cyc.arrows)
             witness = f"{gamma}^-1 ({alpha}+)(+{beta})"
             return Classification(
                 "Infinite", "band-module",

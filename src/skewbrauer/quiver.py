@@ -154,6 +154,12 @@ def canonical_rotation(q: Quiver, arrows: Sequence[int]) -> Path:
                key=lambda p: tuple(arrow[a].label for a in p.arrows))
 
 
+def label_key(q: Quiver, p: Path) -> tuple:
+    """``Path.sort_key`` read through labels: (length, arrow labels,
+    base-vertex label).  Where ids are in label order, the two agree."""
+    return (len(p.arrows), tuple(q.arrow(a).label for a in p.arrows), q.vertex(p.base).label)
+
+
 @dataclass(frozen=True)
 class Relation:
     """A monomial or two-term relation; all terms share source and target.

@@ -205,12 +205,12 @@ def loop_presentation(aux: BoundQuiver, special: frozenset[int]) -> SkewGentlePr
 class SgQuiver(NamedTuple):
     """Quiver after duplication, with origin bookkeeping both ways.
 
-    The origins name the base vertex or arrow by its label; the lookups
-    key a signed copy by the base id and its signs.
+    ``arrow_origins`` maps each arrow to its base arrow id and its source
+    and target signs; the lookups key a signed copy by the base id and
+    its signs.
     """
     quiver: Quiver
-    vertex_origins: dict[int, tuple[str, str]]
-    arrow_origins: dict[int, tuple[str, str, str]]
+    arrow_origins: dict[int, tuple[int, str, str]]
     vertex_lookup: dict[tuple[int, str], int]
     arrow_lookup: dict[tuple[int, str, str], int]
 
@@ -221,20 +221,13 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
         if a.is_loop and a.source in special:
             raise LoopAtDistinguished(q.arrow(a.id).label)
     vlabels: list[str] = []
-    vorig: dict[int, tuple[str, str]] = {}
     vlook: dict[tuple[int, str], int] = {}
     for v in sorted(q.vertices, key=lambda v: v.label):
-        if v.id in special:
-            for s in SIGNS:
-                vlook[(v.id, s)] = len(vlabels)
-                vorig[len(vlabels)] = (v.label, s)
-                vlabels.append(f"{v.label}{s}")
-        else:
-            vlook[(v.id, "")] = len(vlabels)
-            vorig[len(vlabels)] = (v.label, "")
-            vlabels.append(v.label)
+        for s in SIGNS if v.id in special else ("",):
+            vlook[(v.id, s)] = len(vlabels)
+            vlabels.append(f"{v.label}{s}")
     aspecs: list[tuple[str, str, str]] = []
-    aorig: dict[int, tuple[str, str, str]] = {}
+    aorig: dict[int, tuple[int, str, str]] = {}
     alook: dict[tuple[int, str, str], int] = {}
     for a in sorted(q.arrows, key=lambda a: a.label):
         s_signs = SIGNS if a.source in special else ("",)
@@ -243,12 +236,12 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
             for ts in t_signs:
                 label = f"{ss}{a.label}{ts}"
                 alook[(a.id, ss, ts)] = len(aspecs)
-                aorig[len(aspecs)] = (a.label, ss, ts)
+                aorig[len(aspecs)] = (a.id, ss, ts)
                 aspecs.append((label,
                                f"{q.vertex(a.source).label}{ss}",
                                f"{q.vertex(a.target).label}{ts}"))
     quiver = Quiver.build(vlabels, aspecs)
-    return SgQuiver(quiver, vorig, aorig, vlook, alook)
+    return SgQuiver(quiver, aorig, vlook, alook)
 
 
 def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
@@ -258,9 +251,9 @@ def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
     ``adm`` must be the sg-bound quiver of its tuple: its quiver is the
     tuple's ``sgq.quiver`` and its relations are the tuple's sg relations
     (``SgTuple.ideal``), up to order and scalars; the same ideal written
-    with other generators is refused too.  The base numbers its vertices
-    and arrows in label order; its relations are the tuple's monomials,
-    by arrow ids.  Whether the pair is skew-gentle is left to the caller.
+    with other generators is refused too.  The base is the tuple's own
+    quiver, with its ids, and its relations are the tuple's monomials.
+    Whether the pair is skew-gentle is left to the caller.
     """
     t = adm.sg_tuple
     if t is None:
@@ -278,16 +271,7 @@ def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
         for r in t.ideal:
             if r.canonical() not in have:
                 raise NotSkewGentle(f"sg relation {r.label(q)} of its tuple is missing")
-    tq = t.quiver
-    base = Quiver.build(sorted(v.label for v in tq.vertices),
-                        sorted((a.label, tq.vertex(a.source).label, tq.vertex(a.target).label)
-                               for a in tq.arrows))
-    vid = {v.id: base.vertex_by_label(v.label).id for v in tq.vertices}
-    aid = {a.id: base.arrow_by_label(a.label).id for a in tq.arrows}
-    monomials = sorted((Path(vid[m.base], tuple(aid[x] for x in m.arrows)) for m in t.monomials),
-                       key=lambda m: m.arrows)
-    return (BoundQuiver(base, tuple(map(Relation.monomial, monomials))),
-            frozenset(vid[x] for x in t.special))
+    return BoundQuiver(t.quiver, tuple(map(Relation.monomial, t.monomials))), t.special
 
 
 def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:

@@ -8,7 +8,7 @@ from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
                      UnknownArrow, UnknownVertex, UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, dedupe_relations,
-                     is_locally_gentle)
+                     is_locally_gentle, label_key)
 from .skewgentle import (SgTuple, SkewGentlePresentation, _decorate,
                          admissible_presentation, auxiliary_gentle, close_paths,
                          collapse_presentation, condition_4, gentle_base,
@@ -40,13 +40,13 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     sg-tuple, else its ``gentle_base``, read off that tuple and checked as
     ``make_presentation`` checks a loop presentation; only the base's
     basis is built.  Each maximal path of the base is closed by a new
-    arrow ``B<i>`` (numbered in ``Path.sort_key`` order); the tuple holds
-    the base monomials, the quadratic monomials around the new arrows,
-    the special vertices and the closed cycles, each with multiplicity
-    one.  ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
+    arrow ``B<i>``, numbered in ``label_key`` order, so by labels and not
+    by the base's ids; the tuple holds the base monomials, the quadratic
+    monomials around the new arrows, the special vertices and the closed
+    cycles, each with multiplicity one.  ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
     its maximal path in ``a``: the signs of the new arrow's copy at the
     ends, "+" at special vertices inside, looked up in the duplicated
-    quiver of ``a``'s tuple.
+    quiver of ``a``'s tuple, whose ids the base keeps.
     """
     own = a.sg_tuple
     if own is None:
@@ -69,21 +69,16 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
         if not local:
             raise NotSkewGentle(f"gentle-part:{local.condition}: {local.detail}")
         basis = enumerate_basis(base)
-    paths = sorted(maximal_paths(base, basis), key=Path.sort_key)
-    tup, betas = close_paths(base.quiver, tuple(r.paths()[0] for r in base.relations),
+    q = base.quiver
+    paths = sorted(maximal_paths(base, basis), key=lambda p: label_key(q, p))
+    tup, betas = close_paths(q, tuple(r.paths()[0] for r in base.relations),
                              special, paths, [f"B{i}" for i in range(1, len(paths) + 1)])
     # each new arrow lies on one cycle, of multiplicity one: the signed
     # powers of the rotation that ends with it end with its signed copies
     closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
-    q = base.quiver
     new_arrows: dict[int, Path] = {}
     for p, beta in zip(paths, betas):
         inside = ["+" if q.arrow(x).target in special else "" for x in p.arrows[:-1]]
-        if own is not None:
-            # the base path in the ids of a's tuple, whose sgq signs it
-            tq = own.quiver
-            p = Path(tq.vertex_by_label(q.vertex(p.base).label).id,
-                     tuple(tq.arrow_by_label(q.arrow(x).label).id for x in p.arrows))
         for dec in closing[beta]:
             copy = dec.arrows[-1]
             if copy not in new_arrows:
@@ -114,19 +109,22 @@ def is_admissible_cut(t, arrow_ids: Iterable[int]) -> bool:
 
 
 def enumerate_admissible_cuts(t, limit: Optional[int] = None) -> Iterator[CutSet]:
-    """Backtracking enumeration of admissible cuts, deduplicated and sorted."""
-    cycles = [p for copies in t.sg_tuple.signed_cycles for p in copies]
+    """Backtracking enumeration of admissible cuts, deduplicated, on the
+    signed cycles in ``Path.sort_key`` order (the ids of the duplicated
+    quiver are assigned from labels)."""
+    cycles = sorted((p for copies in t.sg_tuple.signed_cycles for p in copies),
+                    key=Path.sort_key)
     for arrows in _cuts(t.algebra.quiver, cycles, limit):
         yield CutSet(arrows)
 
 
-def _cuts(q: Quiver, cycles: Sequence[Path],
+def _cuts(q: Quiver, order: Sequence[Path],
           limit: Optional[int] = None) -> list[frozenset[int]]:
-    """Arrow sets meeting each cycle exactly once, counted with multiplicity;
-    at most ``limit`` of them, which must not be negative."""
+    """Arrow sets meeting each cycle exactly once, counted with multiplicity,
+    found depth first through the cycles in the order given; at most
+    ``limit`` of them, which must not be negative."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be at least 0, got {limit}")
-    order = sorted(cycles, key=Path.sort_key)
     out: dict[frozenset[int], None] = {}
     # depth first, candidates in label order, on an explicit stack: a
     # nested function that calls itself would be a reference cycle
@@ -152,22 +150,24 @@ def _hits(chosen: Iterable[int], c: Path) -> int:
     return sum(c.arrows.count(a) for a in chosen)
 
 
-def _signed_copies(t: TrivialExtension, labels: set[str]) -> CutSet:
-    """Every arrow of T whose base arrow is labelled in ``labels``."""
+def _signed_copies(t: TrivialExtension, base_ids: set[int]) -> CutSet:
+    """Every arrow of T whose base arrow is in ``base_ids``."""
     origins = t.sg_tuple.sgq.arrow_origins
-    return CutSet(frozenset(a for a, (base, _, _) in origins.items() if base in labels))
+    return CutSet(frozenset(a for a, (base, _, _) in origins.items() if base in base_ids))
 
 
 def enumerate_good_cuts(t: TrivialExtension,
                         limit: Optional[int] = None) -> Iterator[CutSet]:
-    """The signed copies of the admissible cuts of the base cycles: each
-    signed copy of a cycle carries the base arrows of the cycle, so these
-    are admissible cuts too."""
+    """The signed copies of the admissible cuts of the base cycles, found
+    through the cycles in ``label_key`` order: each signed copy of a cycle
+    carries the base arrows of the cycle, so these are admissible cuts
+    too."""
     if t.source.sg_tuple is None and t.source.special_vertices:
         raise NotSkewGentleSource("the source carries no sign structure")
     tq = t.sg_tuple.quiver
-    for base_cut in _cuts(tq, t.sg_tuple.cycles, limit):
-        yield _signed_copies(t, {tq.arrow(a).label for a in base_cut})
+    cycles = sorted(t.sg_tuple.cycles, key=lambda c: label_key(tq, c))
+    for base_cut in _cuts(tq, cycles, limit):
+        yield _signed_copies(t, base_cut)
 
 
 def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Relation, ...]:
@@ -213,8 +213,9 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     the quotient is the sg-bound quiver of the cut tuple: the tuple less
     those base arrows, with the monomials that avoid them, the same
     special vertices and no cycles.  Its arrows are numbered afresh.  Any
-    other cut pushes the relations down (``_pushdown``), and that
-    quotient carries no tuple.
+    other cut, or an algebra whose relations are not its tuple's ideal,
+    pushes the relations down (``_pushdown``), and that quotient carries
+    no tuple.
     """
     q = t.algebra.quiver
     ids = set(cut.arrows if isinstance(cut, CutSet) else cut)
@@ -222,11 +223,11 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     if not ids <= known:
         raise UnknownArrow(str(sorted(ids - known)))
     tup = t.sg_tuple
-    labels = {tup.sgq.arrow_origins[a][0] for a in ids}
-    tq = tup.quiver
-    base_cut = {a.id for a in tq.arrows if a.label in labels}
-    if (all(m == 1 for m in tup.multiplicities) and _signed_copies(t, labels).arrows == ids
+    base_cut = {tup.sgq.arrow_origins[a][0] for a in ids}
+    if (t.algebra.relations == tup.ideal and all(m == 1 for m in tup.multiplicities)
+            and _signed_copies(t, base_cut).arrows == ids
             and all(_hits(base_cut, c) == 1 for c in tup.cycles)):
+        tq = tup.quiver
         kept = Quiver(tq.vertices, tuple(a for a in tq.arrows if a.id not in base_cut))
         return sg_bound_quiver(SgTuple(
             kept, tuple(m for m in tup.monomials if base_cut.isdisjoint(m.arrows)),
@@ -270,21 +271,21 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
     if direction == "minus":
         if q.arrows_into(v.id):
             raise NotSourceOrSink(f"{v.label} is not a source of the auxiliary quiver")
-        boundary = {a.label for a in q.arrows_from(v.id)}
+        boundary = {a.id for a in q.arrows_from(v.id)}
     else:
         if q.arrows_from(v.id):
             raise NotSourceOrSink(f"{v.label} is not a sink of the auxiliary quiver")
-        boundary = {a.label for a in q.arrows_into(v.id)}
+        boundary = {a.id for a in q.arrows_into(v.id)}
 
+    # T's base keeps the ids of the auxiliary quiver
     t = trivial_extension(admissible_presentation(p))
-    tq, origins = t.sg_tuple.quiver, t.sg_tuple.sgq.arrow_origins
+    origins = t.sg_tuple.sgq.arrow_origins
     new = {origins[a][0] for a in t.new_arrows}
-    chosen: set[str] = set()
-    # every signed copy of a cycle carries the base labels of the cycle
+    chosen: set[int] = set()
+    # every signed copy of a cycle carries the base arrows of the cycle
     for c in t.sg_tuple.cycles:
-        labels = {tq.arrow(a).label for a in c.arrows}
-        hits = labels & boundary
+        hits = set(c.arrows) & boundary
         if len(hits) > 1:
             raise NotSourceOrSink("several boundary arrows on one cycle")
-        chosen |= hits or labels & new
+        chosen |= hits or set(c.arrows) & new
     return collapse_presentation(quotient_by_cut(t, _signed_copies(t, chosen)))

@@ -316,15 +316,16 @@ def gentle_base_by_basis(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]
     signs of the duplicated quiver, numbered in label order, and its
     relations the transits through non-special vertices that vanish in
     ``adm`` for all signs alike, seen in the basis of ``adm``.  A transit
-    that vanishes for some signs only raises ``AssertionError``."""
-    sgq = adm.sg_tuple.sgq
-    vorigin, q = sgq.vertex_origins, adm.quiver
+    that vanishes for some signs only raises ``AssertionError``.  Only
+    the labels of the tuple's quiver are read, not its ids' order."""
+    tq, sgq, q = adm.sg_tuple.quiver, adm.sg_tuple.sgq, adm.quiver
+    vorigin = {v: (tq.vertex(base).label, sign) for (base, sign), v in sgq.vertex_lookup.items()}
     vid = {base: i for i, base in enumerate(sorted({b for b, _ in vorigin.values()}))}
     paired = {base for base, sign in vorigin.values() if sign}
     agroups: dict[str, dict[tuple[str, str], Arrow]] = {}
     for a in q.arrows:
         base, ss, ts = sgq.arrow_origins[a.id]
-        agroups.setdefault(base, {})[(ss, ts)] = a
+        agroups.setdefault(tq.arrow(base).label, {})[(ss, ts)] = a
     arrows = []
     for base in sorted(agroups):
         sample = next(iter(agroups[base].values()))

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,8 +18,8 @@ from skewbrauer.dissection import contraction_addition
 from skewbrauer.errors import ParseError, SkewBrauerError
 from skewbrauer.quiver import BoundQuiver, Quiver, Relation
 
-from helpers import (BQ_FIXTURES, DIS_FIXTURES, SBG_FIXTURES, P, diff, family_graphs,
-                     fixture_path, load)
+from helpers import (BQ_FIXTURES, DIS_FIXTURES, FIXTURES, SBG_FIXTURES, P, diff,
+                     family_graphs, fixture_path, load)
 
 
 def sign_pair() -> tuple[BoundQuiver, BoundQuiver]:
@@ -387,6 +388,39 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("Finite")
+
+
+CANONICAL_CALLS = (["trivext"], ["cuts"], ["cuts", "--good"],
+                   ["cartan", "--q", "--det", "--matrix"], ["check"])
+
+
+def _outputs(path):
+    """(exit code, stdout) of each call of ``CANONICAL_CALLS`` on ``path``."""
+    out = []
+    for verb, *args in CANONICAL_CALLS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main([verb, path, *args])
+        out.append((code, stdout.getvalue()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(FIXTURES) if f.endswith(".bq")))
+def test_output_does_not_depend_on_line_order(name, tmp_path):
+    # the output is canonical: the same .bq file with its lines in another
+    # order prints the same, the numbering of new arrows and the order of
+    # cuts included
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    comments = [line for line in lines if not line.strip() or line.lstrip().startswith("#")]
+    body = [line for line in lines if line not in comments]
+    want = _outputs(fixture_path(name))
+    rng = random.Random(name)
+    for i in range(4):
+        path = tmp_path / f"{i}.bq"
+        path.write_text("\n".join(comments + rng.sample(body, len(body))) + "\n",
+                        encoding="utf-8")
+        assert _outputs(str(path)) == want, (name, path.read_text(encoding="utf-8"))
 
 
 class TestFileErrors:

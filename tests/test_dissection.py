@@ -227,23 +227,23 @@ class TestMoves:
         t = trivial_extension(adm)
         dq = quiver_from_dissection(d)
         angle = {dq.quiver.arrow(k).label: a for k, a in dq.angle_of_arrow.items()}
-        origins = t.sg_tuple.sgq.arrow_origins
+        tq, origins = t.sg_tuple.quiver, t.sg_tuple.sgq.arrow_origins
         # a new arrow closes the maximal path of the polygon that holds the
-        # path's first angle
-        closes = {aid: angle[adm.sg_tuple.sgq.arrow_origins[p.arrows[0]][0]].polygon
-                  for aid, p in t.new_arrows.items()}
+        # path's first angle; T's base keeps the ids of adm's tuple
+        closes = {aid: angle[tq.arrow(adm.sg_tuple.sgq.arrow_origins[p.arrows[0]][0]).label]
+                  .polygon for aid, p in t.new_arrows.items()}
         count = 0
         for cut in enumerate_good_cuts(t):
             moved = d
             seen = set()
-            for base in sorted({origins[a][0] for a in cut.arrows}):
+            for base in sorted({tq.arrow(origins[a][0]).label for a in cut.arrows}):
                 if base in angle:
                     ang = angle[base]
                     seen.add(ang.polygon)
                     moved = contraction_addition(moved, ang.polygon, angle=ang.index)
                 else:                              # boundary stays put
                     seen.update(closes[a] for a in cut.arrows
-                                if origins[a][0] == base)
+                                if tq.arrow(origins[a][0]).label == base)
             # one cut arrow per polygon with angles
             assert sorted(seen) == [0, 1]
             moved_pres = skew_gentle_from_dissection(moved)

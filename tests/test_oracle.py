@@ -310,6 +310,17 @@ def _presentations():
         yield name, adm, trivial_extension(adm)
 
 
+def _base_shape(base, special):
+    """A gentle base and its special vertices by labels: the numbering is
+    the tuple's own, and the oracle's is in label order."""
+    q = base.quiver
+    return (sorted(v.label for v in q.vertices),
+            sorted((a.label, q.vertex(a.source).label, q.vertex(a.target).label)
+                   for a in q.arrows),
+            sorted(r.label(q) for r in base.relations),
+            sorted(q.vertex(x).label for x in special))
+
+
 def test_gentle_base_matches_the_basis_reading():
     # the tuple read against the transits that vanish in the basis, on
     # every admissible presentation and every good-cut quotient
@@ -317,9 +328,8 @@ def test_gentle_base_matches_the_basis_reading():
     for name, adm, t in _presentations():
         for bq in (adm, *(quotient_by_cut(t, cut) for cut in enumerate_good_cuts(t))):
             base, special = gentle_base(bq)
-            want, want_special = gentle_base_by_basis(bq)
-            assert (base.quiver, base.relations, special) == (
-                want.quiver, want.relations, want_special), name
+            assert base.quiver is bq.sg_tuple.quiver and special == bq.sg_tuple.special
+            assert _base_shape(base, special) == _base_shape(*gentle_base_by_basis(bq)), name
             count += 1
     assert count == 18 + 112
 
@@ -339,8 +349,7 @@ def _sbg_base_cuts(multiplicity_one):
         if (set(tup.multiplicities) == {1}) != multiplicity_one:
             continue
         for base_cut in trivext._cuts(tup.quiver, tup.cycles):
-            labels = {tup.quiver.arrow(a).label for a in base_cut}
-            yield name, alg, trivext._signed_copies(alg, labels)
+            yield name, alg, trivext._signed_copies(alg, base_cut)
 
 
 def test_cut_tuple_matches_the_pushdown():

@@ -85,7 +85,8 @@ class TestSgQuiver:
         assert len(sgq.quiver.arrows) == 9
         copies = {}
         for aid, (base, _, _) in sgq.arrow_origins.items():
-            copies[base] = copies.get(base, 0) + 1
+            label = aux.quiver.arrow(base).label
+            copies[label] = copies.get(label, 0) + 1
         assert copies == {"a": 4, "b": 2, "g": 1, "d": 1, "l": 1}
 
     def test_empty_sp_is_identity(self):
@@ -115,7 +116,7 @@ class TestSgQuiver:
         assert len(sgq.quiver.vertices) == len(aux.quiver.vertices) + len(sp)
         for a in aux.quiver.arrows:
             n = sum(1 for (base, _, _) in sgq.arrow_origins.values()
-                    if base == a.label)
+                    if base == a.id)
             specials = (a.source in sp) + (a.target in sp)
             assert n == 2 ** specials
 

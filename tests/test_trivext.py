@@ -1,4 +1,5 @@
 """Trivial extensions: cycles, cuts, quotients, windows, reflections."""
+import dataclasses
 import gc
 import re
 import weakref
@@ -395,6 +396,21 @@ class TestGoodCuts:
         for d in list(enumerate_good_cuts(t))[:4]:
             pres = collapse_presentation(quotient_by_cut(t, d))
             assert pres.bound.special_vertices
+
+    def test_edited_algebra_is_cut_by_pushdown(self):
+        # an algebra edited away from its tuple's ideal is cut by pushing
+        # its own relations down, not by cutting the unedited tuple
+        t = trivial_extension(admissible_presentation(make_presentation(load("sec73_A.bq"))))
+        q = t.algebra.quiver
+        edited = dataclasses.replace(t, algebra=t.algebra.relabelled(relations=tuple(
+            r for r in t.algebra.relations if r.label(q) != "b1*a2+")))
+        cut = next(enumerate_good_cuts(edited))
+        assert cut.labels(q) == ("+B2", "-B2", "B1")
+        assert enumerate_basis(quotient_by_cut(t, cut)).dimension == 10
+        quotient = quotient_by_cut(edited, cut)
+        assert quotient.sg_tuple is None
+        assert quotient == trivext._pushdown(edited.algebra, set(cut.arrows))
+        assert enumerate_basis(quotient).dimension == 11
 
     def test_cut_that_splits_sign_variants_is_not_skew_gentle(self):
         # an admissible cut that takes some signed copies of an arrow but
