@@ -16,12 +16,12 @@ The groups:
 - ``dis``: the sg-bound quiver of every ``.dis`` fixture's tuple;
 - ``presentations``: the loop presentation (special loops f with f*f = f)
   of every ``.dis`` fixture, and for every ``.bq`` fixture that has one,
-  ``collapse_presentation`` of its admissible presentation and of each
-  good-cut quotient of its T(A), and ``reflect`` at every auxiliary
-  vertex in both directions; and ``collapse_presentation`` and
-  ``trivial_extension`` of each input of ``_bookkeeping_faults``, which
-  carries no sg-tuple, or whose relations are not the sg ideal of its
-  tuple, or whose gentle base is not skew-gentle;
+  ``_collapse`` of its admissible presentation and of each good-cut
+  quotient of its T(A), and ``reflect`` at every auxiliary vertex in
+  both directions; and ``_collapse`` and ``trivial_extension`` of each
+  input of ``_bookkeeping_faults``, which carries no sg-tuple, or whose
+  relations are not the sg ideal of its tuple, or whose gentle base is
+  not skew-gentle;
 - ``formats``: every fixture's text and its deterministic edits: each
   line dropped, each line repeated, and each whitespace-separated token
   replaced by each token of ``REPLACEMENTS``;
@@ -37,7 +37,9 @@ The groups:
   its arrow renamed; on toy.bq against a second parse with
   ``budget=1``; and both ways on two pairs of ``SMALL``: two squares
   whose relations differ in one sign, and two stars of unequal
-  dimension.
+  dimension;
+- ``cli``: ``skewbrauer.cli.main`` run in this process on the fixtures,
+  each call once as it is and once with ``--json`` (see ``_cli_calls``).
 
 Each algebra contributes its quiver, its relation tuple in order,
 ``basis_paths``, the nilpotency bound, the normal form of every nonzero
@@ -54,38 +56,44 @@ the ``formats`` group contributes its canonical serialisation after
 parsing.  An ``iso`` item contributes its ``IsoResult``: the status,
 the vertex and arrow maps as sorted label pairs, and the node count;
 and whether the call built the basis of its first argument, so that a
-map accepted without that basis is seen.
+map accepted without that basis is seen.  A ``cli`` call contributes its
+exit code, stdout and stderr, with the paths under ROOT made relative to
+it.
 An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
 recorded by its class and message.
 """
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import os
 import random
 import sys
 import types
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 ROOT = os.path.abspath(sys.argv[1] if len(sys.argv) > 1
                        else os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from skewbrauer import (auxiliary_gentle, collapse_presentation,  # noqa: E402
-                        formats, reflect, skew_gentle_from_dissection)
+from skewbrauer import (auxiliary_gentle, formats, reflect,  # noqa: E402
+                        skew_gentle_from_dissection)
 from skewbrauer.basis import enumerate_basis  # noqa: E402
 from skewbrauer.brauer import (SkewBrauerAlgebra,  # noqa: E402
                                brauer_quivers_with_cycles, projective_layers,
                                skew_brauer_algebra, symmetric_form_check)
 from skewbrauer.cartan import cartan  # noqa: E402
+from skewbrauer.cli import main as cli_main  # noqa: E402
 from skewbrauer.dissection import trivext_tuple_from_dissection  # noqa: E402
 from skewbrauer.errors import SkewBrauerError  # noqa: E402
 from skewbrauer.iso import are_isomorphic  # noqa: E402
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver,  # noqa: E402
                                Relation, canonical_rotation)
 from skewbrauer.skewgentle import (SgTuple,  # noqa: E402
-                                   admissible_presentation, make_presentation,
+                                   admissible_presentation, gentle_base,
+                                   loop_presentation, make_presentation,
                                    sg_bound_quiver)
 from skewbrauer.trivext import (TrivialExtension,  # noqa: E402
                                 enumerate_admissible_cuts, enumerate_good_cuts,
@@ -96,6 +104,7 @@ SEEDS = (1, 2, 3)
 GENERATED_SEED = 16
 GENERATED = 200
 TRUNCATE = 4
+QUOTIENT_CUTS = 6
 REPLACEMENTS = ("nope", "", "B1", "1+", "#", ":", "->", "mult=x")
 # small bound quivers of the iso group, as .bq text: two squares that
 # differ in one sign, and a star with two binomials (dimension 12)
@@ -288,6 +297,11 @@ def _bookkeeping_faults():
     yield "condition-4", sg_bound_quiver(SgTuple(q, (), frozenset({0}), ()))
 
 
+def _collapse(adm):
+    """The loop presentation of the gentle base of ``adm``."""
+    return loop_presentation(*gentle_base(adm))
+
+
 def _presentations():
     for name in _fixtures(".dis"):
         yield name, lambda name=name: skew_gentle_from_dissection(
@@ -298,21 +312,21 @@ def _presentations():
         except SkewBrauerError:
             continue
         a = admissible_presentation(pres)
-        yield name + ":collapse", lambda a=a: collapse_presentation(a)
+        yield name + ":collapse", lambda a=a: _collapse(a)
         try:
             t = trivial_extension(a)
             cuts = list(enumerate_good_cuts(t))
         except SkewBrauerError:
             cuts = []
         for i, cut in enumerate(cuts):
-            yield f"{name}:cut{i}:collapse", lambda t=t, cut=cut: collapse_presentation(
+            yield f"{name}:cut{i}:collapse", lambda t=t, cut=cut: _collapse(
                 quotient_by_cut(t, cut))
         for v in auxiliary_gentle(pres).quiver.vertices:
             for direction in ("minus", "plus"):
                 yield (f"{name}:reflect:{v.label}:{direction}",
                        lambda pres=pres, v=v.label, d=direction: reflect(pres, v, d))
     for name, bq in _bookkeeping_faults():
-        yield name + ":collapse", lambda bq=bq: collapse_presentation(bq)
+        yield name + ":collapse", lambda bq=bq: _collapse(bq)
         yield name + ":T", lambda bq=bq: trivial_extension(bq)
 
 
@@ -448,12 +462,74 @@ def _iso_lines(call):
             sorted((result.arrow_map or {}).items()), result.nodes, built_a]
 
 
+def _cli_calls():
+    """The argument lists of the ``cli`` group, fixture paths relative to
+    ROOT: ``check`` of every fixture; for every ``.bq`` fixture
+    ``trivext``, ``cuts``, ``cuts --good``, ``cartan`` plain, with
+    ``--det`` and with ``--q --det --matrix``, ``reflect`` at every vertex
+    of its quiver in both directions, ``quotient`` by every good cut and
+    by the first ``QUOTIENT_CUTS`` admissible cuts, and ``iso`` against
+    every ``.bq`` fixture; ``build``, ``projectives`` and ``classify`` of
+    every ``.sbg`` fixture; ``dissect`` and ``dissect --tuple`` of every
+    ``.dis`` fixture."""
+    def rel(name):
+        return os.path.join("fixtures", name)
+    for name in sorted(os.listdir(FIXTURES)):
+        yield ["check", rel(name)]
+    bqs = _fixtures(".bq")
+    for name in bqs:
+        path = rel(name)
+        for verb, *flags in (["trivext"], ["cuts"], ["cuts", "--good"], ["cartan"],
+                             ["cartan", "--det"], ["cartan", "--q", "--det", "--matrix"]):
+            yield [verb, path, *flags]
+        for v in formats.load(os.path.join(FIXTURES, name)).quiver.vertices:
+            for direction in ("minus", "plus"):
+                yield ["reflect", path, "--vertex", v.label, "--direction", direction]
+        try:
+            t = trivial_extension(_load_admissible(name))
+            cuts = [*enumerate_good_cuts(t),
+                    *islice(enumerate_admissible_cuts(t), QUOTIENT_CUTS)]
+        except SkewBrauerError:
+            cuts = []
+        for cut in cuts:
+            yield ["quotient", path, "--cut", ",".join(cut.labels(t.algebra.quiver))]
+        for other in bqs:
+            yield ["iso", path, rel(other)]
+    for name in _fixtures(".sbg"):
+        for verb in ("build", "projectives", "classify"):
+            yield [verb, rel(name)]
+    for name in _fixtures(".dis"):
+        yield ["dissect", rel(name)]
+        yield ["dissect", rel(name), "--tuple"]
+
+
+def _cli_run(argv):
+    """(exit code, stdout, stderr) of ``skewbrauer.cli.main(argv)``, run
+    on the fixtures under ROOT, with ROOT's prefix taken off the output."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = [os.path.join(ROOT, x) if x.startswith("fixtures" + os.sep) else x for x in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    prefix = ROOT + os.sep
+    return [code, out.getvalue().replace(prefix, ""), err.getvalue().replace(prefix, "")]
+
+
+def _cli():
+    for argv in _cli_calls():
+        for flags in ([], ["--json"]):
+            yield " ".join(flags + argv), lambda argv=flags + argv: _cli_run(argv)
+
+
 # each group: its items (name, build) and the record of what a build returns
 GROUPS = {"sbg": (_sbg, _lines), "families": (_family_graphs, _lines),
           "trivext": (_trivext, _lines), "dis": (_dis, _lines),
           "presentations": (_presentations, _presentation_lines),
           "formats": (_formats, lambda text: [text]),
-          "generated": (_generated, _lines), "iso": (_iso, _iso_lines)}
+          "generated": (_generated, _lines), "iso": (_iso, _iso_lines),
+          "cli": (_cli, list)}
 
 
 def main() -> int:

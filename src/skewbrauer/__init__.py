@@ -23,9 +23,9 @@ from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Verdict,
                      Vertex, is_gentle, is_locally_gentle, stationary)
 from .skewgentle import (SgTuple, SkewGentlePresentation,
                          admissible_presentation, auxiliary_gentle,
-                         collapse_presentation, gentle_base, is_skew_gentle,
-                         loop_presentation, make_presentation,
-                         sg_bound_quiver, sg_ideal, sg_quiver)
+                         gentle_base, is_skew_gentle, loop_presentation,
+                         make_presentation, sg_bound_quiver, sg_ideal,
+                         sg_quiver)
 from .trivext import (CutSet, TrivialExtension, enumerate_admissible_cuts,
                       enumerate_good_cuts, is_admissible_cut, quotient_by_cut,
                       reflect, trivial_extension)

@@ -7,7 +7,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
 from .errors import UnknownVertex, UnsupportedClass
-from .quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations
+from .quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations, label_key
 from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
                          sg_bound_quiver)
 
@@ -285,20 +285,21 @@ def graph_from_skew_gentle(p: SkewGentlePresentation) -> SkewBrauerGraph:
     """The skew-Brauer graph of a skew-gentle presentation.
 
     Edges are the quiver vertices.  Graph vertices: ``p<i>`` for each
-    maximal path of the auxiliary gentle algebra, ``e<v>`` for each
+    maximal path of the auxiliary gentle algebra, numbered in
+    ``label_key`` order, so by labels and not by ids, ``e<v>`` for each
     non-special vertex v that ends a single arrow or sits in the middle of
     a transit that does not vanish, and the distinguished ``x<v>`` for
     each special vertex v.
     """
     aux = auxiliary_gentle(p)
     q = aux.quiver
-    for v in q.vertices:
+    for v in sorted(q.vertices, key=lambda v: v.label):
         if not q.arrows_from(v.id) and not q.arrows_into(v.id):
             raise UnsupportedClass(
                 f"vertex {v.label} has no incident arrows; the ribbon graph "
                 "construction needs every vertex on a strand")
     basis = enumerate_basis(aux)
-    mpaths = sorted(maximal_paths(aux, basis), key=Path.sort_key)
+    mpaths = sorted(maximal_paths(aux, basis), key=lambda mp: label_key(q, mp))
 
     vspecs: list[tuple[str, int, tuple[int, ...]]] = []   # (label, mult, visit seq)
     for i, mp in enumerate(mpaths, start=1):
@@ -401,20 +402,6 @@ class Classification(NamedTuple):
         return self.rep_type == "Finite"
 
 
-def _two_edge_path_shape(g: SkewBrauerGraph) -> Optional[tuple[int, int, int]]:
-    """(far end, middle, near end adjacent to a distinguished leaf) or None."""
-    gr = g.graph
-    if len(gr.edges) != 2 or len(gr.vertices) != 3 or not _is_tree(gr):
-        return None
-    degree = {v.id: 0 for v in gr.vertices}
-    for e in gr.edges:
-        degree[e.ends[0]] += 1
-        degree[e.ends[1]] += 1
-    mid = next(v for v in gr.vertices if degree[v.id] == 2)
-    leaves = [v for v in gr.vertices if degree[v.id] == 1]
-    return (leaves[0].id, mid.id, leaves[1].id)
-
-
 def classify_rep_type(g: SkewBrauerGraph) -> Classification:
     """Decision procedure for finite representation type."""
     check = validate_graph(g)
@@ -422,14 +409,13 @@ def classify_rep_type(g: SkewBrauerGraph) -> Classification:
         raise UnsupportedClass(check.detail)
     gr = g.graph
     ndist = len(g.distinguished)
-    shape = _two_edge_path_shape(g)
-    if shape is not None and ndist >= 1:
-        ends = {shape[0], shape[2]}
-        dist_ends = ends & set(g.distinguished)
-        if len(dist_ends) == 1 and ndist == 1:
-            w = next(iter(ends - dist_ends))
-            mw = gr.vertex(w).multiplicity
-            if mw == 1:
+    # a two-edge path: a distinguished vertex has valency one, so it is a
+    # leaf, and one or both leaves are distinguished
+    if ndist and len(gr.edges) == 2 and len(gr.vertices) == 3 and _is_tree(gr):
+        if ndist == 1:
+            w = next(v for v in gr.vertices
+                     if gr.valency(v.id) == 1 and v.id not in g.distinguished)
+            if w.multiplicity == 1:
                 return Classification(
                     "Finite", "brauer-tree-iso",
                     "two-edge graph with one distinguished leaf is a Brauer "
@@ -443,11 +429,10 @@ def classify_rep_type(g: SkewBrauerGraph) -> Classification:
                 "Infinite", "band-module",
                 "two-edge graph with a fat plain leaf carries a band module",
                 witness)
-        if len(dist_ends) == 2:
-            return Classification(
-                "Infinite", "two-distinguished-two-edges",
-                "both leaves distinguished: the algebra is the Brauer graph "
-                "algebra of a four-cycle")
+        return Classification(
+            "Infinite", "two-distinguished-two-edges",
+            "both leaves distinguished: the algebra is the Brauer graph "
+            "algebra of a four-cycle")
     if ndist >= 2:
         return Classification("Infinite", "multiple-distinguished",
                               "≥2 distinguished vertices")

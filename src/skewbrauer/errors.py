@@ -45,10 +45,6 @@ class UnsupportedClass(SkewBrauerError):
     """Raised when an algebra is neither gentle nor an admissible skew-gentle presentation."""
 
 
-class NotSkewGentleSource(SkewBrauerError):
-    """Raised when good-cut enumeration lacks the recorded sign structure."""
-
-
 class UnknownArrow(SkewBrauerError):
     """Raised when a cut set mentions an arrow that is not in the quiver."""
 

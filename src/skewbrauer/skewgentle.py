@@ -6,8 +6,8 @@ duplicating the special vertices and ranging relations over all sign
 decorations.  The second is ``sg_bound_quiver`` of a tuple
 (Q, monomials, Sp, no cycles), and carries that tuple as its
 ``sg_tuple``; ``gentle_base`` reads the auxiliary gentle algebra and its
-special vertices back off it, and ``loop_presentation`` leads from that
-pair back to the first.
+special vertices back off it and checks that they are skew-gentle, and
+``loop_presentation`` leads from that pair back to the first.
 
 An ``SgTuple`` builds its duplicated quiver (``sgq``, the sign of
 every vertex and arrow), its ideal (``ideal``), the signed powers c^m of
@@ -244,39 +244,55 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
     return SgQuiver(quiver, aorig, vlook, alook)
 
 
+def _tuple_fault(adm: BoundQuiver) -> str:
+    """Why ``adm`` is not the sg-bound quiver of its tuple, or "": its
+    quiver must be the tuple's ``sgq.quiver`` and its relations the tuple's
+    sg relations (``SgTuple.ideal``), up to order and scalars; the same
+    ideal written with other generators is refused too."""
+    t = adm.sg_tuple
+    if t is None:
+        return "no duplication bookkeeping on this presentation"
+    q = adm.quiver
+    if q != t.sgq.quiver:
+        return "the quiver is not the duplicated quiver of its tuple"
+    if adm.relations == t.ideal:
+        return ""
+    have, want = ({r.canonical() for r in rels} for rels in (adm.relations, t.ideal))
+    for r in adm.relations:
+        if r.canonical() not in want:
+            return f"relation {r.label(q)} is not an sg relation of its tuple"
+    for r in t.ideal:
+        if r.canonical() not in have:
+            return f"sg relation {r.label(q)} of its tuple is missing"
+    return ""
+
+
 def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
     """The inverse of ``sg_bound_quiver`` on a tuple with no cycles: the
     gentle base of ``adm`` and its special vertices, read off its tuple.
 
-    ``adm`` must be the sg-bound quiver of its tuple: its quiver is the
-    tuple's ``sgq.quiver`` and its relations are the tuple's sg relations
-    (``SgTuple.ideal``), up to order and scalars; the same ideal written
-    with other generators is refused too.  The base is the tuple's own
-    quiver, with its ids, and its relations are the tuple's monomials.
-    Whether the pair is skew-gentle is left to the caller.
+    ``adm`` must be the sg-bound quiver of its tuple (``_tuple_fault``).
+    The base is the tuple's own quiver, with its ids, and its relations
+    are the tuple's monomials.  The pair is checked as
+    ``make_presentation`` checks a loop presentation, with its messages:
+    condition 4 at each special vertex, then that the base is locally
+    gentle.
     """
+    fault = _tuple_fault(adm)
+    if fault:
+        raise NotSkewGentle(fault)
     t = adm.sg_tuple
-    if t is None:
-        raise NotSkewGentle("no duplication bookkeeping on this presentation")
     if t.cycles:
         raise NotSkewGentle("the tuple of this presentation has distinguished cycles")
-    q = adm.quiver
-    if q != t.sgq.quiver:
-        raise NotSkewGentle("the quiver is not the duplicated quiver of its tuple")
-    if adm.relations != t.ideal:
-        have, want = ({r.canonical() for r in rels} for rels in (adm.relations, t.ideal))
-        for r in adm.relations:
-            if r.canonical() not in want:
-                raise NotSkewGentle(f"relation {r.label(q)} is not an sg relation of its tuple")
-        for r in t.ideal:
-            if r.canonical() not in have:
-                raise NotSkewGentle(f"sg relation {r.label(q)} of its tuple is missing")
-    return BoundQuiver(t.quiver, tuple(map(Relation.monomial, t.monomials))), t.special
-
-
-def collapse_presentation(adm: BoundQuiver) -> SkewGentlePresentation:
-    """The loop presentation of ``adm``, checked by ``make_presentation``."""
-    return loop_presentation(*gentle_base(adm))
+    for x in sorted(t.special):
+        fault = condition_4(t.quiver, x)
+        if fault:
+            raise NotSkewGentle(f"condition-4: {fault}")
+    base = BoundQuiver(t.quiver, tuple(map(Relation.monomial, t.monomials)))
+    local = is_locally_gentle(base)
+    if not local:
+        raise NotSkewGentle(f"gentle-part:{local.condition}: {local.detail}")
+    return base, t.special
 
 
 def _visit_vertices(q: Quiver, p: Path) -> list[int]:

@@ -5,14 +5,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .basis import PathBasis, enumerate_basis, maximal_paths
-from .errors import (NotSkewGentle, NotSkewGentleSource, NotSourceOrSink,
-                     UnknownArrow, UnknownVertex, UnsupportedClass)
+from .errors import (NotSkewGentle, NotSourceOrSink, UnknownArrow,
+                     UnknownVertex, UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, dedupe_relations,
                      is_locally_gentle, label_key)
 from .skewgentle import (SgTuple, SkewGentlePresentation, _decorate,
-                         admissible_presentation, auxiliary_gentle, close_paths,
-                         collapse_presentation, condition_4, gentle_base,
-                         sg_bound_quiver)
+                         _tuple_fault, auxiliary_gentle, close_paths,
+                         gentle_base, loop_presentation, sg_bound_quiver)
 
 
 # ---------------------------------------------------------------------------
@@ -37,13 +36,9 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     """Build T(A) as the sg-bound quiver of its tuple.
 
     The base is a gentle algebra: ``a`` itself when it carries no
-    sg-tuple, else its ``gentle_base``, read off that tuple and checked as
-    ``make_presentation`` checks a loop presentation; only the base's
-    basis is built.  Each maximal path of the base is closed by a new
-    arrow ``B<i>``, numbered in ``label_key`` order, so by labels and not
-    by the base's ids; the tuple holds the base monomials, the quadratic
-    monomials around the new arrows, the special vertices and the closed
-    cycles, each with multiplicity one.  ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
+    sg-tuple and no special marks, else its ``gentle_base``; only the
+    base's basis is built.  The tuple is ``_closed_tuple`` of the base.
+    ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
     its maximal path in ``a``: the signs of the new arrow's copy at the
     ends, "+" at special vertices inside, looked up in the duplicated
     quiver of ``a``'s tuple, whose ids the base keeps.
@@ -58,21 +53,16 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
                 "socle basis via maximal paths needs a gentle or admissible "
                 f"skew-gentle presentation; {local.condition}: {local.detail} "
                 f"({', '.join(local.witnesses)})")
+        if a.special_vertices:
+            label = min(a.quiver.vertex(x).label for x in a.special_vertices)
+            raise NotSkewGentle(f"special vertex {label} is marked on a presentation "
+                                "with no duplication bookkeeping")
         base, special = a, frozenset()
     else:
         base, special = gentle_base(a)
-        for x in sorted(special):
-            fault = condition_4(base.quiver, x)
-            if fault:
-                raise NotSkewGentle(f"condition-4: {fault}")
-        local = is_locally_gentle(base)
-        if not local:
-            raise NotSkewGentle(f"gentle-part:{local.condition}: {local.detail}")
         basis = enumerate_basis(base)
     q = base.quiver
-    paths = sorted(maximal_paths(base, basis), key=lambda p: label_key(q, p))
-    tup, betas = close_paths(q, tuple(r.paths()[0] for r in base.relations),
-                             special, paths, [f"B{i}" for i in range(1, len(paths) + 1)])
+    paths, tup, betas = _closed_tuple(base, special, basis)
     # each new arrow lies on one cycle, of multiplicity one: the signed
     # powers of the rotation that ends with it end with its signed copies
     closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
@@ -86,6 +76,16 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
                 new_arrows[copy] = p if own is None else _decorate(
                     own.sgq, p, (eps, *inside, eps2))
     return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
+
+
+def _closed_tuple(base: BoundQuiver, special: frozenset[int], basis: PathBasis):
+    """The maximal paths of a gentle base in ``label_key`` order, so by
+    labels and not by ids, and the tuple of T with the new arrow ids
+    (``close_paths``): the i-th path closed by ``B<i>``."""
+    q = base.quiver
+    paths = sorted(maximal_paths(base, basis), key=lambda p: label_key(q, p))
+    return (paths, *close_paths(q, tuple(r.paths()[0] for r in base.relations), special,
+                                paths, [f"B{i}" for i in range(1, len(paths) + 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,6 @@ def enumerate_good_cuts(t: TrivialExtension,
     through the cycles in ``label_key`` order: each signed copy of a cycle
     carries the base arrows of the cycle, so these are admissible cuts
     too."""
-    if t.source.sg_tuple is None and t.source.special_vertices:
-        raise NotSkewGentleSource("the source carries no sign structure")
     tq = t.sg_tuple.quiver
     cycles = sorted(t.sg_tuple.cycles, key=lambda c: label_key(tq, c))
     for base_cut in _cuts(tq, cycles, limit):
@@ -208,14 +206,12 @@ def minimalize_relations(q: Quiver, relations: Iterable[Relation]) -> tuple[Rela
 def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     """The quotient of ``t.algebra`` by the cut arrows.
 
-    When every cycle of ``t.sg_tuple`` has multiplicity one and the cut is
-    the signed copies of a set of base arrows that meets each cycle once,
-    the quotient is the sg-bound quiver of the cut tuple: the tuple less
-    those base arrows, with the monomials that avoid them, the same
-    special vertices and no cycles.  Its arrows are numbered afresh.  Any
-    other cut, or an algebra whose relations are not its tuple's ideal,
-    pushes the relations down (``_pushdown``), and that quotient carries
-    no tuple.
+    When ``t.algebra`` is the sg-bound quiver of its tuple ``t.sg_tuple``
+    (``_tuple_fault``), every cycle of the tuple has multiplicity one and
+    the cut is the signed copies of a set of base arrows that meets each
+    cycle once, the quotient is the sg-bound quiver of ``_cut_tuple``.
+    Its arrows are numbered afresh.  Any other cut or algebra pushes the
+    relations down (``_pushdown``), and that quotient carries no tuple.
     """
     q = t.algebra.quiver
     ids = set(cut.arrows if isinstance(cut, CutSet) else cut)
@@ -223,16 +219,21 @@ def quotient_by_cut(t, cut: Union[CutSet, Iterable[int]]) -> BoundQuiver:
     if not ids <= known:
         raise UnknownArrow(str(sorted(ids - known)))
     tup = t.sg_tuple
-    base_cut = {tup.sgq.arrow_origins[a][0] for a in ids}
-    if (t.algebra.relations == tup.ideal and all(m == 1 for m in tup.multiplicities)
-            and _signed_copies(t, base_cut).arrows == ids
-            and all(_hits(base_cut, c) == 1 for c in tup.cycles)):
-        tq = tup.quiver
-        kept = Quiver(tq.vertices, tuple(a for a in tq.arrows if a.id not in base_cut))
-        return sg_bound_quiver(SgTuple(
-            kept, tuple(m for m in tup.monomials if base_cut.isdisjoint(m.arrows)),
-            tup.special, ()))
+    if not _tuple_fault(t.algebra) and all(m == 1 for m in tup.multiplicities):
+        base_cut = {tup.sgq.arrow_origins[a][0] for a in ids}
+        if (_signed_copies(t, base_cut).arrows == ids
+                and all(_hits(base_cut, c) == 1 for c in tup.cycles)):
+            return sg_bound_quiver(_cut_tuple(tup, base_cut))
     return _pushdown(t.algebra, ids)
+
+
+def _cut_tuple(tup: SgTuple, base_cut: set[int]) -> SgTuple:
+    """The tuple less the base arrows ``base_cut``, with the monomials that
+    avoid them, the same special vertices and no cycles."""
+    q = tup.quiver
+    kept = Quiver(q.vertices, tuple(a for a in q.arrows if a.id not in base_cut))
+    return SgTuple(kept, tuple(m for m in tup.monomials if base_cut.isdisjoint(m.arrows)),
+                   tup.special, ())
 
 
 def _pushdown(algebra: BoundQuiver, ids: set[int]) -> BoundQuiver:
@@ -257,13 +258,15 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
             direction: str) -> SkewGentlePresentation:
     """Reflection at a source (minus) or sink (plus) of the auxiliary quiver.
 
-    Realised as the quotient of the trivial extension by the good cut whose
-    base cut holds the arrows leaving (entering) the vertex; cycles not
-    meeting the vertex are cut at their new arrow.
+    Realised as the loop presentation of the cut tuple of the trivial
+    extension (``_cut_tuple``), whose base cut holds the arrows leaving
+    (entering) the vertex; cycles not meeting the vertex are cut at their
+    new arrow.
     """
     if direction not in ("minus", "plus"):
         raise ValueError("direction must be 'minus' or 'plus'")
-    q = auxiliary_gentle(p).quiver
+    aux = auxiliary_gentle(p)
+    q = aux.quiver
     try:
         v = q.vertex_by_label(vertex) if isinstance(vertex, str) else q.vertex(vertex)
     except KeyError:
@@ -277,15 +280,12 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
             raise NotSourceOrSink(f"{v.label} is not a sink of the auxiliary quiver")
         boundary = {a.id for a in q.arrows_into(v.id)}
 
-    # T's base keeps the ids of the auxiliary quiver
-    t = trivial_extension(admissible_presentation(p))
-    origins = t.sg_tuple.sgq.arrow_origins
-    new = {origins[a][0] for a in t.new_arrows}
+    _, tup, new = _closed_tuple(aux, p.special, enumerate_basis(aux))
+    # a cycle enters a source only through its new arrow, and leaves a sink
+    # only through it, so it holds at most one boundary arrow
     chosen: set[int] = set()
-    # every signed copy of a cycle carries the base arrows of the cycle
-    for c in t.sg_tuple.cycles:
-        hits = set(c.arrows) & boundary
-        if len(hits) > 1:
-            raise NotSourceOrSink("several boundary arrows on one cycle")
-        chosen |= hits or set(c.arrows) & new
-    return collapse_presentation(quotient_by_cut(t, _signed_copies(t, chosen)))
+    for c in tup.cycles:
+        chosen |= set(c.arrows) & boundary or set(c.arrows).intersection(new)
+    cut = _cut_tuple(tup, chosen)
+    base = BoundQuiver(cut.quiver, tuple(map(Relation.monomial, cut.monomials)))
+    return loop_presentation(base, cut.special)

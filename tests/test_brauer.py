@@ -1,4 +1,6 @@
 """Skew-Brauer graphs, their algebras, symmetry, projectives, classification."""
+import os
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -11,14 +13,14 @@ from skewbrauer.brauer import (SkewBrauerGraph, brauer_quivers_with_cycles,
                                symmetric_form_check, validate_graph)
 from skewbrauer import brauer as brauer_module, formats, skewgentle, trivext
 from skewbrauer.cartan import cartan
-from skewbrauer.errors import UnknownVertex
+from skewbrauer.errors import SkewBrauerError, UnknownVertex
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, canonical_rotation
 from skewbrauer.skewgentle import admissible_presentation, make_presentation, sg_quiver
 from skewbrauer.trivext import trivial_extension
 
-from helpers import (SBG_FIXTURES, SKEW_GENTLE_FIXTURES, P, diff, family_graphs,
-                     load, mono, signed_cycles)
+from helpers import (FIXTURES, SBG_FIXTURES, SKEW_GENTLE_FIXTURES, P, diff,
+                     family_graphs, fixture_path, load, mono, signed_cycles)
 from oracle import cycle_decorations, oracle_reduce
 
 
@@ -330,6 +332,26 @@ class TestGraphFromSkewGentle:
         pres = make_presentation(load("a2.bq"))
         g = graph_from_skew_gentle(pres)
         assert g.distinguished == frozenset()
+
+    @pytest.mark.parametrize("name", sorted(f for f in os.listdir(FIXTURES) if f.endswith(".bq")))
+    def test_graph_does_not_depend_on_line_order(self, name):
+        # the maximal paths are numbered p<i> by labels, and a vertex with
+        # no arrows is named by label, so the same .bq file with its lines
+        # in another order gives the same .sbg text, or the same refusal
+        def graph_text(text):
+            try:
+                pres = make_presentation(formats.parse_bq(text, name))
+                return formats.serialize_sbg(graph_from_skew_gentle(pres))
+            except SkewBrauerError as exc:
+                return f"{type(exc).__name__}: {exc}"
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        body = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+        want = graph_text("\n".join(body) + "\n")
+        rng = random.Random(name)
+        for _ in range(8):
+            text = "\n".join(rng.sample(body, len(body))) + "\n"
+            assert graph_text(text) == want, text
 
     @pytest.mark.parametrize("name", SKEW_GENTLE_FIXTURES)
     def test_equiv1_round_trip(self, name):

@@ -161,6 +161,18 @@ class TestCli:
         assert code == 0 and len(out) == 3
         assert any("Finite" in line for line in out)
 
+    @pytest.mark.parametrize("args", [["trivext"], ["cuts"], ["cuts", "--good"]])
+    def test_special_mark_without_loop(self, args, tmp_path, capsys):
+        # a plain .bq whose special vertex carries no special loop is refused,
+        # not read as a gentle algebra with its mark dropped
+        path = tmp_path / "marked.bq"
+        path.write_text("vertex 1 special\nvertex 2\narrow a: 1 -> 2\n", encoding="utf-8")
+        code = main([args[0], str(path), *args[1:]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == ("error: special vertex 1 is marked on a presentation "
+                                "with no duplication bookkeeping\n")
+
     def test_cartan_golden(self, capsys):
         code = main(["cartan", fixture_path("sec73_B.bq"), "--q", "--det"])
         out = capsys.readouterr().out.strip()

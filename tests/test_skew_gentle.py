@@ -10,7 +10,7 @@ from skewbrauer.errors import LoopAtDistinguished, NotSkewGentle
 from skewbrauer.quiver import (BoundQuiver, Quiver, Relation, dedupe_relations,
                                stationary)
 from skewbrauer.skewgentle import (SgTuple, _decorate, admissible_presentation,
-                                   auxiliary_gentle, collapse_presentation,
+                                   auxiliary_gentle, gentle_base,
                                    is_skew_gentle, loop_presentation,
                                    make_presentation, sg_bound_quiver, sg_ideal,
                                    sg_quiver)
@@ -215,12 +215,13 @@ def _loop_presentations():
 class TestLoopPresentation:
     def test_collapse_inverts_duplication(self):
         # loop labels may differ (excut.bq names the loop at 3 f2, the
-        # collapse writes f3), so compare the admissible presentations.
-        # The collapse writes the gentle monomials in arrow order, which
+        # loop presentation of the gentle base writes f3), so compare the
+        # admissible presentations.  It writes the gentle monomials in
+        # arrow order, which
         # sec73_B.bq does not list its relations in.
         for name, p in _loop_presentations():
             adm = admissible_presentation(p)
-            back = admissible_presentation(collapse_presentation(adm))
+            back = admissible_presentation(loop_presentation(*gentle_base(adm)))
             assert back.quiver == adm.quiver, name
             assert back.special_vertices == adm.special_vertices, name
             if name == "sec73_B.bq":
@@ -230,7 +231,8 @@ class TestLoopPresentation:
                 assert back.relations == adm.relations, name
 
     def test_excut_loop_label(self):
-        p = collapse_presentation(admissible_presentation(make_presentation(load("excut.bq"))))
+        adm = admissible_presentation(make_presentation(load("excut.bq")))
+        p = loop_presentation(*gentle_base(adm))
         q = p.quiver
         assert sorted(q.arrow(a).label for a in p.loops.values()) == ["f1", "f3"]
         assert p.bound.special_vertices == p.special
@@ -302,13 +304,16 @@ class TestGentleBase:
         adm = _toy_adm()
         with pytest.raises(NotSkewGentle,
                            match="^no duplication bookkeeping on this presentation$"):
-            collapse_presentation(BoundQuiver(adm.quiver, adm.relations))
+            loop_presentation(*gentle_base(BoundQuiver(adm.quiver, adm.relations)))
 
-    @pytest.mark.parametrize("reader", [collapse_presentation, trivial_extension])
+    @pytest.mark.parametrize("reader", [
+        pytest.param(lambda adm: loop_presentation(*gentle_base(adm)), id="loop_presentation"),
+        trivial_extension, gentle_base])
     @pytest.mark.parametrize("fault", sorted(BOOKKEEPING_FAULTS))
     def test_faults(self, fault, reader):
-        # trivial_extension checks the gentle base as make_presentation
-        # checks its loop presentation, with the same messages
+        # gentle_base checks the gentle base as make_presentation checks
+        # its loop presentation, with the same messages, before the other
+        # readers build anything on it
         build, message = BOOKKEEPING_FAULTS[fault]
         with pytest.raises(NotSkewGentle) as info:
             reader(build())
@@ -338,13 +343,13 @@ class TestGentleBase:
     def test_tuple_with_cycles_has_no_gentle_base(self):
         t = trivial_extension(_toy_adm())
         with pytest.raises(NotSkewGentle, match="distinguished cycles"):
-            collapse_presentation(t.algebra)
+            loop_presentation(*gentle_base(t.algebra))
 
     def test_quiver_off_its_tuple_is_refused(self):
         adm = _toy_adm()
         other = load("a2.bq").quiver
         with pytest.raises(NotSkewGentle, match="not the duplicated quiver"):
-            collapse_presentation(adm.relabelled(quiver=other, relations=()))
+            loop_presentation(*gentle_base(adm.relabelled(quiver=other, relations=())))
 
     def test_isolated_vertex_closes_its_stationary_path(self):
         q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("f", "2", "2")])

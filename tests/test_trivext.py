@@ -9,15 +9,16 @@ from fractions import Fraction
 
 from skewbrauer.basis import enumerate_basis, maximal_paths
 from skewbrauer.brauer import skew_brauer_algebra
-from skewbrauer.errors import (NotAdmissible, NotSourceOrSink,
+from skewbrauer.errors import (NotAdmissible, NotSkewGentle, NotSourceOrSink,
                                UnknownArrow, UnsupportedClass)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation,
                                dedupe_relations)
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation,
-                                   auxiliary_gentle, collapse_presentation,
-                                   make_presentation, sg_bound_quiver)
-from skewbrauer import trivext
+                                   auxiliary_gentle, gentle_base,
+                                   loop_presentation, make_presentation,
+                                   sg_bound_quiver)
+from skewbrauer import skewgentle, trivext
 from skewbrauer.trivext import (CutSet, enumerate_admissible_cuts,
                                 enumerate_good_cuts, is_admissible_cut,
                                 quotient_by_cut, reflect, trivial_extension)
@@ -66,6 +67,18 @@ class TestSocle:
         with pytest.raises(UnsupportedClass, match="socle basis via maximal paths "
                            "needs a gentle or admissible skew-gentle presentation"):
             trivial_extension(bq)
+
+    def test_special_marks_without_bookkeeping(self):
+        # a plain presentation with special marks is neither gentle nor the
+        # sg-bound quiver of a tuple; in loop form it is not admissible,
+        # which the basis finds first
+        a2 = load("a2.bq")
+        marked = a2.relabelled(special_vertices=frozenset({a2.quiver.vertex_by_label("2").id}))
+        with pytest.raises(NotSkewGentle, match="^special vertex 2 is marked on a "
+                           "presentation with no duplication bookkeeping$"):
+            trivial_extension(marked)
+        with pytest.raises(NotAdmissible):
+            trivial_extension(toy_pres().bound)
 
 
 class TestTrivialExtension:
@@ -352,6 +365,22 @@ class TestGoodCuts:
                 t2 = trivial_extension(quotient)
                 assert are_isomorphic(t2.algebra, t.algebra)
 
+    def test_round_trip_of_reversed_relations(self):
+        # T(A) with its relations in reverse order is still the sg-bound
+        # quiver of its tuple, so each good cut cuts the tuple
+        count = 0
+        for name in SKEW_GENTLE_FIXTURES:
+            t = trivial_extension(admissible_presentation(make_presentation(load(name))))
+            rev = dataclasses.replace(t, algebra=t.algebra.relabelled(
+                relations=t.algebra.relations[::-1]))
+            for d in enumerate_good_cuts(rev):
+                quotient = quotient_by_cut(rev, d)
+                assert quotient == quotient_by_cut(t, d), (name, d.labels(t.quiver))
+                result = are_isomorphic(trivial_extension(quotient).algebra, rev.algebra)
+                assert result.status == "isomorphic", (name, d.labels(t.quiver))
+                count += 1
+        assert count == 40
+
     @pytest.mark.parametrize("name", SKEW_GENTLE_FIXTURES)
     def test_round_trip_maps_relations_onto_relations(self, name):
         # T(A/D) and T(A) are the sg-bound quiver of one skew-Brauer graph,
@@ -394,7 +423,7 @@ class TestGoodCuts:
     def test_quotient_collapses_to_skew_gentle(self):
         t = trivial_extension(toy_adm())
         for d in list(enumerate_good_cuts(t))[:4]:
-            pres = collapse_presentation(quotient_by_cut(t, d))
+            pres = loop_presentation(*gentle_base(quotient_by_cut(t, d)))
             assert pres.bound.special_vertices
 
     def test_edited_algebra_is_cut_by_pushdown(self):
@@ -550,6 +579,28 @@ class TestReflect:
         a0 = admissible_presentation(pres)
         a2 = admissible_presentation(back)
         assert are_isomorphic(a0, a2)
+
+    def test_cuts_the_tuple_without_a_quotient(self, monkeypatch):
+        # reflect cuts the tuple of T(A) itself: it neither builds a
+        # quotient algebra nor reads a gentle base back off one
+        calls = []
+        for module, name in ((trivext, "quotient_by_cut"), (trivext, "gentle_base"),
+                             (skewgentle, "gentle_base")):
+            def spy(*args, name=name, real=getattr(module, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, spy)
+        done = 0
+        for name in SKEW_GENTLE_FIXTURES:
+            pres = make_presentation(load(name))
+            for v in auxiliary_gentle(pres).quiver.vertices:
+                for direction in ("minus", "plus"):
+                    try:
+                        reflect(pres, v.label, direction)
+                        done += 1
+                    except NotSourceOrSink:
+                        pass
+        assert (calls, done) == ([], 7)
 
     def test_not_source(self):
         pres = toy_pres()
