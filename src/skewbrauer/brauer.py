@@ -5,9 +5,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .basis import PathBasis, enumerate_basis, maximal_paths
+from .basis import PathBasis, enumerate_basis
 from .errors import UnknownVertex, UnsupportedClass
-from .quiver import BoundQuiver, Path, Quiver, Verdict, cycle_rotations, label_key
+from .quiver import (BoundQuiver, Path, Quiver, Verdict, _gentle_maximal_paths,
+                     cycle_rotations, label_key)
 from .skewgentle import (SgTuple, SkewGentlePresentation, auxiliary_gentle,
                          sg_bound_quiver)
 
@@ -298,8 +299,7 @@ def graph_from_skew_gentle(p: SkewGentlePresentation) -> SkewBrauerGraph:
             raise UnsupportedClass(
                 f"vertex {v.label} has no incident arrows; the ribbon graph "
                 "construction needs every vertex on a strand")
-    basis = enumerate_basis(aux)
-    mpaths = sorted(maximal_paths(aux, basis), key=lambda mp: label_key(q, mp))
+    mpaths = sorted(_gentle_maximal_paths(aux), key=lambda mp: label_key(q, mp))
 
     vspecs: list[tuple[str, int, tuple[int, ...]]] = []   # (label, mult, visit seq)
     for i, mp in enumerate(mpaths, start=1):

@@ -6,6 +6,13 @@ first compares the vertex profiles (in- and out-degree, loops, special
 marking) of the two quivers and builds the basis of ``b``.  Then one
 search tests each full candidate map, in order:
 
+0. the tuple certificate, when both algebras are the sg-bound quivers
+   of their tuples (``_tuple_fault`` is "" for both, asked once per
+   search): every copy of a base vertex lands on the copies of one base
+   vertex, and likewise for arrows; the base bijection carries the
+   special vertices, the monomials (as sets of paths) and the cycles, up
+   to rotation and with their multiplicities, onto those of ``b``'s
+   tuple; the + and - copies at a special vertex may swap;
 1. the generator check, while the basis of ``a`` is not built: the map
    is a hit if it sends the relations of ``a``, each up to a nonzero
    scalar, onto exactly those of ``b``, which proves that it carries one
@@ -21,9 +28,18 @@ search tests each full candidate map, in order:
 A map that passes the first test passes the third, which replaces it
 once ``a`` has a basis (from the start, if it was built before the call).
 
+The certificate is sound because ``sg_ideal`` is built from the tuple
+alone, so a base isomorphism of tuples lifts to one of ideals.  Types a,
+c and d range over all signs; type b is independent of the copy it
+picks, since type a identifies the copies; a swap at a special vertex
+sends each type a relation to its negative, and permutes the signed
+copies of the others.  A map it accepts passes the third test too, so
+it changes no answer, map or node count, only the work: no terms and
+no basis of ``a``.
+
 Relations are compared as (coefficient, base vertex, word) terms, with
-whole coefficients as ``int``.  The terms of ``a`` are read once per
-search; the generators of ``b``, its relations in the canonical form of
+whole coefficients as ``int``.  The terms of ``a`` are read at most once
+per search, when the first or third test runs; the generators of ``b``, its relations in the canonical form of
 the first test, are computed once per algebra and kept on ``b``, like
 its basis.
 """
@@ -32,12 +48,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Iterable, NamedTuple, Optional
 
 from .basis import PathBasis, _is_built, enumerate_basis
 from .errors import SkewBrauerError
 from .quiver import Arrow, BoundQuiver, Quiver
+from .skewgentle import SgTuple, _tuple_fault
 
 
 class IsoResult(NamedTuple):
@@ -147,10 +165,53 @@ class _DimensionsDiffer(Exception):
     """Ends a search: the bases of its two algebras differ in dimension."""
 
 
+def _least_rotation(word: tuple[int, ...]) -> tuple[int, ...]:
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def _base_map(origin_a: dict[int, int], origin_b: dict[int, int],
+              sg_map: dict[int, int]) -> Optional[dict[int, int]]:
+    """The injective map of base ids under ``sg_map``, or None unless
+    the copies of each base id of ``a`` land on the copies of one base
+    id of ``b``; ``origin_*`` maps each copy to its base id."""
+    out: dict[int, int] = {}
+    for x, y in sg_map.items():
+        if out.setdefault(origin_a[x], origin_b[y]) != origin_b[y]:
+            return None
+    return out if len(set(out.values())) == len(out) else None
+
+
+def _tuple_certificate(ta: SgTuple, tb: SgTuple,
+                       vertex_map: dict[int, int], arrow_map: dict[int, int]) -> bool:
+    """Whether the quiver isomorphism of the duplicated quivers of ``ta``
+    and ``tb`` lifts a base isomorphism that carries the special vertices,
+    the monomials and the cycles with their multiplicities of ``ta`` onto
+    those of ``tb``; then it carries the sg ideal of ``ta`` onto that of
+    ``tb`` (see the module docstring)."""
+    sa, sb = ta.sgq, tb.sgq
+    base_v = _base_map({v: x for (x, _), v in sa.vertex_lookup.items()},
+                       {v: x for (x, _), v in sb.vertex_lookup.items()}, vertex_map)
+    base_a = _base_map({a: x for a, (x, _, _) in sa.arrow_origins.items()},
+                       {a: x for a, (x, _, _) in sb.arrow_origins.items()}, arrow_map)
+    if (base_v is None or base_a is None or len(base_v) != len(tb.quiver.vertices)
+            or len(base_a) != len(tb.quiver.arrows)
+            or {base_v[x] for x in ta.special} != tb.special):
+        return False
+    image_of = base_a.__getitem__
+    if ({(base_v[m.base], tuple(map(image_of, m.arrows))) for m in ta.monomials}
+            != {(m.base, m.arrows) for m in tb.monomials}):
+        return False
+    return ({(_least_rotation(tuple(map(image_of, c.arrows))), k)
+             for c, k in zip(ta.cycles, ta.multiplicities)}
+            == {(_least_rotation(c.arrows), k) for c, k in zip(tb.cycles, tb.multiplicities)})
+
+
 @dataclass
 class _Search:
     """The fixed data of one isomorphism search, its node count, and the
-    basis of ``a`` once a candidate map or the end of the search needs it."""
+    terms and the basis of ``a`` once a candidate map or the end of the
+    search needs them.  ``tuples``: both algebras are the sg-bound
+    quivers of their tuples."""
     a: BoundQuiver
     b: BoundQuiver
     budget: int
@@ -158,12 +219,16 @@ class _Search:
     candidates: dict[int, list[int]]
     groups_a: dict[tuple[int, int], list[Arrow]]
     groups_b: dict[tuple[int, int], list[Arrow]]
-    terms_a: list[Terms]
     gens_b: Optional[set[Terms]]
     basis_b: PathBasis
+    tuples: bool
     basis_a: Optional[PathBasis] = None
     terms_b: list[Terms] = field(default_factory=list)
     nodes: int = 0
+
+    @cached_property
+    def terms_a(self) -> list[Terms]:
+        return _terms(self.a)
 
     def visit(self) -> bool:
         """Count a node; false once the budget is exhausted."""
@@ -182,6 +247,8 @@ class _Search:
 
     def is_hit(self, vmap: dict[int, int], amap: dict[int, int]) -> bool:
         """Whether the full candidate map carries each ideal onto the other."""
+        if self.tuples and _tuple_certificate(self.a.sg_tuple, self.b.sg_tuple, vmap, amap):
+            return True
         if self.basis_a is None and _same_generators(self.terms_a, self.gens_b, vmap, amap):
             return True
         basis_a = self.need_basis_a()
@@ -223,7 +290,7 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
         enumerate_basis(a)
         raise
     search = _Search(a, b, budget, a_order, candidates, _arrow_groups(qa), _arrow_groups(qb),
-                     _terms(a), _generators_of(b), basis_b)
+                     _generators_of(b), basis_b, not _tuple_fault(a) and not _tuple_fault(b))
     try:
         if _is_built(a):    # costs no build: compare dimensions before the search
             search.need_basis_a()

@@ -324,6 +324,38 @@ def is_locally_gentle(bq: BoundQuiver) -> Verdict:
     return Verdict(True)
 
 
+def _gentle_maximal_paths(bq: BoundQuiver) -> tuple[Path, ...]:
+    """The maximal paths of a locally gentle ``bq``, read off its arrows.
+
+    Each arrow has at most one successor b, and at most one predecessor,
+    with a*b not a monomial, so the maximal paths are the maximal chains
+    of such arrows, plus the stationary path at each vertex with no
+    arrows.  An arrow on no chain lies on a cycle with no monomial; then
+    the basis decides (``enumerate_basis`` raises ``InfiniteDimensional``
+    with its witness).
+    """
+    q = bq.quiver
+    killed = _monomial_pairs(bq)
+    after = {a.id: b.id for a in q.arrows for b in q.arrows_from(a.target)
+             if (a.id, b.id) not in killed}
+    out = [Path(v.id) for v in q.vertices
+           if not q.arrows_from(v.id) and not q.arrows_into(v.id)]
+    chained = 0
+    followed = set(after.values())
+    for a in q.arrows:
+        if a.id in followed:
+            continue
+        word = [a.id]
+        while word[-1] in after:
+            word.append(after[word[-1]])
+        out.append(Path(a.source, tuple(word)))
+        chained += len(word)
+    if chained < len(q.arrows):
+        from .basis import enumerate_basis, maximal_paths
+        return maximal_paths(bq, enumerate_basis(bq))
+    return tuple(out)
+
+
 def is_gentle(bq: BoundQuiver) -> Verdict:
     """Locally gentle plus finite dimension of the quotient (admissibility)."""
     from .basis import enumerate_basis

@@ -23,7 +23,7 @@ from itertools import chain, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import LoopAtDistinguished, NotSkewGentle
-from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation,
+from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
                      canonical_rotation, cycle_rotations, is_locally_gentle)
 
 SIGNS = ("+", "-")
@@ -220,28 +220,23 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
     for a in q.arrows:
         if a.is_loop and a.source in special:
             raise LoopAtDistinguished(q.arrow(a.id).label)
-    vlabels: list[str] = []
+    vertices: list[Vertex] = []
     vlook: dict[tuple[int, str], int] = {}
     for v in sorted(q.vertices, key=lambda v: v.label):
         for s in SIGNS if v.id in special else ("",):
-            vlook[(v.id, s)] = len(vlabels)
-            vlabels.append(f"{v.label}{s}")
-    aspecs: list[tuple[str, str, str]] = []
+            vlook[(v.id, s)] = len(vertices)
+            vertices.append(Vertex(len(vertices), f"{v.label}{s}"))
+    arrows: list[Arrow] = []
     aorig: dict[int, tuple[int, str, str]] = {}
     alook: dict[tuple[int, str, str], int] = {}
     for a in sorted(q.arrows, key=lambda a: a.label):
-        s_signs = SIGNS if a.source in special else ("",)
-        t_signs = SIGNS if a.target in special else ("",)
-        for ss in s_signs:
-            for ts in t_signs:
-                label = f"{ss}{a.label}{ts}"
-                alook[(a.id, ss, ts)] = len(aspecs)
-                aorig[len(aspecs)] = (a.id, ss, ts)
-                aspecs.append((label,
-                               f"{q.vertex(a.source).label}{ss}",
-                               f"{q.vertex(a.target).label}{ts}"))
-    quiver = Quiver.build(vlabels, aspecs)
-    return SgQuiver(quiver, aorig, vlook, alook)
+        for ss in SIGNS if a.source in special else ("",):
+            for ts in SIGNS if a.target in special else ("",):
+                alook[(a.id, ss, ts)] = len(arrows)
+                aorig[len(arrows)] = (a.id, ss, ts)
+                arrows.append(Arrow(len(arrows), f"{ss}{a.label}{ts}",
+                                    vlook[a.source, ss], vlook[a.target, ts]))
+    return SgQuiver(Quiver(tuple(vertices), tuple(arrows)), aorig, vlook, alook)
 
 
 def _tuple_fault(adm: BoundQuiver) -> str:
@@ -368,17 +363,25 @@ class SgTuple:
     def powers(self) -> tuple[tuple[Path, tuple[Path, ...], tuple[Path, ...]], ...]:
         """For each rotation of each cycle: the rotation, the signed copies
         of rot^m, and at a distinguished start each copy closed with the
-        other sign.  Every period of a copy is signed alike."""
+        other sign.  Every period of a copy is signed alike.
+
+        c^m is decorated once for each sign period of c; the copy of the
+        i-th rotation under a period of its own visits is that word
+        rotated by i, and the copies keep the order of those periods."""
         sgq, q, special = self.sgq, self.quiver, self.special
         out = []
         for c, m in zip(self.cycles, self.multiplicities):
-            for rot in cycle_rotations(q, c.arrows):
-                visits = _visit_vertices(q, rot)[:-1]
-                power = Path(rot.base, rot.arrows * m)
+            n = len(c)
+            options = [SIGNS if v in special else ("",) for v in _visit_vertices(q, c)[:-1]]
+            power = Path(c.base, c.arrows * m)
+            # the signs of one period repeat; the path closes with its first
+            words = {period: _decorate(sgq, power, period * m + period[:1]).arrows
+                     for period in product(*options)}
+            for i, rot in enumerate(cycle_rotations(q, c.arrows)):
                 copies, flipped = [], []
-                # the signs of one period repeat; the path closes with its first
-                for period in product(*(SIGNS if v in special else ("",) for v in visits)):
-                    p = _decorate(sgq, power, period * m + period[:1])
+                for period in product(*options[i:], *options[:i]):
+                    w = words[period[n - i:] + period[:n - i]]
+                    p = Path(sgq.vertex_lookup[rot.base, period[0]], w[i:] + w[:i])
                     copies.append(p)
                     if rot.base in special:
                         last = sgq.arrow_lookup[rot.arrows[-1], period[-1],

@@ -4,11 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .basis import PathBasis, enumerate_basis, maximal_paths
+from .basis import PathBasis, enumerate_basis
 from .errors import (NotSkewGentle, NotSourceOrSink, UnknownArrow,
                      UnknownVertex, UnsupportedClass)
-from .quiver import (BoundQuiver, Path, Quiver, Relation, dedupe_relations,
-                     is_locally_gentle, label_key)
+from .quiver import (BoundQuiver, Path, Quiver, Relation, _gentle_maximal_paths,
+                     dedupe_relations, is_locally_gentle, label_key)
 from .skewgentle import (SgTuple, SkewGentlePresentation, _decorate,
                          _tuple_fault, auxiliary_gentle, close_paths,
                          gentle_base, loop_presentation, sg_bound_quiver)
@@ -36,8 +36,11 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     """Build T(A) as the sg-bound quiver of its tuple.
 
     The base is a gentle algebra: ``a`` itself when it carries no
-    sg-tuple and no special marks, else its ``gentle_base``; only the
-    base's basis is built.  The tuple is ``_closed_tuple`` of the base.
+    sg-tuple and no special marks, else its ``gentle_base``.  The tuple
+    is ``_closed_tuple`` of the base.  Only the plain branch builds a
+    basis, that of ``a`` (``basis``, if given, stands for it): the build
+    decides ``NotAdmissible`` and finite dimension first.  A tuple's
+    gentle base needs none, since its maximal paths are its arrow chains.
     ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
     its maximal path in ``a``: the signs of the new arrow's copy at the
     ends, "+" at special vertices inside, looked up in the duplicated
@@ -46,7 +49,7 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     own = a.sg_tuple
     if own is None:
         if basis is None:
-            basis = enumerate_basis(a)
+            enumerate_basis(a)
         local = is_locally_gentle(a)
         if not local:
             raise UnsupportedClass(
@@ -60,9 +63,8 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
         base, special = a, frozenset()
     else:
         base, special = gentle_base(a)
-        basis = enumerate_basis(base)
     q = base.quiver
-    paths, tup, betas = _closed_tuple(base, special, basis)
+    paths, tup, betas = _closed_tuple(base, special)
     # each new arrow lies on one cycle, of multiplicity one: the signed
     # powers of the rotation that ends with it end with its signed copies
     closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
@@ -78,12 +80,13 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
 
 
-def _closed_tuple(base: BoundQuiver, special: frozenset[int], basis: PathBasis):
-    """The maximal paths of a gentle base in ``label_key`` order, so by
-    labels and not by ids, and the tuple of T with the new arrow ids
+def _closed_tuple(base: BoundQuiver, special: frozenset[int]):
+    """The maximal paths of a locally gentle base, its arrow chains
+    (``_gentle_maximal_paths``), in ``label_key`` order, so by labels and
+    not by ids, and the tuple of T with the new arrow ids
     (``close_paths``): the i-th path closed by ``B<i>``."""
     q = base.quiver
-    paths = sorted(maximal_paths(base, basis), key=lambda p: label_key(q, p))
+    paths = sorted(_gentle_maximal_paths(base), key=lambda p: label_key(q, p))
     return (paths, *close_paths(q, tuple(r.paths()[0] for r in base.relations), special,
                                 paths, [f"B{i}" for i in range(1, len(paths) + 1)]))
 
@@ -280,7 +283,7 @@ def reflect(p: SkewGentlePresentation, vertex: Union[int, str],
             raise NotSourceOrSink(f"{v.label} is not a sink of the auxiliary quiver")
         boundary = {a.id for a in q.arrows_into(v.id)}
 
-    _, tup, new = _closed_tuple(aux, p.special, enumerate_basis(aux))
+    _, tup, new = _closed_tuple(aux, p.special)
     # a cycle enters a source only through its new arrow, and leaves a sink
     # only through it, so it holds at most one boundary arrow
     chosen: set[int] = set()

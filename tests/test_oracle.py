@@ -7,22 +7,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from skewbrauer.basis import enumerate_basis
-from skewbrauer import brauer, formats, trivext
+from skewbrauer.basis import enumerate_basis, maximal_paths
+from skewbrauer import brauer, formats, iso, trivext
 from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,
                                symmetric_form_check)
 from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.dissection import skew_gentle_from_dissection
 from skewbrauer.errors import InfiniteDimensional, SkewBrauerError, Undecided
-from skewbrauer.quiver import BoundQuiver, Quiver, Relation
-from skewbrauer.skewgentle import (admissible_presentation, gentle_base,
-                                   make_presentation)
+from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, _gentle_maximal_paths
+from skewbrauer.iso import are_isomorphic
+from skewbrauer.skewgentle import (SgTuple, admissible_presentation, auxiliary_gentle,
+                                   gentle_base, make_presentation)
 from skewbrauer.trivext import enumerate_good_cuts, quotient_by_cut, trivial_extension
 
-from helpers import BQ_FIXTURES, FIXTURES, SBG_FIXTURES, family_graphs, load
+from helpers import BQ_FIXTURES, FIXTURES, SBG_FIXTURES, family_graphs, load, record_builds
 from oracle import (all_paths, dense_projective_layers, dense_rank,
                     dense_symmetric_form_check, gentle_base_by_basis, laplace_det,
                     oracle_reduce)
+from test_properties import linear_skew_gentle
 
 
 def _admissible(name: str) -> BoundQuiver:
@@ -374,3 +376,146 @@ def test_cut_of_a_higher_multiplicity_is_pushed_down():
     assert len(cuts) == 8
     for name, alg, cut in cuts:
         assert quotient_by_cut(alg, cut) == trivext._pushdown(alg.algebra, set(cut.arrows)), name
+
+
+# ---------------------------------------------------------------------------
+# maximal paths of a gentle base read off its arrow chains
+# ---------------------------------------------------------------------------
+
+def _by_basis(bq):
+    return set(maximal_paths(bq, enumerate_basis(bq)))
+
+
+def test_arrow_chains_match_the_basis_reading():
+    # the gentle base of every admissible presentation and good-cut
+    # quotient, and the auxiliary gentle algebra of every skew-gentle
+    # fixture
+    count = 0
+    for name, adm, t in _presentations():
+        for bq in (adm, *(quotient_by_cut(t, cut) for cut in enumerate_good_cuts(t))):
+            base, _ = gentle_base(bq)
+            assert set(_gentle_maximal_paths(base)) == _by_basis(base), name
+            count += 1
+    for name in sorted(f for f in os.listdir(FIXTURES) if f.endswith((".bq", ".dis"))):
+        try:
+            pres = (skew_gentle_from_dissection(load(name)) if name.endswith(".dis")
+                    else make_presentation(load(name)))
+            aux = auxiliary_gentle(pres)
+            want = _by_basis(aux)
+        except SkewBrauerError:
+            continue
+        assert set(_gentle_maximal_paths(aux)) == want, name
+        count += 1
+    assert count == 18 + 112 + 18
+
+
+@given(linear_skew_gentle())
+@settings(max_examples=40, deadline=None)
+def test_arrow_chains_match_the_basis_on_random_draws(bq):
+    aux = auxiliary_gentle(make_presentation(bq))
+    assert set(_gentle_maximal_paths(aux)) == _by_basis(aux)
+
+
+def _cycle_without_monomial():
+    """A skew-gentle presentation whose auxiliary algebra has the cycle
+    a*b with no monomial: a: 1 -> 2, b: 2 -> 1, c: 1 -> 3 with b*c = 0,
+    and a special loop at 3."""
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "1"),
+                                        ("c", "1", "3"), ("f", "3", "3")])
+    b, c, f = (q.arrow_by_label(x).id for x in "bcf")
+    rels = (Relation.monomial(Path(1, (b, c))),
+            Relation(((Fraction(1), Path(2, (f, f))), (Fraction(-1), Path(2, (f,))))))
+    return make_presentation(BoundQuiver(q, rels, frozenset({2})))
+
+
+def test_cycle_without_monomial_raises_the_basis_error():
+    pres = _cycle_without_monomial()
+    with pytest.raises(InfiniteDimensional) as want:
+        enumerate_basis(auxiliary_gentle(pres))
+    for build in (lambda: trivial_extension(admissible_presentation(pres)),
+                  lambda: trivext.reflect(pres, "3", "plus"),
+                  lambda: brauer.graph_from_skew_gentle(pres)):
+        with pytest.raises(InfiniteDimensional) as got:
+            build()
+        assert str(got.value) == str(want.value)
+
+
+def _round_trips():
+    """(name, T(A), T(quotient)) for every good cut of the five
+    skew-gentle fixtures of the benchmark's round trip, 40 in all."""
+    for name in ("toy.bq", "repetitive.bq", "sec73_A.bq", "sec73_B.bq", "sec74.bq"):
+        t = trivial_extension(_admissible(name))
+        for cut in enumerate_good_cuts(t):
+            yield name, t, trivial_extension(quotient_by_cut(t, cut))
+
+
+def test_round_trip_extensions_build_no_basis(monkeypatch):
+    built = record_builds(monkeypatch)
+    assert sum(1 for _ in _round_trips()) == 40
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the tuple certificate of an isomorphism
+# ---------------------------------------------------------------------------
+
+def _lift(tup, swap=frozenset(), arrows=None):
+    """The map of the duplicated quiver of ``tup`` that lifts the base
+    arrow map ``arrows`` (default the identity) and swaps the signs at
+    the special vertices ``swap``."""
+    sgq, arrows = tup.sgq, arrows or {}
+    flip = lambda v, s: {"+": "-", "-": "+"}[s] if v in swap else s  # noqa: E731
+    q = tup.quiver
+    vmap = {w: sgq.vertex_lookup[v, flip(v, s)] for (v, s), w in sgq.vertex_lookup.items()}
+    amap = {}
+    for x, (a, ss, ts) in sgq.arrow_origins.items():
+        arrow = q.arrow(a)
+        amap[x] = sgq.arrow_lookup[arrows.get(a, a), flip(arrow.source, ss),
+                                   flip(arrow.target, ts)]
+    return vmap, amap
+
+
+def test_certificate_accepts_a_sign_swap():
+    tup = trivial_extension(_admissible("toy.bq")).sg_tuple
+    assert tup.special
+    for x in tup.special:
+        assert iso._tuple_certificate(tup, tup, *_lift(tup, frozenset({x})))
+
+
+def _two_loops(monomials, multiplicities):
+    q = Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    x, y = (a.id for a in q.arrows)
+    cycles = (Path(0, (x,)), Path(0, (y,))) if multiplicities else ()
+    return (SgTuple(q, tuple(Path(0, w) for w in monomials(x, y)), frozenset(),
+                    cycles, multiplicities), {x: y, y: x})
+
+
+def test_certificate_rejects_a_moved_monomial_or_multiplicity():
+    for tup, swap in (_two_loops(lambda x, y: [(x, x)], ()),
+                      _two_loops(lambda x, y: [], (1, 2))):
+        assert iso._tuple_certificate(tup, tup, *_lift(tup))
+        assert not iso._tuple_certificate(tup, tup, *_lift(tup, arrows=swap))
+
+
+def test_edited_extension_skips_the_certificate(monkeypatch):
+    t = trivial_extension(_admissible("sec73_A.bq"))
+    back = trivial_extension(quotient_by_cut(t, next(enumerate_good_cuts(t)))).algebra
+    victim = [r for r in t.algebra.relations if not r.is_monomial][-1]
+    edited = dataclasses.replace(t.algebra, relations=tuple(
+        r for r in t.algebra.relations if r is not victim))
+    called = []
+    real = iso._tuple_certificate
+    monkeypatch.setattr(iso, "_tuple_certificate", lambda *a: called.append(a) or real(*a))
+    assert are_isomorphic(back, edited).status == "not_isomorphic"
+    assert called == []
+    assert are_isomorphic(back, t.algebra) and called
+
+
+def test_round_trips_read_the_terms_of_a_only_on_three_cuts(monkeypatch):
+    trips = list(_round_trips())
+    read = []
+    real = iso._terms
+    monkeypatch.setattr(iso, "_terms", lambda bq: read.append(bq) or real(bq))
+    names = [name for name, t, back in trips
+             if are_isomorphic(back.algebra, t.algebra) and any(x is back.algebra for x in read)]
+    assert names == ["sec73_A.bq"] * 3

@@ -748,7 +748,9 @@ class TestIsomorphism:
 
     def test_generators_of_b_are_computed_once(self, monkeypatch):
         # the same b in two calls: its relation terms, read only for its
-        # generator set, are read once; a is read once per call
+        # generator set, are read once; a's terms are not read when the
+        # tuple certificate accepts, and once per call on a pair that
+        # carries no tuple
         t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
         cut = next(iter(enumerate_good_cuts(t)))
         back = trivial_extension(quotient_by_cut(t, cut)).algebra
@@ -757,7 +759,11 @@ class TestIsomorphism:
         monkeypatch.setattr(iso, "_terms", lambda bq: read.append(bq) or real(bq))
         assert are_isomorphic(back, t.algebra) and are_isomorphic(back, t.algebra)
         assert sum(x is t.algebra for x in read) == 1
-        assert sum(x is back for x in read) == 2
+        assert sum(x is back for x in read) == 0
+        q = square()
+        plain_a, plain_b = (BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),)) for _ in "ab")
+        assert are_isomorphic(plain_a, plain_b) and are_isomorphic(plain_a, plain_b)
+        assert sum(x is plain_a for x in read) == 2
 
     def test_round_trip_builds_no_basis_of_the_quotient_extension(self, monkeypatch):
         t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
