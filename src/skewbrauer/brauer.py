@@ -197,7 +197,9 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
 
     phi vanishes off closed paths, and the normal form of ab runs from the
     source of a to the target of b, so phi(ab) and phi(ba) can be nonzero
-    only when b runs from the target of a back to its source.  The basis
+    only when b runs from the target of a back to its source.  The normal
+    form of ab is no longer than ab, so a pair shorter than every word of
+    phi's support pairs to zero with no rewriting.  The basis
     paths are grouped into blocks B(s, t) by source and target
     (``PathBasis.blocks``), and ab is reduced once for each a in B(s, t)
     and b in B(t, s).  Up to a permutation of rows and columns the Gram
@@ -217,6 +219,7 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
             if nf is not None:
                 support.add(nf[1])
 
+    shortest = min(map(len, support), default=0)
     blocks = basis.blocks()
     gram: dict[tuple[int, int], list[dict]] = {}   # (s, t) -> [{j: phi(a b_j)} for a]
     for (s, t), block in blocks.items():
@@ -224,7 +227,10 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
         rows = gram[s, t] = []
         for a in block:
             row = {}
+            reach = shortest - len(a)
             for j, b in enumerate(others):
+                if len(b) < reach:
+                    continue
                 nf = basis.normal_form(a.arrows + b.arrows)
                 if nf is not None and nf[1] in support:
                     row[j] = nf[0]

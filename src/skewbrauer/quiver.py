@@ -235,23 +235,35 @@ class BoundQuiver:
     ``sg_tuple`` is the tuple (Q, monomials, Sp, cycles) of a presentation
     that ``sg_bound_quiver`` built; its ``sgq`` holds the sign of every
     vertex and arrow.  Any other presentation carries None.
+
+    ``sg_bound_quiver`` leaves ``relations`` out of the instance: they are
+    the tuple's sg relations (``SgTuple.ideal``), written, and their
+    endpoints checked, on the first read, which ``__getattr__`` answers.
+    Equality, the hash, ``dataclasses.replace`` and pickling read them
+    too.  Relations given to the constructor are checked there.
     """
     quiver: Quiver
-    relations: tuple[Relation, ...] = ()
+    # a default factory leaves no class attribute to shadow __getattr__
+    relations: tuple[Relation, ...] = field(default_factory=tuple)
     special_vertices: frozenset[int] = frozenset()
     # equality compares it, the hash leaves it out
     sg_tuple: Optional[SgTuple] = field(default=None, hash=False)
 
     def __post_init__(self):
-        arrow = self.quiver._amap
-        for r in self.relations:
-            ends = {(arrow[p.arrows[0]].source, arrow[p.arrows[-1]].target)
-                    if p.arrows else (p.base, p.base) for _, p in r.terms}
-            if len(ends) != 1:
-                raise ValueError(f"relation terms disagree on endpoints: {r.label(self.quiver)}")
+        _check_ends(self.quiver, self.relations)
         vids = {v.id for v in self.quiver.vertices}
         if not set(self.special_vertices) <= vids:
             raise ValueError("special vertex outside the quiver")
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute missing from the instance: the
+        # relations of a tuple presentation before their first read
+        if name != "relations" or self.sg_tuple is None:
+            raise AttributeError(name)
+        rels = self.sg_tuple.ideal
+        _check_ends(self.quiver, rels)
+        self.__dict__["relations"] = rels
+        return rels
 
     @cached_property
     def admissible(self) -> bool:
@@ -260,6 +272,17 @@ class BoundQuiver:
 
     def relabelled(self, **kwargs) -> "BoundQuiver":
         return replace(self, **kwargs)
+
+
+def _check_ends(q: Quiver, relations: Iterable[Relation]) -> None:
+    """Raise ``ValueError`` unless the terms of each relation share their
+    source and target."""
+    arrow = q._amap
+    for r in relations:
+        ends = {(arrow[p.arrows[0]].source, arrow[p.arrows[-1]].target)
+                if p.arrows else (p.base, p.base) for _, p in r.terms}
+        if len(ends) != 1:
+            raise ValueError(f"relation terms disagree on endpoints: {r.label(q)}")
 
 
 class Verdict(NamedTuple):

@@ -14,6 +14,10 @@ every vertex and arrow), its ideal (``ideal``), the signed powers c^m of
 its cycles (``powers``) and the signed copies of the cycles themselves
 (``signed_cycles``) once, on first use.  The symmetrising form and the
 cuts of the skew-Brauer and trivial-extension carriers read them there.
+The presentation of ``sg_bound_quiver`` writes its relations, the
+tuple's ``ideal``, on their first read, so a caller that reads only the
+tuple (``gentle_base``, the good-cut quotient, ``trivial_extension``)
+writes no sg relation.
 """
 from __future__ import annotations
 
@@ -243,14 +247,16 @@ def _tuple_fault(adm: BoundQuiver) -> str:
     """Why ``adm`` is not the sg-bound quiver of its tuple, or "": its
     quiver must be the tuple's ``sgq.quiver`` and its relations the tuple's
     sg relations (``SgTuple.ideal``), up to order and scalars; the same
-    ideal written with other generators is refused too."""
+    ideal written with other generators is refused too.  Relations not
+    read yet are the tuple's own (``sg_bound_quiver``), so "" is then
+    answered without writing them."""
     t = adm.sg_tuple
     if t is None:
         return "no duplication bookkeeping on this presentation"
     q = adm.quiver
     if q != t.sgq.quiver:
         return "the quiver is not the duplicated quiver of its tuple"
-    if adm.relations == t.ideal:
+    if "relations" not in adm.__dict__ or adm.relations == t.ideal:
         return ""
     have, want = ({r.canonical() for r in rels} for rels in (adm.relations, t.ideal))
     for r in adm.relations:
@@ -482,8 +488,12 @@ def sg_ideal(t: SgTuple) -> tuple[Relation, ...]:
 
 def sg_bound_quiver(t: SgTuple) -> BoundQuiver:
     """The sg-bound quiver algebra of a tuple, as an admissible
-    presentation that carries the tuple."""
-    return BoundQuiver(t.sgq.quiver, t.ideal, sg_tuple=t)
+    presentation that carries the tuple.  Its relations are ``t.ideal``,
+    left out of the instance and written on their first read (see
+    ``BoundQuiver``), so a reader of the tuple alone writes none."""
+    bq = BoundQuiver(t.sgq.quiver, sg_tuple=t)
+    del bq.__dict__["relations"]
+    return bq
 
 
 def admissible_presentation(p: SkewGentlePresentation) -> BoundQuiver:

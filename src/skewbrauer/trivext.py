@@ -9,7 +9,7 @@ from .errors import (NotSkewGentle, NotSourceOrSink, UnknownArrow,
                      UnknownVertex, UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, _gentle_maximal_paths,
                      dedupe_relations, is_locally_gentle, label_key)
-from .skewgentle import (SgTuple, SkewGentlePresentation, _decorate,
+from .skewgentle import (SIGNS, SgTuple, SkewGentlePresentation, _decorate,
                          _tuple_fault, auxiliary_gentle, close_paths,
                          gentle_base, loop_presentation, sg_bound_quiver)
 
@@ -44,7 +44,11 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     ``new_arrows`` maps each signed copy of ``B<i>`` to the copy of
     its maximal path in ``a``: the signs of the new arrow's copy at the
     ends, "+" at special vertices inside, looked up in the duplicated
-    quiver of ``a``'s tuple, whose ids the base keeps.
+    quiver of ``a``'s tuple, whose ids the base keeps.  The copies are
+    read off ``sgq.arrow_lookup`` of T's tuple, the sign at the new
+    arrow's target first, then the sign at its source.  So the build
+    writes no signed power of T's tuple, and ``algebra`` (its
+    ``sg_bound_quiver``) writes its relations only when they are read.
     """
     own = a.sg_tuple
     if own is None:
@@ -65,17 +69,14 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
         base, special = gentle_base(a)
     q = base.quiver
     paths, tup, betas = _closed_tuple(base, special)
-    # each new arrow lies on one cycle, of multiplicity one: the signed
-    # powers of the rotation that ends with it end with its signed copies
-    closing = {rot.arrows[-1]: copies for rot, copies, _ in tup.powers}
+    look = tup.sgq.arrow_lookup
     new_arrows: dict[int, Path] = {}
     for p, beta in zip(paths, betas):
         inside = ["+" if q.arrow(x).target in special else "" for x in p.arrows[:-1]]
-        for dec in closing[beta]:
-            copy = dec.arrows[-1]
-            if copy not in new_arrows:
-                _, eps2, eps = tup.sgq.arrow_origins[copy]
-                new_arrows[copy] = p if own is None else _decorate(
+        # beta runs from the target of p back to its source
+        for eps in SIGNS if p.source(q) in special else ("",):
+            for eps2 in SIGNS if p.target(q) in special else ("",):
+                new_arrows[look[beta, eps2, eps]] = p if own is None else _decorate(
                     own.sgq, p, (eps, *inside, eps2))
     return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
 

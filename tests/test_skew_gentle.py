@@ -1,4 +1,8 @@
 """Skew-gentle recognition, duplication, admissible presentations."""
+import dataclasses
+import pickle
+import re
+
 import pytest
 
 from skewbrauer import formats, skewgentle, trivext
@@ -359,6 +363,57 @@ class TestGentleBase:
         e3 = stationary(adm.quiver.vertex_by_label("3").id)
         assert {t.quiver.arrow(b).label: p for b, p in t.new_arrows.items()} == {
             "B1": e3, "+B2": P(adm.quiver, "a+"), "-B2": P(adm.quiver, "a-")}
+
+
+def _lazy_tuples():
+    # toy.bq's admissible tuple, with no cycles, and that of its T(A)
+    adm = _toy_adm().sg_tuple
+    return [adm, trivial_extension(sg_bound_quiver(adm)).sg_tuple]
+
+
+class TestLazyRelations:
+    """``sg_bound_quiver`` writes its relations, the tuple's sg ideal, on
+    their first read."""
+
+    @pytest.mark.parametrize("t", _lazy_tuples(), ids=["adm", "trivext"])
+    def test_equal_to_the_eager_presentation(self, t):
+        eager = BoundQuiver(t.sgq.quiver, sg_ideal(t), sg_tuple=t)
+        lazy = sg_bound_quiver(t)
+        assert "relations" not in vars(lazy)
+        assert lazy == eager and eager == sg_bound_quiver(t)
+        assert hash(sg_bound_quiver(t)) == hash(eager)
+
+    @pytest.mark.parametrize("t", _lazy_tuples(), ids=["adm", "trivext"])
+    def test_first_read_writes_the_sg_ideal_in_order(self, t):
+        lazy = sg_bound_quiver(t)
+        assert lazy.relations == sg_ideal(t)
+        assert vars(lazy)["relations"] is lazy.relations
+
+    @pytest.mark.parametrize("t", _lazy_tuples(), ids=["adm", "trivext"])
+    def test_copies_round_trip(self, t):
+        eager = BoundQuiver(t.sgq.quiver, sg_ideal(t), sg_tuple=t)
+        assert dataclasses.replace(sg_bound_quiver(t)) == eager
+        plain = sg_bound_quiver(t).relabelled(sg_tuple=None)
+        assert plain == BoundQuiver(t.sgq.quiver, sg_ideal(t))
+        back = pickle.loads(pickle.dumps(sg_bound_quiver(t)))
+        assert "relations" not in vars(back)
+        assert back == eager and back.relations == sg_ideal(t)
+
+    def test_tuple_readers_write_no_relation(self):
+        adm = _toy_adm()
+        base, special = gentle_base(adm)
+        t = trivial_extension(adm)
+        assert (base.quiver, special) == (adm.sg_tuple.quiver, adm.sg_tuple.special)
+        assert "relations" not in vars(adm) and "relations" not in vars(t.algebra)
+        assert "powers" not in vars(t.sg_tuple)
+
+    @pytest.mark.parametrize("label", ["+a+*+b - +a-*-b", "l*g"])
+    def test_dropped_sg_relation_is_refused(self, label):
+        adm = _without(_toy_adm(), label)
+        assert len(adm.relations) == 3
+        message = f"sg relation {label} of its tuple is missing"
+        with pytest.raises(NotSkewGentle, match=f"^{re.escape(message)}$"):
+            gentle_base(adm)
 
 
 class TestSpMaximal:
