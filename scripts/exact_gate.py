@@ -39,28 +39,31 @@ The groups:
   whose relations differ in one sign, and two stars of unequal
   dimension;
 - ``cli``: ``skewbrauer.cli.main`` run in this process on the fixtures,
-  each call once as it is and once with ``--json`` (see ``_cli_calls``).
+  each call once as it is and once with ``--json`` (see ``_cli_calls``);
+- ``relations``: the relation tuple, in order, of each record above that
+  has one, keyed by its group and name, so that a change of generators
+  with the same ideal changes only these records and the ``cli`` ones.
 
-Each algebra contributes its quiver, its relation tuple in order,
-``basis_paths``, the nilpotency bound, the normal form of every nonzero
-path, the projective layers at every vertex and ``CartanData``; each
-carrier with an ``sg_tuple`` adds the symmetrising-form verdict; a
-skew-Brauer algebra or trivial extension adds the signed copies of its
-tuple's cycles, each with its graph vertex or new arrow; and a trivial
-extension its ``new_arrows`` and, in the order they are enumerated, the
-label rows of its admissible cuts and of its good cuts, so that a change
-in the order of the ``cuts`` rows is seen.  A loop presentation
-contributes its canonical ``.bq`` text, its special vertices and the
-relation tuple, in order, of its admissible presentation.  A text of
-the ``formats`` group contributes its canonical serialisation after
-parsing.  An ``iso`` item contributes its ``IsoResult``: the status,
-the vertex and arrow maps as sorted label pairs, and the node count;
-and whether the call built the basis of its first argument, so that a
-map accepted without that basis is seen.  A ``cli`` call contributes its
-exit code, stdout and stderr, with the paths under ROOT made relative to
-it.
+Each algebra contributes its quiver, ``basis_paths``, the nilpotency
+bound, the normal form of every nonzero path, the projective layers at
+every vertex and ``CartanData``; each carrier with an ``sg_tuple`` adds
+the symmetrising-form verdict; a skew-Brauer algebra or trivial
+extension adds the signed copies of its tuple's cycles, each with its
+graph vertex or new arrow; and a trivial extension its ``new_arrows``
+and, in the order they are enumerated, the label rows of its admissible
+cuts and of its good cuts, so that a change in the order of the ``cuts``
+rows is seen.  Its relation tuple goes to ``relations``.  A loop
+presentation contributes its canonical ``.bq`` text and its special
+vertices, and the relation tuple of its admissible presentation goes to
+``relations``.  A text of the ``formats`` group contributes its
+canonical serialisation after parsing.  An ``iso`` item contributes its
+``IsoResult``: the status, the vertex and arrow maps as sorted label
+pairs, and the node count; and whether the call built the basis of its
+first argument, so that a map accepted without that basis is seen.  A
+``cli`` call contributes its exit code, stdout and stderr, with the
+paths under ROOT made relative to it.
 An error, a ``SkewBrauerError`` or a bare ``ValueError``, is
-recorded by its class and message.
+recorded by its class and message, and files no relation tuple.
 """
 import contextlib
 import dataclasses
@@ -127,8 +130,7 @@ def _lines(carrier):
     bq = carrier.algebra
     q = bq.quiver
     out = [[v.label for v in q.vertices],
-           [(a.label, a.source, a.target) for a in q.arrows],
-           [r.label(q) for r in bq.relations]]
+           [(a.label, a.source, a.target) for a in q.arrows]]
     basis = enumerate_basis(bq)
     out += [[p.label(q) for p in basis.basis_paths], basis.nilpotency_bound]
     # through reduce, whose {Path: Fraction} shape every checkout shares;
@@ -212,10 +214,15 @@ def _presentation_lines(pres):
     if isinstance(pres, TrivialExtension):
         return _lines(pres)
     q = pres.quiver
-    adm = admissible_presentation(pres)
     return [formats.serialize_bq(pres.bound),
-            sorted(q.vertex(v).label for v in pres.special),
-            [r.label(adm.quiver) for r in adm.relations]]
+            sorted(q.vertex(v).label for v in pres.special)]
+
+
+def _relations(built):
+    """The relation tuple, in order, of a carrier's algebra, or of the
+    admissible presentation of a loop presentation."""
+    bq = built.algebra if hasattr(built, "algebra") else admissible_presentation(built)
+    return [r.label(bq.quiver) for r in bq.relations]
 
 
 def _admissible(bq):
@@ -523,33 +530,54 @@ def _cli():
             yield " ".join(flags + argv), lambda argv=flags + argv: _cli_run(argv)
 
 
-# each group: its items (name, build) and the record of what a build returns
-GROUPS = {"sbg": (_sbg, _lines), "families": (_family_graphs, _lines),
-          "trivext": (_trivext, _lines), "dis": (_dis, _lines),
-          "presentations": (_presentations, _presentation_lines),
-          "formats": (_formats, lambda text: [text]),
-          "generated": (_generated, _lines), "iso": (_iso, _iso_lines),
-          "cli": (_cli, list)}
+# each group: its items (name, build), the record of what a build returns
+# and what reads its relation tuple for the ``relations`` group, or None
+GROUPS = {"sbg": (_sbg, _lines, _relations),
+          "families": (_family_graphs, _lines, _relations),
+          "trivext": (_trivext, _lines, _relations), "dis": (_dis, _lines, _relations),
+          "presentations": (_presentations, _presentation_lines, _relations),
+          "formats": (_formats, lambda text: [text], None),
+          "generated": (_generated, _lines, _relations),
+          "iso": (_iso, _iso_lines, None), "cli": (_cli, list, None)}
+
+
+def _records(group, items, lines_of, relations_of, relations):
+    """(name, lines) of each item of a group; the relation tuple of each
+    item recorded without an error goes to ``relations``, keyed by group
+    and name."""
+    for name, build in items():
+        try:
+            built = build()
+            rels = relations_of(built) if relations_of else None
+            lines = lines_of(built)
+        except (SkewBrauerError, ValueError) as exc:
+            rels, lines = None, [type(exc).__name__, str(exc)]
+        if rels is not None:
+            relations.append((f"{group} {name}", rels))
+        yield name, lines
+
+
+def _write(group, records, overall):
+    """Print one line per record and the group's digest, which goes into
+    ``overall``; return the number of records."""
+    digest = hashlib.sha256()
+    count = 0
+    for name, lines in records:
+        record = repr((name, lines)).encode()
+        digest.update(record)
+        count += 1
+        print(f"{group:<9} {name}  {hashlib.sha256(record).hexdigest()[:16]}")
+    overall.update(digest.hexdigest().encode())
+    print(f"{group:<9} {count:>4} algebras  {digest.hexdigest()}")
+    return count
 
 
 def main() -> int:
     overall = hashlib.sha256()
-    total = 0
-    for group, (items, lines_of) in GROUPS.items():
-        digest = hashlib.sha256()
-        count = 0
-        for name, build in items():
-            try:
-                lines = lines_of(build())
-            except (SkewBrauerError, ValueError) as exc:
-                lines = [type(exc).__name__, str(exc)]
-            record = repr((name, lines)).encode()
-            digest.update(record)
-            count += 1
-            print(f"{group:<9} {name}  {hashlib.sha256(record).hexdigest()[:16]}")
-        overall.update(digest.hexdigest().encode())
-        total += count
-        print(f"{group:<9} {count:>4} algebras  {digest.hexdigest()}")
+    relations = []
+    total = sum(_write(group, _records(group, *funcs, relations), overall)
+                for group, funcs in GROUPS.items())
+    total += _write("relations", relations, overall)
     print(f"{'all':<9} {total:>4} algebras  {overall.hexdigest()}")
     return 0
 

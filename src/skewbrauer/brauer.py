@@ -193,7 +193,9 @@ def symmetric_form_check(alg, basis: Optional[PathBasis] = None) -> Verdict:
 
     Accepts any carrier with ``algebra`` and the ``sg_tuple`` it was built
     from, so trivial extensions are checked against the same form: phi is
-    1 on the signed powers c^m of the tuple's cycles, m its multiplicity.
+    1 on the signed powers c^m of the tuple's cycles, m its multiplicity,
+    read one per sign class (``SgTuple.powers``), since the copies of one
+    class are equal in the algebra.
 
     phi vanishes off closed paths, and the normal form of ab runs from the
     source of a to the target of b, so phi(ab) and phi(ba) can be nonzero

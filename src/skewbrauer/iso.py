@@ -29,13 +29,14 @@ A map that passes the first test passes the third, which replaces it
 once ``a`` has a basis (from the start, if it was built before the call).
 
 The certificate is sound because ``sg_ideal`` is built from the tuple
-alone, so a base isomorphism of tuples lifts to one of ideals.  Types a,
-c and d range over all signs; type b is independent of the copy it
-picks, since type a identifies the copies; a swap at a special vertex
-sends each type a relation to its negative, and permutes the signed
-copies of the others.  A map it accepts passes the third test too, so
-it changes no answer, map or node count, only the work: no terms and
-no basis of ``a``.
+alone, so a base isomorphism of tuples lifts to one of ideals.  It
+writes one signed copy of each family's word per sign class, and every
+other copy is equal to it modulo type a (see ``sg_ideal``), so the
+ideal is that of every family over all signs.  A swap at a
+special vertex sends each type a relation to its negative, and permutes
+the signed copies of the others, so it keeps that ideal.  A map it
+accepts passes the third test too, so it changes no answer, map or node
+count, only the work: no terms and no basis of ``a``.
 
 Relations are compared as (coefficient, base vertex, word) terms, with
 whole coefficients as ``int``.  The terms of ``a`` are read at most once

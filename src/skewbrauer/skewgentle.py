@@ -2,8 +2,8 @@
 
 A skew-gentle algebra is handled in two presentations: the non-admissible
 one (special loops f with f^2 = f) and the admissible one obtained by
-duplicating the special vertices and ranging relations over all sign
-decorations.  The second is ``sg_bound_quiver`` of a tuple
+duplicating the special vertices and writing each relation once per
+sign class (``sg_ideal``).  The second is ``sg_bound_quiver`` of a tuple
 (Q, monomials, Sp, no cycles), and carries that tuple as its
 ``sg_tuple``; ``gentle_base`` reads the auxiliary gentle algebra and its
 special vertices back off it and checks that they are skew-gentle, and
@@ -11,9 +11,10 @@ special vertices back off it and checks that they are skew-gentle, and
 
 An ``SgTuple`` builds its duplicated quiver (``sgq``, the sign of
 every vertex and arrow), its ideal (``ideal``), the signed powers c^m of
-its cycles (``powers``) and the signed copies of the cycles themselves
-(``signed_cycles``) once, on first use.  The symmetrising form and the
-cuts of the skew-Brauer and trivial-extension carriers read them there.
+its cycles, one per sign class (``powers``), and every signed copy of
+the cycles themselves (``signed_cycles``) once, on first use.  The
+symmetrising form and the cuts of the skew-Brauer and trivial-extension
+carriers read them there.
 The presentation of ``sg_bound_quiver`` writes its relations, the
 tuple's ``ideal``, on their first read, so a caller that reads only the
 tuple (``gentle_base``, the good-cut quotient, ``trivial_extension``)
@@ -24,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import LoopAtDistinguished, NotSkewGentle
 from .quiver import (Arrow, BoundQuiver, Path, Quiver, Relation, Vertex,
                      canonical_rotation, cycle_rotations, is_locally_gentle)
 
 SIGNS = ("+", "-")
-_OTHER = {"+": "-", "-": "+"}
 
 
 class SgCheck(NamedTuple):
@@ -227,15 +227,15 @@ def sg_quiver(q: Quiver, special: frozenset[int]) -> SgQuiver:
     vertices: list[Vertex] = []
     vlook: dict[tuple[int, str], int] = {}
     for v in sorted(q.vertices, key=lambda v: v.label):
-        for s in SIGNS if v.id in special else ("",):
+        for s in _signs(special, v.id):
             vlook[(v.id, s)] = len(vertices)
             vertices.append(Vertex(len(vertices), f"{v.label}{s}"))
     arrows: list[Arrow] = []
     aorig: dict[int, tuple[int, str, str]] = {}
     alook: dict[tuple[int, str, str], int] = {}
     for a in sorted(q.arrows, key=lambda a: a.label):
-        for ss in SIGNS if a.source in special else ("",):
-            for ts in SIGNS if a.target in special else ("",):
+        for ss in _signs(special, a.source):
+            for ts in _signs(special, a.target):
                 alook[(a.id, ss, ts)] = len(arrows)
                 aorig[len(arrows)] = (a.id, ss, ts)
                 arrows.append(Arrow(len(arrows), f"{ss}{a.label}{ts}",
@@ -297,11 +297,7 @@ def gentle_base(adm: BoundQuiver) -> tuple[BoundQuiver, frozenset[int]]:
 
 
 def _visit_vertices(q: Quiver, p: Path) -> list[int]:
-    if not p.arrows:
-        return [p.base]
-    out = [q.arrow(p.arrows[0]).source]
-    out.extend(q.arrow(a).target for a in p.arrows)
-    return out
+    return [p.base, *(q.arrow(a).target for a in p.arrows)]
 
 
 def _decorate(sgq: SgQuiver, p: Path, signs: Sequence[str]) -> Path:
@@ -311,18 +307,19 @@ def _decorate(sgq: SgQuiver, p: Path, signs: Sequence[str]) -> Path:
                 tuple(look[aid, signs[i], signs[i + 1]] for i, aid in enumerate(p.arrows)))
 
 
-def _sign_options(q: Quiver, special: frozenset[int], p: Path,
-                  fixed: dict[int, str]) -> Iterable[tuple[str, ...]]:
+def _signs(special: frozenset[int], v: int) -> tuple[str, ...]:
+    """The signs of the copies of the base vertex v."""
+    return SIGNS if v in special else ("",)
+
+
+def _end_signs(q: Quiver, special: frozenset[int], p: Path) -> list[tuple[str, ...]]:
+    """The sign assignments of the visits of a base path with "+" at every
+    distinguished vertex inside it: one for each pair of signs at its two
+    ends."""
     visits = _visit_vertices(q, p)
-    choices = []
-    for i, v in enumerate(visits):
-        if i in fixed:
-            choices.append((fixed[i],))
-        elif v in special:
-            choices.append(SIGNS)
-        else:
-            choices.append(("",))
-    return product(*choices)
+    inside = tuple("+" if v in special else "" for v in visits[1:-1])
+    return [(s, *inside, e) for s in _signs(special, visits[0])
+            for e in _signs(special, visits[-1])]
 
 
 @dataclass(frozen=True)
@@ -367,46 +364,38 @@ class SgTuple:
 
     @cached_property
     def powers(self) -> tuple[tuple[Path, tuple[Path, ...], tuple[Path, ...]], ...]:
-        """For each rotation of each cycle: the rotation, the signed copies
-        of rot^m, and at a distinguished start each copy closed with the
-        other sign.  Every period of a copy is signed alike.
+        """For each rotation rot of each cycle, m its multiplicity: rot,
+        one signed copy of rot^m for each sign at its start ("+" first),
+        with "+" at every distinguished vertex inside, and at a distinguished start
+        each of those copies closed with the other sign.
 
-        c^m is decorated once for each sign period of c; the copy of the
-        i-th rotation under a period of its own visits is that word
-        rotated by i, and the copies keep the order of those periods."""
-        sgq, q, special = self.sgq, self.quiver, self.special
+        A copy stands for its sign class: every signed copy of rot^m with
+        the same start and end signs is equal to it in the algebra (see
+        ``sg_ideal``)."""
         out = []
         for c, m in zip(self.cycles, self.multiplicities):
-            n = len(c)
-            options = [SIGNS if v in special else ("",) for v in _visit_vertices(q, c)[:-1]]
-            power = Path(c.base, c.arrows * m)
-            # the signs of one period repeat; the path closes with its first
-            words = {period: _decorate(sgq, power, period * m + period[:1]).arrows
-                     for period in product(*options)}
-            for i, rot in enumerate(cycle_rotations(q, c.arrows)):
+            for rot in cycle_rotations(self.quiver, c.arrows):
+                power = Path(rot.base, rot.arrows * m)
                 copies, flipped = [], []
-                for period in product(*options[i:], *options[:i]):
-                    w = words[period[n - i:] + period[:n - i]]
-                    p = Path(sgq.vertex_lookup[rot.base, period[0]], w[i:] + w[:i])
-                    copies.append(p)
-                    if rot.base in special:
-                        last = sgq.arrow_lookup[rot.arrows[-1], period[-1],
-                                                _OTHER[period[0]]]
-                        flipped.append(Path(p.base, p.arrows[:-1] + (last,)))
+                for signs in _end_signs(self.quiver, self.special, power):
+                    (copies if signs[0] == signs[-1] else flipped).append(
+                        _decorate(self.sgq, power, signs))
                 out.append((rot, tuple(copies), tuple(flipped)))
         return tuple(out)
 
     @cached_property
     def signed_cycles(self) -> tuple[tuple[Path, ...], ...]:
-        """For each cycle c (not c^m): the canonical rotation in the sg
-        quiver of every signed copy of c, in ``Path.sort_key`` order.  The
-        signs of a copy of c^m repeat with each period, so its first len(c)
-        arrows, at c's own rotation, are a signed copy of c."""
-        sq = self.sgq.quiver
-        copies = {rot: cs for rot, cs, _ in self.powers}
-        return tuple(tuple(sorted((canonical_rotation(sq, p.arrows[:len(c)]) for p in copies[c]),
-                                  key=Path.sort_key))
-                     for c in self.cycles)
+        """For each cycle c (not c^m): every signed copy of c, one for each
+        choice of signs at its distinguished visits, at its canonical
+        rotation in the sg quiver, in ``Path.sort_key`` order."""
+        sq, q = self.sgq.quiver, self.quiver
+        out = []
+        for c in self.cycles:
+            options = [_signs(self.special, v) for v in _visit_vertices(q, c)[:-1]]
+            out.append(tuple(sorted(
+                (canonical_rotation(sq, _decorate(self.sgq, c, period + period[:1]).arrows)
+                 for period in product(*options)), key=Path.sort_key)))
+        return tuple(out)
 
 
 def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],
@@ -443,45 +432,55 @@ def close_paths(q: Quiver, monomials: Sequence[Path], special: frozenset[int],
 
 
 def sg_ideal(t: SgTuple) -> tuple[Relation, ...]:
-    """Relation families a-d and the cycle kills, ranged over sign decorations.
+    """Relation families a-d and the cycle kills, one signed copy per sign
+    class.  Each family ranges over the signs at the two ends of its word,
+    with "+" at the distinguished vertices inside (``powers``); type a
+    names both signs at its inside vertex, and the kill, a copy of rot^m
+    followed by its first arrow, is written once per sign at its end.
 
-    Cycle powers carry consistent signs only: every period is signed alike.
+    This generates the ideal of every family over all sign decorations.
+    Two signed copies of one base word with equal end signs differ by
+    sign flips at distinguished visits inside it, and a flip at the visit
+    x of a transit a*b adds u*(a+b+ - a-b-)*v, a type a relation times
+    the paths u before it and v after it.  So the copies are equal modulo
+    type a, and one lies in the ideal exactly when the one written here
+    does.  The completed rewriting system, and so the basis and every
+    normal form, depend only on the ideal (Bergman's diamond lemma).
     """
-    q, sgq, powers = t.quiver, t.sgq, t.powers
+    q, sgq, special = t.quiver, t.sgq, t.special
     rels: list[Relation] = []
 
     # Type a: commutation through each distinguished transit
     for a in q.arrows:
-        if a.target not in t.special:
-            continue
-        for b in q.arrows_from(a.target):
+        for b in q.arrows_from(a.target) if a.target in special else ():
             base = Path(a.source, (a.id, b.id))
-            for signs in _sign_options(q, t.special, base, {1: "+"}):
-                plus = _decorate(sgq, base, signs)
-                minus = _decorate(sgq, base, (signs[0], "-", signs[2]))
-                rels.append(Relation.difference(plus, minus))
+            rels.extend(Relation.difference(_decorate(sgq, base, (s, "+", e)),
+                                            _decorate(sgq, base, (s, "-", e)))
+                        for s, _, e in _end_signs(q, special, base))
 
-    # Type b: chains of cycle powers at each non-distinguished start, one
-    # signed copy per rotation (type a identifies the others)
+    # Type b: chains of the copies of rot^m at each non-distinguished start
     by_start: dict[int, set[Path]] = {}
-    for rot, copies, _ in powers:
-        if rot.base not in t.special:
-            by_start.setdefault(rot.base, set()).add(min(copies, key=Path.sort_key))
+    for rot, copies, _ in t.powers:
+        if rot.base not in special:
+            by_start.setdefault(rot.base, set()).update(copies)
     for v in sorted(by_start):
         insts = sorted(by_start[v], key=Path.sort_key)
         rels.extend(Relation.difference(p, r) for p, r in zip(insts, insts[1:]))
 
-    # Type c: sign-ranged monomial relations; type d: c^(m-1) followed by a
-    # sign-mismatched rotation, at distinguished starts; then c^m followed
-    # by its first arrow.  No binomial above repeats: type a is fixed by
-    # its transit and end signs, and type b chains distinct paths.  A
-    # monomial can: a closed loop B of multiplicity one has the kill B*B,
-    # which close_paths also writes as a type c monomial.  Keep the first.
+    # Type c, type d, then the kills.  No binomial above repeats: type a
+    # is fixed by its transit and end signs, and type b chains distinct
+    # paths.  A monomial can: a closed loop B of multiplicity one has the
+    # kill B*B, which close_paths also writes as a type c monomial.  Keep
+    # the first.
+    kills = (Path(p.base, p.arrows + (sgq.arrow_lookup[rot.arrows[0], s, e],))
+             for rot, copies, _ in t.powers
+             for p, s in zip(copies, _signs(special, rot.base))
+             for e in _signs(special, q.arrow(rot.arrows[0]).target))
     monomials = dict.fromkeys(chain(
         (_decorate(sgq, mono, signs) for mono in t.monomials
-         for signs in _sign_options(q, t.special, mono, {})),
-        (p for _, _, flipped in powers for p in flipped),
-        (Path(p.base, p.arrows + p.arrows[:1]) for _, copies, _ in powers for p in copies)))
+         for signs in _end_signs(q, special, mono)),
+        (p for _, _, flipped in t.powers for p in flipped),
+        kills))
     rels.extend(Relation.monomial(p) for p in monomials)
     return tuple(rels)
 

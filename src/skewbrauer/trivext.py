@@ -9,7 +9,7 @@ from .errors import (NotSkewGentle, NotSourceOrSink, UnknownArrow,
                      UnknownVertex, UnsupportedClass)
 from .quiver import (BoundQuiver, Path, Quiver, Relation, _gentle_maximal_paths,
                      dedupe_relations, is_locally_gentle, label_key)
-from .skewgentle import (SIGNS, SgTuple, SkewGentlePresentation, _decorate,
+from .skewgentle import (SgTuple, SkewGentlePresentation, _decorate, _end_signs,
                          _tuple_fault, auxiliary_gentle, close_paths,
                          gentle_base, loop_presentation, sg_bound_quiver)
 
@@ -72,12 +72,10 @@ def trivial_extension(a: BoundQuiver, basis: Optional[PathBasis] = None) -> Triv
     look = tup.sgq.arrow_lookup
     new_arrows: dict[int, Path] = {}
     for p, beta in zip(paths, betas):
-        inside = ["+" if q.arrow(x).target in special else "" for x in p.arrows[:-1]]
         # beta runs from the target of p back to its source
-        for eps in SIGNS if p.source(q) in special else ("",):
-            for eps2 in SIGNS if p.target(q) in special else ("",):
-                new_arrows[look[beta, eps2, eps]] = p if own is None else _decorate(
-                    own.sgq, p, (eps, *inside, eps2))
+        for signs in _end_signs(q, special, p):
+            new_arrows[look[beta, signs[-1], signs[0]]] = p if own is None else _decorate(
+                own.sgq, p, signs)
     return TrivialExtension(sg_bound_quiver(tup), a, new_arrows, tup)
 
 

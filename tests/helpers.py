@@ -1,7 +1,7 @@
 """Shared fixture loading for the test suite, and reference constructions
 that only the tests use: checked path composition, sign-closed cut sets,
-the sp-maximal paths of a skew-gentle presentation and windows of the
-repetitive algebra."""
+the sp-maximal paths of a skew-gentle presentation, windows of the
+repetitive algebra and the sign ladder A_n."""
 from __future__ import annotations
 
 import importlib.util
@@ -81,6 +81,19 @@ def mono(q: Quiver, *labels: str) -> Relation:
 
 def diff(q: Quiver, left: tuple[str, ...], right: tuple[str, ...]) -> Relation:
     return Relation.difference(P(q, *left), P(q, *right))
+
+
+def sign_ladder(n: int) -> BoundQuiver:
+    """The linear skew-gentle algebra A_n: arrows a<i>: i -> i+1 for
+    i = 1..n-1, every transit a<i>*a<i+1> a relation, and a special loop
+    f<i> with f*f = f at each of 2..n-1.  Its auxiliary gentle algebra has
+    no relation, so T(A_n) has one cycle through n-2 special vertices."""
+    q = Quiver.build([str(i) for i in range(1, n + 1)],
+                     [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
+                     + [(f"f{i}", str(i), str(i)) for i in range(2, n)])
+    rels = [mono(q, f"a{i}", f"a{i + 1}") for i in range(1, n - 1)]
+    rels += [diff(q, (f"f{i}", f"f{i}"), (f"f{i}",)) for i in range(2, n)]
+    return BoundQuiver(q, tuple(rels))
 
 
 def record_builds(monkeypatch) -> list[BoundQuiver]:

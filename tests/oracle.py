@@ -180,7 +180,9 @@ def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
     """Signed copies of ``rot^m`` whose signs repeat with each period.
 
     Built arrow by arrow from the lookups of the duplicated quiver,
-    independently of ``SgTuple.powers``, which the tests check against it.
+    independently of ``SgTuple.powers``, which keeps one copy per sign
+    class; each of these copies is equal in the algebra to the copy of
+    its class.
     """
     visits = [q.arrow(a).source for a in rot.arrows]
     out = []
@@ -190,6 +192,65 @@ def cycle_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
                         tuple(sgq.arrow_lookup[a, signs[i], signs[i + 1]]
                               for i, a in enumerate(rot.arrows * m))))
     return out
+
+
+def _all_decorations(sgq: SgQuiver, q: Quiver, special: frozenset[int],
+                     base: int, word: tuple[int, ...]) -> list[tuple[tuple[str, ...], Path]]:
+    """(signs, signed copy) of the base path ``word`` from ``base`` for
+    every sign at every visit of a distinguished vertex, from the lookups
+    of the duplicated quiver."""
+    visits = [base] + [q.arrow(a).target for a in word]
+    out = []
+    for signs in product(*(("+", "-") if v in special else ("",) for v in visits)):
+        out.append((signs, Path(sgq.vertex_lookup[base, signs[0]],
+                                tuple(sgq.arrow_lookup[a, signs[i], signs[i + 1]]
+                                      for i, a in enumerate(word)))))
+    return out
+
+
+def full_sg_relations(t) -> tuple[Relation, ...]:
+    """The sg relations of a tuple over every sign decoration.
+
+    Type a at each distinguished transit, for all end signs; type b
+    chaining every signed copy of the powers rot^m (m the multiplicity)
+    of the rotations at each non-distinguished start; every signed copy
+    of each monomial; at each distinguished start every signed copy of
+    rot^m closed with the other sign; and every signed copy of each kill,
+    rot^m followed by its first arrow.  Built from the lookups of
+    ``sg_quiver``, not from ``SgTuple.powers`` or ``sg_ideal``, which
+    write one copy per sign class.
+    """
+    q, special = t.quiver, t.special
+    sgq = sg_quiver(q, special)
+    vl, al = sgq.vertex_lookup, sgq.arrow_lookup
+    rels = []
+    for a in q.arrows:
+        if a.target not in special:
+            continue
+        for b in q.arrows_from(a.target):
+            for s in ("+", "-") if a.source in special else ("",):
+                for e in ("+", "-") if b.target in special else ("",):
+                    plus, minus = (Path(vl[a.source, s], (al[a.id, s, x], al[b.id, x, e]))
+                                   for x in ("+", "-"))
+                    rels.append(Relation.difference(plus, minus))
+    by_start: dict[int, set[Path]] = {}
+    monomials = [p for mono in t.monomials
+                 for _, p in _all_decorations(sgq, q, special, mono.base, mono.arrows)]
+    for c, m in zip(t.cycles, t.multiplicities):
+        for rot in cycle_rotations(q, c.arrows):
+            word = rot.arrows * m
+            for signs, p in _all_decorations(sgq, q, special, rot.base, word):
+                if signs[0] != signs[-1]:
+                    monomials.append(p)
+                elif rot.base not in special:
+                    by_start.setdefault(rot.base, set()).add(p)
+            monomials.extend(p for _, p in _all_decorations(sgq, q, special, rot.base,
+                                                            word + rot.arrows[:1]))
+    for v in sorted(by_start):
+        copies = sorted(by_start[v], key=Path.sort_key)
+        rels.extend(Relation.difference(p, r) for p, r in zip(copies, copies[1:]))
+    rels.extend(Relation.monomial(p) for p in dict.fromkeys(monomials))
+    return tuple(rels)
 
 
 def dense_symmetric_form_check(alg, basis) -> Verdict:

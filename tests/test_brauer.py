@@ -101,8 +101,8 @@ class TestSkewBrauerAlgebra:
 
     @pytest.mark.parametrize("name", ["gamma1_m2.sbg", "bstar_m2.sbg", "btree_m3.sbg"])
     def test_cycles_are_the_signed_copies_of_each_cycle(self, name):
-        # the tuple reads its signed cycles off the signed powers c^m; with
-        # m > 1 they must still be the signed copies of c itself
+        # with m > 1 the signed cycles are still the signed copies of c
+        # itself, not of c^m
         alg = skew_brauer_algebra(load(name))
         tup = alg.sg_tuple
         assert max(tup.multiplicities) > 1
@@ -284,17 +284,27 @@ class TestSymmetricForm:
         assert not verdict
 
     def test_single_type_one_deletion_fails(self):
+        # a deleted commutation (type a) breaks the symmetry of phi, a
+        # deleted power difference (type b) its nondegeneracy
         alg = skew_brauer_algebra(load("excut.sbg"))
         binomials = [r for r in alg.algebra.relations if not r.is_monomial
                      and {len(p) for p in r.paths()} == {2}]
-        victim = binomials[0]
-        kept = tuple(r for r in alg.algebra.relations if r is not victim)
         import dataclasses
-        weakened = dataclasses.replace(
-            alg, algebra=alg.algebra.relabelled(relations=kept))
-        verdict = symmetric_form_check(weakened)
-        assert (bool(verdict), verdict.condition, verdict.detail) == (
-            False, "nondegenerate", "pairing has rank 18 < dimension 19")
+        got = []
+        for victim in binomials:
+            kept = tuple(r for r in alg.algebra.relations if r is not victim)
+            weakened = dataclasses.replace(
+                alg, algebra=alg.algebra.relabelled(relations=kept))
+            verdict = symmetric_form_check(weakened)
+            got.append((victim.label(alg.quiver), bool(verdict), verdict.condition,
+                        verdict.detail))
+        assert got == [
+            ("v2.1+*+v2.0 - v2.1-*-v2.0", False, "symmetry",
+             "phi(ab) != phi(ba) for a=-v2.0, b=v2.1-"),
+            ("v3.0+*+v3.1 - v3.0-*-v3.1", False, "symmetry",
+             "phi(ab) != phi(ba) for a=v3.0-, b=-v3.1"),
+            ("v2.1+*+v2.0 - v3.0+*+v3.1", False, "nondegenerate",
+             "pairing has rank 18 < dimension 19")]
 
 
 class TestGraphFromSkewGentle:

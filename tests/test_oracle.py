@@ -1,5 +1,6 @@
 """Oracle equivalence: the rewriting engine against one-shot exhaustive
-reduction, and the reads off the sg-tuple against the readings they replaced."""
+reduction, the reads off the sg-tuple against the readings they replaced,
+and the sg ideal against its families over every sign decoration."""
 import dataclasses
 import os
 from fractions import Fraction
@@ -14,16 +15,18 @@ from skewbrauer.brauer import (projective_layers, skew_brauer_algebra,
 from skewbrauer.cartan import IntPoly, cartan
 from skewbrauer.dissection import skew_gentle_from_dissection
 from skewbrauer.errors import InfiniteDimensional, SkewBrauerError, Undecided
-from skewbrauer.quiver import BoundQuiver, Path, Quiver, Relation, _gentle_maximal_paths
+from skewbrauer.quiver import (BoundQuiver, Path, Quiver, Relation, _gentle_maximal_paths,
+                               cycle_rotations)
 from skewbrauer.iso import are_isomorphic
 from skewbrauer.skewgentle import (SgTuple, admissible_presentation, auxiliary_gentle,
                                    gentle_base, make_presentation)
 from skewbrauer.trivext import enumerate_good_cuts, quotient_by_cut, trivial_extension
 
-from helpers import BQ_FIXTURES, FIXTURES, SBG_FIXTURES, family_graphs, load, record_builds
-from oracle import (all_paths, dense_projective_layers, dense_rank,
-                    dense_symmetric_form_check, gentle_base_by_basis, laplace_det,
-                    oracle_reduce)
+from helpers import (BQ_FIXTURES, FIXTURES, SBG_FIXTURES, family_graphs, load,
+                     record_builds, sign_ladder)
+from oracle import (all_paths, cycle_decorations, dense_projective_layers, dense_rank,
+                    dense_symmetric_form_check, full_sg_relations, gentle_base_by_basis,
+                    laplace_det, oracle_reduce)
 from test_properties import linear_skew_gentle
 
 
@@ -216,9 +219,14 @@ def _symform_cases():
                 tup, cycles=tup.cycles[:i] + tup.cycles[i + 1:],
                 multiplicities=tup.multiplicities[:i] + tup.multiplicities[i + 1:])
             yield f"{name}-cycle{i}", dataclasses.replace(alg, sg_tuple=fewer)
+    # each deleted binomial but the commutations (type a): without one,
+    # the signed copies of a cycle power in one class differ, and phi
+    # reads only the copy kept for the class, the dense check every copy
     alg = skew_brauer_algebra(load("excut.sbg"))
+    origins = alg.sg_tuple.sgq.arrow_origins
     for i, victim in enumerate(alg.algebra.relations):
-        if victim.is_monomial:
+        if victim.is_monomial or len({tuple(origins[a][0] for a in p.arrows)
+                                      for p in victim.paths()}) == 1:
             continue
         kept = tuple(r for r in alg.algebra.relations if r is not victim)
         yield f"excut.sbg-{i}", dataclasses.replace(
@@ -227,7 +235,7 @@ def _symform_cases():
 
 def test_symmetric_form_matches_dense_gram_matrix():
     # fixtures that pass, the family graphs with the known failures, phi
-    # without one of its cycles, and relation deletions that leave the
+    # without one of its cycles, and a relation deletion that leaves the
     # pairing one short of full rank
     conditions = set()
     for label, alg in _symform_cases():
@@ -519,3 +527,58 @@ def test_round_trips_read_the_terms_of_a_only_on_three_cuts(monkeypatch):
     names = [name for name, t, back in trips
              if are_isomorphic(back.algebra, t.algebra) and any(x is back.algebra for x in read)]
     assert names == ["sec73_A.bq"] * 3
+
+
+# ---------------------------------------------------------------------------
+# one signed copy per sign class against every sign decoration
+# ---------------------------------------------------------------------------
+
+def _sign_class_cases():
+    """Every .sbg fixture, T(A) of every skew-gentle .bq and .dis
+    fixture, the family graphs of seed 1, and T(A_n) of the sign ladder
+    for n <= 8."""
+    for name in SBG_FIXTURES:
+        yield name, skew_brauer_algebra(load(name))
+    for name, _, t in _presentations():
+        yield f"T({name})", t
+    for name, text in family_graphs(1):
+        yield f"family:{name}", skew_brauer_algebra(formats.parse_sbg(text, name))
+    for n in range(2, 9):
+        yield f"T(A_{n})", trivial_extension(
+            admissible_presentation(make_presentation(sign_ladder(n))))
+
+
+def _check_sign_classes(alg):
+    """The sg ideal of ``alg``'s tuple against the one written over every
+    sign decoration: each holds the other's relations, and every signed
+    copy of each rotation power whose signs repeat with each period has
+    the normal form of the copy that ``powers`` keeps for its class."""
+    tup, q = alg.sg_tuple, alg.algebra.quiver
+    full = full_sg_relations(tup)
+    basis = enumerate_basis(alg.algebra)
+    for r in full:
+        assert basis.relation_holds(r), r.label(q)
+    everything = enumerate_basis(BoundQuiver(q, full))
+    for r in alg.algebra.relations:
+        assert everything.relation_holds(r), r.label(q)
+    rotations = [(rot, m) for c, m in zip(tup.cycles, tup.multiplicities)
+                 for rot in cycle_rotations(tup.quiver, c.arrows)]
+    assert [rot for rot, _ in rotations] == [rot for rot, _, _ in tup.powers]
+    for (rot, m), (_, copies, _) in zip(rotations, tup.powers):
+        kept = {p.base: basis.normal_form(p.arrows) for p in copies}
+        for p in cycle_decorations(tup.sgq, tup.quiver, tup.special, rot, m):
+            assert basis.normal_form(p.arrows) == kept[p.base], p.label(q)
+
+
+def test_sign_classes_generate_every_decoration():
+    names = []
+    for name, alg in _sign_class_cases():
+        _check_sign_classes(alg)
+        names.append(name)
+    assert len(names) == 15 + 18 + 23 + 7
+
+
+@given(linear_skew_gentle())
+@settings(max_examples=25, deadline=None)
+def test_sign_classes_generate_every_decoration_on_random_draws(bq):
+    _check_sign_classes(trivial_extension(admissible_presentation(make_presentation(bq))))
