@@ -40,8 +40,10 @@ gate-diff:
 	diff "$$tmp/base.txt" "$$tmp/head.txt" && \
 	echo "gate-diff: every digest identical to $(BASE)"
 
-# alternating runs of perfbench/run.py on BASE (unpacked with git archive)
-# and on this checkout, over seeds 1-3; medians, quartiles and wins per metric
+# alternating runs of perfbench/run.py on BASE (unpacked once with git
+# archive) and on this checkout, over seeds 1-3, for each workload of
+# WORKLOAD (one or more, e.g. WORKLOAD="roundtrip catalog families"); one
+# table of medians, quartiles and wins per metric for each workload
 WORKLOAD ?= families
 PAIRS ?= 10
 

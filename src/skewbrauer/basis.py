@@ -61,6 +61,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import InfiniteDimensional, NotAdmissible, Undecided
@@ -138,11 +139,14 @@ class _RewriteSystem:
     def complete(self, relations: Iterable[Relation], cap: int) -> None:
         """Turn the relations into a confluent system.
 
-        Raises ``Undecided`` when an ambiguity longer than twice the cap
-        is still pending.
+        Raises ``Undecided`` when an ambiguity longer than twice the cap,
+        raised to the longest relation term, is still pending.
         """
-        # by longest term, so that a new tip is seldom inside an older one
-        for r in sorted(relations, key=Relation.max_term_length):
+        # by longest term, so that a new tip is seldom inside an older one;
+        # each relation's longest term is read once
+        keyed = sorted(((r.max_term_length(), r) for r in relations), key=itemgetter(0))
+        cap = max(cap, keyed[-1][0]) if keyed else cap
+        for _, r in keyed:
             # a path twice in one relation is one term; zero terms drop
             vec: dict[Word, int | Fraction] = {}
             for c, p in r.terms:
@@ -353,7 +357,6 @@ def _is_built(bq: BoundQuiver) -> bool:
 
 
 def _build(bq: BoundQuiver, cap: int) -> tuple[tuple[Path, ...], int, _RewriteSystem]:
-    cap = max(cap, max((r.max_term_length() for r in bq.relations), default=0))
     q = bq.quiver
     engine = _RewriteSystem()
     engine.complete(bq.relations, cap)

@@ -3,16 +3,17 @@
 A hit is a vertex/arrow bijection that matches special-vertex markings
 and carries each relation ideal onto the other.  ``are_isomorphic``
 first compares the vertex profiles (in- and out-degree, loops, special
-marking) of the two quivers and builds the basis of ``b``.  Then one
+marking) of the two quivers and builds the basis of ``b``.  Then a
 search tests each full candidate map, in order:
 
 0. the tuple certificate, when both algebras are the sg-bound quivers
-   of their tuples (``_tuple_fault`` is "" for both, asked once per
-   search): every copy of a base vertex lands on the copies of one base
-   vertex, and likewise for arrows; the base bijection carries the
-   special vertices, the monomials (as sets of paths) and the cycles, up
-   to rotation and with their multiplicities, onto those of ``b``'s
-   tuple; the + and - copies at a special vertex may swap;
+   of their tuples (``_tuple_fault`` is "" for both, asked once per call
+   for ``a`` and once per algebra for ``b``): every copy of a base
+   vertex lands on the copies of one base vertex, and likewise for
+   arrows; the base bijection carries the special vertices, the
+   monomials (as sets of paths) and the cycles, up to rotation and with
+   their multiplicities, onto those of ``b``'s tuple; the + and - copies
+   at a special vertex may swap;
 1. the generator check, while the basis of ``a`` is not built: the map
    is a hit if it sends the relations of ``a``, each up to a nonzero
    scalar, onto exactly those of ``b``, which proves that it carries one
@@ -28,6 +29,19 @@ search tests each full candidate map, in order:
 A map that passes the first test passes the third, which replaces it
 once ``a`` has a basis (from the start, if it was built before the call).
 
+When test 0 applies and ``a`` has no basis, the search runs in two
+passes over the same candidates in the same order, each with its own
+node count bounded by ``budget``.  The first pass tests each map with
+the certificate alone, so it reads no terms and builds no basis of
+``a``.  Only if it finds no hit, by exhausting the candidates or the
+budget, does the second pass run the search above from the start; the
+result then reports its nodes.  A hit of the first pass is a candidate
+that the single search reaches too, within the same budget, and ends on
+unless an earlier candidate passes test 1 or 3 without passing test 0.
+So the status is that of the single search, and the map and the node
+count differ from it only on such an earlier candidate; a basis of
+``a`` that would not complete is no longer built either.
+
 The certificate is sound because ``sg_ideal`` is built from the tuple
 alone, so a base isomorphism of tuples lifts to one of ideals.  It
 writes one signed copy of each family's word per sign class, and every
@@ -35,14 +49,17 @@ other copy is equal to it modulo type a (see ``sg_ideal``), so the
 ideal is that of every family over all signs.  A swap at a
 special vertex sends each type a relation to its negative, and permutes
 the signed copies of the others, so it keeps that ideal.  A map it
-accepts passes the third test too, so it changes no answer, map or node
-count, only the work: no terms and no basis of ``a``.
+accepts would pass the third test too.
 
 Relations are compared as (coefficient, base vertex, word) terms, with
 whole coefficients as ``int``.  The terms of ``a`` are read at most once
-per search, when the first or third test runs; the generators of ``b``, its relations in the canonical form of
-the first test, are computed once per algebra and kept on ``b``, like
-its basis.
+per call, when the first or third test runs.  What the search reads of
+``b`` is computed once per algebra and kept on ``b``, like its basis:
+its generators (its relations in the canonical form of the first test)
+and its ``_Side`` (its sorted vertex profiles, its vertices grouped by
+profile in label order, its arrows grouped by ends, and its
+``_tuple_fault`` answer).  So calls that share ``b``, such as the good-
+cut round trips of one T(A), redo only ``a``'s half of the set-up.
 """
 from __future__ import annotations
 
@@ -55,7 +72,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .basis import PathBasis, _is_built, enumerate_basis
 from .errors import SkewBrauerError
-from .quiver import Arrow, BoundQuiver, Quiver
+from .quiver import Arrow, BoundQuiver, Quiver, Vertex
 from .skewgentle import SgTuple, _tuple_fault
 
 
@@ -74,18 +91,47 @@ class IsoResult(NamedTuple):
             and all(k == v for k, v in self.arrow_map.items())
 
 
-def _vertex_profile(bq: BoundQuiver, vid: int) -> tuple:
-    q = bq.quiver
-    loops = sum(1 for a in q.arrows_from(vid) if a.is_loop)
-    return (len(q.arrows_into(vid)), len(q.arrows_from(vid)), loops,
-            vid in bq.special_vertices)
-
-
 def _arrow_groups(q: Quiver) -> dict[tuple[int, int], list[Arrow]]:
     groups: dict[tuple[int, int], list[Arrow]] = {}
     for ar in q.arrows:
         groups.setdefault((ar.source, ar.target), []).append(ar)
     return groups
+
+
+def _profiles(bq: BoundQuiver, groups: dict[tuple[int, int], list[Arrow]]) -> dict[int, tuple]:
+    """Each vertex's profile, (in-degree, out-degree, loops, special),
+    read off the ``_arrow_groups`` of its quiver."""
+    ins, outs, loops = ({v.id: 0 for v in bq.quiver.vertices} for _ in range(3))
+    for (x, y), ars in groups.items():
+        outs[x] += len(ars)
+        ins[y] += len(ars)
+        if x == y:
+            loops[x] = len(ars)
+    return {v: (ins[v], outs[v], loops[v], v in bq.special_vertices) for v in ins}
+
+
+class _Side(NamedTuple):
+    """What a search reads of ``b`` beyond its basis and generators."""
+    profiles: list[tuple]                           # sorted vertex profiles
+    by_profile: dict[tuple, list[Vertex]]           # each profile's vertices, by label
+    groups: dict[tuple[int, int], list[Arrow]]      # _arrow_groups
+    tuples: bool                                    # _tuple_fault is ""
+
+
+def _side_of(bq: BoundQuiver) -> _Side:
+    """The ``_Side`` of ``bq``, computed once and kept on ``bq``, like its
+    basis and its generators."""
+    side = bq.__dict__.get("_iso_side")
+    if side is None:
+        q = bq.quiver
+        groups = _arrow_groups(q)
+        prof = _profiles(bq, groups)
+        by_profile: dict[tuple, list[Vertex]] = {}
+        for w in sorted(q.vertices, key=lambda w: w.label):
+            by_profile.setdefault(prof[w.id], []).append(w)
+        side = bq.__dict__["_iso_side"] = _Side(
+            sorted(prof.values()), by_profile, groups, not _tuple_fault(bq))
+    return side
 
 
 Term = tuple[int | Fraction, int, tuple[int, ...]]     # (coefficient, base vertex, word)
@@ -212,7 +258,8 @@ class _Search:
     """The fixed data of one isomorphism search, its node count, and the
     terms and the basis of ``a`` once a candidate map or the end of the
     search needs them.  ``tuples``: both algebras are the sg-bound
-    quivers of their tuples."""
+    quivers of their tuples; ``certificate_only``: the tuple certificate
+    is the only test (the first pass)."""
     a: BoundQuiver
     b: BoundQuiver
     budget: int
@@ -223,6 +270,7 @@ class _Search:
     gens_b: Optional[set[Terms]]
     basis_b: PathBasis
     tuples: bool
+    certificate_only: bool = False
     basis_a: Optional[PathBasis] = None
     terms_b: list[Terms] = field(default_factory=list)
     nodes: int = 0
@@ -250,6 +298,8 @@ class _Search:
         """Whether the full candidate map carries each ideal onto the other."""
         if self.tuples and _tuple_certificate(self.a.sg_tuple, self.b.sg_tuple, vmap, amap):
             return True
+        if self.certificate_only:
+            return False
         if self.basis_a is None and _same_generators(self.terms_a, self.gens_b, vmap, amap):
             return True
         basis_a = self.need_basis_a()
@@ -262,40 +312,57 @@ def are_isomorphic(a: BoundQuiver, b: BoundQuiver, *,
     """Search for an isomorphism of bound quivers.
 
     Requires admissible presentations on both sides.  ``budget`` bounds
-    the number of search nodes; exhaustion is reported distinctly.
+    the number of search nodes of each pass; exhaustion is reported
+    distinctly.
 
-    One search tests each full candidate map in the order of the module
-    docstring; a search without a hit builds the basis of ``a`` too, so
-    unequal dimensions always give ``not_isomorphic`` with no nodes.  If
-    the basis of ``b`` fails, that of ``a`` is built before the error is
-    raised, so an error of ``a`` comes first.
+    The search tests each full candidate map in the order of the module
+    docstring.  When both algebras are the sg-bound quivers of their
+    tuples and ``a`` has no basis, a first pass tries the tuple
+    certificate alone on every candidate, and the full search runs, from
+    the start and with its own node count, only if that pass finds no
+    hit; the status is that of one full search, and the map and ``nodes``
+    differ only where an earlier candidate passes the generator or basis
+    test but not the certificate.  A search without a hit builds the
+    basis of ``a`` too, so unequal dimensions always give
+    ``not_isomorphic`` with no nodes.  The basis of ``b`` is built before
+    any search, so an error of ``b`` is raised whatever the certificate
+    says; if it fails, that of ``a`` is built before the error is raised,
+    so an error of ``a`` comes first.  What the search reads of ``b``
+    alone is kept on ``b``.
     """
     qa, qb = a.quiver, b.quiver
+    side = _side_of(b)
     # equal profiles imply equal numbers of vertices, arrows and special vertices
-    prof_a = {v.id: _vertex_profile(a, v.id) for v in qa.vertices}
-    prof_b = {w.id: _vertex_profile(b, w.id) for w in qb.vertices}
-    if sorted(prof_a.values()) != sorted(prof_b.values()):
+    groups_a = _arrow_groups(qa)
+    prof_a = _profiles(a, groups_a)
+    if sorted(prof_a.values()) != side.profiles:
         return IsoResult("not_isomorphic")
 
     # order vertices by rarity of profile, then label, for fast pruning
     freq = Counter(prof_a.values())
     a_order = sorted(qa.vertices, key=lambda v: (freq[prof_a[v.id]], v.label))
-    b_by_label = sorted(qb.vertices, key=lambda w: w.label)
     # the same label first, so identity maps are found immediately
-    candidates = {v.id: [w.id for w in sorted(b_by_label, key=lambda w: w.label != v.label)
-                         if prof_a[v.id] == prof_b[w.id]] for v in qa.vertices}
+    candidates = {v.id: [w.id for w in sorted(side.by_profile[prof_a[v.id]],
+                                              key=lambda w: w.label != v.label)]
+                  for v in qa.vertices}
 
     try:
         basis_b = enumerate_basis(b)
     except SkewBrauerError:
         enumerate_basis(a)
         raise
-    search = _Search(a, b, budget, a_order, candidates, _arrow_groups(qa), _arrow_groups(qb),
-                     _generators_of(b), basis_b, not _tuple_fault(a) and not _tuple_fault(b))
+    tuples = side.tuples and not _tuple_fault(a)
+    built_a = _is_built(a)
+    search = _Search(a, b, budget, a_order, candidates, groups_a, side.groups,
+                     _generators_of(b), basis_b, tuples, certificate_only=tuples and not built_a)
     try:
-        if _is_built(a):    # costs no build: compare dimensions before the search
+        if built_a:     # costs no build: compare dimensions before the search
             search.need_basis_a()
         found = _backtrack(search, 0, {}, set())
+        if found is None and search.certificate_only:
+            # no candidate passes the certificate: every test, from the start
+            search.certificate_only, search.nodes = False, 0
+            found = _backtrack(search, 0, {}, set())
         if found is None:
             search.need_basis_a()
     except _DimensionsDiffer:
@@ -324,16 +391,16 @@ def _backtrack(s: _Search, i: int, vmap: dict[int, int],
         if amap is not None:
             return (dict(vmap), amap)
         return None
-    v = s.a_order[i]
+    v, ga, gb = s.a_order[i], s.groups_a, s.groups_b
     for w in s.candidates[v.id]:
         if w in used:
             continue
         if not s.visit():
             return None
         # local consistency: arrow counts between already-mapped pairs
-        if any(len(s.groups_a.get((x, y), ())) != len(s.groups_b.get((wx, wy), ()))
-               for u, wu in vmap.items()
-               for (x, y, wx, wy) in ((v.id, u, w, wu), (u, v.id, wu, w))):
+        if any(len(ga.get((v.id, u), ())) != len(gb.get((w, wu), ()))
+               or len(ga.get((u, v.id), ())) != len(gb.get((wu, w), ()))
+               for u, wu in vmap.items()):
             continue
         vmap[v.id] = w
         used.add(w)

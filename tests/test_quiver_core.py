@@ -27,6 +27,7 @@ from skewbrauer.trivext import (enumerate_good_cuts, quotient_by_cut,
 from helpers import (BQ_FIXTURES, FIXTURES, NonComposable, P, compose_paths, diff,
                      fixture_path, load, mono, record_builds, shuffled_copy)
 from oracle import oracle_reduce
+from test_oracle import _round_trips
 
 
 def leibniz_det(m, one):
@@ -748,30 +749,33 @@ class TestIsomorphism:
 
     def test_generators_of_b_are_computed_once(self, monkeypatch):
         # the same b in two calls: its relation terms, read only for its
-        # generator set, are read once; a's terms are not read when the
-        # tuple certificate accepts, and once per call on a pair that
-        # carries no tuple
+        # generator set, and its tuple fault are read once; a's terms are
+        # not read when the tuple certificate accepts, and once per call
+        # on a pair that carries no tuple
         t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
         cut = next(iter(enumerate_good_cuts(t)))
         back = trivial_extension(quotient_by_cut(t, cut)).algebra
-        read = []
-        real = iso._terms
+        read, asked = [], []
+        real, real_fault = iso._terms, iso._tuple_fault
         monkeypatch.setattr(iso, "_terms", lambda bq: read.append(bq) or real(bq))
+        monkeypatch.setattr(iso, "_tuple_fault", lambda bq: asked.append(bq) or real_fault(bq))
         assert are_isomorphic(back, t.algebra) and are_isomorphic(back, t.algebra)
         assert sum(x is t.algebra for x in read) == 1
         assert sum(x is back for x in read) == 0
+        assert sum(x is t.algebra for x in asked) == 1
+        assert sum(x is back for x in asked) == 2
         q = square()
         plain_a, plain_b = (BoundQuiver(q, (diff(q, ("a", "b"), ("c", "d")),)) for _ in "ab")
         assert are_isomorphic(plain_a, plain_b) and are_isomorphic(plain_a, plain_b)
         assert sum(x is plain_a for x in read) == 2
 
     def test_round_trip_builds_no_basis_of_the_quotient_extension(self, monkeypatch):
-        t = trivial_extension(admissible_presentation(make_presentation(load("toy.bq"))))
-        for cut in enumerate_good_cuts(t):
-            back = trivial_extension(quotient_by_cut(t, cut)).algebra
+        trips = list(_round_trips())
+        assert len(trips) == 40
+        for name, t, back in trips:
             built = record_builds(monkeypatch)
-            assert are_isomorphic(back, t.algebra)
-            assert not any(x is back for x in built)
+            assert are_isomorphic(back.algebra, t.algebra), name
+            assert not any(x is back.algebra for x in built), name
 
     def test_generator_check_rejects_a_changed_sign(self, monkeypatch):
         # a*b - c*d against a*b + c*d: not the same generators, so the

@@ -13,7 +13,7 @@ from skewbrauer.brauer import (classify_rep_type, projective_layers,
 from skewbrauer.cartan import cartan
 from skewbrauer.dissection import (_angles, quiver_from_dissection,
                                    trivext_tuple_from_dissection)
-from skewbrauer.iso import are_isomorphic
+from skewbrauer.iso import _side_of, are_isomorphic
 from skewbrauer.skewgentle import (admissible_presentation, is_skew_gentle,
                                    make_presentation)
 from skewbrauer.trivext import enumerate_good_cuts, trivial_extension
@@ -77,6 +77,7 @@ def records() -> dict[str, object]:
         "DissectionTuple": trivext_tuple_from_dissection(d),
         "IsoResult": are_isomorphic(
             adm, admissible_presentation(make_presentation(load("toy.bq")))),
+        "_Side": _side_of(adm),
         "SgCheck": is_skew_gentle(toy),
         "SkewGentlePresentation": pres,
         "SgQuiver": t.sg_tuple.sgq,

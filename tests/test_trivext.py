@@ -25,7 +25,7 @@ from skewbrauer.trivext import (CutSet, enumerate_admissible_cuts,
                                 quotient_by_cut, reflect, trivial_extension)
 
 from helpers import (BQ_FIXTURES, P, SKEW_GENTLE_FIXTURES, is_sign_closed, load,
-                     repetitive_window, sign_ladder, signed_cycles)
+                     record_builds, repetitive_window, sign_ladder, signed_cycles)
 
 
 def toy_pres():
@@ -428,12 +428,10 @@ class TestGoodCuts:
     def test_round_trips_write_only_what_they_read(self, monkeypatch):
         """The 40 good-cut round trips of the five skew-gentle fixtures
         write the sg relations and the signed powers of T(A), which the
-        isomorphism test reads, and of no quotient.  T(quotient) is
-        written only on the 4th to 6th good cuts of sec73_A.bq (counted
-        from 0, "good cuts 3-5"), where the tuple certificate misses and
-        the search builds its basis: the open `FOUND:` line of CHANGES.md
-        on `iso.are_isomorphic` (line 43).  Mending that line empties
-        that list."""
+        isomorphism test reads, and build its basis, and do none of it for
+        a quotient or a T(quotient): the tuple certificate accepts a
+        candidate map on every round trip, and it is tried on every
+        candidate before any basis."""
         ideals, powers = [], []
         real_ideal, real_powers = skewgentle.sg_ideal, SgTuple.__dict__["powers"].func
 
@@ -449,10 +447,12 @@ class TestGoodCuts:
         spy.__set_name__(SgTuple, "powers")
         monkeypatch.setattr(skewgentle, "sg_ideal", spy_ideal)
         monkeypatch.setattr(SgTuple, "powers", spy)
-        extensions, quotients, written = [], [], []
+        built = record_builds(monkeypatch)
+        extensions, algebras, quotients, written = [], [], [], []
         for name in SKEW_GENTLE_FIXTURES:
             t = trivial_extension(admissible_presentation(make_presentation(load(name))))
             extensions.append(t.sg_tuple)
+            algebras.append(t.algebra)
             for i, cut in enumerate(enumerate_good_cuts(t), 1):
                 quotient = quotient_by_cut(t, cut)
                 back = trivial_extension(quotient)
@@ -462,10 +462,11 @@ class TestGoodCuts:
                     written.append((name, i))
                     extensions.append(back.sg_tuple)
         assert len(quotients) == 40
-        assert written == [("sec73_A.bq", 4), ("sec73_A.bq", 5), ("sec73_A.bq", 6)]
+        assert written == []
         for calls in (ideals, powers):
-            assert len(calls) == len(extensions) == 8
+            assert len(calls) == len(extensions) == 5
             assert all(any(x is t for t in extensions) for x in calls)
+        assert len(built) == 5 and all(x is a for x, a in zip(built, algebras))
 
     def test_round_trip_makes_no_cycle(self):
         # the good-cut and isomorphism searches must leave no reference
